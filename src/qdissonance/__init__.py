@@ -13,12 +13,9 @@ from .qla import (
     DensityMatrix,
     DomainError,
     PureState,
-    hermitian_eig,
-    matrix_sqrt,
     partial_trace,
     permute_legs,
     projector,
-    svd_real,
     tensor,
     trace_distance,
 )
@@ -86,8 +83,8 @@ from .statefile import (
 __all__ = [
     "__version__",
     # qla
-    "DensityMatrix", "DomainError", "PureState", "hermitian_eig", "matrix_sqrt",
-    "partial_trace", "permute_legs", "projector", "svd_real", "tensor", "trace_distance",
+    "DensityMatrix", "DomainError", "PureState", "partial_trace", "permute_legs",
+    "projector", "tensor", "trace_distance",
     # states
     "PhaseSolution", "ProductDecomposition", "PureFactorization", "bell", "cc_pairs",
     "cc_state", "cq_state", "eta_states", "explicit_factors_z13", "factor_pure",

@@ -199,16 +199,13 @@ def cmd_decompose(args) -> int:
     decomp = product_decomposition(args.z)
     print(f"z={_fmt(decomp.z)}")
     print("phases: " + " ".join(_fmt(t) for t in solve_phases(args.z).thetas))
-    recon = np.zeros((4, 4), dtype=complex)
     for j, (eta, (left, right), phase) in enumerate(
         zip(decomp.etas, decomp.factors, decomp.phases)
     ):
-        recon += np.outer(eta.vector, eta.vector.conj())
         print(f"component {j}: norm={_fmt(eta.norm())} global_phase={_fmt(phase)}")
         print("  left:  " + " ".join(f"{v.real:+.9f}{v.imag:+.9f}j" for v in left.vector))
         print("  right: " + " ".join(f"{v.real:+.9f}{v.imag:+.9f}j" for v in right.vector))
-    err = float(np.abs(recon - werner(decomp.z).matrix).max())
-    print(f"reconstruction_max_abs_error={err:.3e}")
+    print(f"reconstruction_max_abs_error={decomp.reconstruction_error:.3e}")
     return EXIT_OK
 
 

@@ -18,13 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .qla import (
-    DensityMatrix,
-    DomainError,
-    hermitian_eig,
-    matrix_sqrt,
-    partial_trace,
-)
+from .qla import DensityMatrix, DomainError, partial_trace
+from .witness import PAULI_MATRICES, correlation_matrix
 
 __all__ = [
     "Measurement",
@@ -43,11 +38,10 @@ __all__ = [
 DEFAULT_GRID = (64, 128)
 DEFAULT_REFINE_TOL = 1e-7
 PROB_CUTOFF = 1e-14
-
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+# Wootters' l1 - l2 - l3 - l4 is reported as exactly 0 when it is at most
+# this multiple of l1: at the separable boundary the difference is pure
+# rounding noise of a few ulps of l1, which would otherwise depend on BLAS.
+CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -70,12 +64,20 @@ class Measurement:
                     raise DomainError("measurement projectors are not orthogonal idempotents")
 
 
+def _direction(theta, phi):
+    """Bloch unit vector (nx, ny, nz) of the angles; broadcasts over arrays.
+
+    Kept as a tuple of components: stacking them into one (3, N) array
+    would add a full copy of the direction grid to peak memory.
+    """
+    return np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+
+
 def qubit_measurement(theta: float, phi: float) -> Measurement:
     """Projectors (I +/- n.sigma)/2 for the unit vector n(theta, phi)."""
     theta = float(theta)
     phi = float(phi)
-    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    ns = sum(c * s for c, s in zip(n, _PAULIS))
+    ns = sum(c * s for c, s in zip(_direction(theta, phi), PAULI_MATRICES[1:]))
     plus = (np.eye(2) + ns) / 2.0
     minus = (np.eye(2) - ns) / 2.0
     plus = (plus + plus.conj().T) / 2.0
@@ -85,11 +87,11 @@ def qubit_measurement(theta: float, phi: float) -> Measurement:
 
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map arbitrary real angles to theta in [0, pi], phi in [0, 2 pi)."""
-    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    t = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    if abs(n[0]) < 1e-15 and abs(n[1]) < 1e-15:
+    nx, ny, nz = _direction(theta, phi)
+    t = float(np.arccos(np.clip(nz, -1.0, 1.0)))
+    if abs(nx) < 1e-15 and abs(ny) < 1e-15:
         return t, 0.0
-    p = float(np.arctan2(n[1], n[0])) % (2.0 * np.pi)
+    p = float(np.arctan2(ny, nx)) % (2.0 * np.pi)
     return t, p
 
 
@@ -174,12 +176,7 @@ def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
 
     Outcomes with probability below 1e-14 are skipped.
     """
-    blocks = _b_blocks(rho)
-    n = np.array(
-        [np.sin(m.theta) * np.cos(m.phi), np.sin(m.theta) * np.sin(m.phi), np.cos(m.theta)]
-    )
-    val = _conditional_entropy_directions(blocks, n[0:1], n[1:2], n[2:3])
-    return float(val[0])
+    return float(_conditional_entropy_directions(_b_blocks(rho), *_direction(m.theta, m.phi)))
 
 
 def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +197,11 @@ def _minimize_over_directions(objective, grid: tuple[int, int], refine_tol: floa
     (stable sort, ties broken by grid order).
     """
     tt, pp = _grid_directions(grid)
-    vals = objective(np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt))
+    vals = objective(*_direction(tt, pp))
     order = np.argsort(vals, kind="stable")[:3]
 
     def scalar(angles):
-        t, p = angles
-        return float(objective(
-            np.array([np.sin(t) * np.cos(p)]),
-            np.array([np.sin(t) * np.sin(p)]),
-            np.array([np.cos(t)]),
-        )[0])
+        return float(objective(*_direction(*angles)))
 
     best_val = None
     best_angles = None
@@ -285,10 +277,7 @@ def discord(
     probs = []
     cond = []
     _, db = rho.legs
-    for proj in m.projectors:
-        big = np.kron(proj, np.eye(db))
-        sub = big @ rho.matrix @ big
-        reduced = sub.reshape(2, db, 2, db).trace(axis1=0, axis2=2)
+    for reduced in _post_blocks(_b_blocks(rho), *_direction(m.theta, m.phi)):
         p = float(np.real(np.trace(reduced)))
         probs.append(p)
         if p > 1e-12:
@@ -309,17 +298,6 @@ def discord(
     )
 
 
-def _bloch_decomposition(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local Bloch vectors x, y and correlation tensor T of a two-qubit state."""
-    m = rho.matrix
-    x = np.array([np.real(np.trace(m @ np.kron(s, np.eye(2)))) for s in _PAULIS])
-    y = np.array([np.real(np.trace(m @ np.kron(np.eye(2), s))) for s in _PAULIS])
-    t = np.array(
-        [[np.real(np.trace(m @ np.kron(si, sj))) for sj in _PAULIS] for si in _PAULIS]
-    )
-    return x, y, t
-
-
 def geometric_discord(
     rho: DensityMatrix,
     method: str = "closed-form",
@@ -338,7 +316,9 @@ def geometric_discord(
     if rho.legs != (2, 2):
         raise DomainError(f"geometric_discord requires legs (2, 2), got {rho.legs}")
     if method == "closed-form":
-        x, _, t = _bloch_decomposition(rho)
+        r = correlation_matrix(rho)
+        x = 2.0 * r[1:, 0]
+        t = 2.0 * r[1:, 1:]
         k = np.outer(x, x) + t @ t.T
         kmax = float(np.linalg.eigvalsh(k)[-1])
         return float((x @ x + np.sum(t * t) - kmax) / 4.0)
@@ -358,14 +338,21 @@ def geometric_discord(
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state."""
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
+
+    With rho = X X^dagger, X = V diag(sqrt(w)), the l_i (square roots of
+    the eigenvalues of rho (sy x sy) rho* (sy x sy)) are the singular
+    values of X^T (sy x sy) X.  Differences within CONCURRENCE_FLOOR * l1
+    of zero are reported as exactly 0.
+    """
     if rho.legs != (2, 2):
         raise DomainError(f"concurrence requires legs (2, 2), got {rho.legs}")
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    tilde = yy @ rho.matrix.conj() @ yy
-    root = matrix_sqrt(rho.matrix)
-    lam, _ = hermitian_eig(matrix_sqrt(root @ tilde @ root))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    w, v = np.linalg.eigh(rho.matrix)
+    x = v * np.sqrt(np.clip(w, 0.0, None))
+    yy = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[2])
+    lam = np.linalg.svd(x.T @ yy @ x, compute_uv=False)
+    c = lam[0] - lam[1] - lam[2] - lam[3]
+    return 0.0 if c <= CONCURRENCE_FLOOR * lam[0] else float(c)
 
 
 def negativity(rho: DensityMatrix) -> float:

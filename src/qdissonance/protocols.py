@@ -59,14 +59,9 @@ class ProtocolUnavailableError(RuntimeError):
         self.residual = residual
 
 
-def _side_factors(side: str, z: float):
+def _check_side(side: str) -> None:
     if side not in ("A", "B"):
         raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-    decomp = product_decomposition(z)
-    pairs = decomp.factors
-    if side == "A":
-        return [p[0].vector for p in pairs], decomp
-    return [p[1].vector for p in pairs], decomp
 
 
 def _check_z(z: float, op: str) -> float:
@@ -145,7 +140,9 @@ def build_kraus(side: str, z: float) -> KrausChannel:
     completeness sum is exactly the identity.
     """
     z = _check_z(z, "build_kraus")
-    factors, _ = _side_factors(side, z)
+    _check_side(side)
+    k = 0 if side == "A" else 1
+    factors = [pair[k].vector for pair in product_decomposition(z).factors]
     eye2 = np.eye(2, dtype=complex)
     eye4 = np.eye(4, dtype=complex)
     ops = []
@@ -192,8 +189,7 @@ def build_unitary(side: str, z: float) -> LocalUnitary:
     z = 1/3; elsewhere ProtocolUnavailableError is raised.
     """
     z = _check_z(z, "build_unitary")
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     decomp = product_decomposition(z)
     overlaps = [
         abs(np.vdot(left.vector, right.vector)) for left, right in decomp.factors

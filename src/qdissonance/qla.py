@@ -22,10 +22,7 @@ __all__ = [
     "tensor",
     "permute_legs",
     "partial_trace",
-    "hermitian_eig",
-    "matrix_sqrt",
     "trace_distance",
-    "svd_real",
 ]
 
 # Tolerances for the validation performed by the container types.
@@ -208,31 +205,6 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(out.reshape(d, d), kept_dims)
 
 
-def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    Returns ``(w, v)`` with ``matrix @ v[:, k] == w[k] * v[:, k]``.
-    """
-    m = _as_complex_array(matrix, "hermitian_eig")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"hermitian_eig needs a square matrix, got {m.shape}")
-    herm = np.abs(m - m.conj().T).max()
-    if herm > 1e-10:
-        raise DomainError(f"matrix is not Hermitian (residual {herm:.3e})")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix."""
-    w, v = hermitian_eig(matrix)
-    if w.size and float(w.min()) < PSD_TOL:
-        raise DomainError(f"matrix_sqrt of non-PSD matrix (eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
-
-
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) * trace norm of (a - b); between 0 and 1."""
     if a.dim != b.dim:
@@ -240,20 +212,3 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     w = np.linalg.eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.abs(w).sum())
 
-
-def svd_real(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of a real matrix with descending singular values.
-
-    Returns ``(u, s, v)`` with orthogonal ``u``, ``v`` such that
-    ``m = sum_k s[k] * outer(u[:, k], v[:, k])``.
-    """
-    m = np.asarray(matrix)
-    if np.iscomplexobj(m):
-        if np.abs(m.imag).max() > 1e-12:
-            raise DomainError("svd_real requires a real matrix")
-        m = m.real
-    m = m.astype(float)
-    if not np.all(np.isfinite(m)):
-        raise DomainError("svd_real: matrix contains non-finite entries")
-    u, s, vh = np.linalg.svd(m)
-    return u, s, vh.T

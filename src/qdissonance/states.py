@@ -311,13 +311,15 @@ class ProductDecomposition:
     """Separable Werner state written as a sum of four product components.
 
     ``etas[j]`` equals ``1/2 * e^{i phases[j]} * factors[j][0] x factors[j][1]``;
-    the outer products of the etas sum to ``werner(z)``.
+    the outer products of the etas sum to ``werner(z)`` up to
+    ``reconstruction_error`` (max abs entry of the difference).
     """
 
     z: float
     etas: tuple[PureState, ...]
     factors: tuple[tuple[PureState, PureState], ...]
     phases: tuple[float, ...]
+    reconstruction_error: float
 
 
 def product_decomposition(z: float) -> ProductDecomposition:
@@ -343,11 +345,11 @@ def product_decomposition(z: float) -> ProductDecomposition:
         pair = nrm * np.exp(1j * fac.phase) * np.kron(fac.left.vector, fac.right.vector)
         if np.abs(pair - eta.vector).max() > RECONSTRUCTION_TOL:
             raise DomainError("factorization does not reproduce its component")
-    err = np.abs(recon - werner(z).matrix).max()
+    err = float(np.abs(recon - werner(z).matrix).max())
     if err > RECONSTRUCTION_TOL:
         raise DomainError(f"decomposition reconstruction error {err:.3e}")
     return ProductDecomposition(
-        z=z, etas=etas, factors=tuple(factors), phases=tuple(phases)
+        z=z, etas=etas, factors=tuple(factors), phases=tuple(phases), reconstruction_error=err
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qla import DensityMatrix, DomainError, svd_real
+from .qla import DensityMatrix, DomainError
 
 __all__ = [
     "OperatorBasis",
@@ -32,6 +32,12 @@ COMMUTATOR_TOL = 1e-9
 SIMDIAG_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
 
+# I, sigma_x, sigma_y, sigma_z stacked along the first axis.
+PAULI_MATRICES = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
+
 
 @dataclass(frozen=True)
 class OperatorBasis:
@@ -46,17 +52,18 @@ class OperatorBasis:
             raise DomainError("OperatorBasis elements must share a square shape")
         if len(elems) != d * d:
             raise DomainError(f"OperatorBasis needs {d * d} elements for dimension {d}")
-        for i, e in enumerate(elems):
-            if np.abs(e - e.conj().T).max() > 1e-12:
-                raise DomainError(f"OperatorBasis element {i} is not Hermitian")
-        for i in range(len(elems)):
-            for j in range(i, len(elems)):
-                g = np.trace(elems[i] @ elems[j])
-                ref = 1.0 if i == j else 0.0
-                if abs(g - ref) > 1e-12:
-                    raise DomainError(
-                        f"OperatorBasis elements {i},{j} not HS-orthonormal (Tr={g:.3e})"
-                    )
+        stack = np.stack(elems)
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(herm > 1e-12)
+        if bad.size:
+            raise DomainError(f"OperatorBasis element {bad[0]} is not Hermitian")
+        gram = np.einsum("iab,jba->ij", stack, stack)
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(d * d)) > 1e-12))
+        if bad.size:
+            i, j = bad[0]
+            raise DomainError(
+                f"OperatorBasis elements {i},{j} not HS-orthonormal (Tr={gram[i, j]:.3e})"
+            )
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -68,15 +75,7 @@ def pauli_basis(d: int = 2) -> OperatorBasis:
     """The normalized Pauli basis {I, sx, sy, sz} / sqrt(2)."""
     if d != 2:
         raise DomainError(f"pauli_basis supports d=2 only, got {d}")
-    s2 = 1.0 / np.sqrt(2.0)
-    return OperatorBasis(
-        elements=(
-            s2 * np.eye(2, dtype=complex),
-            s2 * np.array([[0, 1], [1, 0]], dtype=complex),
-            s2 * np.array([[0, -1j], [1j, 0]], dtype=complex),
-            s2 * np.array([[1, 0], [0, -1]], dtype=complex),
-        )
-    )
+    return OperatorBasis(elements=tuple(PAULI_MATRICES / np.sqrt(2.0)))
 
 
 def _resolve_basis(basis, d: int, name: str) -> OperatorBasis:
@@ -90,17 +89,23 @@ def _resolve_basis(basis, d: int, name: str) -> OperatorBasis:
     return _resolve_basis(OperatorBasis(elements=tuple(basis)), d, name)
 
 
-def correlation_matrix(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
-    """Real coefficient matrix r_nm = Tr[rho (A_n x B_m)]."""
+def _resolve_bases(rho: DensityMatrix, basis_a, basis_b) -> tuple[OperatorBasis, OperatorBasis]:
     if len(rho.legs) != 2:
         raise DomainError(f"correlation_matrix needs a bipartite state, got legs {rho.legs}")
     da, db = rho.legs
-    ba = _resolve_basis(basis_a, da, "basis_a")
-    bb = _resolve_basis(basis_b, db, "basis_b")
-    r = np.empty((da * da, db * db), dtype=complex)
-    for n, an in enumerate(ba.elements):
-        for m, bm in enumerate(bb.elements):
-            r[n, m] = np.trace(rho.matrix @ np.kron(an, bm))
+    return _resolve_basis(basis_a, da, "basis_a"), _resolve_basis(basis_b, db, "basis_b")
+
+
+def correlation_matrix(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
+    """Real coefficient matrix r_nm = Tr[rho (A_n x B_m)]."""
+    ba, bb = _resolve_bases(rho, basis_a, basis_b)
+    da, db = rho.legs
+    r = np.einsum(
+        "abce,nca,meb->nm",
+        rho.matrix.reshape(da, db, da, db),
+        np.stack(ba.elements),
+        np.stack(bb.elements),
+    )
     resid = np.abs(r.imag).max()
     if resid > 1e-10:
         raise DomainError(f"correlation matrix has imaginary residue {resid:.3e}")
@@ -133,11 +138,9 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
     (B-side) basis with the left (right) singular vector columns.  The
     reconstruction is verified to 1e-9 before returning.
     """
-    da, db = rho.legs if len(rho.legs) == 2 else (0, 0)
-    r = correlation_matrix(rho, basis_a, basis_b)
-    ba = _resolve_basis(basis_a, da, "basis_a")
-    bb = _resolve_basis(basis_b, db, "basis_b")
-    u, s, v = svd_real(r)
+    ba, bb = _resolve_bases(rho, basis_a, basis_b)
+    r = correlation_matrix(rho, ba, bb)
+    u, s, vh = np.linalg.svd(r)
     l_rank = int((s > RANK_TOL).sum())
     a_stack = np.stack(ba.elements)
     b_stack = np.stack(bb.elements)
@@ -145,7 +148,7 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
         np.tensordot(u[:, k], a_stack, axes=(0, 0)) for k in range(l_rank)
     )
     f_ops = tuple(
-        np.tensordot(v[:, k], b_stack, axes=(0, 0)) for k in range(l_rank)
+        np.tensordot(vh[k], b_stack, axes=(0, 0)) for k in range(l_rank)
     )
     recon = np.zeros((rho.dim, rho.dim), dtype=complex)
     for k in range(l_rank):
@@ -159,7 +162,7 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
         l_rank=l_rank,
         s_ops=s_ops,
         f_ops=f_ops,
-        legs=(da, db),
+        legs=rho.legs,
     )
 
 

@@ -16,13 +16,15 @@ from qdissonance import (
     partial_trace,
     projector,
     qubit_measurement,
+    run_kraus_protocol,
+    run_unitary_protocol,
     tensor,
     total_correlation,
     werner,
 )
 from qdissonance.correlations import Measurement
 
-from _zoo import random_cq, random_density, random_two_qubit
+from _zoo import build_zoo, random_cq, random_density, random_product, random_two_qubit
 
 SEED = 7200
 
@@ -131,6 +133,20 @@ def test_discord_report_fields():
     assert rep.concurrence == pytest.approx(0.25, abs=1e-8)
     assert rep.negativity == pytest.approx(0.125, abs=1e-12)
 
+    # outcomes and conditional states equal Tr_A[(P x I) rho (P x I)]
+    rng = np.random.default_rng(SEED + 8)
+    for db in (2, 2, 3, 3):
+        rho = random_density(rng, 2 * db, (2, db))
+        rep = discord(rho)
+        for proj, p, cond in zip(
+            rep.argmin_measurement.projectors, rep.outcome_probs, rep.conditional_states
+        ):
+            big = np.kron(proj, np.eye(db))
+            ref = (big @ rho.matrix @ big).reshape(2, db, 2, db).trace(axis1=0, axis2=2)
+            p_ref = np.trace(ref).real
+            assert abs(p - p_ref) < 1e-12
+            assert np.abs(cond.matrix - ref / p_ref).max() < 1e-12
+
 
 def test_discord_zero_for_cc_and_cq():
     rng = np.random.default_rng(SEED + 4)
@@ -154,7 +170,21 @@ def test_discord_qubit_qutrit_side():
     assert rep.negativity == pytest.approx(0.0, abs=1e-10)
 
 
+def _bloch_by_trace(rho):
+    """Local Bloch vector x and correlation tensor T from explicit traces."""
+    sig = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    m = rho.matrix
+    x = np.array([np.trace(m @ np.kron(s, np.eye(2))).real for s in sig])
+    t = np.array([[np.trace(m @ np.kron(si, sj)).real for sj in sig] for si in sig])
+    return x, t
+
+
 def test_geometric_discord_closed_form():
+    for name, rho, _ in build_zoo():
+        x, t = _bloch_by_trace(rho)
+        kmax = np.linalg.eigvalsh(np.outer(x, x) + t @ t.T)[-1]
+        ref = (x @ x + np.sum(t * t) - kmax) / 4
+        assert abs(geometric_discord(rho) - ref) < 1e-12, name
     for z in (0.0, 0.25, 1.0 / 3.0, 0.5, 1.0):
         assert geometric_discord(werner(z)) == pytest.approx(z * z / 2, abs=1e-12)
     assert geometric_discord(werner(1.0)) == pytest.approx(0.5, abs=1e-12)
@@ -179,8 +209,20 @@ def test_geometric_discord_brute_force():
 
 
 def test_concurrence():
-    for z in (0.0, 0.2, 1.0 / 3.0):
+    z13 = 1.0 / 3.0
+    for z in (0.0, 0.2, z13):
         assert concurrence(werner(z)) == 0.0
+    # exactly 0 at the separable boundary from every route, not rounding noise
+    assert concurrence(run_kraus_protocol(z13).final) == 0.0
+    assert concurrence(run_unitary_protocol(z13).final) == 0.0
+    z = z13 + 1e-6
+    assert concurrence(werner(z)) == pytest.approx((3 * z - 1) / 2, abs=1e-12)
+    rng = np.random.default_rng(SEED + 9)
+    for _ in range(50):
+        k = int(rng.integers(2, 6))
+        weights = rng.dirichlet(np.ones(k))
+        mix = sum(w * random_product(rng).matrix for w in weights)
+        assert concurrence(DensityMatrix(mix, (2, 2))) == 0.0
     for z in (0.4, 0.6, 0.8, 1.0):
         assert concurrence(werner(z)) == pytest.approx((3 * z - 1) / 2, abs=1e-8)
     assert concurrence(projector(bell("psi-"))) == pytest.approx(1.0, abs=1e-8)

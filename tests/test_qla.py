@@ -5,12 +5,9 @@ from qdissonance import (
     DensityMatrix,
     DomainError,
     PureState,
-    hermitian_eig,
-    matrix_sqrt,
     partial_trace,
     permute_legs,
     projector,
-    svd_real,
     tensor,
     trace_distance,
     werner,
@@ -121,31 +118,6 @@ def test_partial_trace_multi_leg():
     assert both.legs == (2,)
 
 
-def test_hermitian_eig_reconstruction():
-    rng = np.random.default_rng(SEED + 3)
-    for d in (2, 4, 8):
-        for _ in range(20):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = (g + g.conj().T) / 2
-            w, v = hermitian_eig(h)
-            assert np.all(np.diff(w) <= 1e-12)  # descending
-            assert np.abs(v @ np.diag(w) @ v.conj().T - h).max() < 1e-9
-            assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-10
-    with pytest.raises(DomainError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_matrix_sqrt():
-    rng = np.random.default_rng(SEED + 4)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    p = g @ g.conj().T
-    r = matrix_sqrt(p)
-    assert np.abs(r @ r - p).max() < 1e-9
-    assert np.abs(r - r.conj().T).max() < 1e-12
-    with pytest.raises(DomainError):
-        matrix_sqrt(np.diag([1.0, -1.0]))
-
-
 def test_trace_distance():
     w0 = werner(0.0)
     w1 = werner(1.0)
@@ -155,13 +127,3 @@ def test_trace_distance():
     with pytest.raises(DomainError):
         trace_distance(w0, DensityMatrix(np.eye(2) / 2))
 
-
-def test_svd_real():
-    rng = np.random.default_rng(SEED + 5)
-    m = rng.standard_normal((4, 6))
-    u, s, v = svd_real(m)
-    assert np.all(np.diff(s) <= 0)
-    assert np.abs(u @ np.diag(s) @ v.T[: len(s)] - m).max() < 1e-10
-    assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
-    with pytest.raises(DomainError):
-        svd_real(np.array([[1j, 0.0], [0.0, 1.0]]))

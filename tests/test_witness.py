@@ -40,12 +40,14 @@ def test_pauli_basis():
 
 
 def test_operator_basis_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="elements 0,0 not HS-orthonormal"):
         OperatorBasis(elements=(np.eye(2),) * 4)  # not orthonormal
+    with pytest.raises(DomainError, match="elements 0,1 not HS-orthonormal"):
+        OperatorBasis(elements=(np.eye(2) / np.sqrt(2),) * 4)  # normalized, not orthogonal
     with pytest.raises(DomainError):
         OperatorBasis(elements=(np.eye(2) / np.sqrt(2),) * 3)  # wrong count
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="element 1 is not Hermitian"):
         OperatorBasis(elements=(np.eye(2) / np.sqrt(2), bad, bad.T, np.diag([1, -1]) / np.sqrt(2)))
 
 
@@ -61,6 +63,17 @@ def test_correlation_matrix_werner_slots():
         r = correlation_matrix(werner(z))
         expect = np.diag([0.5, -z / 2, -z / 2, -z / 2])
         assert np.abs(r - expect).max() < 1e-12
+
+
+def test_correlation_matrix_rotated_bases():
+    # r_nm = Tr[rho (A_n x B_m)] for non-Pauli bases on both sides
+    rng = np.random.default_rng(SEED + 4)
+    for rho in [werner(0.3)] + [random_density(rng, 4, (2, 2)) for _ in range(5)]:
+        ba, bb = _rotated_basis(rng), _rotated_basis(rng)
+        ref = np.array(
+            [[np.trace(rho.matrix @ np.kron(a, b)).real for b in bb.elements] for a in ba.elements]
+        )
+        assert np.abs(correlation_matrix(rho, ba, bb) - ref).max() < 1e-13
 
 
 def test_correlation_matrix_errors():
