@@ -271,7 +271,7 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=DEFAULT_REFINE_TOL,
         metavar="TOL",
-        help=f"refinement angle tolerance (default {DEFAULT_REFINE_TOL:g})",
+        help=f"final compass-search step in radians (default {DEFAULT_REFINE_TOL:g})",
     )
 
 

@@ -7,8 +7,9 @@ two-qubit entanglement measures (concurrence, negativity).  All
 entropies are in bits.
 
 The measurement optimization scans a deterministic coarse grid over
-the Bloch sphere and refines the best cells with a Nelder-Mead
-simplex, so repeated runs give identical results.
+the Bloch sphere and refines the best three cells together with a
+compass search on the (theta, phi) angles, so repeated runs give
+identical results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qla import DensityMatrix, DomainError, partial_trace
 from .witness import PAULI_MATRICES, correlation_matrix
@@ -37,10 +37,16 @@ __all__ = [
 
 DEFAULT_GRID = (64, 128)
 DEFAULT_REFINE_TOL = 1e-7
+# Scan memory grows linearly with the number of grid directions; 2**21 is
+# ~2.5x the 640x1280 oracle grid.  Larger grids are rejected before the
+# scan allocates anything.
+MAX_GRID_POINTS = 2**21
 PROB_CUTOFF = 1e-14
 # Wootters' l1 - l2 - l3 - l4 is reported as exactly 0 when it is at most
-# this multiple of l1: at the separable boundary the difference is pure
-# rounding noise of a few ulps of l1, which would otherwise depend on BLAS.
+# this value: at the separable boundary the difference is pure rounding
+# noise of a few ulps of l1 <= 1 (unit trace), which would otherwise
+# depend on BLAS.  An absolute floor also covers rank-deficient separable
+# states, where every l_i is itself rounding noise.
 CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
 
 
@@ -183,42 +189,52 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     gt, gp = grid
     if gt < 2 or gp < 2:
         raise DomainError(f"grid must be at least 2x2, got {grid}")
+    if gt * gp > MAX_GRID_POINTS:
+        raise DomainError(f"grid {gt}x{gp} has more than {MAX_GRID_POINTS} directions")
     thetas = (np.arange(gt) + 0.5) * np.pi / gt
     phis = np.arange(gp) * 2.0 * np.pi / gp
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     return tt.ravel(), pp.ravel()
 
 
+# (d_theta, d_phi) unit offsets of the 8 neighbours in the compass stencil.
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+
+
 def _minimize_over_directions(objective, grid: tuple[int, int], refine_tol: float):
-    """Coarse Bloch-grid scan + Nelder-Mead refinement from the best 3 cells.
+    """Coarse Bloch-grid scan + compass-search refinement of the best 3 cells.
 
     ``objective(nx, ny, nz)`` must accept direction-component arrays.
-    Returns (value, theta, phi) with canonical angles; deterministic
-    (stable sort, ties broken by grid order).
+    All seeds are refined together: each iteration evaluates the
+    8-point (theta, phi) stencil around every seed in one objective
+    call; a seed moves to its best neighbour when that is strictly
+    lower, otherwise its step (initially one grid cell) halves.  Each
+    iteration either lowers a seed's value or halves its step, so the
+    loop ends once every step is at most ``refine_tol``.  Returns
+    (value, theta, phi) with canonical angles; deterministic (stable
+    sort, ties broken by grid and stencil order).
     """
+    if not (refine_tol > 0 and np.isfinite(refine_tol)):
+        raise DomainError(f"refine_tol must be finite and > 0, got {refine_tol}")
     tt, pp = _grid_directions(grid)
     vals = objective(*_direction(tt, pp))
-    order = np.argsort(vals, kind="stable")[:3]
-
-    def scalar(angles):
-        return float(objective(*_direction(*angles)))
-
-    best_val = None
-    best_angles = None
-    for idx in order:
-        start = np.array([tt[idx], pp[idx]])
-        res = minimize(
-            scalar,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": refine_tol, "fatol": 1e-13, "maxiter": 400},
-        )
-        cand_val = float(res.fun)
-        cand = (cand_val, *_canonical_angles(res.x[0], res.x[1]))
-        if best_val is None or cand_val < best_val:
-            best_val = cand_val
-            best_angles = cand[1:]
-    return best_val, best_angles[0], best_angles[1]
+    seeds = np.argsort(vals, kind="stable")[:3]
+    theta, phi, val = tt[seeds], pp[seeds], vals[seeds]
+    step = np.full(len(seeds), np.pi / grid[0])
+    rows = np.arange(len(seeds))
+    while (active := step > refine_tol).any():
+        cand_t = theta[:, None] + step[:, None] * _STENCIL[:, 0]
+        cand_p = phi[:, None] + step[:, None] * _STENCIL[:, 1]
+        cand_v = objective(*_direction(cand_t, cand_p))
+        best = np.argmin(cand_v, axis=1)
+        best_v = cand_v[rows, best]
+        moved = active & (best_v < val)
+        theta = np.where(moved, cand_t[rows, best], theta)
+        phi = np.where(moved, cand_p[rows, best], phi)
+        val = np.where(moved, best_v, val)
+        step = np.where(active & ~moved, step / 2.0, step)
+    k = int(np.argmin(val))
+    return float(val[k]), *_canonical_angles(theta[k], phi[k])
 
 
 def classical_correlation(
@@ -342,8 +358,8 @@ def concurrence(rho: DensityMatrix) -> float:
 
     With rho = X X^dagger, X = V diag(sqrt(w)), the l_i (square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy)) are the singular
-    values of X^T (sy x sy) X.  Differences within CONCURRENCE_FLOOR * l1
-    of zero are reported as exactly 0.
+    values of X^T (sy x sy) X.  Differences at most CONCURRENCE_FLOOR
+    are reported as exactly 0.
     """
     if rho.legs != (2, 2):
         raise DomainError(f"concurrence requires legs (2, 2), got {rho.legs}")
@@ -352,7 +368,7 @@ def concurrence(rho: DensityMatrix) -> float:
     yy = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[2])
     lam = np.linalg.svd(x.T @ yy @ x, compute_uv=False)
     c = lam[0] - lam[1] - lam[2] - lam[3]
-    return 0.0 if c <= CONCURRENCE_FLOOR * lam[0] else float(c)
+    return 0.0 if c <= CONCURRENCE_FLOOR else float(c)
 
 
 def negativity(rho: DensityMatrix) -> float:

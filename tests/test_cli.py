@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import qdissonance
 from qdissonance import DensityMatrix, load_state, save_state, werner
 from qdissonance.cli import SWEEP_HEADER, main
 
@@ -272,3 +277,28 @@ def test_bad_grid_argument(tmp_path, capsys):
     save_state(werner(0.5), state_path)
     code, _, err = run(capsys, "measures", str(state_path), "--opt-grid", "64")
     assert code == 2
+    # more directions than MAX_GRID_POINTS: rejected before anything is allocated
+    code, _, err = run(capsys, "measures", str(state_path), "--opt-grid", "2048x1025")
+    assert code == 2
+    assert "directions" in err
+    out_csv = tmp_path / "s.csv"
+    for tol in ("0", "-1", "nan"):
+        code, _, err = run(capsys, "measures", str(state_path), "--opt-refine", tol)
+        assert code == 2
+        assert "refine_tol" in err
+        code, _, err = run(capsys, "sweep", "--opt-refine", tol, "--out", str(out_csv))
+        assert code == 2
+        assert not out_csv.exists()
+
+
+def test_package_imports_without_scipy():
+    """The package depends on numpy alone; a CLI import must not pull in scipy."""
+    code = "import sys, qdissonance.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(qdissonance.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

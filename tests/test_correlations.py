@@ -208,6 +208,12 @@ def test_geometric_discord_brute_force():
         assert brute == pytest.approx(closed, abs=1e-4)
 
 
+def _pure_product(rng):
+    a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    return np.outer(v, v.conj())
+
+
 def test_concurrence():
     z13 = 1.0 / 3.0
     for z in (0.0, 0.2, z13):
@@ -222,6 +228,11 @@ def test_concurrence():
         k = int(rng.integers(2, 6))
         weights = rng.dirichlet(np.ones(k))
         mix = sum(w * random_product(rng).matrix for w in weights)
+        assert concurrence(DensityMatrix(mix, (2, 2))) == 0.0
+    # rank-deficient separable states: every Wootters lambda is rounding noise
+    for k in (1, 2, 3) * 30:
+        weights = rng.dirichlet(np.ones(k))
+        mix = sum(w * _pure_product(rng) for w in weights)
         assert concurrence(DensityMatrix(mix, (2, 2))) == 0.0
     for z in (0.4, 0.6, 0.8, 1.0):
         assert concurrence(werner(z)) == pytest.approx((3 * z - 1) / 2, abs=1e-8)
@@ -246,3 +257,37 @@ def test_opt_grid_flag_changes_resolution_not_result():
     assert rep_fine.discord == pytest.approx(rep_default.discord, abs=1e-7)
     with pytest.raises(DomainError):
         discord(werner(0.5), grid=(1, 4))
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            discord(werner(0.5), refine_tol=tol)
+        with pytest.raises(DomainError):
+            geometric_discord(werner(0.5), method="brute-force", refine_tol=tol)
+
+
+def _random_unitary(rng):
+    return np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+
+
+def test_discord_matches_luo_on_rotated_bell_diagonal():
+    """Luo's closed form (PRA 77, 042303, 2008) for Bell-diagonal states.
+
+    With rho = (I + sum_i c_i s_i x s_i) / 4 and c = max |c_i|, the
+    discord is I(A:B) - [(1 - c) log2(1 - c) + (1 + c) log2(1 + c)] / 2
+    and the geometric discord (sum c_i^2 - max c_i^2) / 4.  Both are
+    invariant under local unitaries, which move the optimal measurement
+    off the grid axes.
+    """
+    bells = [bell(name).vector for name in ("phi+", "phi-", "psi+", "psi-")]
+    rng = np.random.default_rng(SEED + 10)
+    for _ in range(40):
+        lam = rng.dirichlet(np.ones(4))
+        m = sum(p * np.outer(v, v.conj()) for p, v in zip(lam, bells))
+        c = np.diag(_bloch_by_trace(DensityMatrix(m, (2, 2)))[1])
+        cmax = np.abs(c).max()
+        classical = sum((1 + sgn * cmax) / 2 * np.log2(1 + sgn * cmax) for sgn in (-1, 1))
+        luo = 2.0 + float(np.sum(lam * np.log2(lam))) - classical
+        dg = (np.sum(c * c) - np.max(c * c)) / 4
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
+        rho = DensityMatrix(u @ m @ u.conj().T, (2, 2))
+        assert abs(discord(rho).discord - luo) <= 1e-9
+        assert abs(geometric_discord(rho, method="brute-force") - dg) <= 1e-12
