@@ -163,6 +163,8 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID, refine_t
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
     for z in np.linspace(zmin, zmax, steps):
         z = float(z)
         rho = werner(z)
@@ -181,6 +183,9 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID, refine_t
 
 
 SWEEP_HEADER = "z,total,classical,discord,geometric_discord,concurrence,negativity,rank_L"
+# Each row costs one full discord optimization; larger sweeps are rejected
+# before anything is allocated.
+MAX_SWEEP_STEPS = 10_000
 
 
 def cmd_sweep(args) -> int:

@@ -50,26 +50,6 @@ PROB_CUTOFF = 1e-14
 CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Rank-1 projective qubit measurement along the Bloch direction (theta, phi)."""
-
-    projectors: tuple[np.ndarray, np.ndarray]
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        total = self.projectors[0] + self.projectors[1]
-        if np.abs(total - np.eye(2)).max() > 1e-12:
-            raise DomainError("measurement projectors do not sum to identity")
-        for a in range(2):
-            for b in range(2):
-                prod = self.projectors[a] @ self.projectors[b]
-                ref = self.projectors[a] if a == b else np.zeros((2, 2))
-                if np.abs(prod - ref).max() > 1e-10:
-                    raise DomainError("measurement projectors are not orthogonal idempotents")
-
-
 def _direction(theta, phi):
     """Bloch unit vector (nx, ny, nz) of the angles; broadcasts over arrays.
 
@@ -79,16 +59,29 @@ def _direction(theta, phi):
     return np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """Rank-1 projective qubit measurement along the Bloch direction (theta, phi).
+
+    The angles are the whole state; ``projectors`` is derived from them.
+    """
+
+    theta: float
+    phi: float
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(I + n.sigma)/2 and (I - n.sigma)/2 for the unit vector n(theta, phi).
+
+        Both are exactly Hermitian, since n.sigma is.
+        """
+        ns = sum(c * s for c, s in zip(_direction(self.theta, self.phi), PAULI_MATRICES[1:]))
+        return (np.eye(2) + ns) / 2.0, (np.eye(2) - ns) / 2.0
+
+
 def qubit_measurement(theta: float, phi: float) -> Measurement:
-    """Projectors (I +/- n.sigma)/2 for the unit vector n(theta, phi)."""
-    theta = float(theta)
-    phi = float(phi)
-    ns = sum(c * s for c, s in zip(_direction(theta, phi), PAULI_MATRICES[1:]))
-    plus = (np.eye(2) + ns) / 2.0
-    minus = (np.eye(2) - ns) / 2.0
-    plus = (plus + plus.conj().T) / 2.0
-    minus = (minus + minus.conj().T) / 2.0
-    return Measurement(projectors=(plus, minus), theta=theta, phi=phi)
+    """The measurement along n(theta, phi), with the angles cast to float."""
+    return Measurement(theta=float(theta), phi=float(phi))
 
 
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:

@@ -152,25 +152,21 @@ def build_kraus(side: str, z: float) -> KrausChannel:
     return KrausChannel(operators=tuple(ops), side=side, z=z)
 
 
-def run_kraus_protocol(z: float) -> ProtocolResult:
-    """Run the two-pair protocol: correlated Kraus sum, then trace the first pair.
+def _run(kind: str, z: float, pairs: int, ops, discard) -> ProtocolResult:
+    """The pipeline both protocols share: sum_k K rho K^dagger over ``ops``.
 
-    The output equals werner(z) up to numerical noise for every
-    z in (0, 1/3].
+    rho is cc_pairs(pairs); the result keeps its legs, the ``discard``
+    legs are traced out, and what remains is compared with werner(z).
     """
-    z = _check_z(z, "run_kraus_protocol")
-    initial = cc_pairs(2)  # legs [A1, A2, B1, B2]
-    ch_a = build_kraus("A", z)
-    ch_b = build_kraus("B", z)
-    post = np.zeros((16, 16), dtype=complex)
-    for ma, mb in zip(ch_a.operators, ch_b.operators):
-        k = np.kron(ma, mb)
+    initial = cc_pairs(pairs)
+    post = np.zeros_like(initial.matrix)
+    for k in ops:
         post += k @ initial.matrix @ k.conj().T
-    post_dm = DensityMatrix(post, (2, 2, 2, 2))
-    final = partial_trace(post_dm, (0, 2))
+    post_dm = DensityMatrix(post, initial.legs)
+    final = partial_trace(post_dm, discard)
     target = werner(z)
     return ProtocolResult(
-        kind="kraus",
+        kind=kind,
         z=z,
         initial=initial,
         post_operation=post_dm,
@@ -178,6 +174,19 @@ def run_kraus_protocol(z: float) -> ProtocolResult:
         target=target,
         trace_distance_to_target=trace_distance(final, target),
     )
+
+
+def run_kraus_protocol(z: float) -> ProtocolResult:
+    """Run the two-pair protocol: correlated Kraus sum, then trace the first pair.
+
+    The output equals werner(z) up to numerical noise for every
+    z in (0, 1/3].
+    """
+    z = _check_z(z, "run_kraus_protocol")
+    ch_a = build_kraus("A", z)
+    ch_b = build_kraus("B", z)
+    ops = [np.kron(ma, mb) for ma, mb in zip(ch_a.operators, ch_b.operators)]
+    return _run("kraus", z, 2, ops, (0, 2))  # legs [A1, A2, B1, B2]
 
 
 def build_unitary(side: str, z: float) -> LocalUnitary:
@@ -219,21 +228,8 @@ def run_unitary_protocol(z: float) -> ProtocolResult:
     z = _check_z(z, "run_unitary_protocol")
     u_a = build_unitary("A", z)
     u_b = build_unitary("B", z)
-    initial = cc_pairs(3)  # legs [A1, A2, A3, B1, B2, B3]
     w = np.kron(u_a.matrix, u_b.matrix)
-    post = w @ initial.matrix @ w.conj().T
-    post_dm = DensityMatrix(post, (2, 2, 2, 2, 2, 2))
-    final = partial_trace(post_dm, (0, 1, 3, 4))
-    target = werner(z)
-    return ProtocolResult(
-        kind="unitary",
-        z=z,
-        initial=initial,
-        post_operation=post_dm,
-        final=final,
-        target=target,
-        trace_distance_to_target=trace_distance(final, target),
-    )
+    return _run("unitary", z, 3, [w], (0, 1, 3, 4))  # legs [A1, A2, A3, B1, B2, B3]
 
 
 def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:

@@ -65,6 +65,8 @@ def cc_state(p, basis_a=None, basis_b=None) -> DensityMatrix:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"cc_state: probability table must be 2-D, got shape {p.shape}")
+    if p.size == 0:
+        raise DomainError("cc_state: probability table is empty")
     if p.min() < 0:
         raise DomainError(f"cc_state: negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > 1e-12:
@@ -90,6 +92,8 @@ def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
     side; zero discord with respect to measurements on A.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
+    if p.size == 0:
+        raise DomainError("cq_state: probability table is empty")
     if p.min() < 0:
         raise DomainError(f"cq_state: negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > 1e-12:

@@ -4,8 +4,9 @@ A bipartite state expanded in Hilbert-Schmidt-orthonormal Hermitian
 operator bases gives a real coefficient matrix R; its singular value
 decomposition yields the minimal operator form rho = sum_k c_k S_k x F_k.
 The number L of nonzero singular values witnesses discord (L > d_A
-implies nonzero discord), and for L <= d_A the state has zero discord
-w.r.t. A iff the S_k commute and share an eigenbasis.
+implies nonzero discord).  The state has zero discord w.r.t. A iff the
+S_k commute pairwise: they are Hermitian, and commuting Hermitian
+operators always share an eigenbasis, so the commutators alone decide.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
 
 RANK_TOL = 1e-10
 COMMUTATOR_TOL = 1e-9
-SIMDIAG_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
 
 # I, sigma_x, sigma_y, sigma_z stacked along the first axis.
@@ -71,11 +71,17 @@ class OperatorBasis:
         return self.elements[0].shape[0]
 
 
+_PAULI_STACK = PAULI_MATRICES / np.sqrt(2.0)
+_PAULI_STACK.setflags(write=False)
+# Validated once at import; every caller shares this read-only instance.
+_PAULI_BASIS = OperatorBasis(elements=tuple(_PAULI_STACK))
+
+
 def pauli_basis(d: int = 2) -> OperatorBasis:
     """The normalized Pauli basis {I, sx, sy, sz} / sqrt(2)."""
     if d != 2:
         raise DomainError(f"pauli_basis supports d=2 only, got {d}")
-    return OperatorBasis(elements=tuple(PAULI_MATRICES / np.sqrt(2.0)))
+    return _PAULI_BASIS
 
 
 def _resolve_basis(basis, d: int, name: str) -> OperatorBasis:
@@ -166,37 +172,13 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
     )
 
 
-def _simdiag_residual(ops: tuple[np.ndarray, ...]) -> float:
-    """Smallest max off-diagonal residue after diagonalizing a weighted sum.
-
-    Two fixed weight sets guard against accidentally degenerate
-    combinations; the operators share an eigenbasis iff the residual
-    vanishes.
-    """
-    rng = np.random.default_rng(20240917)
-    best = np.inf
-    for _ in range(2):
-        weights = rng.standard_normal(len(ops))
-        h = sum(w * op for w, op in zip(weights, ops))
-        _, vec = np.linalg.eigh(h)
-        resid = 0.0
-        for op in ops:
-            rot = vec.conj().T @ op @ vec
-            off = rot - np.diag(np.diag(rot))
-            resid = max(resid, float(np.abs(off).max()))
-        best = min(best, resid)
-        if best <= SIMDIAG_TOL:
-            break
-    return best
-
-
 def commutator_test(report: WitnessReport, side: str = "A") -> tuple[float, bool]:
     """Max Frobenius commutator norm over the L operators, plus the verdict.
 
-    ``zero_discord`` requires all pairwise commutators below 1e-9 and
-    a simultaneous-diagonalization residual below 1e-8 (pairwise
-    commutators alone can pass spuriously for degenerate spectra).
-    The A side is tested by default; ``side="B"`` tests the F_k.
+    ``zero_discord`` holds iff every pairwise commutator norm is at most
+    1e-9.  No further check is needed: the operators are Hermitian, and
+    pairwise commuting Hermitian operators share an eigenbasis.  The A
+    side is tested by default; ``side="B"`` tests the F_k.
     """
     if side not in ("A", "B"):
         raise DomainError(f"side must be 'A' or 'B', got {side!r}")
@@ -207,8 +189,6 @@ def commutator_test(report: WitnessReport, side: str = "A") -> tuple[float, bool
             comm = ops[i] @ ops[j] - ops[j] @ ops[i]
             max_norm = max(max_norm, float(np.linalg.norm(comm)))
     zero = max_norm <= COMMUTATOR_TOL
-    if zero and len(ops) > 1:
-        zero = _simdiag_residual(ops) <= SIMDIAG_TOL
     if side == "A":
         report.max_commutator_norm = max_norm
         report.verdicts["commutator_zero_discord"] = zero

@@ -8,7 +8,7 @@ import numpy as np
 
 import qdissonance
 from qdissonance import DensityMatrix, load_state, save_state, werner
-from qdissonance.cli import SWEEP_HEADER, main
+from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main
 
 
 def run(capsys, *argv):
@@ -70,6 +70,10 @@ def test_state_cc(tmp_path, capsys):
     assert code == 0
     rho = load_state(out_path)
     assert np.allclose(rho.matrix, np.diag([0.5, 0, 0, 0.5]))
+    for table in ("", ";"):  # empty tables are a domain error, not a crash
+        code, _, err = run(capsys, "state", "cc", "--p", table, "--out", str(tmp_path / "e.qs"))
+        assert code == 2 and err.startswith("error:") and "empty" in err
+    assert not (tmp_path / "e.qs").exists()
 
 
 def test_state_cq(tmp_path, capsys):
@@ -87,6 +91,11 @@ def test_state_cq(tmp_path, capsys):
     rho = load_state(out_path)
     assert rho.legs == (2, 2)
     assert np.allclose(rho.matrix, np.diag([0.5, 0.0, 0.25, 0.25]))
+    code, _, err = run(
+        capsys, "state", "cq", "--p", "", "--states-b", str(b0), "--out", str(tmp_path / "e.qs")
+    )
+    assert code == 2 and err.startswith("error:") and "empty" in err
+    assert not (tmp_path / "e.qs").exists()
 
 
 def test_state_cc_pairs(tmp_path, capsys):
@@ -232,6 +241,12 @@ def test_sweep_bad_ranges(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "sweep", "--zmax", "1.2", "--out", str(tmp_path / "z.csv"))
     assert code == 2
+    # one step over MAX_SWEEP_STEPS is rejected before any row is computed
+    big = str(MAX_SWEEP_STEPS + 1)
+    code, _, err = run(capsys, "sweep", "--steps", big, "--out", str(tmp_path / "big.csv"))
+    assert code == 2
+    assert err.startswith("error:") and big in err
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_sweep_unwritable_out(tmp_path, capsys):

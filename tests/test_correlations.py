@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,13 +60,14 @@ def test_total_correlation():
 
 
 def test_qubit_measurement():
+    # the angles are the whole state; the projectors are derived from them
+    assert [f.name for f in dataclasses.fields(Measurement)] == ["theta", "phi"]
     m = qubit_measurement(0.0, 0.0)
     assert np.abs(m.projectors[0] - np.diag([1.0, 0.0])).max() < 1e-15
     m = qubit_measurement(np.pi / 2, 0.0)
     plus = np.array([1, 1]) / np.sqrt(2)
     assert np.abs(m.projectors[0] - np.outer(plus, plus)).max() < 1e-15
-    with pytest.raises(DomainError):
-        Measurement(projectors=(np.eye(2), np.eye(2)), theta=0.0, phi=0.0)
+    assert Measurement(theta=np.pi / 2, phi=0.0) == m
 
 
 def test_conditional_entropy_product_state():

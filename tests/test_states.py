@@ -223,6 +223,9 @@ def test_cc_state():
         cc_state(np.diag([0.5, 0.5]), basis_a=[np.array([1, 0]), np.array([1, 1])])
     with pytest.raises(DomainError):
         cc_state(np.array([0.5, 0.5]))  # 1-D table
+    for empty in (np.zeros((1, 0)), np.zeros((2, 0)), np.zeros((0, 2))):
+        with pytest.raises(DomainError, match="empty"):
+            cc_state(empty)
 
 
 def test_cc_state_custom_bases():
@@ -253,6 +256,9 @@ def test_cq_state():
         cq_state([0.5, 0.5], None, [sigma])
     with pytest.raises(DomainError):
         cq_state([0.5, 0.5], None, [sigma, sigma.matrix])
+    for empty in ([], np.zeros((1, 0))):
+        with pytest.raises(DomainError, match="empty"):
+            cq_state(empty, None, [])
 
 
 def test_cc_pairs():

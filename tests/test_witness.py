@@ -18,7 +18,14 @@ from qdissonance import (
     witness_report,
 )
 
-from _zoo import build_zoo, random_density
+from _zoo import (
+    build_zoo,
+    random_cc,
+    random_cq,
+    random_density,
+    random_product,
+    random_two_qubit,
+)
 
 SEED = 7300
 
@@ -191,3 +198,27 @@ def test_witness_verdicts_match_discord_tags_on_zoo():
         if rep.verdicts["rank_witness"]:
             assert tag == "nonzero", name
         assert rep.verdicts["commutator_zero_discord"] == (tag == "zero"), name
+
+
+def test_commutator_verdict_near_zero_discord_boundary():
+    # (1 - eps) * zero-discord state + eps * random state, eps log-uniform in
+    # [1e-14, 1e-6]: commutator norms land on both sides of COMMUTATOR_TOL.
+    # Every state the commutator test passes must have vanishing discord.
+    from qdissonance import discord
+
+    rng = np.random.default_rng(SEED + 5)
+    verdicts = []
+    passing_norms = []
+    for make in (random_cc, random_cq, random_product):
+        for _ in range(100):
+            eps = 10.0 ** rng.uniform(-14, -6)
+            mixed = (1 - eps) * make(rng).matrix + eps * random_two_qubit(rng).matrix
+            rho = DensityMatrix(mixed, (2, 2))
+            rep = witness_report(rho)
+            zero = rep.verdicts["commutator_zero_discord"]
+            verdicts.append(zero)
+            if zero:
+                passing_norms.append(rep.max_commutator_norm)
+                assert discord(rho).discord <= 1e-9, (make.__name__, eps)
+    assert any(verdicts) and not all(verdicts)
+    assert max(passing_norms) > 1e-10  # the threshold itself is exercised
