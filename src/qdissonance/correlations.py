@@ -6,10 +6,16 @@ geometric discord (closed form and a brute-force oracle mode), and the
 two-qubit entanglement measures (concurrence, negativity).  All
 entropies are in bits.
 
-The measurement optimization scans a deterministic coarse grid over
-the Bloch sphere and refines the best three cells together with a
-compass search on the (theta, phi) angles, so repeated runs give
-identical results.
+The measurement optimization scans a deterministic grid over the
+upper Bloch hemisphere (n and -n are the same projective measurement,
+with the outcomes swapped), tile by tile into one value array, and
+refines the best three cells together with a compass search on the
+(theta, phi) angles, so repeated runs give identical results.  For
+two-qubit states the conditional entropy comes from the Bloch data
+(x, y, T) of the correlation matrix (Luo, PRA 77, 042303, 2008): each
+outcome's B state has eigenvalues (1 + s x.n +/- |y + s T^T n|)/4, so
+no post-measurement matrices are formed.  Qubit-qudit states use the
+post-measurement B blocks and their eigenvalues.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ DEFAULT_REFINE_TOL = 1e-7
 # ~2.5x the 640x1280 oracle grid.  Larger grids are rejected before the
 # scan allocates anything.
 MAX_GRID_POINTS = 2**21
+# Directions per objective call in the grid scan: bounds the scan's
+# temporaries; 2**15 was the fastest tile on the 640x1280 grid.
+_SCAN_TILE = 2**15
 PROB_CUTOFF = 1e-14
 # Wootters' l1 - l2 - l3 - l4 is reported as exactly 0 when it is at most
 # this value: at the separable boundary the difference is pure rounding
@@ -50,13 +59,11 @@ PROB_CUTOFF = 1e-14
 CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
 
 
-def _direction(theta, phi):
-    """Bloch unit vector (nx, ny, nz) of the angles; broadcasts over arrays.
-
-    Kept as a tuple of components: stacking them into one (3, N) array
-    would add a full copy of the direction grid to peak memory.
-    """
-    return np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+def _direction(theta, phi) -> np.ndarray:
+    """Bloch unit vector n(theta, phi) along the first axis; broadcasts over arrays."""
+    return np.stack(
+        np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    )
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,10 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
 
 
 def _xlog2(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise, with 0 wherever x <= PROB_CUTOFF."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
     mask = x > PROB_CUTOFF
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out
+    return np.where(mask, x * np.log2(np.where(mask, x, 1.0)), 0.0)
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -147,27 +153,42 @@ def _post_blocks(blocks: np.ndarray, nx, ny, nz) -> tuple[np.ndarray, np.ndarray
     return plus, minus
 
 
-def _eigvals_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of stacked Hermitian matrices; closed form for 2x2."""
-    if mats.shape[-1] == 2:
-        a = mats[..., 0, 0].real
-        c = mats[..., 1, 1].real
-        h = (a + c) / 2.0
-        r = np.sqrt(((a - c) / 2.0) ** 2 + np.abs(mats[..., 0, 1]) ** 2)
-        return np.stack([h - r, h + r], axis=-1)
-    return np.linalg.eigvalsh(mats)
+def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
+    """p_a S(rho_B|a) of each outcome from its unnormalized eigenvalues (first axis)."""
+    lam = np.clip(lam, 0.0, None)
+    return -_xlog2(lam).sum(axis=0) + _xlog2(lam.sum(axis=0))
 
 
-def _cond_entropy_terms(mats: np.ndarray) -> np.ndarray:
-    """sum_a p_a S(rho_a) contribution of one outcome, from unnormalized blocks."""
-    lam = np.clip(_eigvals_batch(mats), 0.0, None)
-    p = lam.sum(axis=-1)
-    return -_xlog2(lam).sum(axis=-1) + _xlog2(p)
+def _conditional_entropy_objective(rho: DensityMatrix):
+    """sum_a p_a S(rho_B|a) as a function of directions n, shape (3, ...) -> (...).
 
+    Two qubits: from the Bloch data x, y, T, each outcome s = +/-1 has
+    eigenvalues (1 + s x.n +/- |y + s T^T n|)/4.  Qubit-qudit: the
+    eigenvalues of the post-measurement B blocks.
+    """
+    blocks = _b_blocks(rho)  # also checks that A is a qubit
+    if rho.legs != (2, 2):
 
-def _conditional_entropy_directions(blocks: np.ndarray, nx, ny, nz) -> np.ndarray:
-    plus, minus = _post_blocks(blocks, nx, ny, nz)
-    return _cond_entropy_terms(plus) + _cond_entropy_terms(minus)
+        def objective(n):
+            return sum(
+                _cond_entropy_terms(np.moveaxis(np.linalg.eigvalsh(m), -1, 0))
+                for m in _post_blocks(blocks, *n)
+            )
+
+        return objective
+    r = correlation_matrix(rho)
+    x, y, t = 2.0 * r[1:, 0], 2.0 * r[0, 1:], 2.0 * r[1:, 1:]
+
+    def objective(n):
+        flat = n.reshape(3, -1)
+        xn, tn = x @ flat, t.T @ flat
+        p = 1.0 + np.stack([xn, -xn])  # 1 + s x.n for s = +1, -1
+        u = y[:, None] + np.stack([tn, -tn])  # y + s T^T n
+        rad = np.sqrt((u * u).sum(axis=1))
+        lam = np.stack([p - rad, p + rad]) / 4.0  # (eigenvalue, outcome, direction)
+        return _cond_entropy_terms(lam).sum(axis=0).reshape(n.shape[1:])
+
+    return objective
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -175,19 +196,42 @@ def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
 
     Outcomes with probability below 1e-14 are skipped.
     """
-    return float(_conditional_entropy_directions(_b_blocks(rho), *_direction(m.theta, m.phi)))
+    return float(_conditional_entropy_objective(rho)(_direction(m.theta, m.phi)))
 
 
 def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """1-D theta and phi tables of the hemisphere scan of a T x P grid.
+
+    theta_k = (k + 1/2) pi / T for k < ceil(T/2) and all P values of
+    phi; for even T and P this grid is closed under n -> -n, so it
+    holds every measurement of the full T x P sphere grid.
+    """
     gt, gp = grid
     if gt < 2 or gp < 2:
         raise DomainError(f"grid must be at least 2x2, got {grid}")
     if gt * gp > MAX_GRID_POINTS:
         raise DomainError(f"grid {gt}x{gp} has more than {MAX_GRID_POINTS} directions")
-    thetas = (np.arange(gt) + 0.5) * np.pi / gt
+    thetas = (np.arange((gt + 1) // 2) + 0.5) * np.pi / gt
     phis = np.arange(gp) * 2.0 * np.pi / gp
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return tt.ravel(), pp.ravel()
+    return thetas, phis
+
+
+def _scan(objective, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Objective on every (theta, phi) pair in row-major order, _SCAN_TILE at a time."""
+    # trig of the 1-D tables only; the grid is their outer product
+    n = _direction(thetas[:, None], phis).reshape(3, -1)
+    vals = np.empty(n.shape[1])
+    for lo in range(0, vals.size, _SCAN_TILE):
+        vals[lo : lo + _SCAN_TILE] = objective(n[:, lo : lo + _SCAN_TILE])
+    return vals
+
+
+def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest values, equal to argsort(kind="stable")[:k]."""
+    k = min(k, vals.size)
+    kth = np.partition(vals, k - 1)[k - 1]
+    cand = np.flatnonzero(vals <= kth)
+    return cand[np.argsort(vals[cand], kind="stable")[:k]]
 
 
 # (d_theta, d_phi) unit offsets of the 8 neighbours in the compass stencil.
@@ -195,30 +239,32 @@ _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], 
 
 
 def _minimize_over_directions(objective, grid: tuple[int, int], refine_tol: float):
-    """Coarse Bloch-grid scan + compass-search refinement of the best 3 cells.
+    """Hemisphere-grid scan + compass-search refinement of the best 3 cells.
 
-    ``objective(nx, ny, nz)`` must accept direction-component arrays.
-    All seeds are refined together: each iteration evaluates the
-    8-point (theta, phi) stencil around every seed in one objective
-    call; a seed moves to its best neighbour when that is strictly
-    lower, otherwise its step (initially one grid cell) halves.  Each
-    iteration either lowers a seed's value or halves its step, so the
-    loop ends once every step is at most ``refine_tol``.  Returns
-    (value, theta, phi) with canonical angles; deterministic (stable
-    sort, ties broken by grid and stencil order).
+    ``objective(n)`` must map directions of shape (3, ...) to values
+    of shape (...), with f(n) = f(-n).  All seeds are refined
+    together: each iteration evaluates the 8-point (theta, phi)
+    stencil around every seed in one objective call; a seed moves to
+    its best neighbour when that is strictly lower, otherwise its step
+    (initially one grid cell) halves.  Each iteration either lowers a
+    seed's value or halves its step, so the loop ends once every step
+    is at most ``refine_tol``.  Returns (value, theta, phi) with
+    canonical angles; deterministic (ties broken by grid and stencil
+    order).
     """
     if not (refine_tol > 0 and np.isfinite(refine_tol)):
         raise DomainError(f"refine_tol must be finite and > 0, got {refine_tol}")
-    tt, pp = _grid_directions(grid)
-    vals = objective(*_direction(tt, pp))
-    seeds = np.argsort(vals, kind="stable")[:3]
-    theta, phi, val = tt[seeds], pp[seeds], vals[seeds]
+    thetas, phis = _grid_directions(grid)
+    vals = _scan(objective, thetas, phis)
+    seeds = _smallest(vals, 3)
+    row, col = np.divmod(seeds, phis.size)
+    theta, phi, val = thetas[row], phis[col], vals[seeds]
     step = np.full(len(seeds), np.pi / grid[0])
     rows = np.arange(len(seeds))
     while (active := step > refine_tol).any():
         cand_t = theta[:, None] + step[:, None] * _STENCIL[:, 0]
         cand_p = phi[:, None] + step[:, None] * _STENCIL[:, 1]
-        cand_v = objective(*_direction(cand_t, cand_p))
+        cand_v = objective(_direction(cand_t, cand_p))
         best = np.argmin(cand_v, axis=1)
         best_v = cand_v[rows, best]
         moved = active & (best_v < val)
@@ -241,12 +287,8 @@ def classical_correlation(
     the minimizing measurement.  The reported value is accurate to
     about 1e-6 bits at the default grid and refinement settings.
     """
-    blocks = _b_blocks(rho)
+    objective = _conditional_entropy_objective(rho)
     sb = entropy(partial_trace(rho, (0,)))
-
-    def objective(nx, ny, nz):
-        return _conditional_entropy_directions(blocks, nx, ny, nz)
-
     val, theta, phi = _minimize_over_directions(objective, grid, refine_tol)
     return sb - val, qubit_measurement(theta, phi)
 
@@ -335,8 +377,8 @@ def geometric_discord(
         blocks = _b_blocks(rho)
         pur = float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
-        def objective(nx, ny, nz):
-            plus, minus = _post_blocks(blocks, nx, ny, nz)
+        def objective(n):
+            plus, minus = _post_blocks(blocks, *n)
             sq = np.abs(plus) ** 2
             sq_m = np.abs(minus) ** 2
             return pur - sq.sum(axis=(-2, -1)) - sq_m.sum(axis=(-2, -1))

@@ -153,16 +153,24 @@ def build_kraus(side: str, z: float) -> KrausChannel:
 
 
 def _run(kind: str, z: float, pairs: int, ops, discard) -> ProtocolResult:
-    """The pipeline both protocols share: sum_k K rho K^dagger over ``ops``.
+    """The pipeline both protocols share: sum of (K_A x K_B) rho (K_A x K_B)^dagger.
 
-    rho is cc_pairs(pairs); the result keeps its legs, the ``discard``
-    legs are traced out, and what remains is compared with werner(z).
+    ``ops`` holds one (K_A, K_B) factor pair per term.  rho is
+    cc_pairs(pairs), 1/d on each |a>_A |a>_B (d = 2^pairs per side) and
+    0 elsewhere, so each term is W W^dagger / d, where column a of W is
+    K_A|a> x K_B|a>; no d^2 x d^2 operator is formed.  The sum is
+    symmetrized, which leaves an exactly Hermitian result unchanged and
+    makes any other one so.  The result keeps rho's legs, the
+    ``discard`` legs are traced out, and what remains is compared with
+    werner(z).
     """
     initial = cc_pairs(pairs)
+    d = 2**pairs
     post = np.zeros_like(initial.matrix)
-    for k in ops:
-        post += k @ initial.matrix @ k.conj().T
-    post_dm = DensityMatrix(post, initial.legs)
+    for ka, kb in ops:
+        w = (ka[:, None, :] * kb[None, :, :]).reshape(d * d, d)
+        post += (w / d) @ w.conj().T
+    post_dm = DensityMatrix((post + post.conj().T) / 2.0, initial.legs)
     final = partial_trace(post_dm, discard)
     target = werner(z)
     return ProtocolResult(
@@ -185,7 +193,7 @@ def run_kraus_protocol(z: float) -> ProtocolResult:
     z = _check_z(z, "run_kraus_protocol")
     ch_a = build_kraus("A", z)
     ch_b = build_kraus("B", z)
-    ops = [np.kron(ma, mb) for ma, mb in zip(ch_a.operators, ch_b.operators)]
+    ops = list(zip(ch_a.operators, ch_b.operators))
     return _run("kraus", z, 2, ops, (0, 2))  # legs [A1, A2, B1, B2]
 
 
@@ -228,8 +236,8 @@ def run_unitary_protocol(z: float) -> ProtocolResult:
     z = _check_z(z, "run_unitary_protocol")
     u_a = build_unitary("A", z)
     u_b = build_unitary("B", z)
-    w = np.kron(u_a.matrix, u_b.matrix)
-    return _run("unitary", z, 3, [w], (0, 1, 3, 4))  # legs [A1, A2, A3, B1, B2, B3]
+    ops = [(u_a.matrix, u_b.matrix)]
+    return _run("unitary", z, 3, ops, (0, 1, 3, 4))  # legs [A1, A2, A3, B1, B2, B3]
 
 
 def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qla import DensityMatrix, DomainError, PureState, tensor, permute_legs
+from .qla import DensityMatrix, DomainError, PureState
 
 __all__ = [
     "PhaseSolution",
@@ -365,10 +365,9 @@ def cc_pairs(k: int) -> DensityMatrix:
     """
     if k not in (2, 3):
         raise DomainError(f"cc_pairs: k must be 2 or 3, got {k}")
-    pair = cc_state(np.diag([0.5, 0.5]))
-    rho = pair
-    for _ in range(k - 1):
-        rho = tensor(rho, pair)
-    # Built as [A_1, B_1, A_2, B_2, ...]; regroup to all-A-then-all-B.
-    perm = tuple(2 * j for j in range(k)) + tuple(2 * j + 1 for j in range(k))
-    return permute_legs(rho, perm)
+    d = 2**k
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    # |a>_A |a>_B sits at index a * d + a of the all-A-then-all-B order.
+    idx = np.arange(d) * (d + 1)
+    rho[idx, idx] = 1.0 / d
+    return DensityMatrix(rho, (2,) * (2 * k))

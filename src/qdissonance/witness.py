@@ -41,9 +41,14 @@ PAULI_MATRICES = np.array(
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """d^2 Hermitian matrices, orthonormal under Tr(X Y)."""
+    """d^2 Hermitian matrices, orthonormal under Tr(X Y).
+
+    ``stack`` is the read-only (d^2, d, d) array of the elements, which
+    are views into it.
+    """
 
     elements: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
@@ -53,6 +58,7 @@ class OperatorBasis:
         if len(elems) != d * d:
             raise DomainError(f"OperatorBasis needs {d * d} elements for dimension {d}")
         stack = np.stack(elems)
+        stack.setflags(write=False)
         herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         bad = np.flatnonzero(herm > 1e-12)
         if bad.size:
@@ -64,7 +70,8 @@ class OperatorBasis:
             raise DomainError(
                 f"OperatorBasis elements {i},{j} not HS-orthonormal (Tr={gram[i, j]:.3e})"
             )
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -104,14 +111,12 @@ def _resolve_bases(rho: DensityMatrix, basis_a, basis_b) -> tuple[OperatorBasis,
 
 def correlation_matrix(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
     """Real coefficient matrix r_nm = Tr[rho (A_n x B_m)]."""
-    ba, bb = _resolve_bases(rho, basis_a, basis_b)
+    return _correlation_matrix(rho, *_resolve_bases(rho, basis_a, basis_b))
+
+
+def _correlation_matrix(rho: DensityMatrix, ba: OperatorBasis, bb: OperatorBasis) -> np.ndarray:
     da, db = rho.legs
-    r = np.einsum(
-        "abce,nca,meb->nm",
-        rho.matrix.reshape(da, db, da, db),
-        np.stack(ba.elements),
-        np.stack(bb.elements),
-    )
+    r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(da, db, da, db), ba.stack, bb.stack)
     resid = np.abs(r.imag).max()
     if resid > 1e-10:
         raise DomainError(f"correlation matrix has imaginary residue {resid:.3e}")
@@ -145,17 +150,11 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
     reconstruction is verified to 1e-9 before returning.
     """
     ba, bb = _resolve_bases(rho, basis_a, basis_b)
-    r = correlation_matrix(rho, ba, bb)
+    r = _correlation_matrix(rho, ba, bb)
     u, s, vh = np.linalg.svd(r)
     l_rank = int((s > RANK_TOL).sum())
-    a_stack = np.stack(ba.elements)
-    b_stack = np.stack(bb.elements)
-    s_ops = tuple(
-        np.tensordot(u[:, k], a_stack, axes=(0, 0)) for k in range(l_rank)
-    )
-    f_ops = tuple(
-        np.tensordot(vh[k], b_stack, axes=(0, 0)) for k in range(l_rank)
-    )
+    s_ops = tuple(np.tensordot(u[:, k], ba.stack, axes=(0, 0)) for k in range(l_rank))
+    f_ops = tuple(np.tensordot(vh[k], bb.stack, axes=(0, 0)) for k in range(l_rank))
     recon = np.zeros((rho.dim, rho.dim), dtype=complex)
     for k in range(l_rank):
         recon += s[k] * np.kron(s_ops[k], f_ops[k])

@@ -24,7 +24,14 @@ from qdissonance import (
     total_correlation,
     werner,
 )
-from qdissonance.correlations import Measurement
+from qdissonance.correlations import (
+    DEFAULT_GRID,
+    Measurement,
+    _conditional_entropy_objective,
+    _grid_directions,
+    _scan,
+    _smallest,
+)
 
 from _zoo import build_zoo, random_cq, random_density, random_product, random_two_qubit
 
@@ -294,3 +301,77 @@ def test_discord_matches_luo_on_rotated_bell_diagonal():
         rho = DensityMatrix(u @ m @ u.conj().T, (2, 2))
         assert abs(discord(rho).discord - luo) <= 1e-9
         assert abs(geometric_discord(rho, method="brute-force") - dg) <= 1e-12
+
+
+_SIGMA = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def _explicit_conditional_entropy(rho, n):
+    """sum_s p_s S(rho_B|s) from Tr_A[(P_s x I) rho (P_s x I)], P_s = (I + s n.sigma)/2."""
+    ns = sum(c * s for c, s in zip(n, _SIGMA))
+    total = 0.0
+    for sgn in (1.0, -1.0):
+        big = np.kron((np.eye(2) + sgn * ns) / 2.0, np.eye(2))
+        post = (big @ rho.matrix @ big).reshape(2, 2, 2, 2)
+        lam = np.clip(np.linalg.eigvalsh(np.einsum("abad->bd", post)), 0.0, None)
+        p = lam.sum()
+        total += -sum(v * np.log2(v) for v in lam if v > 1e-14) + (p * np.log2(p) if p > 1e-14 else 0.0)
+    return total
+
+
+def test_bloch_objective_matches_explicit_projection():
+    """The two-qubit Bloch-form objective against explicit projective measurements.
+
+    200 seeded states of rank 1-4, random directions: the conditional
+    entropy agrees with Tr_A[(P x I) rho (P x I)] to 1e-13, is the same
+    for n and -n, and classical_correlation's optimum is the value of
+    conditional_entropy_after at the returned measurement.
+    """
+    rng = np.random.default_rng(SEED + 11)
+    for i in range(200):
+        rank = 1 + i % 4
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real, (2, 2))
+        for _ in range(3):
+            theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+            n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+            val = conditional_entropy_after(rho, qubit_measurement(theta, phi))
+            assert abs(val - _explicit_conditional_entropy(rho, n)) <= 1e-13
+            flipped = conditional_entropy_after(rho, qubit_measurement(np.pi - theta, phi + np.pi))
+            assert abs(val - flipped) <= 1e-13
+        if i % 20 == 0:
+            classical, best = classical_correlation(rho)
+            sb = entropy(partial_trace(rho, (0,)))
+            assert abs(sb - classical - conditional_entropy_after(rho, best)) <= 1e-13
+
+
+def test_top3_selection_matches_stable_argsort():
+    rng = np.random.default_rng(SEED + 12)
+    for size in (1, 2, 3, 4, 7, 50, 1000):
+        for levels in (1, 2, 3, 5, 1000):
+            vals = rng.integers(0, levels, size=size).astype(float)  # planted ties
+            assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
+    # the isotropic Werner objective is flat up to rounding: ties everywhere
+    vals = _scan(_conditional_entropy_objective(werner(0.3)), *_grid_directions(DEFAULT_GRID))
+    assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
+
+
+def test_odd_and_tiny_grids_agree_with_luo_and_default():
+    bells = [bell(name).vector for name in ("phi+", "phi-", "psi+", "psi-")]
+    rng = np.random.default_rng(SEED + 13)
+    for _ in range(10):
+        lam = rng.dirichlet(np.ones(4))
+        m = sum(p * np.outer(v, v.conj()) for p, v in zip(lam, bells))
+        cmax = np.abs(np.diag(_bloch_by_trace(DensityMatrix(m, (2, 2)))[1])).max()
+        classical = sum((1 + sgn * cmax) / 2 * np.log2(1 + sgn * cmax) for sgn in (-1, 1))
+        luo = 2.0 + float(np.sum(lam * np.log2(lam))) - classical
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
+        rho = DensityMatrix(u @ m @ u.conj().T, (2, 2))
+        for grid in ((2, 2), (3, 5), (15, 31)):
+            assert abs(discord(rho, grid=grid).discord - luo) <= 1e-9
+    for _ in range(10):
+        rho = random_density(rng, 6, (2, 3))
+        ref = discord(rho).discord
+        for grid in ((2, 2), (3, 5), (15, 31)):
+            assert discord(rho, grid=grid).discord == pytest.approx(ref, abs=1e-7)

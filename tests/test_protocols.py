@@ -153,6 +153,22 @@ def test_run_unitary_protocol():
     assert np.abs(ev_init - ev_post).max() < 1e-10
 
 
+def test_run_matches_explicit_kron_sandwich():
+    """The factor-wise protocol run against sum_k (K_A x K_B) rho (K_A x K_B)^dagger."""
+    cases = [
+        (run_kraus_protocol(z), 2, list(zip(build_kraus("A", z).operators, build_kraus("B", z).operators)))
+        for z in Z_GRID
+    ]
+    unitaries = [(build_unitary("A", Z13).matrix, build_unitary("B", Z13).matrix)]
+    cases.append((run_unitary_protocol(Z13), 3, unitaries))
+    for res, pairs, ops in cases:
+        rho = cc_pairs(pairs).matrix
+        expect = sum(np.kron(ka, kb) @ rho @ np.kron(ka, kb).conj().T for ka, kb in ops)
+        post = res.post_operation.matrix
+        assert np.abs(post - expect).max() <= 1e-15
+        assert np.array_equal(post, post.conj().T)
+
+
 def test_conditional_blocks_are_two_branch_mixtures():
     from qdissonance import projector, tensor
 

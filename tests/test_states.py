@@ -14,6 +14,7 @@ from qdissonance import (
     explicit_factors_z13,
     factor_pure,
     partial_trace,
+    permute_legs,
     phase_equation_residual,
     product_decomposition,
     projector,
@@ -281,6 +282,14 @@ def test_cc_pairs():
 
 
 def test_cc_pairs_leg_order():
+    # the pairs' tensor product regrouped from [A_1, B_1, A_2, ...] to all-A-then-all-B
+    pair = cc_state(np.diag([0.5, 0.5]))
+    for k in (2, 3):
+        rho = pair
+        for _ in range(k - 1):
+            rho = tensor(rho, pair)
+        perm = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
+        assert np.array_equal(cc_pairs(k).matrix, permute_legs(rho, perm).matrix)
     # diagonal weight sits on |ii'> x |ii'>, i.e. A-string equals B-string
     two = cc_pairs(2)
     diag = np.real(np.diag(two.matrix)).reshape(2, 2, 2, 2)
