@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from .qla import DomainError, projector
+from .qla import DEFAULT_REFINE_TOL, TARGET_DISTANCE_TOL, DomainError, projector
 from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, solve_phases, werner
-from .correlations import DEFAULT_GRID, DEFAULT_REFINE_TOL, discord
+from .correlations import DEFAULT_GRID, discord
 from .witness import decompose_sf, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
 from .statefile import StateFileError, load_state, save_state
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto = sub.add_parser("protocol", help="run a dissonance-generation protocol")
     p_proto.add_argument("kind", choices=("kraus", "unitary"))
     p_proto.add_argument("--z", type=float, required=True)
-    p_proto.add_argument("--tol", type=float, default=1e-10, help="target trace-distance tolerance")
+    p_proto.add_argument("--tol", type=float, default=TARGET_DISTANCE_TOL, help="target trace-distance tolerance")
     p_proto.add_argument("--dump-dir", help="write initial/post/final state files here")
     p_proto.set_defaults(func=cmd_protocol)
 

@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DensityMatrix, DomainError, partial_trace
+from .qla import (
+    CONCURRENCE_FLOOR, CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, DEFAULT_REFINE_TOL,
+    POLE_CUTOFF, PROB_CUTOFF, TOTAL_SIGN_TOL, DensityMatrix, DomainError, partial_trace,
+)
 from .witness import PAULI_MATRICES, correlation_matrix
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (64, 128)
-DEFAULT_REFINE_TOL = 1e-7
 # Scan memory grows linearly with the number of grid directions; 2**21 is
 # ~2.5x the 640x1280 oracle grid.  Larger grids are rejected before the
 # scan allocates anything.
@@ -50,13 +52,6 @@ MAX_GRID_POINTS = 2**21
 # Directions per objective call in the grid scan: bounds the scan's
 # temporaries; 2**15 was the fastest tile on the 640x1280 grid.
 _SCAN_TILE = 2**15
-PROB_CUTOFF = 1e-14
-# Wootters' l1 - l2 - l3 - l4 is reported as exactly 0 when it is at most
-# this value: at the separable boundary the difference is pure rounding
-# noise of a few ulps of l1 <= 1 (unit trace), which would otherwise
-# depend on BLAS.  An absolute floor also covers rank-deficient separable
-# states, where every l_i is itself rounding noise.
-CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
 
 
 def _direction(theta, phi) -> np.ndarray:
@@ -95,7 +90,7 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map arbitrary real angles to theta in [0, pi], phi in [0, 2 pi)."""
     nx, ny, nz = _direction(theta, phi)
     t = float(np.arccos(np.clip(nz, -1.0, 1.0)))
-    if abs(nx) < 1e-15 and abs(ny) < 1e-15:
+    if abs(nx) < POLE_CUTOFF and abs(ny) < POLE_CUTOFF:
         return t, 0.0
     p = float(np.arctan2(ny, nx)) % (2.0 * np.pi)
     return t, p
@@ -321,7 +316,8 @@ def discord(
     total = total_correlation(rho)
     classical, m = classical_correlation(rho, grid=grid, refine_tol=refine_tol)
     disc = total - classical
-    if disc < -1e-8 or classical < -1e-8 or total < -1e-10:
+    sign_tol = -CORRELATION_SIGN_TOL
+    if disc < sign_tol or classical < sign_tol or total < -TOTAL_SIGN_TOL:
         raise ArithmeticError(
             f"inconsistent correlations: total={total}, classical={classical}, discord={disc}"
         )
@@ -331,7 +327,7 @@ def discord(
     for reduced in _post_blocks(_b_blocks(rho), *_direction(m.theta, m.phi)):
         p = float(np.real(np.trace(reduced)))
         probs.append(p)
-        if p > 1e-12:
+        if p > CONDITIONAL_STATE_CUTOFF:
             cond.append(DensityMatrix(reduced / p, (db,)))
         else:
             cond.append(None)

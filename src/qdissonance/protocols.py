@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DensityMatrix, DomainError, partial_trace, trace_distance
+from .qla import (
+    ISOMETRY_TOL, ORTHOGONALITY_TOL, PROB_CUTOFF, DensityMatrix, DomainError, partial_trace,
+    trace_distance,
+)
 from .states import cc_pairs, product_decomposition, werner
 from .correlations import CorrelationReport, discord
 from .witness import WitnessReport, witness_report
@@ -38,10 +41,6 @@ __all__ = [
     "conditional_block",
     "certify",
 ]
-
-COMPLETENESS_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-ORTHOGONALITY_TOL = 1e-8
 
 # Flag bit written to the first qubit by the i-th operator of either side.
 _FLAGS = (0, 0, 1, 1)
@@ -84,7 +83,7 @@ class KrausChannel:
         dim = ops[0].shape[1]
         total = sum(m.conj().T @ m for m in ops)
         err = np.abs(total - np.eye(dim)).max()
-        if err > COMPLETENESS_TOL:
+        if err > ISOMETRY_TOL:
             raise DomainError(f"Kraus completeness violated by {err:.3e}")
         object.__setattr__(self, "operators", ops)
 
@@ -104,7 +103,7 @@ class LocalUnitary:
             np.abs(u.conj().T @ u - np.eye(d)).max(),
             np.abs(u @ u.conj().T - np.eye(d)).max(),
         )
-        if err > UNITARITY_TOL:
+        if err > ISOMETRY_TOL:
             raise DomainError(f"unitarity violated by {err:.3e}")
         object.__setattr__(self, "matrix", u)
 
@@ -141,8 +140,13 @@ def build_kraus(side: str, z: float) -> KrausChannel:
     """
     z = _check_z(z, "build_kraus")
     _check_side(side)
+    return _kraus(side, z, product_decomposition(z).factors)
+
+
+def _kraus(side: str, z: float, pairs) -> KrausChannel:
+    """``build_kraus`` from the decomposition's factor pairs, arguments already checked."""
     k = 0 if side == "A" else 1
-    factors = [pair[k].vector for pair in product_decomposition(z).factors]
+    factors = [pair[k].vector for pair in pairs]
     eye2 = np.eye(2, dtype=complex)
     eye4 = np.eye(4, dtype=complex)
     ops = []
@@ -191,9 +195,8 @@ def run_kraus_protocol(z: float) -> ProtocolResult:
     z in (0, 1/3].
     """
     z = _check_z(z, "run_kraus_protocol")
-    ch_a = build_kraus("A", z)
-    ch_b = build_kraus("B", z)
-    ops = list(zip(ch_a.operators, ch_b.operators))
+    pairs = product_decomposition(z).factors
+    ops = list(zip(_kraus("A", z, pairs).operators, _kraus("B", z, pairs).operators))
     return _run("kraus", z, 2, ops, (0, 2))  # legs [A1, A2, B1, B2]
 
 
@@ -207,36 +210,38 @@ def build_unitary(side: str, z: float) -> LocalUnitary:
     """
     z = _check_z(z, "build_unitary")
     _check_side(side)
-    decomp = product_decomposition(z)
-    overlaps = [
-        abs(np.vdot(left.vector, right.vector)) for left, right in decomp.factors
-    ]
-    worst = max(overlaps)
+    return _unitary(side, z, _orthogonal_pairs(z))
+
+
+def _orthogonal_pairs(z: float):
+    """The factor pairs of the decomposition at z; ProtocolUnavailableError unless orthogonal."""
+    pairs = product_decomposition(z).factors
+    worst = max(abs(np.vdot(left.vector, right.vector)) for left, right in pairs)
     if worst > ORTHOGONALITY_TOL:
         raise ProtocolUnavailableError(z, worst)
-    eye2 = np.eye(2, dtype=complex)
+    return pairs
+
+
+def _unitary(side: str, z: float, pairs) -> LocalUnitary:
+    """``build_unitary`` from orthogonal factor pairs, arguments already checked.
+
+    Control value k = 2m+n selects the 2x2 diagonal block k, whose
+    columns are the states prepared from |0> and |1>.
+    """
     u = np.zeros((8, 8), dtype=complex)
-    for m in range(2):
-        for n in range(2):
-            k = 2 * m + n
-            left, right = (v.vector for v in decomp.factors[k])
-            if side == "B":
-                left, right = right, left
-            block = np.outer(left, eye2[:, 0].conj()) + np.outer(right, eye2[:, 1].conj())
-            control = np.kron(
-                np.outer(eye2[:, m], eye2[:, m].conj()),
-                np.outer(eye2[:, n], eye2[:, n].conj()),
-            )
-            u += np.kron(control, block)
+    for k, pair in enumerate(pairs):
+        left, right = (v.vector for v in pair)
+        if side == "B":
+            left, right = right, left
+        u[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.column_stack([left, right])
     return LocalUnitary(matrix=u, side=side, z=z)
 
 
 def run_unitary_protocol(z: float) -> ProtocolResult:
     """Run the three-pair protocol: local unitaries, then trace the control pairs."""
     z = _check_z(z, "run_unitary_protocol")
-    u_a = build_unitary("A", z)
-    u_b = build_unitary("B", z)
-    ops = [(u_a.matrix, u_b.matrix)]
+    pairs = _orthogonal_pairs(z)
+    ops = [(_unitary("A", z, pairs).matrix, _unitary("B", z, pairs).matrix)]
     return _run("unitary", z, 3, ops, (0, 1, 3, 4))  # legs [A1, A2, A3, B1, B2, B3]
 
 
@@ -251,13 +256,11 @@ def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:
         raise DomainError(f"conditional_block expects six qubit legs, got {state.legs}")
     if m not in (0, 1) or n not in (0, 1):
         raise DomainError(f"control labels must be bits, got ({m}, {n})")
-    eye2 = np.eye(2, dtype=complex)
-    sel = np.kron(eye2[:, m], eye2[:, n]).reshape(4, 1)
-    iso = np.kron(sel, eye2)  # 8x2: |psi> -> |mn> x |psi>
-    both = np.kron(iso, iso)  # 64x4
-    block = both.conj().T @ state.matrix @ both
+    k = 2 * m + n
+    # rows and columns split as (control pairs, third qubit) on each side
+    block = state.matrix.reshape((4, 2, 4, 2) * 2)[k, :, k, :, k, :, k, :].reshape(4, 4)
     p = float(np.real(np.trace(block)))
-    if p < 1e-14:
+    if p < PROB_CUTOFF:
         raise DomainError(f"control outcome ({m}, {n}) has vanishing probability")
     return block / p
 

@@ -25,11 +25,38 @@ __all__ = [
     "trace_distance",
 ]
 
-# Tolerances for the validation performed by the container types.
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = -1e-10
-NORM_TOL = 1e-12
+# Every numerical threshold of the package, one line each saying what it
+# bounds.  *_TOL bounds a residual a check accepts, *_CUTOFF is a magnitude
+# below which a quantity is treated as zero, *_FLOOR is a result reported
+# as exactly 0 at or below it.
+HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix or an operator-basis element
+TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
+PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
+NORM_TOL = 1e-12  # | |v| - 1 | of a normalized state vector
+ISOMETRY_TOL = 1e-10  # max|C^dagger C - I|: basis vectors, Kraus completeness, unitarity
+BASIS_GRAM_TOL = 1e-12  # max|Tr(X_i X_j) - delta_ij| of an operator basis
+PHASE_EQ_TOL = 1e-10  # residual of the Werner phase equation
+FACTOR_STRICT_TOL = 1e-8  # second Schmidt coefficient of a strictly factored product state
+PRODUCT_RECONSTRUCTION_TOL = 1e-10  # max entry error of a product decomposition and its pairs
+PHASE_REF_CUTOFF = 1e-8  # amplitude the phase-fixing entry of a factor must exceed
+ORTHOGONALITY_TOL = 1e-8  # |<left|right>| of each factor pair for the unitary protocol
+TARGET_DISTANCE_TOL = 1e-10  # default protocol trace distance to werner(z) (CLI --tol)
+PROB_CUTOFF = 1e-14  # probability taken as 0 in x log x, and least control-outcome probability
+CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no conditional state
+CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
+TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
+DEFAULT_REFINE_TOL = 1e-7  # default final compass-search step, radians
+POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
+IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix
+RANK_TOL = 1e-10  # singular value of R counted towards the rank L
+COMMUTATOR_TOL = 1e-9  # Frobenius norm of a commutator verdicting zero discord
+SCHMIDT_RECONSTRUCTION_TOL = 1e-9  # max entry error of an operator Schmidt decomposition
+# Wootters' l1 - l2 - l3 - l4 is reported as exactly 0 when it is at most
+# this value: at the separable boundary the difference is pure rounding
+# noise of a few ulps of l1 <= 1 (unit trace), which would otherwise
+# depend on BLAS.  An absolute floor also covers rank-deficient separable
+# states, where every l_i is itself rounding noise.
+CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
 
 
 class DomainError(ValueError):

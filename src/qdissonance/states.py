@@ -14,7 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .qla import DensityMatrix, DomainError, PureState
+from .qla import (
+    FACTOR_STRICT_TOL, ISOMETRY_TOL, PHASE_EQ_TOL, PHASE_REF_CUTOFF, PRODUCT_RECONSTRUCTION_TOL,
+    TRACE_TOL, DensityMatrix, DomainError, PureState,
+)
 
 __all__ = [
     "PhaseSolution",
@@ -35,11 +38,6 @@ __all__ = [
 
 _BELL_NAMES = ("psi+", "psi-", "phi+", "phi-")
 
-# Residual tolerances used by the constructors below.
-PHASE_EQ_TOL = 1e-10
-FACTOR_STRICT_TOL = 1e-8
-RECONSTRUCTION_TOL = 1e-10
-
 
 def _basis_vectors(d: int) -> list[np.ndarray]:
     return [np.eye(d, dtype=complex)[:, i] for i in range(d)]
@@ -50,9 +48,19 @@ def _check_orthonormal(vecs: Sequence[np.ndarray], d: int, name: str) -> list[np
     if len(vecs) != d or any(v.shape != (d,) for v in vecs):
         raise DomainError(f"{name}: expected {d} vectors of dimension {d}")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.abs(gram - np.eye(d)).max() > 1e-10:
+    if np.abs(gram - np.eye(d)).max() > ISOMETRY_TOL:
         raise DomainError(f"{name}: vectors are not orthonormal")
     return vecs
+
+
+def _check_probabilities(p: np.ndarray, op: str) -> None:
+    """A nonempty, nonnegative table summing to 1: the unit trace of the state built from it."""
+    if p.size == 0:
+        raise DomainError(f"{op}: probability table is empty")
+    if p.min() < 0:
+        raise DomainError(f"{op}: negative probability {p.min():.3e}")
+    if abs(p.sum() - 1.0) > TRACE_TOL:
+        raise DomainError(f"{op}: probabilities sum to {p.sum():.15g}, expected 1")
 
 
 def cc_state(p, basis_a=None, basis_b=None) -> DensityMatrix:
@@ -65,12 +73,7 @@ def cc_state(p, basis_a=None, basis_b=None) -> DensityMatrix:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"cc_state: probability table must be 2-D, got shape {p.shape}")
-    if p.size == 0:
-        raise DomainError("cc_state: probability table is empty")
-    if p.min() < 0:
-        raise DomainError(f"cc_state: negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError(f"cc_state: probabilities sum to {p.sum():.15g}, expected 1")
+    _check_probabilities(p, "cc_state")
     da, db = p.shape
     avecs = _basis_vectors(da) if basis_a is None else _check_orthonormal(basis_a, da, "basis_a")
     bvecs = _basis_vectors(db) if basis_b is None else _check_orthonormal(basis_b, db, "basis_b")
@@ -92,12 +95,7 @@ def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
     side; zero discord with respect to measurements on A.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
-    if p.size == 0:
-        raise DomainError("cq_state: probability table is empty")
-    if p.min() < 0:
-        raise DomainError(f"cq_state: negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError(f"cq_state: probabilities sum to {p.sum():.15g}, expected 1")
+    _check_probabilities(p, "cq_state")
     da = p.shape[0]
     avecs = _basis_vectors(da) if basis_a is None else _check_orthonormal(basis_a, da, "basis_a")
     if len(states_b) != da:
@@ -251,7 +249,7 @@ class PureFactorization:
 
 
 def _fix_phase(v: np.ndarray) -> tuple[np.ndarray, complex]:
-    idx = int(np.argmax(np.abs(v) > 1e-8))
+    idx = int(np.argmax(np.abs(v) > PHASE_REF_CUTOFF))
     ph = v[idx] / abs(v[idx])
     return v / ph, ph
 
@@ -347,10 +345,10 @@ def product_decomposition(z: float) -> ProductDecomposition:
         phases.append(fac.phase)
         recon += np.outer(eta.vector, eta.vector.conj())
         pair = nrm * np.exp(1j * fac.phase) * np.kron(fac.left.vector, fac.right.vector)
-        if np.abs(pair - eta.vector).max() > RECONSTRUCTION_TOL:
+        if np.abs(pair - eta.vector).max() > PRODUCT_RECONSTRUCTION_TOL:
             raise DomainError("factorization does not reproduce its component")
     err = float(np.abs(recon - werner(z).matrix).max())
-    if err > RECONSTRUCTION_TOL:
+    if err > PRODUCT_RECONSTRUCTION_TOL:
         raise DomainError(f"decomposition reconstruction error {err:.3e}")
     return ProductDecomposition(
         z=z, etas=etas, factors=tuple(factors), phases=tuple(phases), reconstruction_error=err

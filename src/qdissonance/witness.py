@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qla import DensityMatrix, DomainError
+from .qla import (
+    BASIS_GRAM_TOL, COMMUTATOR_TOL, HERMITICITY_TOL, IMAG_RESIDUE_TOL, RANK_TOL,
+    SCHMIDT_RECONSTRUCTION_TOL, DensityMatrix, DomainError,
+)
 
 __all__ = [
     "OperatorBasis",
@@ -27,10 +30,6 @@ __all__ = [
     "rank_witness",
     "witness_report",
 ]
-
-RANK_TOL = 1e-10
-COMMUTATOR_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-9
 
 # I, sigma_x, sigma_y, sigma_z stacked along the first axis.
 PAULI_MATRICES = np.array(
@@ -60,11 +59,11 @@ class OperatorBasis:
         stack = np.stack(elems)
         stack.setflags(write=False)
         herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = np.flatnonzero(herm > 1e-12)
+        bad = np.flatnonzero(herm > HERMITICITY_TOL)
         if bad.size:
             raise DomainError(f"OperatorBasis element {bad[0]} is not Hermitian")
         gram = np.einsum("iab,jba->ij", stack, stack)
-        bad = np.argwhere(np.triu(np.abs(gram - np.eye(d * d)) > 1e-12))
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(d * d)) > BASIS_GRAM_TOL))
         if bad.size:
             i, j = bad[0]
             raise DomainError(
@@ -118,7 +117,7 @@ def _correlation_matrix(rho: DensityMatrix, ba: OperatorBasis, bb: OperatorBasis
     da, db = rho.legs
     r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(da, db, da, db), ba.stack, bb.stack)
     resid = np.abs(r.imag).max()
-    if resid > 1e-10:
+    if resid > IMAG_RESIDUE_TOL:
         raise DomainError(f"correlation matrix has imaginary residue {resid:.3e}")
     return r.real
 
@@ -159,7 +158,7 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
     for k in range(l_rank):
         recon += s[k] * np.kron(s_ops[k], f_ops[k])
     err = np.abs(recon - rho.matrix).max()
-    if err > RECONSTRUCTION_TOL:
+    if err > SCHMIDT_RECONSTRUCTION_TOL:
         raise ArithmeticError(f"operator Schmidt reconstruction error {err:.3e}")
     return WitnessReport(
         r=r,

@@ -12,8 +12,9 @@ from qdissonance import DensityMatrix, bell, cc_state, cq_state, projector, tens
 ZOO_SEED = 20240917
 
 
-def random_density(rng, d, legs=None):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def random_density(rng, d, legs=None, rank=None):
+    k = d if rank is None else rank
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, legs)
 

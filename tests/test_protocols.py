@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qdissonance import protocols
 from qdissonance import (
     DomainError,
     ProtocolUnavailableError,
@@ -167,6 +168,21 @@ def test_run_matches_explicit_kron_sandwich():
         post = res.post_operation.matrix
         assert np.abs(post - expect).max() <= 1e-15
         assert np.array_equal(post, post.conj().T)
+
+
+def test_each_run_decomposes_once(monkeypatch):
+    calls = []
+    real = protocols.product_decomposition
+
+    def counting(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(protocols, "product_decomposition", counting)
+    run_kraus_protocol(0.2)
+    assert calls == [0.2]
+    run_unitary_protocol(Z13)
+    assert calls == [0.2, Z13]
 
 
 def test_conditional_blocks_are_two_branch_mixtures():

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from qdissonance import qla
 from qdissonance import (
     DensityMatrix,
     DomainError,
@@ -127,3 +130,41 @@ def test_trace_distance():
     with pytest.raises(DomainError):
         trace_distance(w0, DensityMatrix(np.eye(2) / 2))
 
+
+# Every threshold of the package, pinned by name and value.
+PINNED_TOLERANCES = {
+    "HERMITICITY_TOL": 1e-12,
+    "TRACE_TOL": 1e-12,
+    "PSD_TOL": -1e-10,
+    "NORM_TOL": 1e-12,
+    "ISOMETRY_TOL": 1e-10,
+    "BASIS_GRAM_TOL": 1e-12,
+    "PHASE_EQ_TOL": 1e-10,
+    "FACTOR_STRICT_TOL": 1e-8,
+    "PRODUCT_RECONSTRUCTION_TOL": 1e-10,
+    "PHASE_REF_CUTOFF": 1e-8,
+    "ORTHOGONALITY_TOL": 1e-8,
+    "TARGET_DISTANCE_TOL": 1e-10,
+    "PROB_CUTOFF": 1e-14,
+    "CONDITIONAL_STATE_CUTOFF": 1e-12,
+    "CORRELATION_SIGN_TOL": 1e-8,
+    "TOTAL_SIGN_TOL": 1e-10,
+    "DEFAULT_REFINE_TOL": 1e-7,
+    "POLE_CUTOFF": 1e-15,
+    "IMAG_RESIDUE_TOL": 1e-10,
+    "RANK_TOL": 1e-10,
+    "COMMUTATOR_TOL": 1e-9,
+    "SCHMIDT_RECONSTRUCTION_TOL": 1e-9,
+    "CONCURRENCE_FLOOR": 16 * 2.0**-52,
+}
+
+
+def test_tolerance_table_pinned():
+    table = {
+        name: value
+        for name, value in vars(qla).items()
+        if re.fullmatch(r"[A-Z][A-Z_]*_(TOL|CUTOFF|FLOOR)", name)
+    }
+    assert table.keys() == PINNED_TOLERANCES.keys()
+    for name, value in table.items():
+        assert float(value).hex() == PINNED_TOLERANCES[name].hex(), name

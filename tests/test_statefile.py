@@ -5,6 +5,7 @@ import pytest
 
 from qdissonance import (
     FORMAT_VERSION,
+    DensityMatrix,
     StateFileError,
     dumps_state,
     load_state,
@@ -25,10 +26,28 @@ def test_roundtrip_exact():
     states = [werner(0.0), werner(1.0 / 3.0), werner(1.0)]
     states += [rho for _, rho, _ in build_zoo()[40:46]]
     states += [random_density(rng, 4, (2, 2)), random_density(rng, 3, (3,))]
+    # signed zeros, subnormals and extreme exponents, in Hermitian pairs
+    edge = np.diag([0.5, 0.25 - 0.0j, 0.125, 0.125])
+    for (i, j), v in {
+        (0, 1): 5e-324 + 1e-300j,
+        (0, 2): complex(-0.0, 0.0),
+        (1, 3): complex(0.0, -0.0),
+        (2, 3): -2.2250738585072014e-308 + 5e-324j,
+        (0, 3): 1e-17 - 1e-200j,
+    }.items():
+        edge[i, j], edge[j, i] = v, v.conjugate()
+    states.append(DensityMatrix(edge, (2, 2)))
+    # off-diagonals scaled by 2^-k down into and below the subnormal range;
+    # a power-of-two scale keeps the matrix exactly Hermitian and PSD
+    base = random_density(rng, 4, (2, 2)).matrix
+    diag = np.diag(np.diag(base))
+    for k in (60, 500, 1020, 1060, 1074, 1100):
+        states.append(DensityMatrix(diag + (base - diag) * 2.0**-k, (2, 2)))
     for rho in states:
         back = loads_state(dumps_state(rho))
         assert back.legs == rho.legs
-        assert np.abs(back.matrix - rho.matrix).max() == 0.0
+        # bit patterns, because == treats -0.0 and 0.0 as equal
+        assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
 
 def test_file_layout():
