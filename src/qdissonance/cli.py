@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from .qla import DEFAULT_REFINE_TOL, TARGET_DISTANCE_TOL, DomainError, projector
-from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, solve_phases, werner
+from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
 from .correlations import DEFAULT_GRID, discord
-from .witness import decompose_sf, witness_report
+from .witness import WitnessReport, decompose_sf, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
 from .statefile import StateFileError, load_state, save_state
 from . import __version__
@@ -28,6 +28,8 @@ EXIT_PROTOCOL = 3
 
 _STATE_KINDS = ("werner", "cc", "cq", "bell", "cc-pairs")
 _BELL_CHOICES = ("psi+", "psi-", "phi+", "phi-")
+# The CorrelationReport fields printed by `measures` and written as sweep CSV columns.
+_MEASURES = ("total", "classical", "discord", "geometric_discord", "concurrence", "negativity")
 
 
 def _fmt(value: float) -> str:
@@ -81,11 +83,10 @@ def cmd_state(args) -> int:
         raise DomainError(f"unknown constructor {kind!r}")
     out = args.out or f"{kind}.qs"
     save_state(rho, out)
-    eig = np.linalg.eigvalsh(rho.matrix)
     print(f"wrote {out}")
     print(f"dims: {' '.join(str(d) for d in rho.legs)}")
     print(f"trace: {_fmt(float(np.real(np.trace(rho.matrix))))}")
-    print("eigenvalues: " + " ".join(_fmt(float(v)) for v in eig[::-1]))
+    print("eigenvalues: " + " ".join(_fmt(float(v)) for v in rho.eigenvalues[::-1]))
     return EXIT_OK
 
 
@@ -94,13 +95,7 @@ def cmd_measures(args) -> int:
     if len(rho.legs) != 2:
         raise DomainError(f"measures needs a bipartite state, got legs {rho.legs}")
     report = discord(rho, grid=args.opt_grid, refine_tol=args.opt_refine)
-    pairs = [
-        ("total", report.total),
-        ("classical", report.classical),
-        ("discord", report.discord),
-        ("geometric_discord", report.geometric_discord),
-        ("concurrence", report.concurrence),
-        ("negativity", report.negativity),
+    pairs = [(key, getattr(report, key)) for key in _MEASURES] + [
         ("theta", report.argmin_measurement.theta),
         ("phi", report.argmin_measurement.phi),
     ]
@@ -123,9 +118,13 @@ def cmd_witness(args) -> int:
     print(f"L={report.l_rank}")
     print(f"max_commutator_norm={_fmt(report.max_commutator_norm)}")
     print(f"rank_witness={'TRUE' if report.verdicts['rank_witness'] else 'FALSE'}")
-    verdict = "ZERO-DISCORD" if report.verdicts["commutator_zero_discord"] else "NONZERO-DISCORD"
-    print(f"commutator_verdict={verdict}")
+    _print_commutator_verdict(report)
     return EXIT_OK
+
+
+def _print_commutator_verdict(report: WitnessReport) -> None:
+    zero = report.verdicts["commutator_zero_discord"]
+    print(f"commutator_verdict={'ZERO-DISCORD' if zero else 'NONZERO-DISCORD'}")
 
 
 def cmd_protocol(args) -> int:
@@ -144,8 +143,7 @@ def cmd_protocol(args) -> int:
     print(f"concurrence={_fmt(rep.concurrence)}")
     print(f"negativity={_fmt(rep.negativity)}")
     print(f"L={bundle.witness.l_rank}")
-    verdict = "ZERO-DISCORD" if bundle.witness.verdicts["commutator_zero_discord"] else "NONZERO-DISCORD"
-    print(f"commutator_verdict={verdict}")
+    _print_commutator_verdict(bundle.witness)
     if args.dump_dir:
         import os
 
@@ -170,19 +168,10 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID, refine_t
         rho = werner(z)
         rep = discord(rho, grid=grid, refine_tol=refine_tol)
         wit = decompose_sf(rho)
-        yield {
-            "z": z,
-            "total": rep.total,
-            "classical": rep.classical,
-            "discord": rep.discord,
-            "geometric_discord": rep.geometric_discord,
-            "concurrence": rep.concurrence,
-            "negativity": rep.negativity,
-            "rank_L": wit.l_rank,
-        }
+        yield {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
 
 
-SWEEP_HEADER = "z,total,classical,discord,geometric_discord,concurrence,negativity,rank_L"
+SWEEP_HEADER = ",".join(("z", *_MEASURES, "rank_L"))
 # Each row costs one full discord optimization; larger sweeps are rejected
 # before anything is allocated.
 MAX_SWEEP_STEPS = 10_000
@@ -193,7 +182,7 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in rows:
-            fields = [_fmt(row[key]) for key in SWEEP_HEADER.split(",")[:-1]]
+            fields = [_fmt(row[key]) for key in ("z", *_MEASURES)]
             fields.append(str(row["rank_L"]))
             fh.write(",".join(fields) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -203,7 +192,7 @@ def cmd_sweep(args) -> int:
 def cmd_decompose(args) -> int:
     decomp = product_decomposition(args.z)
     print(f"z={_fmt(decomp.z)}")
-    print("phases: " + " ".join(_fmt(t) for t in solve_phases(args.z).thetas))
+    print("phases: " + " ".join(_fmt(t) for t in decomp.solution.thetas))
     for j, (eta, (left, right), phase) in enumerate(
         zip(decomp.etas, decomp.factors, decomp.phases)
     ):
@@ -280,23 +269,23 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# Each handled exception type with its exit code; the first match wins.
+_EXIT_CODES = (
+    (StateFileError, EXIT_IO),
+    (OSError, EXIT_IO),
+    (ProtocolUnavailableError, EXIT_PROTOCOL),
+    (DomainError, EXIT_DOMAIN),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateFileError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ProtocolUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -105,8 +105,7 @@ def _xlog2(x: np.ndarray) -> np.ndarray:
 
 def entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -sum(lam log2 lam) in bits, with 0 log 0 = 0."""
-    lam = np.linalg.eigvalsh(rho.matrix)
-    return float(-_xlog2(np.clip(lam, 0.0, None)).sum())
+    return float(-_xlog2(np.clip(rho.eigenvalues, 0.0, None)).sum())
 
 
 def _require_bipartite(rho: DensityMatrix, op: str) -> tuple[int, int]:

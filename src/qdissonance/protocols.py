@@ -108,7 +108,7 @@ class LocalUnitary:
         object.__setattr__(self, "matrix", u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolResult:
     """Input, intermediate, and traced-out states of one protocol run."""
 
@@ -119,7 +119,6 @@ class ProtocolResult:
     final: DensityMatrix
     target: DensityMatrix
     trace_distance_to_target: float
-    certification: "CertificationBundle | None" = None
 
 
 @dataclass(frozen=True)
@@ -266,10 +265,8 @@ def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:
 
 
 def certify(result: ProtocolResult) -> CertificationBundle:
-    """Measure and witness the protocol output; stores and returns the bundle."""
-    bundle = CertificationBundle(
+    """Measure and witness the protocol output."""
+    return CertificationBundle(
         correlations=discord(result.final),
         witness=witness_report(result.final),
     )
-    result.certification = bundle
-    return bundle

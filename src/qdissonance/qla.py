@@ -9,7 +9,7 @@ higher-level modules never juggle raw reshape bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,10 +93,14 @@ class DensityMatrix:
     legs:
         Dimension of each tensor factor; the product must equal the
         matrix dimension.  Defaults to a single leg.
+
+    ``eigenvalues`` is the read-only ascending spectrum that the
+    positivity check computed; ``eigenvalues[0]`` is its margin.
     """
 
     matrix: np.ndarray
     legs: tuple[int, ...]
+    eigenvalues: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, matrix, legs: Sequence[int] | None = None):
         m = _as_complex_array(matrix, "DensityMatrix")
@@ -112,13 +116,15 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"matrix trace is {tr:.15g}, expected 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < PSD_TOL:
-            raise DomainError(f"matrix has negative eigenvalue {lo:.3e}")
+        lam = np.linalg.eigvalsh(m)
+        if lam[0] < PSD_TOL:
+            raise DomainError(f"matrix has negative eigenvalue {lam[0]:.3e}")
         m = m.copy()
         m.setflags(write=False)
+        lam.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "eigenvalues", lam)
 
     @property
     def dim(self) -> int:

@@ -152,24 +152,17 @@ def phase_equation_residual(thetas: Sequence[float], z: float) -> float:
 class PhaseSolution:
     """Relative phases making all four decomposition components product states.
 
-    The four angles satisfy
+    The four angles ``thetas = (t1, t2, t3, t4)`` satisfy
     ``|e^{-2i t1}(1+3z) + (e^{-2i t2}+e^{-2i t3}+e^{-2i t4})(1-z)| <= 1e-10``.
     """
 
     z: float
-    theta1: float
-    theta2: float
-    theta3: float
-    theta4: float
+    thetas: tuple[float, float, float, float]
 
     def __post_init__(self):
         res = self.residual()
         if res > PHASE_EQ_TOL:
             raise DomainError(f"phase equation residual {res:.3e} exceeds {PHASE_EQ_TOL}")
-
-    @property
-    def thetas(self) -> tuple[float, float, float, float]:
-        return (self.theta1, self.theta2, self.theta3, self.theta4)
 
     def residual(self) -> float:
         return phase_equation_residual(self.thetas, self.z)
@@ -185,11 +178,7 @@ def solve_phases(z: float) -> PhaseSolution:
     s = np.sqrt((1.0 + z) / (2.0 * (1.0 - z)))
     c = np.sqrt((1.0 - 3.0 * z) / (2.0 * (1.0 - z)))
     return PhaseSolution(
-        z=z,
-        theta1=0.0,
-        theta2=np.pi / 2.0,
-        theta3=float(np.arctan2(s, c)),
-        theta4=float(np.arctan2(s, -c)),
+        z=z, thetas=(0.0, np.pi / 2.0, float(np.arctan2(s, c)), float(np.arctan2(s, -c)))
     )
 
 
@@ -222,8 +211,13 @@ def eta_states(z: float) -> tuple[PureState, PureState, PureState, PureState]:
     z = float(z)
     if not 0.0 <= z <= 1.0 / 3.0:
         raise DomainError(f"eta_states: z must lie in [0, 1/3], got {z}")
-    xs = _x_vectors(z)
-    phases = np.exp(1j * np.array(solve_phases(z).thetas))
+    return _eta_states(solve_phases(z))
+
+
+def _eta_states(solution: PhaseSolution) -> tuple[PureState, PureState, PureState, PureState]:
+    """``eta_states`` from an already solved phase equation."""
+    xs = _x_vectors(solution.z)
+    phases = np.exp(1j * np.array(solution.thetas))
     etas = []
     for signs in _ETA_SIGNS:
         v = sum(s * ph * x for s, ph, x in zip(signs, phases, xs)) / 2.0
@@ -315,9 +309,11 @@ class ProductDecomposition:
     ``etas[j]`` equals ``1/2 * e^{i phases[j]} * factors[j][0] x factors[j][1]``;
     the outer products of the etas sum to ``werner(z)`` up to
     ``reconstruction_error`` (max abs entry of the difference).
+    ``solution`` holds the relative phases the etas were built from.
     """
 
     z: float
+    solution: PhaseSolution
     etas: tuple[PureState, ...]
     factors: tuple[tuple[PureState, PureState], ...]
     phases: tuple[float, ...]
@@ -333,7 +329,8 @@ def product_decomposition(z: float) -> ProductDecomposition:
     z = float(z)
     if not 0.0 <= z <= 1.0 / 3.0:
         raise DomainError(f"product_decomposition: z must lie in [0, 1/3], got {z}")
-    etas = eta_states(z)
+    solution = solve_phases(z)
+    etas = _eta_states(solution)
     factors = []
     phases = []
     recon = np.zeros((4, 4), dtype=complex)
@@ -351,7 +348,12 @@ def product_decomposition(z: float) -> ProductDecomposition:
     if err > PRODUCT_RECONSTRUCTION_TOL:
         raise DomainError(f"decomposition reconstruction error {err:.3e}")
     return ProductDecomposition(
-        z=z, etas=etas, factors=tuple(factors), phases=tuple(phases), reconstruction_error=err
+        z=z,
+        solution=solution,
+        etas=etas,
+        factors=tuple(factors),
+        phases=tuple(phases),
+        reconstruction_error=err,
     )
 
 

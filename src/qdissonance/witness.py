@@ -11,7 +11,7 @@ operators always share an eigenbasis, so the commutators alone decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "correlation_matrix",
     "decompose_sf",
     "commutator_test",
-    "rank_witness",
     "witness_report",
 ]
 
@@ -42,12 +41,11 @@ PAULI_MATRICES = np.array(
 class OperatorBasis:
     """d^2 Hermitian matrices, orthonormal under Tr(X Y).
 
-    ``stack`` is the read-only (d^2, d, d) array of the elements, which
-    are views into it.
+    ``elements`` is stored as one read-only (d^2, d, d) array; indexing
+    or iterating it gives the matrices.
     """
 
-    elements: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    elements: np.ndarray
 
     def __post_init__(self):
         elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
@@ -69,18 +67,15 @@ class OperatorBasis:
             raise DomainError(
                 f"OperatorBasis elements {i},{j} not HS-orthonormal (Tr={gram[i, j]:.3e})"
             )
-        object.__setattr__(self, "elements", tuple(stack))
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
 
-_PAULI_STACK = PAULI_MATRICES / np.sqrt(2.0)
-_PAULI_STACK.setflags(write=False)
 # Validated once at import; every caller shares this read-only instance.
-_PAULI_BASIS = OperatorBasis(elements=tuple(_PAULI_STACK))
+_PAULI_BASIS = OperatorBasis(elements=PAULI_MATRICES / np.sqrt(2.0))
 
 
 def pauli_basis(d: int = 2) -> OperatorBasis:
@@ -115,20 +110,20 @@ def correlation_matrix(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.nda
 
 def _correlation_matrix(rho: DensityMatrix, ba: OperatorBasis, bb: OperatorBasis) -> np.ndarray:
     da, db = rho.legs
-    r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(da, db, da, db), ba.stack, bb.stack)
+    r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(da, db, da, db), ba.elements, bb.elements)
     resid = np.abs(r.imag).max()
     if resid > IMAG_RESIDUE_TOL:
         raise DomainError(f"correlation matrix has imaginary residue {resid:.3e}")
     return r.real
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessReport:
     """Operator Schmidt data of a state plus (optionally) witness verdicts.
 
     ``s_ops``/``f_ops`` hold only the L operators belonging to nonzero
-    singular values; ``verdicts`` is filled by ``commutator_test`` and
-    ``rank_witness``.
+    singular values.  ``decompose_sf`` leaves the commutator norm and
+    the verdicts unset; ``witness_report`` returns them filled in.
     """
 
     r: np.ndarray
@@ -152,8 +147,8 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
     r = _correlation_matrix(rho, ba, bb)
     u, s, vh = np.linalg.svd(r)
     l_rank = int((s > RANK_TOL).sum())
-    s_ops = tuple(np.tensordot(u[:, k], ba.stack, axes=(0, 0)) for k in range(l_rank))
-    f_ops = tuple(np.tensordot(vh[k], bb.stack, axes=(0, 0)) for k in range(l_rank))
+    s_ops = tuple(np.tensordot(u[:, k], ba.elements, axes=(0, 0)) for k in range(l_rank))
+    f_ops = tuple(np.tensordot(vh[k], bb.elements, axes=(0, 0)) for k in range(l_rank))
     recon = np.zeros((rho.dim, rho.dim), dtype=complex)
     for k in range(l_rank):
         recon += s[k] * np.kron(s_ops[k], f_ops[k])
@@ -186,23 +181,19 @@ def commutator_test(report: WitnessReport, side: str = "A") -> tuple[float, bool
         for j in range(i + 1, len(ops)):
             comm = ops[i] @ ops[j] - ops[j] @ ops[i]
             max_norm = max(max_norm, float(np.linalg.norm(comm)))
-    zero = max_norm <= COMMUTATOR_TOL
-    if side == "A":
-        report.max_commutator_norm = max_norm
-        report.verdicts["commutator_zero_discord"] = zero
-    return max_norm, zero
-
-
-def rank_witness(report: WitnessReport, d_a: int) -> bool:
-    """True iff L > d_A, which certifies nonzero discord (False is inconclusive)."""
-    fired = report.l_rank > int(d_a)
-    report.verdicts["rank_witness"] = fired
-    return fired
+    return max_norm, max_norm <= COMMUTATOR_TOL
 
 
 def witness_report(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessReport:
-    """Full witness pass: decomposition, A-side commutator test, rank witness."""
+    """Full witness pass: decomposition, A-side commutator test, rank witness.
+
+    ``verdicts["rank_witness"]`` is L > d_A, which certifies nonzero
+    discord (False is inconclusive).
+    """
     report = decompose_sf(rho, basis_a, basis_b)
-    commutator_test(report, side="A")
-    rank_witness(report, rho.legs[0])
-    return report
+    norm, zero = commutator_test(report, side="A")
+    return replace(
+        report,
+        max_commutator_norm=norm,
+        verdicts={"commutator_zero_discord": zero, "rank_witness": report.l_rank > rho.legs[0]},
+    )

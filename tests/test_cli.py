@@ -270,6 +270,24 @@ def test_decompose(capsys):
     assert abs(thetas[1] - np.pi / 2) < 1e-11
 
 
+def test_decompose_solves_phases_once(monkeypatch, capsys):
+    from qdissonance import cli, states
+
+    calls = []
+    solve = states.solve_phases
+
+    def counting(z):
+        calls.append(z)
+        return solve(z)
+
+    monkeypatch.setattr(states, "solve_phases", counting)
+    # also count a call through a name the CLI module imported itself
+    monkeypatch.setattr(cli, "solve_phases", counting, raising=False)
+    code, _, _ = run(capsys, "decompose", "--z", "0.2")
+    assert code == 0
+    assert calls == [0.2]
+
+
 def test_decompose_bad_z(capsys):
     code, _, err = run(capsys, "decompose", "--z", "0.5")
     assert code == 2

@@ -56,6 +56,17 @@ def test_entropy_examples():
     assert expect == pytest.approx(1.7925, abs=1e-4)
 
 
+def test_entropy_reads_the_validated_spectrum(monkeypatch):
+    rho = werner(0.3)
+    expect = entropy(rho)
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("entropy recomputed the spectrum")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    assert entropy(rho) == expect
+
+
 def test_total_correlation():
     rng = np.random.default_rng(SEED)
     prod = tensor(random_density(rng, 2), random_density(rng, 2))

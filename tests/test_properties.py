@@ -2,13 +2,14 @@
 
 These check the code against facts of the theory, not against itself:
 discord, classical correlation and geometric discord are invariant under
-local unitaries U_A x U_B, and 0 <= D <= min(S(A), I(A:B)).
+local unitaries U_A x U_B, 0 <= D <= min(S(A), I(A:B)), and
+classical-quantum states have zero discord with respect to A.
 """
 
 import numpy as np
 import pytest
 
-from qdissonance import DensityMatrix, discord, entropy, partial_trace
+from qdissonance import DensityMatrix, cq_state, discord, entropy, partial_trace, witness_report
 
 from _zoo import random_density, random_qubit_basis
 
@@ -42,3 +43,16 @@ def test_discord_bounded_by_entropy_and_mutual_information(two_qubit_cases):
     for rho, rep in cases:
         s_a = entropy(partial_trace(rho, (1,)))
         assert 0.0 <= rep.discord <= min(s_a, rep.total) + 1e-12
+
+
+def test_cq_states_have_zero_discord():
+    """sum_i p_i |a_i><a_i| x rho_B^(i) with a random qubit basis |a_i>: D = 0."""
+    rng = np.random.default_rng(SEED + 3)
+    for i in range(100):
+        db = 2 if i < 80 else 3
+        p0 = rng.uniform(0.05, 0.95)
+        states_b = [random_density(rng, db, rank=int(rng.integers(1, db + 1))) for _ in range(2)]
+        rho = cq_state([p0, 1.0 - p0], random_qubit_basis(rng), states_b)
+        assert abs(discord(rho).discord) <= 1e-9, i
+        if db == 2:
+            assert witness_report(rho).verdicts["commutator_zero_discord"], i

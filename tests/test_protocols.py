@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,6 @@ def test_certify_z13_outputs():
     for runner in (run_kraus_protocol, run_unitary_protocol):
         res = runner(Z13)
         bundle = certify(res)
-        assert res.certification is bundle
         corr = bundle.correlations
         assert corr.concurrence <= 1e-10
         assert corr.negativity <= 1e-10
@@ -224,6 +225,14 @@ def test_certify_z13_outputs():
         assert wit.l_rank == 4
         assert wit.verdicts["rank_witness"]
         assert not wit.verdicts["commutator_zero_discord"]
+
+
+def test_protocol_result_is_frozen():
+    res = run_kraus_protocol(0.2)
+    certify(res)
+    assert not hasattr(res, "certification")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.final = res.initial
 
 
 def test_protocols_create_discord_from_none():

@@ -16,6 +16,8 @@ from qdissonance import (
     werner,
 )
 
+from _zoo import build_zoo
+
 SEED = 7001
 
 
@@ -33,6 +35,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, legs=(2, 3))  # legs do not multiply out
     with pytest.raises(DomainError):
         DensityMatrix(np.full((2, 2), np.nan))
+
+
+def test_density_matrix_keeps_its_spectrum():
+    for name, rho, _ in build_zoo():
+        assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix)), name
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 0.0
+    assert "eigenvalues" not in repr(DensityMatrix(np.eye(2) / 2))
 
 
 def test_density_matrix_is_frozen():

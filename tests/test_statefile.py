@@ -43,6 +43,12 @@ def test_roundtrip_exact():
     diag = np.diag(np.diag(base))
     for k in (60, 500, 1020, 1060, 1074, 1100):
         states.append(DensityMatrix(diag + (base - diag) * 2.0**-k, (2, 2)))
+    # seeded fuzz: random dimensions and ranks, a random k in [0, 1100] each
+    for i in range(500):
+        d = (2, 3, 4, 6)[i % 4]
+        base = random_density(rng, d, rank=int(rng.integers(1, d + 1))).matrix
+        diag = np.diag(np.diag(base))
+        states.append(DensityMatrix(diag + (base - diag) * 2.0 ** -int(rng.integers(0, 1101))))
     for rho in states:
         back = loads_state(dumps_state(rho))
         assert back.legs == rho.legs

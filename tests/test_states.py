@@ -68,14 +68,12 @@ def test_werner_eigenvalues():
 
 
 def test_solve_phases_branch():
-    sol = solve_phases(0.0)
-    assert sol.theta1 == 0.0
-    assert sol.theta2 == pytest.approx(np.pi / 2)
-    assert sol.theta3 == pytest.approx(np.pi / 4)
-    assert sol.theta4 == pytest.approx(3 * np.pi / 4)
-    sol13 = solve_phases(1.0 / 3.0)
-    assert sol13.theta3 == pytest.approx(np.pi / 2)
-    assert sol13.theta4 == pytest.approx(np.pi / 2)
+    t1, t2, t3, t4 = solve_phases(0.0).thetas
+    assert t1 == 0.0
+    assert t2 == pytest.approx(np.pi / 2)
+    assert t3 == pytest.approx(np.pi / 4)
+    assert t4 == pytest.approx(3 * np.pi / 4)
+    assert solve_phases(1.0 / 3.0).thetas[2:] == pytest.approx((np.pi / 2, np.pi / 2))
     for z in Z_GRID:
         assert solve_phases(z).residual() <= 1e-10
     with pytest.raises(DomainError):
@@ -86,7 +84,7 @@ def test_solve_phases_branch():
 
 def test_phase_solution_rejects_bad_phases():
     with pytest.raises(DomainError):
-        PhaseSolution(z=0.2, theta1=0.0, theta2=0.0, theta3=0.0, theta4=0.0)
+        PhaseSolution(z=0.2, thetas=(0.0, 0.0, 0.0, 0.0))
     assert phase_equation_residual((0, 0, 0, 0), 0.2) == pytest.approx(4.0)
 
 

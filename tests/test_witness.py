@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from qdissonance import (
     decompose_sf,
     pauli_basis,
     projector,
-    rank_witness,
     tensor,
     werner,
     witness_report,
@@ -122,8 +123,12 @@ def test_commutator_test():
     norm, zero = commutator_test(rep)
     assert norm <= 1e-10
     assert zero
-    assert rep.max_commutator_norm == norm
-    assert rep.verdicts["commutator_zero_discord"]
+    # the test writes nothing; witness_report carries the norm and verdict
+    assert rep.max_commutator_norm is None
+    assert rep.verdicts == {}
+    full = witness_report(cc_state(np.diag([0.5, 0.5])))
+    assert full.max_commutator_norm == norm
+    assert full.verdicts["commutator_zero_discord"]
 
     rep = decompose_sf(werner(1.0 / 3.0))
     norm, zero = commutator_test(rep)
@@ -147,14 +152,18 @@ def test_commutator_test_b_side():
     assert rep.max_commutator_norm is None
 
 
+def test_witness_report_is_frozen():
+    rep = witness_report(werner(0.25))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.max_commutator_norm = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.l_rank = 1
+
+
 def test_rank_witness():
-    rep = decompose_sf(werner(0.2))
-    assert rank_witness(rep, 2)
-    assert rep.verdicts["rank_witness"]
-    rep = decompose_sf(cc_state(np.diag([0.5, 0.5])))
-    assert not rank_witness(rep, 2)
-    rep = decompose_sf(werner(0.0))
-    assert not rank_witness(rep, 2)
+    assert witness_report(werner(0.2)).verdicts["rank_witness"]
+    assert not witness_report(cc_state(np.diag([0.5, 0.5]))).verdicts["rank_witness"]
+    assert not witness_report(werner(0.0)).verdicts["rank_witness"]
 
 
 def test_witness_report_composition():
