@@ -16,7 +16,7 @@ import numpy as np
 from .qla import DEFAULT_REFINE_TOL, TARGET_DISTANCE_TOL, DomainError, projector
 from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
 from .correlations import DEFAULT_GRID, discord
-from .witness import WitnessReport, decompose_sf, witness_report
+from .witness import WitnessReport, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
 from .statefile import StateFileError, load_state, save_state
 from . import __version__
@@ -167,7 +167,7 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID, refine_t
         z = float(z)
         rho = werner(z)
         rep = discord(rho, grid=grid, refine_tol=refine_tol)
-        wit = decompose_sf(rho)
+        wit = witness_report(rho)
         yield {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qla import (
-    CONCURRENCE_FLOOR, CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, DEFAULT_REFINE_TOL,
+    CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, DEFAULT_REFINE_TOL, ENTANGLEMENT_FLOOR,
     POLE_CUTOFF, PROB_CUTOFF, TOTAL_SIGN_TOL, DensityMatrix, DomainError, partial_trace,
 )
 from .witness import PAULI_MATRICES, correlation_matrix
@@ -287,7 +287,7 @@ def classical_correlation(
     return sb - val, qubit_measurement(theta, phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
     """Bundle of every correlation measure for one bipartite state.
 
@@ -388,7 +388,7 @@ def concurrence(rho: DensityMatrix) -> float:
 
     With rho = X X^dagger, X = V diag(sqrt(w)), the l_i (square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy)) are the singular
-    values of X^T (sy x sy) X.  Differences at most CONCURRENCE_FLOOR
+    values of X^T (sy x sy) X.  Differences at most ENTANGLEMENT_FLOOR
     are reported as exactly 0.
     """
     if rho.legs != (2, 2):
@@ -398,12 +398,16 @@ def concurrence(rho: DensityMatrix) -> float:
     yy = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[2])
     lam = np.linalg.svd(x.T @ yy @ x, compute_uv=False)
     c = lam[0] - lam[1] - lam[2] - lam[3]
-    return 0.0 if c <= CONCURRENCE_FLOOR else float(c)
+    return 0.0 if c <= ENTANGLEMENT_FLOOR else float(c)
 
 
 def negativity(rho: DensityMatrix) -> float:
-    """Sum of negative eigenvalues (absolute) of the partial transpose on B."""
+    """Sum of negative eigenvalues (absolute) of the partial transpose on B.
+
+    Sums at most ENTANGLEMENT_FLOOR are reported as exactly 0.
+    """
     da, db = _require_bipartite(rho, "negativity")
     t = rho.matrix.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
     lam = np.linalg.eigvalsh(t)
-    return float(np.clip(-lam, 0.0, None).sum())
+    neg = np.clip(-lam, 0.0, None).sum()
+    return 0.0 if neg <= ENTANGLEMENT_FLOOR else float(neg)

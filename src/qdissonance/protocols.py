@@ -70,7 +70,7 @@ def _check_z(z: float, op: str) -> float:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Four operators on one side's qubit pair, complete to 1e-10."""
 
@@ -88,7 +88,7 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """Controlled-preparation unitary on one side's three qubits."""
 
@@ -108,7 +108,7 @@ class LocalUnitary:
         object.__setattr__(self, "matrix", u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Input, intermediate, and traced-out states of one protocol run."""
 
@@ -121,7 +121,7 @@ class ProtocolResult:
     trace_distance_to_target: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificationBundle:
     """Correlation measures and witness verdicts for a protocol's output."""
 

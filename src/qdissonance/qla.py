@@ -51,12 +51,12 @@ IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix
 RANK_TOL = 1e-10  # singular value of R counted towards the rank L
 COMMUTATOR_TOL = 1e-9  # Frobenius norm of a commutator verdicting zero discord
 SCHMIDT_RECONSTRUCTION_TOL = 1e-9  # max entry error of an operator Schmidt decomposition
-# Wootters' l1 - l2 - l3 - l4 is reported as exactly 0 when it is at most
-# this value: at the separable boundary the difference is pure rounding
-# noise of a few ulps of l1 <= 1 (unit trace), which would otherwise
-# depend on BLAS.  An absolute floor also covers rank-deficient separable
-# states, where every l_i is itself rounding noise.
-CONCURRENCE_FLOOR = 16 * np.finfo(float).eps
+# Concurrence (Wootters' l1 - l2 - l3 - l4) and negativity are reported as
+# exactly 0 when they are at most this value: at the separable boundary
+# each is pure rounding noise of a few ulps of a unit-trace spectrum, which
+# would otherwise depend on BLAS.  An absolute floor also covers
+# rank-deficient separable states, where every l_i is itself rounding noise.
+ENTANGLEMENT_FLOOR = 16 * np.finfo(float).eps
 
 
 class DomainError(ValueError):
@@ -81,7 +81,7 @@ def _check_legs(legs: Sequence[int], total: int, name: str) -> tuple[int, ...]:
     return legs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix with tensor-leg structure.
 
@@ -100,7 +100,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
     legs: tuple[int, ...]
-    eigenvalues: np.ndarray = field(compare=False, repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
 
     def __init__(self, matrix, legs: Sequence[int] | None = None):
         m = _as_complex_array(matrix, "DensityMatrix")
@@ -135,7 +135,7 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A state vector with tensor-leg structure.
 

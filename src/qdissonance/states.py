@@ -225,7 +225,7 @@ def _eta_states(solution: PhaseSolution) -> tuple[PureState, PureState, PureStat
     return tuple(etas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureFactorization:
     """Result of splitting a two-qubit vector into a product of qubit factors.
 
@@ -302,7 +302,7 @@ def explicit_factors_z13() -> tuple[tuple[PureState, PureState], ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductDecomposition:
     """Separable Werner state written as a sum of four product components.
 

@@ -11,7 +11,9 @@ operators always share an eigenbasis, so the commutators alone decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +28,6 @@ __all__ = [
     "pauli_basis",
     "correlation_matrix",
     "decompose_sf",
-    "commutator_test",
     "witness_report",
 ]
 
@@ -37,7 +38,7 @@ PAULI_MATRICES = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """d^2 Hermitian matrices, orthonormal under Tr(X Y).
 
@@ -105,10 +106,7 @@ def _resolve_bases(rho: DensityMatrix, basis_a, basis_b) -> tuple[OperatorBasis,
 
 def correlation_matrix(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
     """Real coefficient matrix r_nm = Tr[rho (A_n x B_m)]."""
-    return _correlation_matrix(rho, *_resolve_bases(rho, basis_a, basis_b))
-
-
-def _correlation_matrix(rho: DensityMatrix, ba: OperatorBasis, bb: OperatorBasis) -> np.ndarray:
+    ba, bb = _resolve_bases(rho, basis_a, basis_b)
     da, db = rho.legs
     r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(da, db, da, db), ba.elements, bb.elements)
     resid = np.abs(r.imag).max()
@@ -117,44 +115,49 @@ def _correlation_matrix(rho: DensityMatrix, ba: OperatorBasis, bb: OperatorBasis
     return r.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
-    """Operator Schmidt data of a state plus (optionally) witness verdicts.
+    """Operator Schmidt data of a state plus its witness verdicts.
 
-    ``s_ops``/``f_ops`` hold only the L operators belonging to nonzero
-    singular values.  ``decompose_sf`` leaves the commutator norm and
-    the verdicts unset; ``witness_report`` returns them filled in.
+    ``s_ops``/``f_ops`` are read-only (L, d, d) stacks holding only the
+    L operators that belong to nonzero singular values; ``verdicts`` is
+    a read-only mapping.
     """
 
     r: np.ndarray
     singular_values: np.ndarray
     l_rank: int
-    s_ops: tuple[np.ndarray, ...]
-    f_ops: tuple[np.ndarray, ...]
+    s_ops: np.ndarray
+    f_ops: np.ndarray
     legs: tuple[int, int]
-    max_commutator_norm: float | None = None
-    verdicts: dict[str, bool] = field(default_factory=dict)
+    max_commutator_norm: float
+    verdicts: Mapping[str, bool]
 
 
-def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessReport:
-    """Operator Schmidt decomposition rho = sum_k c_k S_k x F_k via the SVD of R.
+def witness_report(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessReport:
+    """Operator Schmidt decomposition rho = sum_k c_k S_k x F_k and its witnesses.
 
-    The c_k are the singular values; S_k (F_k) combine the A-side
-    (B-side) basis with the left (right) singular vector columns.  The
-    reconstruction is verified to 1e-9 before returning.
+    The c_k are the singular values of R; S_k (F_k) combine the A-side
+    (B-side) basis with the left (right) singular vectors, and the
+    reconstruction is verified to 1e-9.  ``verdicts["commutator_zero_discord"]``
+    holds iff every pairwise commutator of the S_k has Frobenius norm at
+    most 1e-9; ``verdicts["rank_witness"]`` is L > d_A, which certifies
+    nonzero discord (False is inconclusive).
     """
     ba, bb = _resolve_bases(rho, basis_a, basis_b)
-    r = _correlation_matrix(rho, ba, bb)
+    r = correlation_matrix(rho, ba, bb)
     u, s, vh = np.linalg.svd(r)
     l_rank = int((s > RANK_TOL).sum())
-    s_ops = tuple(np.tensordot(u[:, k], ba.elements, axes=(0, 0)) for k in range(l_rank))
-    f_ops = tuple(np.tensordot(vh[k], bb.elements, axes=(0, 0)) for k in range(l_rank))
-    recon = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for k in range(l_rank):
-        recon += s[k] * np.kron(s_ops[k], f_ops[k])
+    s_ops = np.tensordot(u[:, :l_rank].T, ba.elements, axes=1)
+    f_ops = np.tensordot(vh[:l_rank], bb.elements, axes=1)
+    recon = np.einsum("k,kac,kbd->abcd", s[:l_rank], s_ops, f_ops).reshape(rho.dim, rho.dim)
     err = np.abs(recon - rho.matrix).max()
     if err > SCHMIDT_RECONSTRUCTION_TOL:
         raise ArithmeticError(f"operator Schmidt reconstruction error {err:.3e}")
+    comm = s_ops[:, None] @ s_ops[None] - s_ops[None] @ s_ops[:, None]
+    max_norm = float(np.linalg.norm(comm, axis=(2, 3)).max(initial=0.0))
+    for arr in (r, s, s_ops, f_ops):
+        arr.setflags(write=False)
     return WitnessReport(
         r=r,
         singular_values=s,
@@ -162,38 +165,13 @@ def decompose_sf(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessRepor
         s_ops=s_ops,
         f_ops=f_ops,
         legs=rho.legs,
+        max_commutator_norm=max_norm,
+        verdicts=MappingProxyType({
+            "commutator_zero_discord": max_norm <= COMMUTATOR_TOL,
+            "rank_witness": l_rank > rho.legs[0],
+        }),
     )
 
 
-def commutator_test(report: WitnessReport, side: str = "A") -> tuple[float, bool]:
-    """Max Frobenius commutator norm over the L operators, plus the verdict.
-
-    ``zero_discord`` holds iff every pairwise commutator norm is at most
-    1e-9.  No further check is needed: the operators are Hermitian, and
-    pairwise commuting Hermitian operators share an eigenbasis.  The A
-    side is tested by default; ``side="B"`` tests the F_k.
-    """
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-    ops = report.s_ops if side == "A" else report.f_ops
-    max_norm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-            max_norm = max(max_norm, float(np.linalg.norm(comm)))
-    return max_norm, max_norm <= COMMUTATOR_TOL
-
-
-def witness_report(rho: DensityMatrix, basis_a=None, basis_b=None) -> WitnessReport:
-    """Full witness pass: decomposition, A-side commutator test, rank witness.
-
-    ``verdicts["rank_witness"]`` is L > d_A, which certifies nonzero
-    discord (False is inconclusive).
-    """
-    report = decompose_sf(rho, basis_a, basis_b)
-    norm, zero = commutator_test(report, side="A")
-    return replace(
-        report,
-        max_commutator_norm=norm,
-        verdicts={"commutator_zero_discord": zero, "rank_witness": report.l_rank > rho.legs[0]},
-    )
+# The operator Schmidt decomposition is the witness pass itself.
+decompose_sf = witness_report

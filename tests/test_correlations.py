@@ -265,11 +265,19 @@ def test_concurrence():
 def test_negativity():
     for z in (0.0, 1.0 / 3.0):
         assert negativity(werner(z)) == pytest.approx(0.0, abs=1e-12)
-    for z in (0.5, 1.0):
+    for z in (1.0 / 3.0 + 1e-6, 0.5, 1.0):
         assert negativity(werner(z)) == pytest.approx((3 * z - 1) / 4, abs=1e-12)
     rng = np.random.default_rng(SEED + 7)
     prod = tensor(random_density(rng, 2), random_density(rng, 2))
     assert negativity(prod) == pytest.approx(0.0, abs=1e-12)
+    # mixtures of 1-3 pure product states are separable: exactly 0, not rounding noise
+    for i in range(500):
+        weights = rng.dirichlet(np.ones(1 + i % 3))
+        mix = sum(
+            w * tensor(random_density(rng, 2, rank=1), random_density(rng, 2, rank=1)).matrix
+            for w in weights
+        )
+        assert negativity(DensityMatrix(mix, (2, 2))) == 0.0, i
 
 
 def test_opt_grid_flag_changes_resolution_not_result():

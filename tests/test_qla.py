@@ -14,6 +14,7 @@ from qdissonance import (
     tensor,
     trace_distance,
     werner,
+    witness_report,
 )
 
 from _zoo import build_zoo
@@ -49,6 +50,15 @@ def test_density_matrix_is_frozen():
     rho = DensityMatrix(np.eye(2) / 2)
     assert not rho.matrix.flags.writeable
     assert rho.purity() == pytest.approx(0.5)
+
+
+def test_array_records_compare_by_identity():
+    # records holding arrays answer ==, in and hash instead of raising
+    for make in (lambda: werner(0.2), lambda: witness_report(werner(0.2))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert len({a, b, a}) == 2
 
 
 def test_pure_state_validation():
@@ -165,7 +175,7 @@ PINNED_TOLERANCES = {
     "RANK_TOL": 1e-10,
     "COMMUTATOR_TOL": 1e-9,
     "SCHMIDT_RECONSTRUCTION_TOL": 1e-9,
-    "CONCURRENCE_FLOOR": 16 * 2.0**-52,
+    "ENTANGLEMENT_FLOOR": 16 * 2.0**-52,
 }
 
 

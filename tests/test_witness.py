@@ -9,7 +9,6 @@ from qdissonance import (
     OperatorBasis,
     bell,
     cc_state,
-    commutator_test,
     correlation_matrix,
     decompose_sf,
     pauli_basis,
@@ -118,38 +117,51 @@ def test_decompose_sf_reconstruction_on_zoo():
         assert np.abs(recon - rho.matrix).max() < 1e-9, name
 
 
-def test_commutator_test():
-    rep = decompose_sf(cc_state(np.diag([0.5, 0.5])))
-    norm, zero = commutator_test(rep)
-    assert norm <= 1e-10
-    assert zero
-    # the test writes nothing; witness_report carries the norm and verdict
-    assert rep.max_commutator_norm is None
-    assert rep.verdicts == {}
-    full = witness_report(cc_state(np.diag([0.5, 0.5])))
-    assert full.max_commutator_norm == norm
-    assert full.verdicts["commutator_zero_discord"]
+def test_commutator_norm_matches_pairwise_loop():
+    # reference: the explicit i < j loop over the S_k
+    rng = np.random.default_rng(SEED + 6)
+    states = [rho for _, rho, _ in build_zoo()]
+    states += [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(150)]
+    for i, rho in enumerate(states):
+        rep = witness_report(rho)
+        ops = rep.s_ops
+        ref = max(
+            (
+                float(np.linalg.norm(ops[a] @ ops[b] - ops[b] @ ops[a]))
+                for a in range(rep.l_rank)
+                for b in range(a + 1, rep.l_rank)
+            ),
+            default=0.0,
+        )
+        assert abs(rep.max_commutator_norm - ref) <= 1e-15, i
+        assert rep.verdicts["commutator_zero_discord"] == (ref <= 1e-9), i
 
-    rep = decompose_sf(werner(1.0 / 3.0))
-    norm, zero = commutator_test(rep)
-    assert norm > 0.1
-    assert not zero
-
-    rng = np.random.default_rng(SEED + 1)
+    rep = witness_report(cc_state(np.diag([0.5, 0.5])))
+    assert rep.max_commutator_norm <= 1e-10 and rep.verdicts["commutator_zero_discord"]
+    rep = witness_report(werner(1.0 / 3.0))
+    assert rep.max_commutator_norm > 0.1 and not rep.verdicts["commutator_zero_discord"]
     prod = tensor(random_density(rng, 2), random_density(rng, 2))
-    norm, zero = commutator_test(decompose_sf(prod))
-    assert norm == 0.0 and zero  # single operator, vacuous
-
-    with pytest.raises(DomainError):
-        commutator_test(rep, side="C")
+    rep = witness_report(prod)
+    assert rep.l_rank == 1  # single operator, vacuous
+    assert rep.max_commutator_norm == 0.0 and rep.verdicts["commutator_zero_discord"]
 
 
-def test_commutator_test_b_side():
-    rep = decompose_sf(cc_state(np.diag([0.5, 0.5])))
-    norm_b, zero_b = commutator_test(rep, side="B")
-    assert norm_b <= 1e-10 and zero_b
-    # B-side call leaves the A-side report slots alone
-    assert rep.max_commutator_norm is None
+def test_witness_report_is_read_only():
+    rep = witness_report(werner(0.25))
+    with pytest.raises(TypeError):
+        rep.verdicts["rank_witness"] = False
+    with pytest.raises(ValueError):
+        rep.singular_values[0] = 0.0
+    with pytest.raises(ValueError):
+        rep.s_ops[0] = 0.0
+    assert rep.verdicts["rank_witness"]
+
+
+def test_decompose_sf_is_the_complete_witness():
+    rep = decompose_sf(werner(0.25))
+    assert list(rep.verdicts) == ["commutator_zero_discord", "rank_witness"]
+    assert isinstance(rep.max_commutator_norm, float)
+    assert rep.s_ops.shape == rep.f_ops.shape == (rep.l_rank, 2, 2)
 
 
 def test_witness_report_is_frozen():
