@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .qla import DEFAULT_REFINE_TOL, TARGET_DISTANCE_TOL, DomainError, projector
+from .qla import TARGET_DISTANCE_TOL, DomainError, projector
 from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
 from .correlations import DEFAULT_GRID, discord
 from .witness import WitnessReport, witness_report
@@ -79,7 +79,7 @@ def cmd_state(args) -> int:
         if args.k is None:
             raise DomainError("state cc-pairs requires --k")
         rho = cc_pairs(args.k)
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - argparse limits choices
         raise DomainError(f"unknown constructor {kind!r}")
     out = args.out or f"{kind}.qs"
     save_state(rho, out)
@@ -94,7 +94,7 @@ def cmd_measures(args) -> int:
     rho = load_state(args.input)
     if len(rho.legs) != 2:
         raise DomainError(f"measures needs a bipartite state, got legs {rho.legs}")
-    report = discord(rho, grid=args.opt_grid, refine_tol=args.opt_refine)
+    report = discord(rho, grid=args.opt_grid)
     pairs = [(key, getattr(report, key)) for key in _MEASURES] + [
         ("theta", report.argmin_measurement.theta),
         ("phi", report.argmin_measurement.phi),
@@ -155,7 +155,7 @@ def cmd_protocol(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
-def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID, refine_tol=DEFAULT_REFINE_TOL):
+def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
     """Measure werner(z) on an even grid; yields one row dict per z."""
     if not (0.0 <= zmin < zmax <= 1.0):
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
@@ -166,7 +166,7 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID, refine_t
     for z in np.linspace(zmin, zmax, steps):
         z = float(z)
         rho = werner(z)
-        rep = discord(rho, grid=grid, refine_tol=refine_tol)
+        rep = discord(rho, grid=grid)
         wit = witness_report(rho)
         yield {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
 
@@ -178,7 +178,7 @@ MAX_SWEEP_STEPS = 10_000
 
 
 def cmd_sweep(args) -> int:
-    rows = list(sweep_rows(args.zmin, args.zmax, args.steps, grid=args.opt_grid, refine_tol=args.opt_refine))
+    rows = list(sweep_rows(args.zmin, args.zmax, args.steps, grid=args.opt_grid))
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in rows:
@@ -259,13 +259,6 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_GRID,
         metavar="TxP",
         help=f"measurement search grid (default {DEFAULT_GRID[0]}x{DEFAULT_GRID[1]})",
-    )
-    parser.add_argument(
-        "--opt-refine",
-        type=float,
-        default=DEFAULT_REFINE_TOL,
-        metavar="TOL",
-        help=f"final compass-search step in radians (default {DEFAULT_REFINE_TOL:g})",
     )
 
 

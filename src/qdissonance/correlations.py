@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qla import (
-    CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, DEFAULT_REFINE_TOL, ENTANGLEMENT_FLOOR,
-    POLE_CUTOFF, PROB_CUTOFF, TOTAL_SIGN_TOL, DensityMatrix, DomainError, partial_trace,
+    CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, ENTANGLEMENT_FLOOR, POLE_CUTOFF, PROB_CUTOFF,
+    REFINE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError, partial_trace,
 )
 from .witness import PAULI_MATRICES, correlation_matrix
 
@@ -105,7 +105,8 @@ def _xlog2(x: np.ndarray) -> np.ndarray:
 
 def entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -sum(lam log2 lam) in bits, with 0 log 0 = 0."""
-    return float(-_xlog2(np.clip(rho.eigenvalues, 0.0, None)).sum())
+    # 0.0 - sum, not -sum: a pure spectrum gives +0.0, never -0.0
+    return float(0.0 - _xlog2(np.clip(rho.eigenvalues, 0.0, None)).sum())
 
 
 def _require_bipartite(rho: DensityMatrix, op: str) -> tuple[int, int]:
@@ -232,22 +233,20 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
 _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
 
 
-def _minimize_over_directions(objective, grid: tuple[int, int], refine_tol: float):
+def _minimize_over_directions(objective, grid: tuple[int, int]):
     """Hemisphere-grid scan + compass-search refinement of the best 3 cells.
 
     ``objective(n)`` must map directions of shape (3, ...) to values
     of shape (...), with f(n) = f(-n).  All seeds are refined
     together: each iteration evaluates the 8-point (theta, phi)
     stencil around every seed in one objective call; a seed moves to
-    its best neighbour when that is strictly lower, otherwise its step
+    its best neighbour when that is lower (not equal), otherwise its step
     (initially one grid cell) halves.  Each iteration either lowers a
     seed's value or halves its step, so the loop ends once every step
-    is at most ``refine_tol``.  Returns (value, theta, phi) with
+    is at most REFINE_TOL.  Returns (value, theta, phi) with
     canonical angles; deterministic (ties broken by grid and stencil
     order).
     """
-    if not (refine_tol > 0 and np.isfinite(refine_tol)):
-        raise DomainError(f"refine_tol must be finite and > 0, got {refine_tol}")
     thetas, phis = _grid_directions(grid)
     vals = _scan(objective, thetas, phis)
     seeds = _smallest(vals, 3)
@@ -255,7 +254,7 @@ def _minimize_over_directions(objective, grid: tuple[int, int], refine_tol: floa
     theta, phi, val = thetas[row], phis[col], vals[seeds]
     step = np.full(len(seeds), np.pi / grid[0])
     rows = np.arange(len(seeds))
-    while (active := step > refine_tol).any():
+    while (active := step > REFINE_TOL).any():
         cand_t = theta[:, None] + step[:, None] * _STENCIL[:, 0]
         cand_p = phi[:, None] + step[:, None] * _STENCIL[:, 1]
         cand_v = objective(_direction(cand_t, cand_p))
@@ -271,19 +270,17 @@ def _minimize_over_directions(objective, grid: tuple[int, int], refine_tol: floa
 
 
 def classical_correlation(
-    rho: DensityMatrix,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
+    rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID
 ) -> tuple[float, Measurement]:
     """Maximal classical mutual information over projective qubit measurements on A.
 
     Returns S(B) minus the minimized conditional entropy, together with
     the minimizing measurement.  The reported value is accurate to
-    about 1e-6 bits at the default grid and refinement settings.
+    about 1e-6 bits at the default grid.
     """
     objective = _conditional_entropy_objective(rho)
     sb = entropy(partial_trace(rho, (0,)))
-    val, theta, phi = _minimize_over_directions(objective, grid, refine_tol)
+    val, theta, phi = _minimize_over_directions(objective, grid)
     return sb - val, qubit_measurement(theta, phi)
 
 
@@ -306,14 +303,10 @@ class CorrelationReport:
     conditional_states: tuple[DensityMatrix | None, ...]
 
 
-def discord(
-    rho: DensityMatrix,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> CorrelationReport:
+def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> CorrelationReport:
     """Quantum discord (total minus classical correlation) with full report."""
     total = total_correlation(rho)
-    classical, m = classical_correlation(rho, grid=grid, refine_tol=refine_tol)
+    classical, m = classical_correlation(rho, grid=grid)
     disc = total - classical
     sign_tol = -CORRELATION_SIGN_TOL
     if disc < sign_tol or classical < sign_tol or total < -TOTAL_SIGN_TOL:
@@ -344,12 +337,7 @@ def discord(
     )
 
 
-def geometric_discord(
-    rho: DensityMatrix,
-    method: str = "closed-form",
-    grid: tuple[int, int] = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> float:
+def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     """Squared Hilbert-Schmidt distance to the nearest zero-discord state.
 
     The default is the two-qubit closed form
@@ -357,7 +345,7 @@ def geometric_discord(
     of ``x x^T + T T^T``.  ``method="brute-force"`` instead minimizes
     the distance over the zero-discord set directly (exactly over the
     B-side blocks for each measurement basis, numerically over the
-    basis direction) and serves as the validation oracle.
+    basis direction on the default grid) and serves as the validation oracle.
     """
     if rho.legs != (2, 2):
         raise DomainError(f"geometric_discord requires legs (2, 2), got {rho.legs}")
@@ -378,7 +366,7 @@ def geometric_discord(
             sq_m = np.abs(minus) ** 2
             return pur - sq.sum(axis=(-2, -1)) - sq_m.sum(axis=(-2, -1))
 
-        val, _, _ = _minimize_over_directions(objective, grid, refine_tol)
+        val, _, _ = _minimize_over_directions(objective, DEFAULT_GRID)
         return float(val)
     raise DomainError(f"unknown geometric_discord method {method!r}")
 

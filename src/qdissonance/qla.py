@@ -9,6 +9,7 @@ higher-level modules never juggle raw reshape bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -36,7 +37,6 @@ NORM_TOL = 1e-12  # | |v| - 1 | of a normalized state vector
 ISOMETRY_TOL = 1e-10  # max|C^dagger C - I|: basis vectors, Kraus completeness, unitarity
 BASIS_GRAM_TOL = 1e-12  # max|Tr(X_i X_j) - delta_ij| of an operator basis
 PHASE_EQ_TOL = 1e-10  # residual of the Werner phase equation
-FACTOR_STRICT_TOL = 1e-8  # second Schmidt coefficient of a strictly factored product state
 PRODUCT_RECONSTRUCTION_TOL = 1e-10  # max entry error of a product decomposition and its pairs
 PHASE_REF_CUTOFF = 1e-8  # amplitude the phase-fixing entry of a factor must exceed
 ORTHOGONALITY_TOL = 1e-8  # |<left|right>| of each factor pair for the unitary protocol
@@ -45,7 +45,7 @@ PROB_CUTOFF = 1e-14  # probability taken as 0 in x log x, and least control-outc
 CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no conditional state
 CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
 TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
-DEFAULT_REFINE_TOL = 1e-7  # default final compass-search step, radians
+REFINE_TOL = 1e-7  # final compass-search step, radians
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
 IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix
 RANK_TOL = 1e-10  # singular value of R counted towards the rank L
@@ -74,7 +74,7 @@ def _check_legs(legs: Sequence[int], total: int, name: str) -> tuple[int, ...]:
     legs = tuple(int(d) for d in legs)
     if not legs or any(d < 1 for d in legs):
         raise DomainError(f"{name}: legs must be positive integers, got {legs}")
-    if int(np.prod(legs)) != total:
+    if math.prod(legs) != total:
         raise DomainError(
             f"{name}: leg dimensions {legs} do not multiply to total dimension {total}"
         )

@@ -14,6 +14,8 @@ matrix invariant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .qla import DensityMatrix, DomainError
@@ -50,7 +52,7 @@ def loads_state(text: str) -> DensityMatrix:
         raise StateFileError(f"unparseable dims line: {exc}") from exc
     if not dims or any(d < 1 for d in dims):
         raise StateFileError(f"invalid dims {dims}")
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     rows = lines[2:]
     if len(rows) != d:
         raise StateFileError(f"expected {d} matrix rows, found {len(rows)}")

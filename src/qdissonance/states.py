@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .qla import (
-    FACTOR_STRICT_TOL, ISOMETRY_TOL, PHASE_EQ_TOL, PHASE_REF_CUTOFF, PRODUCT_RECONSTRUCTION_TOL,
-    TRACE_TOL, DensityMatrix, DomainError, PureState,
+    ISOMETRY_TOL, PHASE_EQ_TOL, PHASE_REF_CUTOFF, PRODUCT_RECONSTRUCTION_TOL, TRACE_TOL,
+    DensityMatrix, DomainError, PureState,
 )
 
 __all__ = [
@@ -248,13 +248,12 @@ def _fix_phase(v: np.ndarray) -> tuple[np.ndarray, complex]:
     return v / ph, ph
 
 
-def factor_pure(state: PureState, strict: bool = False) -> PureFactorization:
+def factor_pure(state: PureState) -> PureFactorization:
     """Factor a normalized two-qubit pure state via its 2x2 Schmidt form.
 
     ``residual`` is the second singular value of the reshaped
     coefficient matrix: 0 iff the state is a product state, up to
-    1/sqrt(2) for a maximally entangled one.  With ``strict=True`` a
-    residual above 1e-8 raises instead of being reported.
+    1/sqrt(2) for a maximally entangled one.  It is reported, never raised on.
     """
     if state.legs != (2, 2):
         raise DomainError(f"factor_pure expects legs (2, 2), got {state.legs}")
@@ -263,10 +262,6 @@ def factor_pure(state: PureState, strict: bool = False) -> PureFactorization:
     m = state.vector.reshape(2, 2)
     u, s, vh = np.linalg.svd(m)
     residual = float(s[1])
-    if strict and residual > FACTOR_STRICT_TOL:
-        raise DomainError(
-            f"not a product state: Schmidt residual {residual:.3e} exceeds {FACTOR_STRICT_TOL}"
-        )
     left, ph_l = _fix_phase(u[:, 0])
     right, ph_r = _fix_phase(vh[0, :])
     # s[0] carries the norm; the remaining unit phase is what the two
@@ -323,8 +318,8 @@ class ProductDecomposition:
 def product_decomposition(z: float) -> ProductDecomposition:
     """Decompose werner(z), z in [0, 1/3], into four product components.
 
-    Solves the phase constraint, builds the components, factors each
-    one strictly, and re-verifies the reconstruction before returning.
+    Solves the phase constraint, builds and factors the components, and
+    checks each factor pair and the whole reconstruction before returning.
     """
     z = float(z)
     if not 0.0 <= z <= 1.0 / 3.0:
@@ -337,7 +332,7 @@ def product_decomposition(z: float) -> ProductDecomposition:
     for eta in etas:
         nrm = eta.norm()
         unit = PureState(eta.vector / nrm, (2, 2))
-        fac = factor_pure(unit, strict=True)
+        fac = factor_pure(unit)
         factors.append((fac.left, fac.right))
         phases.append(fac.phase)
         recon += np.outer(eta.vector, eta.vector.conj())

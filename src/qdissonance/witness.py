@@ -79,16 +79,14 @@ class OperatorBasis:
 _PAULI_BASIS = OperatorBasis(elements=PAULI_MATRICES / np.sqrt(2.0))
 
 
-def pauli_basis(d: int = 2) -> OperatorBasis:
+def pauli_basis() -> OperatorBasis:
     """The normalized Pauli basis {I, sx, sy, sz} / sqrt(2)."""
-    if d != 2:
-        raise DomainError(f"pauli_basis supports d=2 only, got {d}")
     return _PAULI_BASIS
 
 
 def _resolve_basis(basis, d: int, name: str) -> OperatorBasis:
     if basis is None:
-        return pauli_basis(d)
+        basis = _PAULI_BASIS
     if isinstance(basis, OperatorBasis):
         if basis.dim != d:
             raise DomainError(f"{name} has dimension {basis.dim}, leg needs {d}")

@@ -73,6 +73,11 @@ def test_state_cc(tmp_path, capsys):
     for table in ("", ";"):  # empty tables are a domain error, not a crash
         code, _, err = run(capsys, "state", "cc", "--p", table, "--out", str(tmp_path / "e.qs"))
         assert code == 2 and err.startswith("error:") and "empty" in err
+    for table in ("a,b", "0.5,0.5;0.5"):  # not numbers; ragged rows
+        code, _, err = run(capsys, "state", "cc", "--p", table, "--out", str(tmp_path / "e.qs"))
+        assert code == 2 and err.startswith("error:") and "unparseable" in err
+    code, _, err = run(capsys, "state", "cc", "--out", str(tmp_path / "e.qs"))
+    assert code == 2 and "requires" in err
     assert not (tmp_path / "e.qs").exists()
 
 
@@ -95,6 +100,8 @@ def test_state_cq(tmp_path, capsys):
         capsys, "state", "cq", "--p", "", "--states-b", str(b0), "--out", str(tmp_path / "e.qs")
     )
     assert code == 2 and err.startswith("error:") and "empty" in err
+    code, _, err = run(capsys, "state", "cq", "--p", "0.5,0.5", "--out", str(tmp_path / "e.qs"))
+    assert code == 2 and "requires" in err
     assert not (tmp_path / "e.qs").exists()
 
 
@@ -105,6 +112,9 @@ def test_state_cc_pairs(tmp_path, capsys):
     assert "dims: 2 2 2 2" in out
     rho = load_state(out_path)
     assert rho.legs == (2, 2, 2, 2)
+    code, _, err = run(capsys, "state", "cc-pairs", "--out", str(tmp_path / "e.qs"))
+    assert code == 2 and "requires" in err
+    assert not (tmp_path / "e.qs").exists()
 
 
 def test_measures_werner1(tmp_path, capsys):
@@ -136,6 +146,19 @@ def test_measures_corrupted_file(tmp_path, capsys):
     bad.write_text("qstate v1\ndims: 2 2\nnot a matrix\n")
     code, _, err = run(capsys, "measures", str(bad))
     assert code == 1
+    # leg dimensions whose int64 product wraps to 1: one error line, not a traceback
+    n = 2**63 - 1
+    bad.write_text(f"qstate v1\ndims: {n} {n}\n1+0j\n")
+    code, _, err = run(capsys, "measures", str(bad))
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_measures_prints_unsigned_zero(tmp_path, capsys):
+    state_path = tmp_path / "two1.qs"
+    save_state(DensityMatrix(np.diag([1.0, 0.0]), (2, 1)), state_path)
+    code, out, _ = run(capsys, "measures", str(state_path))
+    assert code == 0
+    assert kv(out)["classical"] == "0"
 
 
 def test_measures_rejects_many_legs(tmp_path, capsys):
@@ -158,6 +181,11 @@ def test_witness_cc(tmp_path, capsys):
     assert pairs["L"] == "2"
     assert pairs["rank_witness"] == "FALSE"
     assert pairs["commutator_verdict"] == "ZERO-DISCORD"
+    from qdissonance import cc_pairs
+
+    save_state(cc_pairs(2), state_path)
+    code, _, err = run(capsys, "witness", str(state_path))
+    assert code == 2 and err.startswith("error:") and "two-qubit" in err
 
 
 def test_witness_werner(tmp_path, capsys):
@@ -296,9 +324,7 @@ def test_decompose_bad_z(capsys):
 def test_opt_grid_flag(tmp_path, capsys):
     state_path = tmp_path / "w.qs"
     save_state(werner(0.5), state_path)
-    code, out, _ = run(
-        capsys, "measures", str(state_path), "--opt-grid", "16x32", "--opt-refine", "1e-6"
-    )
+    code, out, _ = run(capsys, "measures", str(state_path), "--opt-grid", "16x32")
     assert code == 0
     pairs = kv(out)
     analytic = (1 + 1.5) / 4 * np.log2(2.5) + 0.5 / 4 * np.log2(0.5) - 0.75 * np.log2(1.5)
@@ -315,13 +341,14 @@ def test_bad_grid_argument(tmp_path, capsys):
     assert code == 2
     assert "directions" in err
     out_csv = tmp_path / "s.csv"
-    for tol in ("0", "-1", "nan"):
-        code, _, err = run(capsys, "measures", str(state_path), "--opt-refine", tol)
+    code, _, err = run(capsys, "sweep", "--opt-grid", "2048x1025", "--out", str(out_csv))
+    assert code == 2
+    # the final compass-search step is fixed (REFINE_TOL); no flag sets it
+    for verb in (("measures", str(state_path)), ("sweep", "--out", str(out_csv))):
+        code, _, err = run(capsys, *verb, "--opt-refine", "1e-6")
         assert code == 2
-        assert "refine_tol" in err
-        code, _, err = run(capsys, "sweep", "--opt-refine", tol, "--out", str(out_csv))
-        assert code == 2
-        assert not out_csv.exists()
+        assert "unrecognized arguments: --opt-refine" in err
+    assert not out_csv.exists()
 
 
 def test_package_imports_without_scipy():

@@ -54,6 +54,8 @@ def test_entropy_examples():
     expect = 0.5 + 0.5 * np.log2(6.0)
     assert entropy(werner(1.0 / 3.0)) == pytest.approx(expect, abs=1e-12)
     assert expect == pytest.approx(1.7925, abs=1e-4)
+    # a pure spectrum {0, 1} gives +0.0, not -0.0
+    assert np.copysign(1.0, entropy(cc_state([[1.0, 0.0], [0.0, 0.0]]))) == 1.0
 
 
 def test_entropy_reads_the_validated_spectrum(monkeypatch):
@@ -286,11 +288,6 @@ def test_opt_grid_flag_changes_resolution_not_result():
     assert rep_fine.discord == pytest.approx(rep_default.discord, abs=1e-7)
     with pytest.raises(DomainError):
         discord(werner(0.5), grid=(1, 4))
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            discord(werner(0.5), refine_tol=tol)
-        with pytest.raises(DomainError):
-            geometric_discord(werner(0.5), method="brute-force", refine_tol=tol)
 
 
 def _random_unitary(rng):

@@ -35,6 +35,8 @@ def test_density_matrix_validation():
     with pytest.raises(DomainError):
         DensityMatrix(np.eye(4) / 4, legs=(2, 3))  # legs do not multiply out
     with pytest.raises(DomainError):
+        DensityMatrix(np.eye(1), legs=(2**63 - 1, 2**63 - 1))  # product exceeds int64
+    with pytest.raises(DomainError):
         DensityMatrix(np.full((2, 2), np.nan))
 
 
@@ -160,7 +162,6 @@ PINNED_TOLERANCES = {
     "ISOMETRY_TOL": 1e-10,
     "BASIS_GRAM_TOL": 1e-12,
     "PHASE_EQ_TOL": 1e-10,
-    "FACTOR_STRICT_TOL": 1e-8,
     "PRODUCT_RECONSTRUCTION_TOL": 1e-10,
     "PHASE_REF_CUTOFF": 1e-8,
     "ORTHOGONALITY_TOL": 1e-8,
@@ -169,7 +170,7 @@ PINNED_TOLERANCES = {
     "CONDITIONAL_STATE_CUTOFF": 1e-12,
     "CORRELATION_SIGN_TOL": 1e-8,
     "TOTAL_SIGN_TOL": 1e-10,
-    "DEFAULT_REFINE_TOL": 1e-7,
+    "REFINE_TOL": 1e-7,
     "POLE_CUTOFF": 1e-15,
     "IMAG_RESIDUE_TOL": 1e-10,
     "RANK_TOL": 1e-10,

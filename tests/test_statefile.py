@@ -104,6 +104,11 @@ def test_bad_dims_line():
         loads_state("\n".join([good[0], "dims:"] + good[2:]))
     with pytest.raises(StateFileError):
         loads_state("\n".join([good[0], "dims: 2 0"] + good[2:]))
+    # the dims product is taken exactly: int64 would wrap it to 1
+    with pytest.raises(StateFileError, match="expected 85070591730234615847396907784232501249 "):
+        loads_state(f"{good[0]}\ndims: {2**63 - 1} {2**63 - 1}\n1+0j\n")
+    with pytest.raises(StateFileError, match="expected 18446744078004518912 matrix rows"):
+        loads_state(f"{good[0]}\ndims: 4294967296 4294967297\n1+0j\n")
 
 
 def test_wrong_row_count():

@@ -125,8 +125,6 @@ def test_factor_pure_examples():
     singlet = bell("psi-")
     fac = factor_pure(singlet)
     assert fac.residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-    with pytest.raises(DomainError):
-        factor_pure(singlet, strict=True)
 
     with pytest.raises(DomainError):
         factor_pure(PureState(np.array([1.0, 0, 0, 0, 0, 0]), (2, 3)))
@@ -142,7 +140,7 @@ def test_factor_pure_random_products():
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
         state = PureState(np.kron(u, v), (2, 2))
-        fac = factor_pure(state, strict=True)
+        fac = factor_pure(state)
         assert fac.residual < 1e-12
         assert np.abs(fac.left.vector - _canon_phase(u)).max() < 1e-10
         assert np.abs(fac.right.vector - _canon_phase(v)).max() < 1e-10

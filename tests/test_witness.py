@@ -42,8 +42,9 @@ def test_pauli_basis():
     zero_proj = np.diag([1.0, 0.0])
     coeff = [np.trace(e @ zero_proj).real for e in basis.elements]
     assert np.allclose(coeff, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
-    with pytest.raises(DomainError):
-        pauli_basis(3)
+    # the default Pauli basis only fits qubit legs
+    with pytest.raises(DomainError, match="basis_b has dimension 2, leg needs 3"):
+        witness_report(DensityMatrix(np.eye(6) / 6, (2, 3)))
 
 
 def test_operator_basis_validation():
