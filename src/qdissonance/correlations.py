@@ -313,6 +313,9 @@ def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> Correla
         raise ArithmeticError(
             f"inconsistent correlations: total={total}, classical={classical}, discord={disc}"
         )
+    # rounding may break 0 <= classical <= total by a few ulps; report inside it
+    total = max(total, 0.0)
+    classical = min(max(classical, 0.0), total)
     probs = []
     cond = []
     _, db = rho.legs
@@ -327,7 +330,7 @@ def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> Correla
     return CorrelationReport(
         total=total,
         classical=classical,
-        discord=disc,
+        discord=total - classical,
         geometric_discord=geometric_discord(rho) if two_qubit else None,
         concurrence=concurrence(rho) if two_qubit else None,
         negativity=negativity(rho),
@@ -355,7 +358,7 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         t = 2.0 * r[1:, 1:]
         k = np.outer(x, x) + t @ t.T
         kmax = float(np.linalg.eigvalsh(k)[-1])
-        return float((x @ x + np.sum(t * t) - kmax) / 4.0)
+        return max(float((x @ x + np.sum(t * t) - kmax) / 4.0), 0.0)
     if method == "brute-force":
         blocks = _b_blocks(rho)
         pur = float(np.real(np.trace(rho.matrix @ rho.matrix)))

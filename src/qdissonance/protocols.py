@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qla import (
-    ISOMETRY_TOL, ORTHOGONALITY_TOL, PROB_CUTOFF, DensityMatrix, DomainError, partial_trace,
-    trace_distance,
+    ISOMETRY_TOL, ORTHOGONALITY_TOL, PROB_CUTOFF, DensityMatrix, DomainError, _as_index,
+    partial_trace, trace_distance,
 )
 from .states import cc_pairs, product_decomposition, werner
 from .correlations import CorrelationReport, discord
@@ -253,6 +253,7 @@ def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:
     """
     if state.legs != (2, 2, 2, 2, 2, 2):
         raise DomainError(f"conditional_block expects six qubit legs, got {state.legs}")
+    m, n = _as_index(m, "control label m"), _as_index(n, "control label n")
     if m not in (0, 1) or n not in (0, 1):
         raise DomainError(f"control labels must be bits, got ({m}, {n})")
     k = 2 * m + n

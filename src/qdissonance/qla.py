@@ -10,6 +10,7 @@ higher-level modules never juggle raw reshape bookkeeping.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,12 +31,11 @@ __all__ = [
 # bounds.  *_TOL bounds a residual a check accepts, *_CUTOFF is a magnitude
 # below which a quantity is treated as zero, *_FLOOR is a result reported
 # as exactly 0 at or below it.
-HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix or an operator-basis element
+HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
 PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
 NORM_TOL = 1e-12  # | |v| - 1 | of a normalized state vector
 ISOMETRY_TOL = 1e-10  # max|C^dagger C - I|: basis vectors, Kraus completeness, unitarity
-BASIS_GRAM_TOL = 1e-12  # max|Tr(X_i X_j) - delta_ij| of an operator basis
 PHASE_EQ_TOL = 1e-10  # residual of the Werner phase equation
 PRODUCT_RECONSTRUCTION_TOL = 1e-10  # max entry error of a product decomposition and its pairs
 PHASE_REF_CUTOFF = 1e-8  # amplitude the phase-fixing entry of a factor must exceed
@@ -70,8 +70,16 @@ def _as_complex_array(data, name: str) -> np.ndarray:
     return arr
 
 
+def _as_index(value, name: str) -> int:
+    """``value`` as a Python int; numpy integers pass, floats are refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_legs(legs: Sequence[int], total: int, name: str) -> tuple[int, ...]:
-    legs = tuple(int(d) for d in legs)
+    legs = tuple(_as_index(d, f"{name} leg") for d in legs)
     if not legs or any(d < 1 for d in legs):
         raise DomainError(f"{name}: legs must be positive integers, got {legs}")
     if math.prod(legs) != total:
@@ -205,7 +213,7 @@ def tensor(a, b):
 def permute_legs(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
     """Reorder tensor legs so that new leg ``i`` is old leg ``perm[i]``."""
     n = len(rho.legs)
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_as_index(p, "perm entry") for p in perm)
     if sorted(perm) != list(range(n)):
         raise DomainError(f"perm {perm} is not a permutation of 0..{n - 1}")
     dims = rho.legs
@@ -220,7 +228,7 @@ def permute_legs(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     """Trace out the legs listed in ``discard``, keeping the rest in order."""
     n = len(rho.legs)
-    discard = sorted(set(int(i) for i in discard))
+    discard = sorted(set(_as_index(i, "discard index") for i in discard))
     if any(i < 0 or i >= n for i in discard):
         raise DomainError(f"discard indices {discard} out of range for {n} legs")
     if len(discard) == n:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .qla import (
     ISOMETRY_TOL, PHASE_EQ_TOL, PHASE_REF_CUTOFF, PRODUCT_RECONSTRUCTION_TOL, TRACE_TOL,
-    DensityMatrix, DomainError, PureState,
+    DensityMatrix, DomainError, PureState, _as_index,
 )
 
 __all__ = [
@@ -358,7 +358,7 @@ def cc_pairs(k: int) -> DensityMatrix:
     Each (A_j, B_j) pair is the uniform CC state; pairs are mutually
     uncorrelated.  Rank 2^k, purity 2^-k.
     """
-    if k not in (2, 3):
+    if _as_index(k, "cc_pairs: k") not in (2, 3):
         raise DomainError(f"cc_pairs: k must be 2 or 3, got {k}")
     d = 2**k
     rho = np.zeros((d * d, d * d), dtype=complex)

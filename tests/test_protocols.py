@@ -210,6 +210,8 @@ def test_conditional_block_errors():
         conditional_block(res.post_operation, 2, 0)
     with pytest.raises(DomainError):
         conditional_block(res.final, 0, 0)  # wrong leg structure
+    with pytest.raises(DomainError, match="must be an integer"):
+        conditional_block(res.post_operation, 0.0, 1.0)
 
 
 def test_certify_z13_outputs():

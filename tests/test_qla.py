@@ -38,6 +38,10 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(1), legs=(2**63 - 1, 2**63 - 1))  # product exceeds int64
     with pytest.raises(DomainError):
         DensityMatrix(np.full((2, 2), np.nan))
+    # fractional legs are refused, not truncated to (2, 2); numpy integers pass
+    with pytest.raises(DomainError, match="leg must be an integer"):
+        DensityMatrix(np.eye(4) / 4, (2.9, 2.2))
+    assert DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int32(2))).legs == (2, 2)
 
 
 def test_density_matrix_keeps_its_spectrum():
@@ -112,6 +116,9 @@ def test_permute_legs_swaps_factors():
     assert np.abs(back.matrix - ab.matrix).max() < 1e-14
     with pytest.raises(DomainError):
         permute_legs(ab, (0, 0))
+    with pytest.raises(DomainError, match="perm entry must be an integer"):
+        permute_legs(ab, (1.0, 0.0))
+    assert permute_legs(ab, np.array([1, 0])).legs == (3, 2)
 
 
 def test_partial_trace():
@@ -129,6 +136,10 @@ def test_partial_trace():
         partial_trace(ab, (0, 1))
     with pytest.raises(DomainError):
         partial_trace(ab, (5,))
+    # a fractional index is refused, not truncated to leg 0
+    with pytest.raises(DomainError, match="discard index must be an integer"):
+        partial_trace(werner(0.2), (0.7,))
+    assert partial_trace(ab, (np.int64(1),)).legs == (2,)
 
 
 def test_partial_trace_multi_leg():
@@ -160,7 +171,6 @@ PINNED_TOLERANCES = {
     "PSD_TOL": -1e-10,
     "NORM_TOL": 1e-12,
     "ISOMETRY_TOL": 1e-10,
-    "BASIS_GRAM_TOL": 1e-12,
     "PHASE_EQ_TOL": 1e-10,
     "PRODUCT_RECONSTRUCTION_TOL": 1e-10,
     "PHASE_REF_CUTOFF": 1e-8,

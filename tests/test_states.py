@@ -275,6 +275,9 @@ def test_cc_pairs():
 
     with pytest.raises(DomainError):
         cc_pairs(4)
+    with pytest.raises(DomainError, match="must be an integer"):
+        cc_pairs(2.0)
+    assert cc_pairs(np.int64(2)).legs == (2, 2, 2, 2)
 
 
 def test_cc_pairs_leg_order():

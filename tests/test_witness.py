@@ -6,17 +6,14 @@ import pytest
 from qdissonance import (
     DensityMatrix,
     DomainError,
-    OperatorBasis,
-    bell,
     cc_state,
     correlation_matrix,
     decompose_sf,
-    pauli_basis,
-    projector,
     tensor,
     werner,
     witness_report,
 )
+from qdissonance.witness import _PAULI_BASIS
 
 from _zoo import (
     build_zoo,
@@ -24,6 +21,7 @@ from _zoo import (
     random_cq,
     random_density,
     random_product,
+    random_qubit_basis,
     random_two_qubit,
 )
 
@@ -31,32 +29,22 @@ SEED = 7300
 
 
 def test_pauli_basis():
-    basis = pauli_basis()
-    for i, a in enumerate(basis.elements):
-        for j, b in enumerate(basis.elements):
+    basis = _PAULI_BASIS
+    assert basis.shape == (4, 2, 2) and not basis.flags.writeable
+    for i, a in enumerate(basis):
+        assert np.abs(a - a.conj().T).max() == 0.0
+        for j, b in enumerate(basis):
             ref = 1.0 if i == j else 0.0
             assert abs(np.trace(a @ b) - ref) < 1e-14
     half = np.eye(2) / 2
-    coeff = [np.trace(e @ half).real for e in basis.elements]
+    coeff = [np.trace(e @ half).real for e in basis]
     assert np.allclose(coeff, [1 / np.sqrt(2), 0, 0, 0])
     zero_proj = np.diag([1.0, 0.0])
-    coeff = [np.trace(e @ zero_proj).real for e in basis.elements]
+    coeff = [np.trace(e @ zero_proj).real for e in basis]
     assert np.allclose(coeff, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
-    # the default Pauli basis only fits qubit legs
-    with pytest.raises(DomainError, match="basis_b has dimension 2, leg needs 3"):
+    # the Pauli basis only fits qubit legs
+    with pytest.raises(DomainError, match=r"needs legs \(2, 2\), got \(2, 3\)"):
         witness_report(DensityMatrix(np.eye(6) / 6, (2, 3)))
-
-
-def test_operator_basis_validation():
-    with pytest.raises(DomainError, match="elements 0,0 not HS-orthonormal"):
-        OperatorBasis(elements=(np.eye(2),) * 4)  # not orthonormal
-    with pytest.raises(DomainError, match="elements 0,1 not HS-orthonormal"):
-        OperatorBasis(elements=(np.eye(2) / np.sqrt(2),) * 4)  # normalized, not orthogonal
-    with pytest.raises(DomainError):
-        OperatorBasis(elements=(np.eye(2) / np.sqrt(2),) * 3)  # wrong count
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(DomainError, match="element 1 is not Hermitian"):
-        OperatorBasis(elements=(np.eye(2) / np.sqrt(2), bad, bad.T, np.diag([1, -1]) / np.sqrt(2)))
 
 
 def test_correlation_matrix_maximally_mixed():
@@ -74,23 +62,21 @@ def test_correlation_matrix_werner_slots():
 
 
 def test_correlation_matrix_rotated_bases():
-    # r_nm = Tr[rho (A_n x B_m)] for non-Pauli bases on both sides
+    # r_nm = Tr[rho (P_n x P_m)], against an explicit kron and trace
     rng = np.random.default_rng(SEED + 4)
     for rho in [werner(0.3)] + [random_density(rng, 4, (2, 2)) for _ in range(5)]:
-        ba, bb = _rotated_basis(rng), _rotated_basis(rng)
         ref = np.array(
-            [[np.trace(rho.matrix @ np.kron(a, b)).real for b in bb.elements] for a in ba.elements]
+            [[np.trace(rho.matrix @ np.kron(a, b)).real for b in _PAULI_BASIS] for a in _PAULI_BASIS]
         )
-        assert np.abs(correlation_matrix(rho, ba, bb) - ref).max() < 1e-13
+        assert np.abs(correlation_matrix(rho) - ref).max() < 1e-13
 
 
 def test_correlation_matrix_errors():
     with pytest.raises(DomainError):
         correlation_matrix(DensityMatrix(np.eye(8) / 8, (2, 2, 2)))
-    # raw basis sequences are validated before use
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(DomainError):
-        correlation_matrix(werner(0.2), basis_a=[np.eye(2) / np.sqrt(2), bad, bad.T, bad])
+    # the Pauli basis needs two qubit legs
+    with pytest.raises(DomainError, match=r"needs legs \(2, 2\), got \(2, 3\)"):
+        correlation_matrix(DensityMatrix(np.eye(6) / 6, (2, 3)))
 
 
 def test_decompose_sf_ranks():
@@ -187,24 +173,19 @@ def test_witness_report_composition():
     assert not rep.verdicts["commutator_zero_discord"]
 
 
-def _rotated_basis(rng):
-    # rotate the Pauli basis by a random orthogonal coefficient matrix;
-    # stays Hermitian and HS-orthonormal
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    elems = tuple(
-        sum(q[n, k] * e for k, e in enumerate(pauli_basis().elements)) for n in range(4)
-    )
-    return OperatorBasis(elements=elems)
-
-
 def test_rank_is_basis_independent():
+    # U_A x U_B rotates the Pauli coefficients by orthogonal O_A, O_B, which
+    # is a change of local operator basis: L, the singular values and both
+    # verdicts must not move
     rng = np.random.default_rng(SEED + 2)
-    states = [werner(0.3), cc_state(np.diag([0.5, 0.5])), projector(bell("phi+"))]
-    for rho in states:
-        ref = decompose_sf(rho).l_rank
+    for name, rho, _ in build_zoo():
+        ref = decompose_sf(rho)
         for _ in range(3):
-            rot = decompose_sf(rho, basis_a=_rotated_basis(rng), basis_b=_rotated_basis(rng))
-            assert rot.l_rank == ref
+            u = np.kron(*(np.column_stack(random_qubit_basis(rng)) for _ in range(2)))
+            rot = decompose_sf(DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2)))
+            assert rot.l_rank == ref.l_rank, name
+            assert np.abs(rot.singular_values - ref.singular_values).max() <= 1e-12, name
+            assert dict(rot.verdicts) == dict(ref.verdicts), name
 
 
 def test_witness_verdicts_match_discord_tags_on_zoo():
