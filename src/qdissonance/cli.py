@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .qla import TARGET_DISTANCE_TOL, DomainError, projector
+from .qla import TARGET_DISTANCE_TOL, DomainError, _as_index, projector
 from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
 from .correlations import DEFAULT_GRID, discord
 from .witness import WitnessReport, witness_report
@@ -159,6 +159,7 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
     """Measure werner(z) on an even grid; yields one row dict per z."""
     if not (0.0 <= zmin < zmax <= 1.0):
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
+    steps = _as_index(steps, "steps")
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:

@@ -10,12 +10,13 @@ The measurement optimization scans a deterministic grid over the
 upper Bloch hemisphere (n and -n are the same projective measurement,
 with the outcomes swapped), tile by tile into one value array, and
 refines the best three cells together with a compass search on the
-(theta, phi) angles, so repeated runs give identical results.  For
-two-qubit states the conditional entropy comes from the Bloch data
-(x, y, T) of the correlation matrix (Luo, PRA 77, 042303, 2008): each
-outcome's B state has eigenvalues (1 + s x.n +/- |y + s T^T n|)/4, so
-no post-measurement matrices are formed.  Qubit-qudit states use the
-post-measurement B blocks and their eigenvalues.
+(theta, phi) angles, so repeated runs give identical results.
+Measuring +/-n on A leaves B in the unnormalized states
+(G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
+entropy is the entropy of their spectra.  For a qubit B the spectrum
+is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
+coefficients of the G_i, so no matrices are formed; otherwise it is
+eigvalsh.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .qla import (
     CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, ENTANGLEMENT_FLOOR, POLE_CUTOFF, PROB_CUTOFF,
-    REFINE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError, partial_trace,
+    REFINE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError, _as_index, partial_trace,
 )
 from .witness import PAULI_MATRICES, correlation_matrix
 
@@ -49,8 +50,9 @@ DEFAULT_GRID = (64, 128)
 # ~2.5x the 640x1280 oracle grid.  Larger grids are rejected before the
 # scan allocates anything.
 MAX_GRID_POINTS = 2**21
-# Directions per objective call in the grid scan: bounds the scan's
-# temporaries; 2**15 was the fastest tile on the 640x1280 grid.
+# Two-qubit directions per objective call in the grid scan: bounds the
+# scan's temporaries; 2**15 was the fastest tile on the 640x1280 grid.
+# A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**15
 
 
@@ -71,14 +73,17 @@ class Measurement:
     theta: float
     phi: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
+            raise DomainError(f"measurement angles must be finite, got ({self.theta}, {self.phi})")
+
     @property
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(I + n.sigma)/2 and (I - n.sigma)/2 for the unit vector n(theta, phi).
 
         Both are exactly Hermitian, since n.sigma is.
         """
-        ns = sum(c * s for c, s in zip(_direction(self.theta, self.phi), PAULI_MATRICES[1:]))
-        return (np.eye(2) + ns) / 2.0, (np.eye(2) - ns) / 2.0
+        return tuple(_split(PAULI_MATRICES, _direction(self.theta, self.phi)))
 
 
 def qubit_measurement(theta: float, phi: float) -> Measurement:
@@ -123,29 +128,35 @@ def total_correlation(rho: DensityMatrix) -> float:
     return sa + sb - entropy(rho)
 
 
-def _b_blocks(rho: DensityMatrix) -> np.ndarray:
-    """B-side blocks of a [2, d_B] state: blocks[i, j] = <i|_A rho |j>_A."""
+def _pauli_parts(rho: DensityMatrix) -> np.ndarray:
+    """G_i = Tr_A[(sigma_i x I) rho] of a [2, d_B] state, shape (4, d_B, d_B); G_0 = rho_B."""
     da, db = _require_bipartite(rho, "measurement on A")
     if da != 2:
         raise DomainError(f"measured leg must have dimension 2, got {da}")
-    return rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
+    return np.einsum("nca,abce->nbe", PAULI_MATRICES, rho.matrix.reshape(2, db, 2, db))
 
 
-def _post_blocks(blocks: np.ndarray, nx, ny, nz) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized B states after measuring +/- n on A; broadcasts over directions.
+def _split(parts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Both outcomes (X_0 +/- n.X)/2 of a Pauli-part stack X, for directions n.
 
-    Tracing A out of (P x I) rho (P x I) contracts the projector
-    against the A indices of the blocks, leaving
-    (1/2) [(1 +/- nz) B00 +/- (nx + i ny) B01 +/- (nx - i ny) B10 + (1 -/+ nz) B11].
+    ``parts`` has shape (4, *s) and ``n`` shape (3, *dirs); the result
+    has shape (2, *s, *dirs), the + outcome first.
     """
-    nx = np.asarray(nx, dtype=float)[..., None, None]
-    ny = np.asarray(ny, dtype=float)[..., None, None]
-    nz = np.asarray(nz, dtype=float)[..., None, None]
-    b00, b01, b10, b11 = blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1]
-    cross = (nx + 1j * ny) * b01 + (nx - 1j * ny) * b10
-    plus = 0.5 * ((1.0 + nz) * b00 + cross + (1.0 - nz) * b11)
-    minus = 0.5 * ((1.0 - nz) * b00 - cross + (1.0 + nz) * b11)
-    return plus, minus
+    shape = parts.shape[1:] + n.shape[1:]
+    nx = (parts[1:].reshape(3, -1).T @ n.reshape(3, -1)).reshape(shape)
+    x0 = parts[0].reshape(parts.shape[1:] + (1,) * (n.ndim - 1))
+    return np.stack([x0 + nx, x0 - nx]) / 2.0
+
+
+def _bloch_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (m_0 -/+ |m|)/2 of (m_0 I + m.sigma)/2, from Pauli coefficients on axis 1."""
+    rad = np.sqrt((m[:, 1:] * m[:, 1:]).sum(axis=1))
+    return np.stack([m[:, 0] - rad, m[:, 0] + rad]) / 2.0
+
+
+def _matrix_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the matrices on axes 1 and 2, on a new first axis."""
+    return np.moveaxis(np.linalg.eigvalsh(np.moveaxis(m, (1, 2), (-2, -1))), -1, 0)
 
 
 def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
@@ -157,31 +168,18 @@ def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
 def _conditional_entropy_objective(rho: DensityMatrix):
     """sum_a p_a S(rho_B|a) as a function of directions n, shape (3, ...) -> (...).
 
-    Two qubits: from the Bloch data x, y, T, each outcome s = +/-1 has
-    eigenvalues (1 + s x.n +/- |y + s T^T n|)/4.  Qubit-qudit: the
-    eigenvalues of the post-measurement B blocks.
+    The outcome states are split from the Pauli parts G_i.  For two
+    qubits the parts are Luo's Bloch data 2 r = [[1, y], [x, T]] (r the
+    correlation matrix), the Pauli coefficients of 2 G_i, and each
+    outcome's spectrum is closed form; otherwise they are the G_i.
     """
-    blocks = _b_blocks(rho)  # also checks that A is a qubit
-    if rho.legs != (2, 2):
-
-        def objective(n):
-            return sum(
-                _cond_entropy_terms(np.moveaxis(np.linalg.eigvalsh(m), -1, 0))
-                for m in _post_blocks(blocks, *n)
-            )
-
-        return objective
-    r = correlation_matrix(rho)
-    x, y, t = 2.0 * r[1:, 0], 2.0 * r[0, 1:], 2.0 * r[1:, 1:]
+    if rho.legs == (2, 2):
+        parts, spectrum = 2.0 * correlation_matrix(rho), _bloch_spectrum
+    else:
+        parts, spectrum = _pauli_parts(rho), _matrix_spectrum
 
     def objective(n):
-        flat = n.reshape(3, -1)
-        xn, tn = x @ flat, t.T @ flat
-        p = 1.0 + np.stack([xn, -xn])  # 1 + s x.n for s = +1, -1
-        u = y[:, None] + np.stack([tn, -tn])  # y + s T^T n
-        rad = np.sqrt((u * u).sum(axis=1))
-        lam = np.stack([p - rad, p + rad]) / 4.0  # (eigenvalue, outcome, direction)
-        return _cond_entropy_terms(lam).sum(axis=0).reshape(n.shape[1:])
+        return _cond_entropy_terms(spectrum(_split(parts, n))).sum(axis=0)
 
     return objective
 
@@ -201,7 +199,9 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     phi; for even T and P this grid is closed under n -> -n, so it
     holds every measurement of the full T x P sphere grid.
     """
-    gt, gp = grid
+    if len(grid) != 2:
+        raise DomainError(f"grid must have two entries, got {grid!r}")
+    gt, gp = (_as_index(g, "grid entry") for g in grid)
     if gt < 2 or gp < 2:
         raise DomainError(f"grid must be at least 2x2, got {grid}")
     if gt * gp > MAX_GRID_POINTS:
@@ -211,13 +211,13 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _scan(objective, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Objective on every (theta, phi) pair in row-major order, _SCAN_TILE at a time."""
+def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE) -> np.ndarray:
+    """Objective on every (theta, phi) pair in row-major order, ``tile`` at a time."""
     # trig of the 1-D tables only; the grid is their outer product
     n = _direction(thetas[:, None], phis).reshape(3, -1)
     vals = np.empty(n.shape[1])
-    for lo in range(0, vals.size, _SCAN_TILE):
-        vals[lo : lo + _SCAN_TILE] = objective(n[:, lo : lo + _SCAN_TILE])
+    for lo in range(0, vals.size, tile):
+        vals[lo : lo + tile] = objective(n[:, lo : lo + tile])
     return vals
 
 
@@ -233,7 +233,7 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
 _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
 
 
-def _minimize_over_directions(objective, grid: tuple[int, int]):
+def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCAN_TILE):
     """Hemisphere-grid scan + compass-search refinement of the best 3 cells.
 
     ``objective(n)`` must map directions of shape (3, ...) to values
@@ -248,7 +248,7 @@ def _minimize_over_directions(objective, grid: tuple[int, int]):
     order).
     """
     thetas, phis = _grid_directions(grid)
-    vals = _scan(objective, thetas, phis)
+    vals = _scan(objective, thetas, phis, tile)
     seeds = _smallest(vals, 3)
     row, col = np.divmod(seeds, phis.size)
     theta, phi, val = thetas[row], phis[col], vals[seeds]
@@ -280,7 +280,8 @@ def classical_correlation(
     """
     objective = _conditional_entropy_objective(rho)
     sb = entropy(partial_trace(rho, (0,)))
-    val, theta, phi = _minimize_over_directions(objective, grid)
+    tile = max(_SCAN_TILE * 4 // rho.legs[1] ** 2, 1)
+    val, theta, phi = _minimize_over_directions(objective, grid, tile)
     return sb - val, qubit_measurement(theta, phi)
 
 
@@ -319,7 +320,7 @@ def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> Correla
     probs = []
     cond = []
     _, db = rho.legs
-    for reduced in _post_blocks(_b_blocks(rho), *_direction(m.theta, m.phi)):
+    for reduced in _split(_pauli_parts(rho), _direction(m.theta, m.phi)):
         p = float(np.real(np.trace(reduced)))
         probs.append(p)
         if p > CONDITIONAL_STATE_CUTOFF:
@@ -347,7 +348,7 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     ``(|x|^2 + |T|^2 - k_max) / 4`` with k_max the largest eigenvalue
     of ``x x^T + T T^T``.  ``method="brute-force"`` instead minimizes
     the distance over the zero-discord set directly (exactly over the
-    B-side blocks for each measurement basis, numerically over the
+    B-side outcome states for each measurement basis, numerically over the
     basis direction on the default grid) and serves as the validation oracle.
     """
     if rho.legs != (2, 2):
@@ -360,14 +361,11 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         kmax = float(np.linalg.eigvalsh(k)[-1])
         return max(float((x @ x + np.sum(t * t) - kmax) / 4.0), 0.0)
     if method == "brute-force":
-        blocks = _b_blocks(rho)
+        parts = _pauli_parts(rho)
         pur = float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
         def objective(n):
-            plus, minus = _post_blocks(blocks, *n)
-            sq = np.abs(plus) ** 2
-            sq_m = np.abs(minus) ** 2
-            return pur - sq.sum(axis=(-2, -1)) - sq_m.sum(axis=(-2, -1))
+            return pur - (np.abs(_split(parts, n)) ** 2).sum(axis=(0, 1, 2))
 
         val, _, _ = _minimize_over_directions(objective, DEFAULT_GRID)
         return float(val)

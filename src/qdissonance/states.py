@@ -54,9 +54,11 @@ def _check_orthonormal(vecs: Sequence[np.ndarray], d: int, name: str) -> list[np
 
 
 def _check_probabilities(p: np.ndarray, op: str) -> None:
-    """A nonempty, nonnegative table summing to 1: the unit trace of the state built from it."""
+    """A nonempty, finite, nonnegative table summing to 1: the unit trace of the state built from it."""
     if p.size == 0:
         raise DomainError(f"{op}: probability table is empty")
+    if not np.isfinite(p).all():
+        raise DomainError(f"{op}: probability table has non-finite entries")
     if p.min() < 0:
         raise DomainError(f"{op}: negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > TRACE_TOL:

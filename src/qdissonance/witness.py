@@ -40,7 +40,8 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """Real coefficient matrix r_nm = Tr[rho (P_n x P_m)] in the normalized Pauli basis."""
     if rho.legs != (2, 2):
         raise DomainError(f"correlation_matrix needs legs (2, 2), got {rho.legs}")
-    r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS)
+    # the Paulis halved, not the rounded basis: exact for dyadic entries
+    r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(2, 2, 2, 2), PAULI_MATRICES, PAULI_MATRICES) / 2.0
     resid = np.abs(r.imag).max()
     if resid > IMAG_RESIDUE_TOL:
         raise DomainError(f"correlation matrix has imaginary residue {resid:.3e}")

@@ -5,10 +5,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qdissonance
-from qdissonance import DensityMatrix, load_state, save_state, werner
-from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main
+from qdissonance import DensityMatrix, DomainError, load_state, save_state, werner
+from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main, sweep_rows
 
 
 def run(capsys, *argv):
@@ -275,6 +276,11 @@ def test_sweep_bad_ranges(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and big in err
     assert not (tmp_path / "big.csv").exists()
+    # the library reads steps as an integer; numpy integers pass
+    for bad in (3.0, 2.5):
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            list(sweep_rows(0.0, 1.0, bad))
+    assert len(list(sweep_rows(0.0, 1.0, np.int64(2), grid=(4, 8)))) == 2
 
 
 def test_sweep_unwritable_out(tmp_path, capsys):

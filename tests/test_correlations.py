@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qdissonance import (
     total_correlation,
     werner,
 )
+from qdissonance import correlations
 from qdissonance.correlations import (
     DEFAULT_GRID,
     Measurement,
@@ -88,6 +90,10 @@ def test_qubit_measurement():
     plus = np.array([1, 1]) / np.sqrt(2)
     assert np.abs(m.projectors[0] - np.outer(plus, plus)).max() < 1e-15
     assert Measurement(theta=np.pi / 2, phi=0.0) == m
+    # a non-finite angle is no direction; it must not reach the entropy
+    for bad in ((float("nan"), 0.0), (0.0, float("nan")), (np.inf, 0), (0.0, -np.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            qubit_measurement(*bad)
 
 
 def test_conditional_entropy_product_state():
@@ -288,6 +294,12 @@ def test_opt_grid_flag_changes_resolution_not_result():
     assert rep_fine.discord == pytest.approx(rep_default.discord, abs=1e-7)
     with pytest.raises(DomainError):
         discord(werner(0.5), grid=(1, 4))
+    # grid entries are integers, and there are exactly two of them
+    for bad in ((64.5, 128), (64, 128.0), (64,), (8, 8, 8)):
+        with pytest.raises(DomainError):
+            discord(werner(0.3), grid=bad)
+    rep_np = discord(werner(0.5), grid=(np.int64(96), np.int32(192)))
+    assert rep_np.discord == rep_fine.discord
 
 
 def _random_unitary(rng):
@@ -325,10 +337,11 @@ _SIGMA = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.
 def _explicit_conditional_entropy(rho, n):
     """sum_s p_s S(rho_B|s) from Tr_A[(P_s x I) rho (P_s x I)], P_s = (I + s n.sigma)/2."""
     ns = sum(c * s for c, s in zip(n, _SIGMA))
+    db = rho.legs[1]
     total = 0.0
     for sgn in (1.0, -1.0):
-        big = np.kron((np.eye(2) + sgn * ns) / 2.0, np.eye(2))
-        post = (big @ rho.matrix @ big).reshape(2, 2, 2, 2)
+        big = np.kron((np.eye(2) + sgn * ns) / 2.0, np.eye(db))
+        post = (big @ rho.matrix @ big).reshape(2, db, 2, db)
         lam = np.clip(np.linalg.eigvalsh(np.einsum("abad->bd", post)), 0.0, None)
         p = lam.sum()
         total += -sum(v * np.log2(v) for v in lam if v > 1e-14) + (p * np.log2(p) if p > 1e-14 else 0.0)
@@ -360,6 +373,15 @@ def test_bloch_objective_matches_explicit_projection():
             classical, best = classical_correlation(rho)
             sb = entropy(partial_trace(rho, (0,)))
             assert abs(sb - classical - conditional_entropy_after(rho, best)) <= 1e-13
+    # qubit-qudit states: the same split, with eigvalsh for the spectrum
+    for i in range(20):
+        db = (3, 5)[i % 2]
+        rho = random_density(rng, 2 * db, (2, db), rank=1 + i % (2 * db))
+        for _ in range(3):
+            theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+            n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+            val = conditional_entropy_after(rho, qubit_measurement(theta, phi))
+            assert abs(val - _explicit_conditional_entropy(rho, n)) <= 1e-13
 
 
 def test_top3_selection_matches_stable_argsort():
@@ -371,6 +393,26 @@ def test_top3_selection_matches_stable_argsort():
     # the isotropic Werner objective is flat up to rounding: ties everywhere
     vals = _scan(_conditional_entropy_objective(werner(0.3)), *_grid_directions(DEFAULT_GRID))
     assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
+
+
+def test_qudit_scan_memory_is_bounded_by_tile(monkeypatch):
+    """The scan tile counts split entries, so a (2, 16) scan stays small."""
+    rng = np.random.default_rng(SEED + 14)
+    rho = random_density(rng, 32, (2, 16))
+    tracemalloc.start()
+    try:
+        discord(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    # the tile only splits the scan; the result does not depend on it
+    small = random_density(rng, 6, (2, 3))
+    ref = discord(small)
+    monkeypatch.setattr(correlations, "_SCAN_TILE", 64)
+    tiled = discord(small)
+    assert abs(tiled.discord - ref.discord) <= 1e-14
+    assert abs(tiled.classical - ref.classical) <= 1e-14
 
 
 def test_odd_and_tiny_grids_agree_with_luo_and_default():

@@ -223,6 +223,9 @@ def test_cc_state():
     for empty in (np.zeros((1, 0)), np.zeros((2, 0)), np.zeros((0, 2))):
         with pytest.raises(DomainError, match="empty"):
             cc_state(empty)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="cc_state: probability table has non-finite entries"):
+            cc_state(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_cc_state_custom_bases():
@@ -256,6 +259,9 @@ def test_cq_state():
     for empty in ([], np.zeros((1, 0))):
         with pytest.raises(DomainError, match="empty"):
             cq_state(empty, None, [])
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(DomainError, match="cq_state: probability table has non-finite entries"):
+            cq_state([bad, 1.0], None, [sigma, sigma])
 
 
 def test_cc_pairs():

@@ -54,6 +54,12 @@ def test_correlation_matrix_maximally_mixed():
     assert np.abs(r - expect).max() < 1e-14
 
 
+def test_correlation_matrix_exact_on_dyadic_state():
+    # the Paulis are contracted and the sum halved, so no rounded 1/sqrt(2) enters
+    r = correlation_matrix(cc_state(np.diag([0.5, 0.5])))
+    assert np.array_equal(r, np.diag([0.5, 0.0, 0.0, 0.5]))
+
+
 def test_correlation_matrix_werner_slots():
     for z in (0.0, 0.2, 1.0 / 3.0, 1.0):
         r = correlation_matrix(werner(z))
