@@ -155,8 +155,16 @@ def cmd_protocol(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
+# Each row measures one Werner state; larger sweeps are rejected before
+# anything is allocated.
+MAX_SWEEP_STEPS = 10_000
+
+
 def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
-    """Measure werner(z) on an even grid; yields one row dict per z."""
+    """Measure werner(z) on an even grid: an iterator of one row dict per z.
+
+    The arguments are checked at the call, before any row is computed.
+    """
     if not (0.0 <= zmin < zmax <= 1.0):
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
     steps = _as_index(steps, "steps")
@@ -164,18 +172,17 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
         raise DomainError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:
         raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
-    for z in np.linspace(zmin, zmax, steps):
-        z = float(z)
-        rho = werner(z)
-        rep = discord(rho, grid=grid)
-        wit = witness_report(rho)
-        yield {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
+    return (_sweep_row(float(z), grid) for z in np.linspace(zmin, zmax, steps))
+
+
+def _sweep_row(z: float, grid) -> dict:
+    rho = werner(z)
+    rep = discord(rho, grid=grid)
+    wit = witness_report(rho)
+    return {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
 
 
 SWEEP_HEADER = ",".join(("z", *_MEASURES, "rank_L"))
-# Each row costs one full discord optimization; larger sweeps are rejected
-# before anything is allocated.
-MAX_SWEEP_STEPS = 10_000
 
 
 def cmd_sweep(args) -> int:

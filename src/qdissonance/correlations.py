@@ -10,7 +10,11 @@ The measurement optimization scans a deterministic grid over the
 upper Bloch hemisphere (n and -n are the same projective measurement,
 with the outcomes swapped), tile by tile into one value array, and
 refines the best three cells together with a compass search on the
-(theta, phi) angles, so repeated runs give identical results.
+(theta, phi) angles, so repeated runs give identical results.  When the
+scan's spread max - min is at most ``qla.FLAT_SPREAD_TOL`` (on a grid
+of at least 3 x 5) every measurement is optimal (Werner, product and
+pure states): the grid minimum is returned, nothing is refined, and
+the reported measurement is the pole theta = phi = 0.
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
 entropy is the entropy of their spectra.  For a qubit B the spectrum
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qla import (
-    CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, ENTANGLEMENT_FLOOR, POLE_CUTOFF, PROB_CUTOFF,
-    REFINE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError, _as_index, partial_trace,
+    CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL,
+    POLE_CUTOFF, PROB_CUTOFF, REFINE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError,
+    _as_index, partial_trace,
 )
 from .witness import PAULI_MATRICES, correlation_matrix
 
@@ -237,11 +242,15 @@ def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCA
     """Hemisphere-grid scan + compass-search refinement of the best 3 cells.
 
     ``objective(n)`` must map directions of shape (3, ...) to values
-    of shape (...), with f(n) = f(-n).  All seeds are refined
-    together: each iteration evaluates the 8-point (theta, phi)
-    stencil around every seed in one objective call; a seed moves to
-    its best neighbour when that is lower (not equal), otherwise its step
-    (initially one grid cell) halves.  Each iteration either lowers a
+    of shape (...), with f(n) = f(-n).  When the scan's spread
+    max - min is at most FLAT_SPREAD_TOL (on a grid of at least two
+    theta rows and five phi columns) the objective is flat: every
+    measurement is optimal, the grid minimum is returned with the
+    canonical pole theta = phi = 0, and nothing is refined.  Otherwise
+    all seeds are refined together: each iteration evaluates the
+    8-point (theta, phi) stencil around every seed in one objective
+    call; a seed moves to its best neighbour when that is lower (not
+    equal), otherwise its step (initially one grid cell) halves.  Each iteration either lowers a
     seed's value or halves its step, so the loop ends once every step
     is at most REFINE_TOL.  Returns (value, theta, phi) with
     canonical angles; deterministic (ties broken by grid and stencil
@@ -249,6 +258,11 @@ def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCA
     """
     thetas, phis = _grid_directions(grid)
     vals = _scan(objective, thetas, phis, tile)
+    # Two theta rows and five phi columns are the fewest that tell every
+    # quadratic n^T M n apart from a constant, so a coarser scan cannot
+    # vouch for flatness: on one row, cc_state(diag(.5, .5)) looks flat.
+    if thetas.size > 1 and phis.size > 4 and vals.max() - vals.min() <= FLAT_SPREAD_TOL:
+        return float(vals.min()), 0.0, 0.0
     seeds = _smallest(vals, 3)
     row, col = np.divmod(seeds, phis.size)
     theta, phi, val = thetas[row], phis[col], vals[seeds]
@@ -290,7 +304,10 @@ class CorrelationReport:
     """Bundle of every correlation measure for one bipartite state.
 
     ``geometric_discord`` and ``concurrence`` are None when the B side
-    is not a qubit (they are two-qubit quantities).
+    is not a qubit (they are two-qubit quantities).  An
+    ``argmin_measurement`` at the pole theta = phi = 0 on a flat
+    objective means every measurement is optimal (see
+    ``_minimize_over_directions``).
     """
 
     total: float

@@ -46,6 +46,7 @@ CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no con
 CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
 TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
 REFINE_TOL = 1e-7  # final compass-search step, radians
+FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
 IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix
 RANK_TOL = 1e-10  # singular value of R counted towards the rank L

@@ -279,7 +279,11 @@ def test_sweep_bad_ranges(tmp_path, capsys):
     # the library reads steps as an integer; numpy integers pass
     for bad in (3.0, 2.5):
         with pytest.raises(DomainError, match="steps must be an integer"):
-            list(sweep_rows(0.0, 1.0, bad))
+            sweep_rows(0.0, 1.0, bad)  # raises at the call, before any row
+    for zmin, zmax, steps in ((0.5, 0.2, 3), (0.0, 1.2, 3), (0.0, 1.0, 1),
+                              (0.0, 1.0, MAX_SWEEP_STEPS + 1)):
+        with pytest.raises(DomainError):
+            sweep_rows(zmin, zmax, steps)
     assert len(list(sweep_rows(0.0, 1.0, np.int64(2), grid=(4, 8)))) == 2
 
 

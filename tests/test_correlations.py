@@ -433,3 +433,52 @@ def test_odd_and_tiny_grids_agree_with_luo_and_default():
         ref = discord(rho).discord
         for grid in ((2, 2), (3, 5), (15, 31)):
             assert discord(rho, grid=grid).discord == pytest.approx(ref, abs=1e-7)
+
+
+def _at_pole(m):
+    return (m.theta, m.phi) == (0.0, 0.0)
+
+
+def test_flat_shortcut_fires_only_at_or_below_the_spread_tolerance():
+    """A planted eps * sz x sz / 4 on werner(0.2) spreads the scan by ~0.3 eps."""
+    base = werner(0.2).matrix
+    zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])) / 4
+    ref, m = classical_correlation(werner(0.2))
+    assert _at_pole(m)
+    for eps in (1e-9, 1e-11, 1e-12, 1e-13):
+        val, m = classical_correlation(DensityMatrix(base + eps * zz, (2, 2)))
+        assert not _at_pole(m), eps
+        assert abs(val - ref) <= 1e-9, eps
+    _, m = classical_correlation(DensityMatrix(base + 1e-15 * zz, (2, 2)))
+    assert _at_pole(m)
+    # a scan too coarse to resolve every quadratic never reads as flat
+    cc = cc_state(np.diag([0.5, 0.5]))
+    for grid in ((2, 4), (2, 64), (4, 4), (64, 4)):
+        assert classical_correlation(cc, grid=grid)[0] == pytest.approx(1.0, abs=1e-9), grid
+
+
+def test_flat_objectives_match_closed_forms_at_the_pole():
+    """Werner, Kraus-output, singlet, product and pure states against closed forms."""
+    for z in np.linspace(0.0, 1.0, 21):
+        rep = discord(werner(float(z)))
+        assert _at_pole(rep.argmin_measurement), z
+        assert abs(rep.discord - werner_discord_analytic(z)) <= 1e-12, z
+        brute = geometric_discord(werner(float(z)), method="brute-force")
+        assert abs(brute - z * z / 2) <= 1e-12, z
+    for z in (0.05, 0.2, 1.0 / 3.0):
+        rep = discord(run_kraus_protocol(z).final)
+        assert _at_pole(rep.argmin_measurement), z
+        assert abs(rep.discord - werner_discord_analytic(z)) <= 1e-12, z
+    val, m = classical_correlation(projector(bell("psi-")))
+    assert _at_pole(m) and abs(val - 1.0) <= 1e-12
+    rng = np.random.default_rng(SEED + 15)
+    for i in range(20):
+        rep = discord(random_product(rng))
+        assert _at_pole(rep.argmin_measurement), i
+        assert abs(rep.discord) <= 1e-12 and abs(rep.classical) <= 1e-12, i
+        pure = random_density(rng, 4, (2, 2), rank=1)
+        rep = discord(pure)
+        assert _at_pole(rep.argmin_measurement), i
+        assert abs(rep.discord - entropy(partial_trace(pure, (1,)))) <= 1e-12, i
+    prod23 = tensor(random_density(rng, 2), random_density(rng, 3))
+    assert _at_pole(classical_correlation(prod23)[1])

@@ -181,6 +181,7 @@ PINNED_TOLERANCES = {
     "CORRELATION_SIGN_TOL": 1e-8,
     "TOTAL_SIGN_TOL": 1e-10,
     "REFINE_TOL": 1e-7,
+    "FLAT_SPREAD_TOL": 64 * 2.0**-52,
     "POLE_CUTOFF": 1e-15,
     "IMAG_RESIDUE_TOL": 1e-10,
     "RANK_TOL": 1e-10,
