@@ -161,19 +161,15 @@ def _run(kind: str, z: float, pairs: int, ops, discard) -> ProtocolResult:
     ``ops`` holds one (K_A, K_B) factor pair per term.  rho is
     cc_pairs(pairs), 1/d on each |a>_A |a>_B (d = 2^pairs per side) and
     0 elsewhere, so each term is W W^dagger / d, where column a of W is
-    K_A|a> x K_B|a>; no d^2 x d^2 operator is formed.  The sum is
-    symmetrized, which leaves an exactly Hermitian result unchanged and
-    makes any other one so.  The result keeps rho's legs, the
-    ``discard`` legs are traced out, and what remains is compared with
-    werner(z).
+    K_A|a> x K_B|a>; no d^2 x d^2 operator is formed, and
+    ``DensityMatrix.from_factor`` takes the spectrum from the Ws.  The
+    result keeps rho's legs, the ``discard`` legs are traced out, and
+    what remains is compared with werner(z).
     """
     initial = cc_pairs(pairs)
     d = 2**pairs
-    post = np.zeros_like(initial.matrix)
-    for ka, kb in ops:
-        w = (ka[:, None, :] * kb[None, :, :]).reshape(d * d, d)
-        post += (w / d) @ w.conj().T
-    post_dm = DensityMatrix((post + post.conj().T) / 2.0, initial.legs)
+    w = np.stack([(ka[:, None, :] * kb[None, :, :]).reshape(d * d, d) for ka, kb in ops])
+    post_dm = DensityMatrix.from_factor(w, initial.legs, 1.0 / d)
     final = partial_trace(post_dm, discard)
     target = werner(z)
     return ProtocolResult(

@@ -30,7 +30,7 @@ __all__ = [
 # Every numerical threshold of the package, one line each saying what it
 # bounds.  *_TOL bounds a residual a check accepts, *_CUTOFF is a magnitude
 # below which a quantity is treated as zero, *_FLOOR is a result reported
-# as exactly 0 at or below it.
+# as exactly 0 at or below it, *_CAP is a count a loop may not exceed.
 HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
 PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
@@ -45,7 +45,13 @@ PROB_CUTOFF = 1e-14  # probability taken as 0 in x log x, and least control-outc
 CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no conditional state
 CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
 TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
-REFINE_TOL = 1e-7  # final compass-search step, radians
+# final compass-search step, radians; the compass search serves the (2, d_B > 2)
+# objective, the brute-force geometric discord and the two-qubit Newton fallback
+REFINE_TOL = 1e-7
+NEWTON_TOL = 1e-8  # Newton step, radians, at or below which a seed has converged
+CURVATURE_CUTOFF = 1e-6  # least |curvature| (nats/rad^2) a Newton step divides by
+PURE_OUTCOME_CUTOFF = 1e-9  # smaller outcome eigenvalue at or below which Newton falls back
+NEWTON_ITER_CAP = 30  # derivative calls after the seeds' before a Newton refinement falls back
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
 IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix
@@ -105,6 +111,7 @@ class DensityMatrix:
 
     ``eigenvalues`` is the read-only ascending spectrum that the
     positivity check computed; ``eigenvalues[0]`` is its margin.
+    ``from_factor`` builds a state that is positive by construction.
     """
 
     matrix: np.ndarray
@@ -128,12 +135,43 @@ class DensityMatrix:
         lam = np.linalg.eigvalsh(m)
         if lam[0] < PSD_TOL:
             raise DomainError(f"matrix has negative eigenvalue {lam[0]:.3e}")
-        m = m.copy()
+        self._freeze(m.copy(), legs, lam)
+
+    def _freeze(self, m: np.ndarray, legs: tuple[int, ...], lam: np.ndarray) -> None:
         m.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "eigenvalues", lam)
+
+    @classmethod
+    def from_factor(cls, factors, legs: Sequence[int], weight: float = 1.0) -> DensityMatrix:
+        """rho = weight * sum_t F_t F_t^dagger from a stack of factors, shape (terms, dim, r).
+
+        Such a rho is Hermitian and positive by construction, so only the
+        trace is checked, as weight * |F|^2 (to 1e-12).  The terms are
+        summed in order and the sum is symmetrized.  The spectrum is that
+        of the Gram matrix weight * F^dagger F of all terms' columns,
+        padded with zeros (or cut) to dim entries, so no dim x dim
+        eigensolve is needed.
+        """
+        f = _as_complex_array(factors, "DensityMatrix.from_factor")
+        if f.ndim != 3:
+            raise DomainError(f"factors must have shape (terms, dim, r), got {f.shape}")
+        terms, d, r = f.shape
+        legs = _check_legs(legs, d, "DensityMatrix")
+        tr = weight * float(np.vdot(f, f).real)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise DomainError(f"matrix trace is {tr:.15g}, expected 1")
+        m = np.zeros((d, d), dtype=complex)
+        for term in f:
+            m += (term * weight) @ term.conj().T
+        cols = f.transpose(1, 0, 2).reshape(d, terms * r)
+        lam = np.linalg.eigvalsh((cols.conj().T * weight) @ cols)
+        lam = np.sort(np.concatenate([np.zeros(max(d - lam.size, 0)), lam]))[-d:]
+        rho = cls.__new__(cls)
+        rho._freeze((m + m.conj().T) / 2.0, legs, lam)
+        return rho
 
     @property
     def dim(self) -> int:

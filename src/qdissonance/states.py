@@ -363,8 +363,7 @@ def cc_pairs(k: int) -> DensityMatrix:
     if _as_index(k, "cc_pairs: k") not in (2, 3):
         raise DomainError(f"cc_pairs: k must be 2 or 3, got {k}")
     d = 2**k
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    # |a>_A |a>_B sits at index a * d + a of the all-A-then-all-B order.
-    idx = np.arange(d) * (d + 1)
-    rho[idx, idx] = 1.0 / d
-    return DensityMatrix(rho, (2,) * (2 * k))
+    # column a is |a>_A |a>_B, at index a * d + a of the all-A-then-all-B order
+    f = np.zeros((1, d * d, d))
+    f[0, np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    return DensityMatrix.from_factor(f, (2,) * (2 * k), 1.0 / d)

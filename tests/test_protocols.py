@@ -172,6 +172,30 @@ def test_run_matches_explicit_kron_sandwich():
         assert np.array_equal(post, post.conj().T)
 
 
+def test_protocols_solve_no_large_eigenproblem(monkeypatch):
+    """cc_pairs and the post-operation state take their spectra from 8 x 8 Gram matrices.
+
+    Their eigenvalues match eigvalsh of the 64 x 64 (16 x 16) matrices to
+    1e-15, and the largest eigensolve of a protocol run is 16 x 16.
+    """
+    for res in (run_unitary_protocol(Z13), run_kraus_protocol(0.2), run_kraus_protocol(Z13)):
+        for rho in (res.initial, res.post_operation):
+            assert np.abs(rho.eigenvalues - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-15
+            assert not rho.eigenvalues.flags.writeable
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def recording(m, *args, _real=real, **kwargs):
+            sizes.append(np.shape(m)[-1])
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    run_unitary_protocol(Z13)
+    run_kraus_protocol(0.2)
+    assert sizes and max(sizes) <= 16
+
+
 def test_each_run_decomposes_once(monkeypatch):
     calls = []
     real = protocols.product_decomposition

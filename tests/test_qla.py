@@ -52,6 +52,29 @@ def test_density_matrix_keeps_its_spectrum():
     assert "eigenvalues" not in repr(DensityMatrix(np.eye(2) / 2))
 
 
+def test_from_factor_is_the_gram_product():
+    """rho = weight * sum_t F_t F_t^dagger, with the spectrum of weight * F^dagger F."""
+    rng = np.random.default_rng(SEED + 3)
+    for terms, d, r in ((1, 4, 2), (3, 4, 1), (2, 4, 3), (1, 6, 6)):
+        f = rng.standard_normal((terms, d, r)) + 1j * rng.standard_normal((terms, d, r))
+        weight = 1.0 / float((np.abs(f) ** 2).sum())
+        rho = DensityMatrix.from_factor(f, (2, d // 2), weight)
+        expect = weight * sum(t @ t.conj().T for t in f)
+        assert np.abs(rho.matrix - expect).max() <= 1e-15
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.abs(rho.eigenvalues - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-15
+        assert rho.eigenvalues.shape == (d,) and rho.legs == (2, d // 2)
+        assert not rho.matrix.flags.writeable and not rho.eigenvalues.flags.writeable
+    with pytest.raises(DomainError, match="trace"):
+        DensityMatrix.from_factor(np.ones((1, 2, 1)), (2,))
+    with pytest.raises(DomainError, match="shape"):
+        DensityMatrix.from_factor(np.ones((2, 1)) / np.sqrt(2), (2,))
+    with pytest.raises(DomainError):
+        DensityMatrix.from_factor(np.ones((1, 4, 1)) / 2, (2, 3))
+    with pytest.raises(DomainError):
+        DensityMatrix.from_factor(np.full((1, 2, 1), np.nan), (2,))
+
+
 def test_density_matrix_is_frozen():
     rho = DensityMatrix(np.eye(2) / 2)
     assert not rho.matrix.flags.writeable
@@ -181,6 +204,10 @@ PINNED_TOLERANCES = {
     "CORRELATION_SIGN_TOL": 1e-8,
     "TOTAL_SIGN_TOL": 1e-10,
     "REFINE_TOL": 1e-7,
+    "NEWTON_TOL": 1e-8,
+    "CURVATURE_CUTOFF": 1e-6,
+    "PURE_OUTCOME_CUTOFF": 1e-9,
+    "NEWTON_ITER_CAP": 30.0,
     "FLAT_SPREAD_TOL": 64 * 2.0**-52,
     "POLE_CUTOFF": 1e-15,
     "IMAG_RESIDUE_TOL": 1e-10,
@@ -195,7 +222,7 @@ def test_tolerance_table_pinned():
     table = {
         name: value
         for name, value in vars(qla).items()
-        if re.fullmatch(r"[A-Z][A-Z_]*_(TOL|CUTOFF|FLOOR)", name)
+        if re.fullmatch(r"[A-Z][A-Z_]*_(TOL|CUTOFF|FLOOR|CAP)", name)
     }
     assert table.keys() == PINNED_TOLERANCES.keys()
     for name, value in table.items():
