@@ -30,7 +30,8 @@ __all__ = [
 # Every numerical threshold of the package, one line each saying what it
 # bounds.  *_TOL bounds a residual a check accepts, *_CUTOFF is a magnitude
 # below which a quantity is treated as zero, *_FLOOR is a result reported
-# as exactly 0 at or below it, *_CAP is a count a loop may not exceed.
+# as exactly 0 at or below it, *_CAP is a count a loop may not exceed,
+# *_STEP is a fixed increment of a numerical method.
 HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
 PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
@@ -45,13 +46,10 @@ PROB_CUTOFF = 1e-14  # probability taken as 0 in x log x, and least control-outc
 CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no conditional state
 CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
 TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
-# final compass-search step, radians; the compass search serves the (2, d_B > 2)
-# objective, the brute-force geometric discord and the two-qubit Newton fallback
-REFINE_TOL = 1e-7
 NEWTON_TOL = 1e-8  # Newton step, radians, at or below which a seed has converged
-CURVATURE_CUTOFF = 1e-6  # least |curvature| (nats/rad^2) a Newton step divides by
-PURE_OUTCOME_CUTOFF = 1e-9  # smaller outcome eigenvalue at or below which Newton falls back
-NEWTON_ITER_CAP = 30  # derivative calls after the seeds' before a Newton refinement falls back
+CURVATURE_CUTOFF = 1e-6  # least |curvature| (bits/rad^2) a Newton step divides by
+NEWTON_ITER_CAP = 30  # iterations (stencil plus trial step) of one Newton refinement
+DIFFERENCE_STEP = 1e-4  # tangent offset, radians, of the refinement's central differences
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
 IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix

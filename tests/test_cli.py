@@ -353,12 +353,23 @@ def test_bad_grid_argument(tmp_path, capsys):
     out_csv = tmp_path / "s.csv"
     code, _, err = run(capsys, "sweep", "--opt-grid", "2048x1025", "--out", str(out_csv))
     assert code == 2
-    # the final compass-search step is fixed (REFINE_TOL); no flag sets it
+    # the refinement's stopping rules are constants (qla.NEWTON_TOL); no flag sets them
     for verb in (("measures", str(state_path)), ("sweep", "--out", str(out_csv))):
         code, _, err = run(capsys, *verb, "--opt-refine", "1e-6")
         assert code == 2
         assert "unrecognized arguments: --opt-refine" in err
     assert not out_csv.exists()
+
+
+def test_over_cap_qudit_state_exits_2(tmp_path, capsys):
+    state_path = tmp_path / "big.qs"
+    save_state(DensityMatrix(np.eye(64) / 64, (2, 32)), state_path)
+    code, out, err = run(capsys, "measures", str(state_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: a (2, 32) state on grid 64x128")
+    # a coarser grid brings the same state under the cap
+    code, out, _ = run(capsys, "measures", str(state_path), "--opt-grid", "8x16")
+    assert code == 0 and "discord=0" in out
 
 
 def test_package_imports_without_scipy():

@@ -30,14 +30,17 @@ from qdissonance import correlations
 from qdissonance.correlations import (
     DEFAULT_GRID,
     Measurement,
+    _STENCIL,
+    _angles,
     _conditional_entropy_objective,
     _direction,
     _grid_directions,
     _minimize_over_directions,
-    _objective_and_newton,
+    _refine,
     _scan,
     _smallest,
 )
+from qdissonance.qla import FLAT_SPREAD_TOL, NEWTON_ITER_CAP
 
 from _zoo import (
     build_zoo, random_cq, random_density, random_product, random_qubit_basis, random_two_qubit,
@@ -421,6 +424,34 @@ def test_qudit_scan_memory_is_bounded_by_tile(monkeypatch):
     assert abs(tiled.classical - ref.classical) <= 1e-14
 
 
+class _ReachedScan(Exception):
+    pass
+
+
+def test_qudit_scan_work_is_capped(monkeypatch):
+    """A (2, d_B) scan above MAX_QUDIT_SCAN_WORK is refused before it allocates."""
+    rng = np.random.default_rng(SEED + 19)
+    rho = random_density(rng, 64, (2, 32))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"\(2, 32\) state on grid 64x128 needs 4096"):
+            classical_correlation(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20  # one scan tile of this state is 4 MiB
+
+    # the largest admitted cases reach the scan: (2, 16) at the default
+    # grid and (2, 3) at the largest grid
+    def reached(*args):
+        raise _ReachedScan
+
+    monkeypatch.setattr(correlations, "_minimize_over_directions", reached)
+    for db, grid in ((16, DEFAULT_GRID), (3, (3, correlations.MAX_GRID_POINTS // 3))):
+        with pytest.raises(_ReachedScan):
+            classical_correlation(random_density(rng, 2 * db, (2, db)), grid)
+
+
 def test_odd_and_tiny_grids_agree_with_luo_and_default():
     bells = [bell(name).vector for name in ("phi+", "phi-", "psi+", "psi-")]
     rng = np.random.default_rng(SEED + 13)
@@ -490,15 +521,6 @@ def test_flat_objectives_match_closed_forms_at_the_pole():
     assert _at_pole(classical_correlation(prod23)[1])
 
 
-def _no_compass(monkeypatch):
-    """Make the compass search fail, so a result must come from the Newton refinement."""
-
-    def fail(*args, **kwargs):
-        raise AssertionError("the Newton refinement fell back to the compass search")
-
-    monkeypatch.setattr(correlations, "_compass_search", fail)
-
-
 def _golden_min(fn, lo, hi, tol=1e-10):
     """Minimum of fn on [lo, hi] by golden-section search (fn unimodal there)."""
     g = (np.sqrt(5.0) - 1.0) / 2.0
@@ -545,8 +567,8 @@ def _spread_directions(k):
     return np.array([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z])
 
 
-def test_discord_finds_off_axis_optima_of_x_states(monkeypatch):
-    """Rotated X states against a 1-D reference, with no compass-search fallback.
+def test_discord_finds_off_axis_optima_of_x_states():
+    """Rotated X states against a 1-D reference.
 
     For a real X state the conditional entropy depends on phi only
     through cos^2 phi, so its optimum lies at phi = 0 or pi/2; the
@@ -557,7 +579,6 @@ def test_discord_finds_off_axis_optima_of_x_states(monkeypatch):
     is indefinite; from 64 spread seeds every refinement converges
     within its cap and ends no higher than it started.
     """
-    _no_compass(monkeypatch)
     rng = np.random.default_rng(SEED + 16)
     thetas = np.linspace(0.0, np.pi / 2, 91)
     for params in _OFF_AXIS_X_STATES:
@@ -580,20 +601,26 @@ def test_discord_finds_off_axis_optima_of_x_states(monkeypatch):
             assert abs(discord(rho, grid=grid).discord - ref) <= 1e-9, grid
     seeds = _spread_directions(64)
     for params in _OFF_AXIS_X_STATES + _COMPETING_X_STATES:
-        objective, newton = _objective_and_newton(_x_state(*params))
+        objective = _conditional_entropy_objective(_x_state(*params))
+        trials = []
+
+        def counted(n):
+            if n.ndim == 2:  # a trial step; stencil calls have shape (3, k, 8)
+                trials.append(n.shape[1])
+            return objective(n)
+
         for k in range(seeds.shape[1]):
             seed = seeds[:, k : k + 1]
-            refined = newton(seed)
-            assert refined is not None
+            trials.clear()
+            refined = _refine(counted, seed, objective(seed))
+            # each iteration makes one trial call, so a refinement that did
+            # not converge within its cap made NEWTON_ITER_CAP of them
+            assert len(trials) < NEWTON_ITER_CAP, (params, k)
             assert objective(refined)[0] <= objective(seed)[0]
 
 
-def test_pure_outcomes_fall_back_to_the_compass_search():
-    """Optima where a conditional state is pure give the compass search's exact answers.
-
-    There -l ln l has an infinite slope and Newton steps stall short of
-    the boundary, about 1e-10 bits off.
-    """
+def test_pure_outcomes_give_exact_answers():
+    """Optima where a conditional state is pure: exact classical correlation and discord."""
     rep = discord(cc_state(np.diag([0.5, 0.5])))
     assert rep.classical == 1.0 and rep.discord == 0.0
     rng = np.random.default_rng(SEED + 17)
@@ -604,13 +631,12 @@ def test_pure_outcomes_fall_back_to_the_compass_search():
         assert discord(cq).discord <= 1e-15
 
 
-def test_newton_converges_on_a_circle_of_optima(monkeypatch):
+def test_newton_converges_on_a_circle_of_optima():
     """Bell-diagonal c = (0.4, 0.4, 0.1): every equator direction is optimal.
 
     The Riemannian Hessian is singular along the circle; the refinement
     still ends within its cap, at Luo's value.
     """
-    _no_compass(monkeypatch)
     sig = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     c = np.array([0.4, 0.4, 0.1])
     rho = DensityMatrix((np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, sig))) / 4, (2, 2))
@@ -621,19 +647,88 @@ def test_newton_converges_on_a_circle_of_optima(monkeypatch):
     assert abs(rep.argmin_measurement.theta - np.pi / 2) <= 1e-6
 
 
-def test_newton_refinement_matches_the_compass_search():
-    """On the zoo and 200 seeded states, Newton's minimum is never above the compass one.
+REFINE_TOL = 1e-7  # final compass-search step, radians
 
-    Both refine the same three seeds of the same objective; the argmin
-    agrees to 1e-6 up to n <-> -n (flat objectives give the pole on both).
+
+def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
+    """Map arbitrary real angles to theta in [0, pi], phi in [0, 2 pi)."""
+    t, p = _angles(_direction(theta, phi))
+    return float(t), float(p)
+
+
+def _compass_search(objective, theta, phi, val, step0: float):
+    """Compass search on the (theta, phi) angles from seeds with values ``val``.
+
+    All seeds are refined together: each iteration evaluates the
+    8-point stencil around every seed in one objective call; a seed
+    moves to its best neighbour when that is lower (not equal),
+    otherwise its step (initially ``step0``) halves.  Each iteration
+    either lowers a seed's value or halves its step, so the loop ends
+    once every step is at most REFINE_TOL.  Returns the best seed's
+    (value, theta, phi) with canonical angles.
+    """
+    step = np.full(len(val), step0)
+    rows = np.arange(len(val))
+    while (active := step > REFINE_TOL).any():
+        cand_t = theta[:, None] + step[:, None] * _STENCIL[:, 0]
+        cand_p = phi[:, None] + step[:, None] * _STENCIL[:, 1]
+        cand_v = objective(_direction(cand_t, cand_p))
+        best = np.argmin(cand_v, axis=1)
+        best_v = cand_v[rows, best]
+        moved = active & (best_v < val)
+        theta = np.where(moved, cand_t[rows, best], theta)
+        phi = np.where(moved, cand_p[rows, best], phi)
+        val = np.where(moved, best_v, val)
+        step = np.where(active & ~moved, step / 2.0, step)
+    k = int(np.argmin(val))
+    return float(val[k]), *_canonical_angles(theta[k], phi[k])
+
+
+def _compass_minimum(objective, grid=DEFAULT_GRID):
+    """The default-grid scan, flat rule and seeds, refined by the compass search."""
+    thetas, phis = _grid_directions(grid)
+    vals = _scan(objective, thetas, phis)
+    if vals.max() - vals.min() <= FLAT_SPREAD_TOL:
+        return float(vals.min()), 0.0, 0.0
+    seeds = _smallest(vals, 3)
+    row, col = np.divmod(seeds, phis.size)
+    return _compass_search(objective, thetas[row], phis[col], vals[seeds], np.pi / grid[0])
+
+
+def _brute_force_objective(monkeypatch, rho):
+    """The objective that geometric_discord(rho, "brute-force") minimizes."""
+    seen = []
+
+    def capture(objective, *args):
+        seen.append(objective)
+        return 0.0, 0.0, 0.0
+
+    with monkeypatch.context() as m:
+        m.setattr(correlations, "_minimize_over_directions", capture)
+        geometric_discord(rho, method="brute-force")
+    return seen[0]
+
+
+def test_refinement_matches_the_compass_search(monkeypatch):
+    """Newton's minimum is never above the compass one, on every objective it serves.
+
+    The two-qubit objective on the zoo and 200 seeded states, the
+    qubit-qutrit objective on 20 seeded states and the brute-force
+    geometric discord on 50: both refine the same three seeds of the same
+    objective, and the argmin agrees to 1e-6 up to n <-> -n (flat
+    objectives give the pole on both).
     """
     rng = np.random.default_rng(SEED + 18)
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(200)]
-    for i, rho in enumerate(states):
-        objective, newton = _objective_and_newton(rho)
-        compass = _minimize_over_directions(objective, DEFAULT_GRID)
-        refined = _minimize_over_directions(objective, DEFAULT_GRID, newton=newton)
+    states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(20)]
+    objectives = [_conditional_entropy_objective(rho) for rho in states]
+    for i in range(50):
+        rho = random_density(rng, 4, (2, 2), rank=1 + i % 4)
+        objectives.append(_brute_force_objective(monkeypatch, rho))
+    for i, objective in enumerate(objectives):
+        compass = _compass_minimum(objective)
+        refined = _minimize_over_directions(objective, DEFAULT_GRID)
         assert refined[0] <= compass[0] + 1e-13, i
         a, b = _direction(*compass[1:]), _direction(*refined[1:])
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-6, i

@@ -203,11 +203,10 @@ PINNED_TOLERANCES = {
     "CONDITIONAL_STATE_CUTOFF": 1e-12,
     "CORRELATION_SIGN_TOL": 1e-8,
     "TOTAL_SIGN_TOL": 1e-10,
-    "REFINE_TOL": 1e-7,
     "NEWTON_TOL": 1e-8,
     "CURVATURE_CUTOFF": 1e-6,
-    "PURE_OUTCOME_CUTOFF": 1e-9,
     "NEWTON_ITER_CAP": 30.0,
+    "DIFFERENCE_STEP": 1e-4,
     "FLAT_SPREAD_TOL": 64 * 2.0**-52,
     "POLE_CUTOFF": 1e-15,
     "IMAG_RESIDUE_TOL": 1e-10,
@@ -222,7 +221,7 @@ def test_tolerance_table_pinned():
     table = {
         name: value
         for name, value in vars(qla).items()
-        if re.fullmatch(r"[A-Z][A-Z_]*_(TOL|CUTOFF|FLOOR|CAP)", name)
+        if re.fullmatch(r"[A-Z][A-Z_]*_(TOL|CUTOFF|FLOOR|CAP|STEP)", name)
     }
     assert table.keys() == PINNED_TOLERANCES.keys()
     for name, value in table.items():
