@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .qla import TARGET_DISTANCE_TOL, DomainError, _as_index, projector
-from .states import bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
+from .states import _BELL_NAMES, bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
 from .correlations import DEFAULT_GRID, discord
 from .witness import WitnessReport, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
@@ -27,7 +27,6 @@ EXIT_DOMAIN = 2
 EXIT_PROTOCOL = 3
 
 _STATE_KINDS = ("werner", "cc", "cq", "bell", "cc-pairs")
-_BELL_CHOICES = ("psi+", "psi-", "phi+", "phi-")
 # The CorrelationReport fields printed by `measures` and written as sweep CSV columns.
 _MEASURES = ("total", "classical", "discord", "geometric_discord", "concurrence", "negativity")
 
@@ -133,10 +132,10 @@ def cmd_protocol(args) -> int:
     else:
         result = run_unitary_protocol(args.z)
     bundle = certify(result)
-    ok = result.trace_distance_to_target <= args.tol
+    ok = result.trace_distance_to_target <= TARGET_DISTANCE_TOL
     print(f"protocol={result.kind} z={_fmt(result.z)}")
     print(f"trace_distance_to_target={result.trace_distance_to_target:.3e}")
-    print(f"target_check={'PASS' if ok else 'FAIL'} (tol={args.tol:.1e})")
+    print(f"target_check={'PASS' if ok else 'FAIL'} (tol={TARGET_DISTANCE_TOL:.1e})")
     rep = bundle.correlations
     print(f"discord={_fmt(rep.discord)}")
     print(f"geometric_discord={_fmt(rep.geometric_discord)}")
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state = sub.add_parser("state", help="build a state and save it to a state file")
     p_state.add_argument("constructor", choices=_STATE_KINDS)
     p_state.add_argument("--z", type=float, help="Werner mixing parameter")
-    p_state.add_argument("--which", choices=_BELL_CHOICES, help="Bell state name")
+    p_state.add_argument("--which", choices=_BELL_NAMES, help="Bell state name")
     p_state.add_argument("--p", help="probability table, rows ';'-separated, entries ','-separated")
     p_state.add_argument("--states-b", nargs="+", help="state files for the cq B side")
     p_state.add_argument("--k", type=int, help="number of classically correlated pairs")
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto = sub.add_parser("protocol", help="run a dissonance-generation protocol")
     p_proto.add_argument("kind", choices=("kraus", "unitary"))
     p_proto.add_argument("--z", type=float, required=True)
-    p_proto.add_argument("--tol", type=float, default=TARGET_DISTANCE_TOL, help="target trace-distance tolerance")
     p_proto.add_argument("--dump-dir", help="write initial/post/final state files here")
     p_proto.set_defaults(func=cmd_protocol)
 

@@ -250,7 +250,9 @@ def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCA
     measurement is optimal, the grid minimum is returned with the
     canonical pole theta = phi = 0, and nothing is refined.  Otherwise
     ``_refine`` moves the three seeds, and the value reported is
-    ``objective`` at the canonical angles of the best of them.
+    ``objective`` at the canonical angles of the best of them: each
+    refined n is first mapped to n_z >= 0 (phi in [0, pi) on the
+    equator), so theta is at most pi/2.
     Returns (value, theta, phi); deterministic (ties broken by grid
     and seed order).
     """
@@ -263,7 +265,12 @@ def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCA
         return float(vals.min()), 0.0, 0.0
     seeds = _smallest(vals, 3)
     row, col = np.divmod(seeds, phis.size)
-    theta, phi = _angles(_refine(objective, _direction(thetas[row], phis[col]), vals[seeds]))
+    n = _refine(objective, _direction(thetas[row], phis[col]), vals[seeds])
+    # n and -n are one measurement: report the one whose first nonzero of
+    # (n_z, n_y, n_x) is positive, so n_z >= 0, and phi in [0, pi) on the equator
+    nx, ny, nz = n
+    first = np.where(nz != 0, nz, np.where(ny != 0, ny, nx))
+    theta, phi = _angles(np.where(first < 0, -n, n))
     val = objective(_direction(theta, phi))
     k = int(np.argmin(val))
     return float(val[k]), float(theta[k]), float(phi[k])

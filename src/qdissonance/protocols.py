@@ -22,7 +22,7 @@ import numpy as np
 
 from .qla import (
     ISOMETRY_TOL, ORTHOGONALITY_TOL, PROB_CUTOFF, DensityMatrix, DomainError, _as_index,
-    partial_trace, trace_distance,
+    _isometry_error, partial_trace, trace_distance,
 )
 from .states import cc_pairs, product_decomposition, werner
 from .correlations import CorrelationReport, discord
@@ -80,9 +80,8 @@ class KrausChannel:
 
     def __post_init__(self):
         ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)
-        dim = ops[0].shape[1]
-        total = sum(m.conj().T @ m for m in ops)
-        err = np.abs(total - np.eye(dim)).max()
+        # sum_i K_i^dagger K_i = I says the stacked operators form an isometry
+        err = _isometry_error(np.vstack(ops))
         if err > ISOMETRY_TOL:
             raise DomainError(f"Kraus completeness violated by {err:.3e}")
         object.__setattr__(self, "operators", ops)
@@ -98,11 +97,7 @@ class LocalUnitary:
 
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=complex)
-        d = u.shape[0]
-        err = max(
-            np.abs(u.conj().T @ u - np.eye(d)).max(),
-            np.abs(u @ u.conj().T - np.eye(d)).max(),
-        )
+        err = max(_isometry_error(u), _isometry_error(u.conj().T))
         if err > ISOMETRY_TOL:
             raise DomainError(f"unitarity violated by {err:.3e}")
         object.__setattr__(self, "matrix", u)
@@ -145,13 +140,10 @@ def build_kraus(side: str, z: float) -> KrausChannel:
 def _kraus(side: str, z: float, pairs) -> KrausChannel:
     """``build_kraus`` from the decomposition's factor pairs, arguments already checked."""
     k = 0 if side == "A" else 1
-    factors = [pair[k].vector for pair in pairs]
-    eye2 = np.eye(2, dtype=complex)
-    eye4 = np.eye(4, dtype=complex)
-    ops = []
-    for i in range(4):
-        out = np.kron(eye2[:, _FLAGS[i]], factors[i])
-        ops.append(np.outer(out, eye4[:, i].conj()))
+    ops = np.zeros((4, 4, 4), dtype=complex)
+    for i, (flag, pair) in enumerate(zip(_FLAGS, pairs)):
+        # column i is |flag_i> x factor_i
+        ops[i, 2 * flag : 2 * flag + 2, i] = pair[k].vector
     return KrausChannel(operators=tuple(ops), side=side, z=z)
 
 

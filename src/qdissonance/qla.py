@@ -36,12 +36,12 @@ HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
 PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
 NORM_TOL = 1e-12  # | |v| - 1 | of a normalized state vector
-ISOMETRY_TOL = 1e-10  # max|C^dagger C - I|: basis vectors, Kraus completeness, unitarity
+ISOMETRY_TOL = 1e-10  # _isometry_error of basis vectors, stacked Kraus operators, U and U^dagger
 PHASE_EQ_TOL = 1e-10  # residual of the Werner phase equation
 PRODUCT_RECONSTRUCTION_TOL = 1e-10  # max entry error of a product decomposition and its pairs
 PHASE_REF_CUTOFF = 1e-8  # amplitude the phase-fixing entry of a factor must exceed
 ORTHOGONALITY_TOL = 1e-8  # |<left|right>| of each factor pair for the unitary protocol
-TARGET_DISTANCE_TOL = 1e-10  # default protocol trace distance to werner(z) (CLI --tol)
+TARGET_DISTANCE_TOL = 1e-10  # protocol trace distance to werner(z) that `qdiss protocol` passes
 PROB_CUTOFF = 1e-14  # probability taken as 0 in x log x, and least control-outcome probability
 CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no conditional state
 CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
@@ -62,6 +62,11 @@ SCHMIDT_RECONSTRUCTION_TOL = 1e-9  # max entry error of an operator Schmidt deco
 # would otherwise depend on BLAS.  An absolute floor also covers
 # rank-deficient separable states, where every l_i is itself rounding noise.
 ENTANGLEMENT_FLOOR = 16 * np.finfo(float).eps
+
+
+def _isometry_error(c: np.ndarray) -> float:
+    """max|C^dagger C - I| of a (rows, cols) matrix: 0 when its columns are orthonormal."""
+    return float(np.abs(c.conj().T @ c - np.eye(c.shape[1])).max())
 
 
 class DomainError(ValueError):

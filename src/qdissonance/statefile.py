@@ -8,8 +8,9 @@ Format (one matrix per file):
     ...
 
 Entries are written as ``re+imj`` with 17 significant digits, which
-round-trips IEEE doubles exactly.  Loading re-validates every density
-matrix invariant.
+round-trips IEEE doubles exactly.  Loading refuses a ``dims:`` line
+whose product exceeds MAX_STATE_DIM before it reads any row, and
+re-validates every density matrix invariant.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .qla import DensityMatrix, DomainError
 __all__ = ["StateFileError", "FORMAT_VERSION", "dumps_state", "loads_state", "save_state", "load_state"]
 
 FORMAT_VERSION = "qstate v1"
+# Largest total dimension a state file may declare: a 16 MiB matrix, above
+# every state a verb accepts (the largest is a (2, 322) state, which
+# `measures` admits at the coarsest 2x2 grid under MAX_QUDIT_SCAN_WORK).
+MAX_STATE_DIM = 1024
 
 
 class StateFileError(ValueError):
@@ -53,6 +58,8 @@ def loads_state(text: str) -> DensityMatrix:
     if not dims or any(d < 1 for d in dims):
         raise StateFileError(f"invalid dims {dims}")
     d = math.prod(dims)
+    if d > MAX_STATE_DIM:
+        raise StateFileError(f"expected {d} matrix rows, more than MAX_STATE_DIM = {MAX_STATE_DIM}")
     rows = lines[2:]
     if len(rows) != d:
         raise StateFileError(f"expected {d} matrix rows, found {len(rows)}")
@@ -78,4 +85,8 @@ def save_state(rho: DensityMatrix, path) -> None:
 
 def load_state(path) -> DensityMatrix:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_state(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"not an ASCII state file: {exc}") from exc
+    return loads_state(text)

@@ -5,6 +5,11 @@ and the explicit separable product decomposition of Werner states for
 mixing parameters z in [0, 1/3]: four unnormalized components eta_j
 (norm 1/2 each) that sum to the Werner state and factor into qubit
 pairs (Psi_j, Phi_j) once the relative phases are chosen correctly.
+
+CC and CQ states are both sum_i w_i |a_i><a_i| x block_i and share one
+builder.  The Bell vectors are one read-only table that ``bell``,
+``werner`` and the components read, and the components are one matrix
+product of phased sign patterns with the weighted Bell vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .qla import (
     ISOMETRY_TOL, PHASE_EQ_TOL, PHASE_REF_CUTOFF, PRODUCT_RECONSTRUCTION_TOL, TRACE_TOL,
-    DensityMatrix, DomainError, PureState, _as_index,
+    DensityMatrix, DomainError, PureState, _as_index, _isometry_error,
 )
 
 __all__ = [
@@ -37,6 +42,10 @@ __all__ = [
 ]
 
 _BELL_NAMES = ("psi+", "psi-", "phi+", "phi-")
+# The four Bell vectors, one row each in _BELL_NAMES order.
+_BELL = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], dtype=complex)
+_BELL /= np.sqrt(2.0)
+_BELL.setflags(write=False)
 
 
 def _basis_vectors(d: int) -> list[np.ndarray]:
@@ -47,8 +56,7 @@ def _check_orthonormal(vecs: Sequence[np.ndarray], d: int, name: str) -> list[np
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vecs]
     if len(vecs) != d or any(v.shape != (d,) for v in vecs):
         raise DomainError(f"{name}: expected {d} vectors of dimension {d}")
-    gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    if np.abs(gram - np.eye(d)).max() > ISOMETRY_TOL:
+    if _isometry_error(np.stack(vecs, axis=1)) > ISOMETRY_TOL:
         raise DomainError(f"{name}: vectors are not orthonormal")
     return vecs
 
@@ -79,15 +87,9 @@ def cc_state(p, basis_a=None, basis_b=None) -> DensityMatrix:
     da, db = p.shape
     avecs = _basis_vectors(da) if basis_a is None else _check_orthonormal(basis_a, da, "basis_a")
     bvecs = _basis_vectors(db) if basis_b is None else _check_orthonormal(basis_b, db, "basis_b")
-    rho = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        pa = np.outer(avecs[i], avecs[i].conj())
-        for j in range(db):
-            if p[i, j] == 0.0:
-                continue
-            pb = np.outer(bvecs[j], bvecs[j].conj())
-            rho += p[i, j] * np.kron(pa, pb)
-    return DensityMatrix(rho, (da, db))
+    blocks = [np.outer(b, b.conj()) for b in bvecs]
+    terms = ((p[i, j], avecs[i], blocks[j]) for i in range(da) for j in range(db))
+    return _classical_on_a(terms, da, db)
 
 
 def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
@@ -107,28 +109,24 @@ def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
     db = states_b[0].dim
     if any(s.dim != db for s in states_b):
         raise DomainError("cq_state: B-side states differ in dimension")
+    return _classical_on_a(zip(p, avecs, (s.matrix for s in states_b)), da, db)
+
+
+def _classical_on_a(terms, da: int, db: int) -> DensityMatrix:
+    """sum w |a><a| x block over (w, a, block) terms, in order, skipping w = 0."""
     rho = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        if p[i] == 0.0:
-            continue
-        pa = np.outer(avecs[i], avecs[i].conj())
-        rho += p[i] * np.kron(pa, states_b[i].matrix)
+    for w, a, block in terms:
+        if w != 0.0:
+            rho += w * np.kron(np.outer(a, a.conj()), block)
     return DensityMatrix(rho, (da, db))
 
 
 def bell(which: str) -> PureState:
     """One of the four Bell states: 'psi+', 'psi-', 'phi+', 'phi-'."""
-    s2 = 1.0 / np.sqrt(2.0)
-    table = {
-        "psi+": np.array([0, s2, s2, 0], dtype=complex),
-        "psi-": np.array([0, s2, -s2, 0], dtype=complex),
-        "phi+": np.array([s2, 0, 0, s2], dtype=complex),
-        "phi-": np.array([s2, 0, 0, -s2], dtype=complex),
-    }
     key = which.lower()
-    if key not in table:
+    if key not in _BELL_NAMES:
         raise DomainError(f"unknown Bell state {which!r}; choose from {_BELL_NAMES}")
-    return PureState(table[key], (2, 2))
+    return PureState(_BELL[_BELL_NAMES.index(key)], (2, 2))
 
 
 def werner(z: float) -> DensityMatrix:
@@ -136,7 +134,7 @@ def werner(z: float) -> DensityMatrix:
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"werner: z must lie in [0, 1], got {z}")
-    psim = bell("psi-").vector
+    psim = _BELL[1]
     rho = z * np.outer(psim, psim.conj()) + (1.0 - z) / 4.0 * np.eye(4)
     return DensityMatrix(rho, (2, 2))
 
@@ -170,13 +168,19 @@ class PhaseSolution:
         return phase_equation_residual(self.thetas, self.z)
 
 
+def _decomposable_z(z: float, op: str) -> float:
+    """``z`` as a float; DomainError naming ``op`` unless it lies in [0, 1/3]."""
+    z = float(z)
+    if not 0.0 <= z <= 1.0 / 3.0:
+        raise DomainError(f"{op}: z must lie in [0, 1/3], got {z}")
+    return z
+
+
 def solve_phases(z: float) -> PhaseSolution:
     """Canonical phase branch: t1 = 0, t2 = pi/2, t3 in [pi/4, pi/2],
     t4 the reflection with cos(t4) = -cos(t3) and the same positive sine.
     """
-    z = float(z)
-    if not 0.0 <= z <= 1.0 / 3.0:
-        raise DomainError(f"solve_phases: z must lie in [0, 1/3], got {z}")
+    z = _decomposable_z(z, "solve_phases")
     s = np.sqrt((1.0 + z) / (2.0 * (1.0 - z)))
     c = np.sqrt((1.0 - 3.0 * z) / (2.0 * (1.0 - z)))
     return PhaseSolution(
@@ -186,21 +190,19 @@ def solve_phases(z: float) -> PhaseSolution:
 
 # Sign patterns attaching the four phased Bell-like vectors to each
 # component; row j gives the signs used in eta_j.
-_ETA_SIGNS = (
+_ETA_SIGNS = np.array([
     (1, 1, 1, 1),
     (1, 1, -1, -1),
     (1, -1, 1, -1),
     (1, -1, -1, 1),
-)
+])
 
 
-def _x_vectors(z: float) -> list[np.ndarray]:
-    return [
-        np.sqrt(1.0 + 3.0 * z) / 2j * bell("psi-").vector,
-        np.sqrt(1.0 - z) / 2.0 * bell("psi+").vector,
-        np.sqrt(1.0 - z) / 2.0 * bell("phi-").vector,
-        np.sqrt(1.0 - z) / 2j * bell("phi+").vector,
-    ]
+def _x_vectors(z: float) -> np.ndarray:
+    """The four weighted Bell vectors the components are built from, one per row."""
+    a, b = np.sqrt(1.0 + 3.0 * z), np.sqrt(1.0 - z)
+    weights = np.array([a / 2j, b / 2.0, b / 2.0, b / 2j])
+    return weights[:, None] * _BELL[[1, 0, 3, 2]]  # psi-, psi+, phi-, phi+
 
 
 def eta_states(z: float) -> tuple[PureState, PureState, PureState, PureState]:
@@ -210,21 +212,13 @@ def eta_states(z: float) -> tuple[PureState, PureState, PureState, PureState]:
     products sum to ``werner(z)``.  With the canonical phases every
     component is a product state (norm-1/2 multiple of a qubit pair).
     """
-    z = float(z)
-    if not 0.0 <= z <= 1.0 / 3.0:
-        raise DomainError(f"eta_states: z must lie in [0, 1/3], got {z}")
-    return _eta_states(solve_phases(z))
+    return _eta_states(solve_phases(_decomposable_z(z, "eta_states")))
 
 
 def _eta_states(solution: PhaseSolution) -> tuple[PureState, PureState, PureState, PureState]:
     """``eta_states`` from an already solved phase equation."""
-    xs = _x_vectors(solution.z)
-    phases = np.exp(1j * np.array(solution.thetas))
-    etas = []
-    for signs in _ETA_SIGNS:
-        v = sum(s * ph * x for s, ph, x in zip(signs, phases, xs)) / 2.0
-        etas.append(PureState(v, (2, 2), normalized=False))
-    return tuple(etas)
+    etas = (_ETA_SIGNS * np.exp(1j * np.array(solution.thetas))) @ _x_vectors(solution.z) / 2.0
+    return tuple(PureState(v, (2, 2), normalized=False) for v in etas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +317,7 @@ def product_decomposition(z: float) -> ProductDecomposition:
     Solves the phase constraint, builds and factors the components, and
     checks each factor pair and the whole reconstruction before returning.
     """
-    z = float(z)
-    if not 0.0 <= z <= 1.0 / 3.0:
-        raise DomainError(f"product_decomposition: z must lie in [0, 1/3], got {z}")
+    z = _decomposable_z(z, "product_decomposition")
     solution = solve_phases(z)
     etas = _eta_states(solution)
     factors = []

@@ -152,6 +152,10 @@ def test_measures_corrupted_file(tmp_path, capsys):
     bad.write_text(f"qstate v1\ndims: {n} {n}\n1+0j\n")
     code, _, err = run(capsys, "measures", str(bad))
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    # a non-ASCII byte: one error line, not a UnicodeDecodeError traceback
+    bad.write_bytes(b"qstate v1\ndims: 2\n\xc3\xa9 0j\n0j 1+0j\n")
+    code, _, err = run(capsys, "measures", str(bad))
+    assert code == 1 and err.startswith("error: not an ASCII state file") and err.count("\n") == 1
 
 
 def test_measures_prints_unsigned_zero(tmp_path, capsys):
@@ -234,10 +238,16 @@ def test_protocol_bad_z(capsys):
     assert code == 2
 
 
-def test_protocol_fail_path(capsys):
-    code, out, _ = run(capsys, "protocol", "kraus", "--z", "0.2", "--tol", "1e-30")
+def test_protocol_fail_path(capsys, monkeypatch):
+    monkeypatch.setattr(qdissonance.cli, "TARGET_DISTANCE_TOL", 1e-30)
+    code, out, _ = run(capsys, "protocol", "kraus", "--z", "0.2")
     assert code == 2
-    assert "target_check=FAIL" in out
+    assert "target_check=FAIL (tol=1.0e-30)" in out
+    # the tolerance is the constant qla.TARGET_DISTANCE_TOL; no flag sets it
+    code, out, err = run(capsys, "protocol", "kraus", "--z", "0.2", "--tol", "1e-3")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_sweep(tmp_path, capsys):
@@ -370,6 +380,15 @@ def test_over_cap_qudit_state_exits_2(tmp_path, capsys):
     # a coarser grid brings the same state under the cap
     code, out, _ = run(capsys, "measures", str(state_path), "--opt-grid", "8x16")
     assert code == 0 and "discord=0" in out
+
+
+def test_over_cap_state_file_exits_1(tmp_path, capsys):
+    """90 KB of rows declaring a 30000 x 30000 matrix: exit 1 with one error line."""
+    state_path = tmp_path / "huge.qs"
+    state_path.write_text("qstate v1\ndims: 30000\n" + "0j\n" * 30000)
+    code, out, err = run(capsys, "measures", str(state_path))
+    assert code == 1 and out == ""
+    assert err == "error: expected 30000 matrix rows, more than MAX_STATE_DIM = 1024\n"
 
 
 def test_package_imports_without_scipy():

@@ -647,6 +647,31 @@ def test_newton_converges_on_a_circle_of_optima():
     assert abs(rep.argmin_measurement.theta - np.pi / 2) <= 1e-6
 
 
+def test_reported_measurement_has_nonnegative_n_z():
+    """n and -n are one measurement, and f(n) = f(-n) bitwise; the reported n has n_z >= 0.
+
+    Seeds come from the upper-hemisphere scan, but a refined seed may
+    cross the equator: state 25 of this set was reported at
+    theta = 1.5904803451615288, phi = 1.7267311156287515 with classical
+    correlation 0.3883480520779692 before the reported direction was
+    mapped to the upper hemisphere.  A one-row scan (2x4) puts all
+    three seeds at theta = pi/4, so its refined seeds cross often.
+    """
+    rng = np.random.default_rng(SEED)
+    states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(40)]
+    for rho in states:
+        objective = _conditional_entropy_objective(rho)
+        for grid in (DEFAULT_GRID, (2, 4)):
+            _, m = classical_correlation(rho, grid)
+            assert 0.0 <= m.theta <= np.pi / 2
+            n = _direction(m.theta, m.phi)
+            assert objective(n) == objective(-n)
+    classical, m = classical_correlation(states[25])
+    assert abs(classical - 0.3883480520779692) <= 1e-15
+    before = _direction(1.5904803451615288, 1.7267311156287515)
+    assert np.abs(_direction(m.theta, m.phi) + before).max() <= 1e-6
+
+
 REFINE_TOL = 1e-7  # final compass-search step, radians
 
 

@@ -51,6 +51,22 @@ def test_build_kraus_completeness():
             assert np.abs(total - np.eye(4)).max() < 1e-12
 
 
+def test_channel_and_unitary_refuse_non_isometries():
+    """Completeness and unitarity are the one check max|C^dagger C - I| <= ISOMETRY_TOL."""
+    ops = build_kraus("A", 0.2).operators
+    with pytest.raises(DomainError, match=r"Kraus completeness violated by 1\.000e\+00"):
+        protocols.KrausChannel(operators=ops[:3], side="A", z=0.2)
+    with pytest.raises(DomainError, match="Kraus completeness violated"):
+        protocols.KrausChannel(operators=tuple(m * (1 + 1e-9) for m in ops), side="A", z=0.2)
+    protocols.KrausChannel(operators=tuple(m * (1 + 1e-12) for m in ops), side="A", z=0.2)
+    u = build_unitary("A", Z13).matrix
+    with pytest.raises(DomainError, match="unitarity violated"):
+        protocols.LocalUnitary(matrix=u * (1 + 1e-9), side="A", z=Z13)
+    # orthonormal columns pass U^dagger U = I; U U^dagger = I refuses them
+    with pytest.raises(DomainError, match=r"unitarity violated by 1\.000e\+00"):
+        protocols.LocalUnitary(matrix=u[:, :4], side="A", z=Z13)
+
+
 def test_build_kraus_structure_z13():
     factors = explicit_factors_z13()
     ch = build_kraus("A", Z13)

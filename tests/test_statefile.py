@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from qdissonance import (
     FORMAT_VERSION,
     DensityMatrix,
     StateFileError,
+    cc_pairs,
     dumps_state,
     load_state,
     loads_state,
     save_state,
     werner,
 )
+
+from qdissonance.statefile import MAX_STATE_DIM
 
 from _zoo import build_zoo, random_density
 
@@ -109,6 +113,31 @@ def test_bad_dims_line():
         loads_state(f"{good[0]}\ndims: {2**63 - 1} {2**63 - 1}\n1+0j\n")
     with pytest.raises(StateFileError, match="expected 18446744078004518912 matrix rows"):
         loads_state(f"{good[0]}\ndims: 4294967296 4294967297\n1+0j\n")
+
+
+def test_over_cap_dims_refused_before_any_row():
+    """A dims line above MAX_STATE_DIM is refused before the d x d matrix is allocated."""
+    header_only = f"{FORMAT_VERSION}\ndims: 30000\n"
+    # a 90 KB file whose 30000 rows match the dims: 13.4 GiB once allocated
+    rows = header_only + "0j\n" * 30000
+    for text in (header_only, rows, f"{FORMAT_VERSION}\ndims: 2 {MAX_STATE_DIM}\n"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateFileError, match=r"more than MAX_STATE_DIM = 1024$"):
+                loads_state(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the split lines of the 90 KB file take ~2 MB; the matrix would take 13.4 GiB
+        assert peak < (2**16 if text is not rows else 2**22)
+    # the cap itself is admitted: the row count is what is wrong here
+    with pytest.raises(StateFileError, match="expected 1024 matrix rows, found 0"):
+        loads_state(f"{FORMAT_VERSION}\ndims: 2 512\n")
+    # the `qdiss state cc-pairs --k 3` state still round-trips
+    rho = cc_pairs(3)
+    back = loads_state(dumps_state(rho))
+    assert back.legs == (2,) * 6
+    assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
 
 def test_wrong_row_count():
