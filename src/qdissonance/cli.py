@@ -18,7 +18,7 @@ from .states import _BELL_NAMES, bell, cc_pairs, cc_state, cq_state, product_dec
 from .correlations import DEFAULT_GRID, discord
 from .witness import WitnessReport, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
-from .statefile import StateFileError, load_state, save_state
+from .statefile import StateFileError, check_dims, load_state, save_state
 from . import __version__
 
 EXIT_OK = 0
@@ -67,19 +67,20 @@ def cmd_state(args) -> int:
     elif kind == "cc":
         if args.p is None:
             raise DomainError("state cc requires --p (rows ';'-separated)")
-        rho = cc_state(_parse_table(args.p))
+        table = _parse_table(args.p)
+        check_dims(table.shape)
+        rho = cc_state(table)
     elif kind == "cq":
         if args.p is None or not args.states_b:
             raise DomainError("state cq requires --p and --states-b")
         probs = _parse_table(args.p).reshape(-1)
         states = [load_state(path) for path in args.states_b]
+        check_dims((probs.size, states[0].dim))
         rho = cq_state(probs, None, states)
-    elif kind == "cc-pairs":
+    else:  # cc-pairs; argparse limits the choices
         if args.k is None:
             raise DomainError("state cc-pairs requires --k")
         rho = cc_pairs(args.k)
-    else:  # pragma: no cover - argparse limits choices
-        raise DomainError(f"unknown constructor {kind!r}")
     out = args.out or f"{kind}.qs"
     save_state(rho, out)
     print(f"wrote {out}")

@@ -441,7 +441,7 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         return max(float((x @ x + np.sum(t * t) - kmax) / 4.0), 0.0)
     if method == "brute-force":
         parts = _pauli_parts(rho)
-        pur = float(np.real(np.trace(rho.matrix @ rho.matrix)))
+        pur = rho.purity()
 
         def objective(n):
             return pur - (np.abs(_split(parts, n)) ** 2).sum(axis=(0, 1, 2))

@@ -75,8 +75,6 @@ class KrausChannel:
     """Four operators on one side's qubit pair, complete to 1e-10."""
 
     operators: tuple[np.ndarray, ...]
-    side: str
-    z: float
 
     def __post_init__(self):
         ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)
@@ -92,8 +90,6 @@ class LocalUnitary:
     """Controlled-preparation unitary on one side's three qubits."""
 
     matrix: np.ndarray
-    side: str
-    z: float
 
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=complex)
@@ -112,7 +108,6 @@ class ProtocolResult:
     initial: DensityMatrix
     post_operation: DensityMatrix
     final: DensityMatrix
-    target: DensityMatrix
     trace_distance_to_target: float
 
 
@@ -134,17 +129,17 @@ def build_kraus(side: str, z: float) -> KrausChannel:
     """
     z = _check_z(z, "build_kraus")
     _check_side(side)
-    return _kraus(side, z, product_decomposition(z).factors)
+    return _kraus(side, product_decomposition(z).factors)
 
 
-def _kraus(side: str, z: float, pairs) -> KrausChannel:
+def _kraus(side: str, pairs) -> KrausChannel:
     """``build_kraus`` from the decomposition's factor pairs, arguments already checked."""
     k = 0 if side == "A" else 1
     ops = np.zeros((4, 4, 4), dtype=complex)
     for i, (flag, pair) in enumerate(zip(_FLAGS, pairs)):
         # column i is |flag_i> x factor_i
         ops[i, 2 * flag : 2 * flag + 2, i] = pair[k].vector
-    return KrausChannel(operators=tuple(ops), side=side, z=z)
+    return KrausChannel(operators=tuple(ops))
 
 
 def _run(kind: str, z: float, pairs: int, ops, discard) -> ProtocolResult:
@@ -163,15 +158,13 @@ def _run(kind: str, z: float, pairs: int, ops, discard) -> ProtocolResult:
     w = np.stack([(ka[:, None, :] * kb[None, :, :]).reshape(d * d, d) for ka, kb in ops])
     post_dm = DensityMatrix.from_factor(w, initial.legs, 1.0 / d)
     final = partial_trace(post_dm, discard)
-    target = werner(z)
     return ProtocolResult(
         kind=kind,
         z=z,
         initial=initial,
         post_operation=post_dm,
         final=final,
-        target=target,
-        trace_distance_to_target=trace_distance(final, target),
+        trace_distance_to_target=trace_distance(final, werner(z)),
     )
 
 
@@ -183,7 +176,7 @@ def run_kraus_protocol(z: float) -> ProtocolResult:
     """
     z = _check_z(z, "run_kraus_protocol")
     pairs = product_decomposition(z).factors
-    ops = list(zip(_kraus("A", z, pairs).operators, _kraus("B", z, pairs).operators))
+    ops = list(zip(_kraus("A", pairs).operators, _kraus("B", pairs).operators))
     return _run("kraus", z, 2, ops, (0, 2))  # legs [A1, A2, B1, B2]
 
 
@@ -197,7 +190,7 @@ def build_unitary(side: str, z: float) -> LocalUnitary:
     """
     z = _check_z(z, "build_unitary")
     _check_side(side)
-    return _unitary(side, z, _orthogonal_pairs(z))
+    return _unitary(side, _orthogonal_pairs(z))
 
 
 def _orthogonal_pairs(z: float):
@@ -209,7 +202,7 @@ def _orthogonal_pairs(z: float):
     return pairs
 
 
-def _unitary(side: str, z: float, pairs) -> LocalUnitary:
+def _unitary(side: str, pairs) -> LocalUnitary:
     """``build_unitary`` from orthogonal factor pairs, arguments already checked.
 
     Control value k = 2m+n selects the 2x2 diagonal block k, whose
@@ -221,14 +214,14 @@ def _unitary(side: str, z: float, pairs) -> LocalUnitary:
         if side == "B":
             left, right = right, left
         u[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.column_stack([left, right])
-    return LocalUnitary(matrix=u, side=side, z=z)
+    return LocalUnitary(matrix=u)
 
 
 def run_unitary_protocol(z: float) -> ProtocolResult:
     """Run the three-pair protocol: local unitaries, then trace the control pairs."""
     z = _check_z(z, "run_unitary_protocol")
     pairs = _orthogonal_pairs(z)
-    ops = [(_unitary("A", z, pairs).matrix, _unitary("B", z, pairs).matrix)]
+    ops = [(_unitary("A", pairs).matrix, _unitary("B", pairs).matrix)]
     return _run("unitary", z, 3, ops, (0, 1, 3, 4))  # legs [A1, A2, A3, B1, B2, B3]
 
 

@@ -3,8 +3,8 @@
 Everything in this package runs through the two container types defined
 here.  ``DensityMatrix`` and ``PureState`` validate their physical
 invariants on construction and carry the tensor-leg structure
-(``legs``) needed for partial traces and leg permutations, so the
-higher-level modules never juggle raw reshape bookkeeping.
+(``legs``) needed for partial traces, so the higher-level modules never
+juggle raw reshape bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "PureState",
     "projector",
     "tensor",
-    "permute_legs",
     "partial_trace",
     "trace_distance",
 ]
@@ -230,41 +229,16 @@ def projector(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(state.vector, state.vector.conj()), state.legs)
 
 
-def tensor(a, b):
-    """Kronecker product, preserving container type and leg structure.
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two density matrices, legs a's then b's.
 
-    Accepts two ``DensityMatrix``, two ``PureState``, or two plain
-    arrays; mixing container types is an error.
+    Any other pair of arguments raises DomainError.
     """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.matrix, b.matrix), a.legs + b.legs)
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(
-            np.kron(a.vector, b.vector),
-            a.legs + b.legs,
-            normalized=a.normalized and b.normalized,
+    if not (isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix)):
+        raise DomainError(
+            f"tensor requires two DensityMatrix, got {type(a).__name__} and {type(b).__name__}"
         )
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
-    raise DomainError(
-        f"tensor requires two DensityMatrix, two PureState, or two arrays, "
-        f"got {type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def permute_legs(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
-    """Reorder tensor legs so that new leg ``i`` is old leg ``perm[i]``."""
-    n = len(rho.legs)
-    perm = tuple(_as_index(p, "perm entry") for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise DomainError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    dims = rho.legs
-    t = rho.matrix.reshape(dims + dims)
-    axes = perm + tuple(n + p for p in perm)
-    new_dims = tuple(dims[p] for p in perm)
-    d = rho.dim
-    out = t.transpose(axes).reshape(d, d)
-    return DensityMatrix(out, new_dims)
+    return DensityMatrix(np.kron(a.matrix, b.matrix), a.legs + b.legs)
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:

@@ -9,12 +9,16 @@ Format (one matrix per file):
 
 Entries are written as ``re+imj`` with 17 significant digits, which
 round-trips IEEE doubles exactly.  Loading refuses a ``dims:`` line
-whose product exceeds MAX_STATE_DIM before it reads any row, and
-re-validates every density matrix invariant.
+whose product exceeds MAX_STATE_DIM (``check_dims``, which ``qdiss
+state`` applies too) before it reads any row, keeps at most d rows and
+only counts the lines after them, and re-validates every density matrix
+invariant.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 
 import numpy as np
@@ -45,8 +49,18 @@ def dumps_state(rho: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_state(text: str) -> DensityMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def check_dims(dims) -> int:
+    """The total dimension of leg dimensions ``dims``; StateFileError above MAX_STATE_DIM."""
+    d = math.prod(dims)
+    if d > MAX_STATE_DIM:
+        raise StateFileError(f"expected {d} matrix rows, more than MAX_STATE_DIM = {MAX_STATE_DIM}")
+    return d
+
+
+def _parse(chunks) -> DensityMatrix:
+    """A state from an iterator of text chunks, read once; blank lines are skipped."""
+    nonblank = (ln for chunk in chunks for ln in chunk.splitlines() if ln.strip())
+    lines = list(itertools.islice(nonblank, 2))
     if not lines or lines[0].strip() != FORMAT_VERSION:
         raise StateFileError(f"missing or unknown format header (expected {FORMAT_VERSION!r})")
     if len(lines) < 2 or not lines[1].strip().startswith("dims:"):
@@ -57,12 +71,11 @@ def loads_state(text: str) -> DensityMatrix:
         raise StateFileError(f"unparseable dims line: {exc}") from exc
     if not dims or any(d < 1 for d in dims):
         raise StateFileError(f"invalid dims {dims}")
-    d = math.prod(dims)
-    if d > MAX_STATE_DIM:
-        raise StateFileError(f"expected {d} matrix rows, more than MAX_STATE_DIM = {MAX_STATE_DIM}")
-    rows = lines[2:]
-    if len(rows) != d:
-        raise StateFileError(f"expected {d} matrix rows, found {len(rows)}")
+    d = check_dims(dims)
+    rows = list(itertools.islice(nonblank, d))
+    found = len(rows) + sum(1 for _ in nonblank)
+    if found != d:
+        raise StateFileError(f"expected {d} matrix rows, found {found}")
     matrix = np.empty((d, d), dtype=complex)
     for i, row in enumerate(rows):
         toks = row.split()
@@ -78,15 +91,35 @@ def loads_state(text: str) -> DensityMatrix:
         raise StateFileError(f"file does not encode a valid density matrix: {exc}") from exc
 
 
+def loads_state(text: str) -> DensityMatrix:
+    return _parse(io.StringIO(text))
+
+
 def save_state(rho: DensityMatrix, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dumps_state(rho))
 
 
+def _ascii_lines(fh):
+    """The lines of a binary file as text; a non-ASCII byte is named by its offset in the file."""
+    offset = 0
+    for raw in fh:
+        if not raw.isascii():
+            k = next(k for k, b in enumerate(raw) if b > 127)
+            raise StateFileError(
+                f"not an ASCII state file: 'ascii' codec can't decode byte 0x{raw[k]:02x} "
+                f"in position {offset + k}: ordinal not in range(128)"
+            )
+        offset += len(raw)
+        yield raw.decode("ascii")
+
+
 def load_state(path) -> DensityMatrix:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
+        lines = _ascii_lines(fh)
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise StateFileError(f"not an ASCII state file: {exc}") from exc
-    return loads_state(text)
+            return _parse(lines)
+        except StateFileError:
+            for _ in lines:  # a non-ASCII byte anywhere takes precedence over a format error
+                pass
+            raise

@@ -36,7 +36,6 @@ __all__ = [
     "phase_equation_residual",
     "eta_states",
     "factor_pure",
-    "explicit_factors_z13",
     "product_decomposition",
     "cc_pairs",
 ]
@@ -268,28 +267,6 @@ def factor_pure(state: PureState) -> PureFactorization:
         right=PureState(right, (2,)),
         phase=phase,
         residual=residual,
-    )
-
-
-def explicit_factors_z13() -> tuple[tuple[PureState, PureState], ...]:
-    """Hard-coded factor pairs of the four components at z = 1/3.
-
-    Amplitudes are built from kappa = sqrt((3+sqrt(3))/12) and
-    kbar = sqrt((3-sqrt(3))/12); within each pair the two factors are
-    orthogonal, and the uniform mixture of the four projector products
-    reproduces ``werner(1/3)``.
-    """
-    r3 = np.sqrt(3.0)
-    kap = np.sqrt((3.0 + r3) / 12.0)
-    kbar = np.sqrt((3.0 - r3) / 12.0)
-    pairs_raw = (
-        (kap * 1j * np.array([1 - r3, -(1 + 1j)]), kap * np.array([1j - 1, r3 - 1])),
-        (kap * 1j * np.array([1 - r3, 1 + 1j]), kap * np.array([1 - 1j, r3 - 1])),
-        (kbar * -1j * np.array([r3 + 1, 1 - 1j]), kbar * np.array([-(1 + 1j), r3 + 1])),
-        (kbar * -1j * np.array([r3 + 1, 1j - 1]), kbar * np.array([1 + 1j, r3 + 1])),
-    )
-    return tuple(
-        (PureState(a, (2,)), PureState(b, (2,))) for a, b in pairs_raw
     )
 
 

@@ -63,7 +63,6 @@ class WitnessReport:
     singular values 0.5) it reads sqrt(2) but moves under local rotations.
     """
 
-    r: np.ndarray
     singular_values: np.ndarray
     l_rank: int
     s_ops: np.ndarray
@@ -93,11 +92,11 @@ def witness_report(rho: DensityMatrix) -> WitnessReport:
         raise ArithmeticError(f"operator Schmidt reconstruction error {err:.3e}")
     comm = s_ops[:, None] @ s_ops[None] - s_ops[None] @ s_ops[:, None]
     max_norm = float(np.linalg.norm(comm, axis=(2, 3)).max(initial=0.0))
-    for arr in (r, s, s_ops, f_ops):
+    for arr in (s, s_ops, f_ops):
         arr.setflags(write=False)
     verdicts = {"commutator_zero_discord": max_norm <= COMMUTATOR_TOL, "rank_witness": l_rank > 2}
     return WitnessReport(
-        r=r, singular_values=s, l_rank=l_rank, s_ops=s_ops, f_ops=f_ops,
+        singular_values=s, l_rank=l_rank, s_ops=s_ops, f_ops=f_ops,
         max_commutator_norm=max_norm, verdicts=MappingProxyType(verdicts),
     )
 

@@ -1,4 +1,4 @@
-"""Shared state-zoo builders for the test suite.
+"""Shared state-zoo builders and reference values for the test suite.
 
 Everything is seeded, so the zoo is identical across runs.  States are
 tagged with whether their discord is exactly zero ("zero") or known to
@@ -7,7 +7,9 @@ be well above the 1e-6 verdict threshold ("nonzero").
 
 import numpy as np
 
-from qdissonance import DensityMatrix, bell, cc_state, cq_state, projector, tensor, werner
+from qdissonance import (
+    DensityMatrix, PureState, bell, cc_state, cq_state, projector, tensor, werner,
+)
 
 ZOO_SEED = 20240917
 
@@ -67,3 +69,25 @@ def build_zoo():
         zoo.append((f"random-{i}", random_two_qubit(rng), "nonzero"))
     assert len(zoo) == 50
     return zoo
+
+
+def explicit_factors_z13() -> tuple[tuple[PureState, PureState], ...]:
+    """Hard-coded factor pairs of the four components at z = 1/3.
+
+    Amplitudes are built from kappa = sqrt((3+sqrt(3))/12) and
+    kbar = sqrt((3-sqrt(3))/12); within each pair the two factors are
+    orthogonal, and the uniform mixture of the four projector products
+    reproduces ``werner(1/3)``.
+    """
+    r3 = np.sqrt(3.0)
+    kap = np.sqrt((3.0 + r3) / 12.0)
+    kbar = np.sqrt((3.0 - r3) / 12.0)
+    pairs_raw = (
+        (kap * 1j * np.array([1 - r3, -(1 + 1j)]), kap * np.array([1j - 1, r3 - 1])),
+        (kap * 1j * np.array([1 - r3, 1 + 1j]), kap * np.array([1 - 1j, r3 - 1])),
+        (kbar * -1j * np.array([r3 + 1, 1 - 1j]), kbar * np.array([-(1 + 1j), r3 + 1])),
+        (kbar * -1j * np.array([r3 + 1, 1j - 1]), kbar * np.array([1 + 1j, r3 + 1])),
+    )
+    return tuple(
+        (PureState(a, (2,)), PureState(b, (2,))) for a, b in pairs_raw
+    )

@@ -20,7 +20,6 @@ from qdissonance import (
     conditional_block,
     discord,
     eta_states,
-    explicit_factors_z13,
     geometric_discord,
     projector,
     run_kraus_protocol,
@@ -32,7 +31,7 @@ from qdissonance import (
 )
 from qdissonance.cli import SWEEP_HEADER, main
 
-from _zoo import build_zoo, random_two_qubit
+from _zoo import build_zoo, explicit_factors_z13, random_two_qubit
 
 Z13 = 1.0 / 3.0
 Z_GRID = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, Z13]

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdissonance
+from qdissonance import statefile
 from qdissonance import DensityMatrix, DomainError, load_state, save_state, werner
 from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main, sweep_rows
 
@@ -389,6 +391,32 @@ def test_over_cap_state_file_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "measures", str(state_path))
     assert code == 1 and out == ""
     assert err == "error: expected 30000 matrix rows, more than MAX_STATE_DIM = 1024\n"
+
+
+def test_state_refuses_over_cap_dims_before_building(tmp_path, capsys, monkeypatch):
+    """`state` refuses what the loader would refuse, with one error line and no file."""
+    table = ";".join(",".join(["0.0"] * 32) for _ in range(33))
+    out_path = tmp_path / "big.qs"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "state", "cc", "--p", table, "--out", str(out_path))
+    # building the 1056 x 1056 state would take tens of seconds
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == "error: expected 1056 matrix rows, more than MAX_STATE_DIM = 1024\n"
+    assert not out_path.exists()
+    # a qubit-qutrit cq state has total dimension 6
+    t0, t1 = tmp_path / "t0.qs", tmp_path / "t1.qs"
+    save_state(DensityMatrix(np.diag([1.0, 0.0, 0.0]), (3,)), t0)
+    save_state(DensityMatrix(np.diag([0.0, 0.0, 1.0]), (3,)), t1)
+    argv = ("state", "cq", "--p", "0.5,0.5", "--states-b", str(t0), str(t1), "--out", str(out_path))
+    monkeypatch.setattr(statefile, "MAX_STATE_DIM", 4)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: expected 6 matrix rows, more than MAX_STATE_DIM = 4\n"
+    assert not out_path.exists()
+    monkeypatch.setattr(statefile, "MAX_STATE_DIM", 6)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and load_state(out_path).legs == (2, 3)
 
 
 def test_package_imports_without_scipy():

@@ -2,20 +2,24 @@
 
 Each example either returns 0, 1, 2 or 3 from ``cli.main`` or stops in
 argparse with SystemExit(2), and writes at most one ``error:`` line to
-stderr; any other exception fails the test.  The search is derandomized
-and keeps no example database, so the test is deterministic and writes
+stderr; any other exception fails the test.  Every ``state`` run either
+fails with one ``error:`` line and writes nothing, or writes a file that
+``load_state`` returns bit for bit.  The searches are derandomized and
+keep no example database, so the tests are deterministic and write
 nothing into the working tree.
 """
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from qdissonance import cc_state, dumps_state, werner  # noqa: E402
+from qdissonance import cc_state, dumps_state, load_state, save_state, werner  # noqa: E402
+from qdissonance import cli  # noqa: E402
 from qdissonance.cli import main  # noqa: E402
 
 # Valid files, so that the verbs also run past the loader.
@@ -64,42 +68,51 @@ def _tables(draw):
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
     )
     rows = draw(st.lists(st.lists(entries, max_size=3).map(",".join), min_size=1, max_size=3))
-    return ";".join(rows)
+    # valid tables, and a uniform 33 x 32 one whose state is above MAX_STATE_DIM
+    valid = ("1", "0.5,0.5", "0.5,0;0,0.5", "0.2,0.1,0.2;0.1,0.3,0.1", "0.25;0.75")
+    big = ";".join([",".join([repr(1 / 1056)] * 32)] * 33)
+    return draw(st.one_of(st.sampled_from(valid), st.just(big), st.just(";".join(rows))))
+
+
+def _qs(draw, tmp):
+    path = tmp / f"in{draw(st.integers(0, 3))}.qs"
+    path.write_bytes(draw(_state_text()).encode("utf-8"))
+    return str(path)
+
+
+@st.composite
+def _state_argv(draw, tmp):
+    kind = draw(st.sampled_from(("werner", "cc", "cq", "bell", "cc-pairs")))
+    argv = ["state", kind, "--out", str(tmp / "out")]
+    if kind == "werner":
+        argv += ["--z", draw(_FLOATS)]
+    elif kind == "bell":
+        argv += ["--which", draw(st.sampled_from(("psi-", "phi+", "PSI+", "omega")))]
+    elif kind == "cc":
+        argv += ["--p", draw(_tables())]
+    elif kind == "cq":
+        argv += ["--p", draw(_tables()), "--states-b"]
+        argv += [_qs(draw, tmp) for _ in range(draw(st.integers(1, 3)))]
+    else:
+        argv += ["--k", draw(st.sampled_from(("2", "3", "4", "0", "-1", "2.5", str(2**70))))]
+    return argv
 
 
 @st.composite
 def _argv(draw, tmp):
-    def qs():
-        path = tmp / f"in{draw(st.integers(0, 3))}.qs"
-        path.write_bytes(draw(_state_text()).encode("utf-8"))
-        return str(path)
-
     out = str(tmp / "out")
     verb = draw(st.sampled_from(("state", "measures", "witness", "protocol", "sweep", "decompose")))
     if verb == "state":
-        kind = draw(st.sampled_from(("werner", "cc", "cq", "bell", "cc-pairs")))
-        argv = ["state", kind, "--out", out]
-        if kind == "werner":
-            argv += ["--z", draw(_FLOATS)]
-        elif kind == "bell":
-            argv += ["--which", draw(st.sampled_from(("psi-", "phi+", "PSI+", "omega")))]
-        elif kind == "cc":
-            argv += ["--p", draw(_tables())]
-        elif kind == "cq":
-            argv += ["--p", draw(_tables()), "--states-b"]
-            argv += [qs() for _ in range(draw(st.integers(1, 3)))]
-        else:
-            argv += ["--k", draw(st.sampled_from(("2", "3", "4", "0", "-1", "2.5", str(2**70))))]
-        return argv
+        return draw(_state_argv(tmp))
     if verb == "measures":
-        argv = ["measures", qs()]
+        argv = ["measures", _qs(draw, tmp)]
         if draw(st.booleans()):
             argv += ["--opt-grid", draw(_GRIDS)]
         if draw(st.booleans()):
             argv += ["--json", out]
         return argv
     if verb == "witness":
-        return ["witness", qs()]
+        return ["witness", _qs(draw, tmp)]
     if verb == "protocol":
         return ["protocol", draw(st.sampled_from(("kraus", "unitary"))), "--z", draw(_FLOATS)]
     if verb == "sweep":
@@ -136,5 +149,45 @@ def test_cli_exits_cleanly_on_generated_input(fuzz_dir):
                 code = exc.code
         assert code in (0, 1, 2, 3), (code, err.getvalue())
         assert err.getvalue().count("error:") <= 1, err.getvalue()
+
+    run()
+
+
+def test_state_output_loads_back_bit_for_bit(fuzz_dir, monkeypatch):
+    written = []
+
+    def recording_save(rho, path):
+        written.append(rho)
+        save_state(rho, path)
+
+    monkeypatch.setattr(cli, "save_state", recording_save)
+    out_path = fuzz_dir / "out"
+
+    @settings(
+        max_examples=60,
+        database=None,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def run(data):
+        argv = data.draw(_state_argv(fuzz_dir), label="argv")
+        out_path.unlink(missing_ok=True)
+        written.clear()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        if code != 0:
+            assert err.getvalue().count("error:") == 1, err.getvalue()
+            assert not out_path.exists()
+            return
+        (rho,) = written
+        back = load_state(out_path)
+        assert back.legs == rho.legs
+        assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
     run()

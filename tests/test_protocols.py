@@ -13,7 +13,6 @@ from qdissonance import (
     certify,
     conditional_block,
     discord,
-    explicit_factors_z13,
     geometric_discord,
     partial_trace,
     run_kraus_protocol,
@@ -21,6 +20,8 @@ from qdissonance import (
     trace_distance,
     werner,
 )
+
+from _zoo import explicit_factors_z13
 
 SEED = 7400
 Z13 = 1.0 / 3.0
@@ -55,16 +56,16 @@ def test_channel_and_unitary_refuse_non_isometries():
     """Completeness and unitarity are the one check max|C^dagger C - I| <= ISOMETRY_TOL."""
     ops = build_kraus("A", 0.2).operators
     with pytest.raises(DomainError, match=r"Kraus completeness violated by 1\.000e\+00"):
-        protocols.KrausChannel(operators=ops[:3], side="A", z=0.2)
+        protocols.KrausChannel(operators=ops[:3])
     with pytest.raises(DomainError, match="Kraus completeness violated"):
-        protocols.KrausChannel(operators=tuple(m * (1 + 1e-9) for m in ops), side="A", z=0.2)
-    protocols.KrausChannel(operators=tuple(m * (1 + 1e-12) for m in ops), side="A", z=0.2)
+        protocols.KrausChannel(operators=tuple(m * (1 + 1e-9) for m in ops))
+    protocols.KrausChannel(operators=tuple(m * (1 + 1e-12) for m in ops))
     u = build_unitary("A", Z13).matrix
     with pytest.raises(DomainError, match="unitarity violated"):
-        protocols.LocalUnitary(matrix=u * (1 + 1e-9), side="A", z=Z13)
+        protocols.LocalUnitary(matrix=u * (1 + 1e-9))
     # orthonormal columns pass U^dagger U = I; U U^dagger = I refuses them
     with pytest.raises(DomainError, match=r"unitarity violated by 1\.000e\+00"):
-        protocols.LocalUnitary(matrix=u[:, :4], side="A", z=Z13)
+        protocols.LocalUnitary(matrix=u[:, :4])
 
 
 def test_build_kraus_structure_z13():

@@ -9,7 +9,6 @@ from qdissonance import (
     DomainError,
     PureState,
     partial_trace,
-    permute_legs,
     projector,
     tensor,
     trace_distance,
@@ -114,34 +113,11 @@ def test_tensor_types_and_legs():
     ab = tensor(a, b)
     assert ab.legs == (2, 2)
     assert np.allclose(ab.matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
+    # only two DensityMatrix: pure states, plain arrays and mixed pairs are refused
     u = PureState(np.array([1.0, 0.0]))
-    uv = tensor(u, u)
-    assert uv.legs == (2, 2) and uv.vector[0] == 1.0
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    with pytest.raises(DomainError):
-        tensor(a, u)
-
-
-def test_permute_legs_swaps_factors():
-    rng = np.random.default_rng(SEED)
-    ga = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    gb = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a = ga @ ga.conj().T
-    b = gb @ gb.conj().T
-    a /= np.trace(a).real
-    b /= np.trace(b).real
-    ab = DensityMatrix(np.kron(a, b), (2, 3))
-    ba = permute_legs(ab, (1, 0))
-    assert ba.legs == (3, 2)
-    assert np.abs(ba.matrix - np.kron(b, a)).max() < 1e-14
-    # inverse permutation restores the original
-    back = permute_legs(ba, (1, 0))
-    assert np.abs(back.matrix - ab.matrix).max() < 1e-14
-    with pytest.raises(DomainError):
-        permute_legs(ab, (0, 0))
-    with pytest.raises(DomainError, match="perm entry must be an integer"):
-        permute_legs(ab, (1.0, 0.0))
-    assert permute_legs(ab, np.array([1, 0])).legs == (3, 2)
+    for x, y in ((a, u), (u, u), (np.eye(2), np.eye(2)), (a, a.matrix)):
+        with pytest.raises(DomainError, match="tensor requires two DensityMatrix"):
+            tensor(x, y)
 
 
 def test_partial_trace():

@@ -140,6 +140,37 @@ def test_over_cap_dims_refused_before_any_row():
     assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
 
+def test_load_memory_follows_dims_not_file_size(tmp_path):
+    """A 4 MB file with `dims: 2` and 700000 extra rows: the loader counts them, keeps none."""
+    path = tmp_path / "long.qs"
+    path.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j 0j\n" * 700_002)
+    message = "^expected 2 matrix rows, found 700002$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError, match=message):
+            load_state(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole text split into lines took ~50 MB
+    assert peak < 2**20
+    with pytest.raises(StateFileError, match=message):
+        loads_state(path.read_text())
+
+
+def test_non_ascii_byte_named_by_file_offset(tmp_path):
+    """The offset is the byte's position in the file, even past the first read buffer,
+    and the error is reported ahead of any format error found earlier in the file."""
+    path = tmp_path / "bad.qs"
+    path.write_bytes(b"qstate v2\n" + b"x" * 9990 + b"\n\xc3\xa9\n")
+    with pytest.raises(
+        StateFileError,
+        match=r"^not an ASCII state file: 'ascii' codec can't decode byte 0xc3 in position "
+        r"10001: ordinal not in range\(128\)$",
+    ):
+        load_state(path)
+
+
 def test_wrong_row_count():
     good = dumps_state(werner(0.2)).splitlines()
     with pytest.raises(StateFileError):
