@@ -396,16 +396,12 @@ def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> Correla
     # rounding may break 0 <= classical <= total by a few ulps; report inside it
     total = max(total, 0.0)
     classical = min(max(classical, 0.0), total)
-    probs = []
-    cond = []
-    _, db = rho.legs
-    for reduced in _split(_pauli_parts(rho), _direction(m.theta, m.phi)):
-        p = float(np.real(np.trace(reduced)))
-        probs.append(p)
-        if p > CONDITIONAL_STATE_CUTOFF:
-            cond.append(DensityMatrix(reduced / p, (db,)))
-        else:
-            cond.append(None)
+    outcomes = _split(_pauli_parts(rho), _direction(m.theta, m.phi))
+    probs = [float(np.real(np.trace(reduced))) for reduced in outcomes]
+    cond = [
+        DensityMatrix._made(reduced / p, rho.legs[1:]) if p > CONDITIONAL_STATE_CUTOFF else None
+        for reduced, p in zip(outcomes, probs)
+    ]
     two_qubit = rho.legs == (2, 2)
     return CorrelationReport(
         total=total,

@@ -1,10 +1,12 @@
 """Dense linear algebra for finite-dimensional quantum states.
 
 Everything in this package runs through the two container types defined
-here.  ``DensityMatrix`` and ``PureState`` validate their physical
-invariants on construction and carry the tensor-leg structure
-(``legs``) needed for partial traces, so the higher-level modules never
-juggle raw reshape bookkeeping.
+here, which carry the tensor-leg structure (``legs``) needed for partial
+traces.  A state is validated once, where it enters: ``DensityMatrix(...)``
+and ``PureState(...)`` check their invariants.  A state made from
+validated ones (``partial_trace``, ``tensor``, ``projector``, conditional
+states, ``from_factor``) goes through ``DensityMatrix._made``, which keeps
+its Hermitian part and checks nothing again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ __all__ = [
 # bounds.  *_TOL bounds a residual a check accepts, *_CUTOFF is a magnitude
 # below which a quantity is treated as zero, *_FLOOR is a result reported
 # as exactly 0 at or below it, *_CAP is a count a loop may not exceed,
-# *_STEP is a fixed increment of a numerical method.
+# *_STEP is a fixed increment of a numerical method.  The density-matrix
+# tolerances bound what a state may bring in, so they are checked where it
+# enters, never on a state made from validated ones.
 HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
 PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
@@ -51,7 +55,6 @@ NEWTON_ITER_CAP = 30  # iterations (stencil plus trial step) of one Newton refin
 DIFFERENCE_STEP = 1e-4  # tangent offset, radians, of the refinement's central differences
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
-IMAG_RESIDUE_TOL = 1e-10  # max|Im r_nm| of a correlation matrix
 RANK_TOL = 1e-10  # singular value of R counted towards the rank L
 COMMUTATOR_TOL = 1e-9  # Frobenius norm of a commutator verdicting zero discord
 SCHMIDT_RECONSTRUCTION_TOL = 1e-9  # max entry error of an operator Schmidt decomposition
@@ -112,8 +115,9 @@ class DensityMatrix:
         matrix dimension.  Defaults to a single leg.
 
     ``eigenvalues`` is the read-only ascending spectrum that the
-    positivity check computed; ``eigenvalues[0]`` is its margin.
-    ``from_factor`` builds a state that is positive by construction.
+    positivity check computed; ``eigenvalues[0]`` is its margin.  This
+    constructor is the only one that validates; ``from_factor`` and every
+    state made from validated ones end in ``_made``, which checks nothing.
     """
 
     matrix: np.ndarray
@@ -139,12 +143,13 @@ class DensityMatrix:
             raise DomainError(f"matrix has negative eigenvalue {lam[0]:.3e}")
         self._freeze(m.copy(), legs, lam)
 
-    def _freeze(self, m: np.ndarray, legs: tuple[int, ...], lam: np.ndarray) -> None:
+    def _freeze(self, m: np.ndarray, legs: tuple[int, ...], lam: np.ndarray) -> DensityMatrix:
         m.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "eigenvalues", lam)
+        return self
 
     @classmethod
     def from_factor(cls, factors, legs: Sequence[int], weight: float = 1.0) -> DensityMatrix:
@@ -170,10 +175,13 @@ class DensityMatrix:
             m += (term * weight) @ term.conj().T
         cols = f.transpose(1, 0, 2).reshape(d, terms * r)
         lam = np.linalg.eigvalsh((cols.conj().T * weight) @ cols)
-        lam = np.sort(np.concatenate([np.zeros(max(d - lam.size, 0)), lam]))[-d:]
-        rho = cls.__new__(cls)
-        rho._freeze((m + m.conj().T) / 2.0, legs, lam)
-        return rho
+        return cls._made(m, legs, np.sort(np.concatenate([np.zeros(max(d - lam.size, 0)), lam]))[-d:])
+
+    @classmethod
+    def _made(cls, m: np.ndarray, legs: tuple[int, ...], lam: np.ndarray | None = None) -> DensityMatrix:
+        """A state made from validated ones: the Hermitian part of m, with spectrum lam (or eigvalsh)."""
+        m = (m + m.conj().T) / 2.0
+        return cls.__new__(cls)._freeze(m, legs, np.linalg.eigvalsh(m) if lam is None else lam)
 
     @property
     def dim(self) -> int:
@@ -226,7 +234,7 @@ def projector(state: PureState) -> DensityMatrix:
     """Rank-one density matrix |v><v| of a normalized pure state."""
     if not state.normalized:
         raise DomainError("projector requires a normalized PureState")
-    return DensityMatrix(np.outer(state.vector, state.vector.conj()), state.legs)
+    return DensityMatrix._made(np.outer(state.vector, state.vector.conj()), state.legs)
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -238,7 +246,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
         raise DomainError(
             f"tensor requires two DensityMatrix, got {type(a).__name__} and {type(b).__name__}"
         )
-    return DensityMatrix(np.kron(a.matrix, b.matrix), a.legs + b.legs)
+    return DensityMatrix._made(np.kron(a.matrix, b.matrix), a.legs + b.legs)
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
@@ -259,7 +267,7 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
     out = np.einsum(t, row + col)
     kept_dims = tuple(dims[i] for i in keep)
     d = int(np.prod(kept_dims))
-    return DensityMatrix(out.reshape(d, d), kept_dims)
+    return DensityMatrix._made(out.reshape(d, d), kept_dims)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

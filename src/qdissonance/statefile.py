@@ -11,8 +11,9 @@ Entries are written as ``re+imj`` with 17 significant digits, which
 round-trips IEEE doubles exactly.  Loading refuses a ``dims:`` line
 whose product exceeds MAX_STATE_DIM (``check_dims``, which ``qdiss
 state`` applies too) before it reads any row, keeps at most d rows and
-only counts the lines after them, and re-validates every density matrix
-invariant.
+only counts the lines after them, splits each row at most d + 1 ways and
+only counts the entries after them, and validates every density matrix
+invariant: a loaded state enters the package here.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def check_dims(dims) -> int:
 
 def _parse(chunks) -> DensityMatrix:
     """A state from an iterator of text chunks, read once; blank lines are skipped."""
-    nonblank = (ln for chunk in chunks for ln in chunk.splitlines() if ln.strip())
+    nonblank = (ln for chunk in chunks for ln in chunk.splitlines() if ln and not ln.isspace())
     lines = list(itertools.islice(nonblank, 2))
     if not lines or lines[0].strip() != FORMAT_VERSION:
         raise StateFileError(f"missing or unknown format header (expected {FORMAT_VERSION!r})")
@@ -78,9 +80,10 @@ def _parse(chunks) -> DensityMatrix:
         raise StateFileError(f"expected {d} matrix rows, found {found}")
     matrix = np.empty((d, d), dtype=complex)
     for i, row in enumerate(rows):
-        toks = row.split()
+        toks = row.split(None, d)  # the tail of a longer row is counted, not split
         if len(toks) != d:
-            raise StateFileError(f"row {i}: expected {d} entries, found {len(toks)}")
+            found = len(toks) if len(toks) < d else d + sum(1 for _ in re.finditer(r"\S+", toks[d]))
+            raise StateFileError(f"row {i}: expected {d} entries, found {found}")
         try:
             matrix[i] = [complex(tok) for tok in toks]
         except ValueError as exc:
@@ -111,7 +114,9 @@ def _ascii_lines(fh):
                 f"in position {offset + k}: ordinal not in range(128)"
             )
         offset += len(raw)
-        yield raw.decode("ascii")
+        line = raw.decode("ascii")
+        del raw  # hold one copy of a long line, not two
+        yield line
 
 
 def load_state(path) -> DensityMatrix:

@@ -134,8 +134,7 @@ def werner(z: float) -> DensityMatrix:
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"werner: z must lie in [0, 1], got {z}")
     psim = _BELL[1]
-    rho = z * np.outer(psim, psim.conj()) + (1.0 - z) / 4.0 * np.eye(4)
-    return DensityMatrix(rho, (2, 2))
+    return DensityMatrix._made(z * np.outer(psim, psim.conj()) + (1.0 - z) / 4.0 * np.eye(4), (2, 2))
 
 
 def phase_equation_residual(thetas: Sequence[float], z: float) -> float:

@@ -91,3 +91,28 @@ def explicit_factors_z13() -> tuple[tuple[PureState, PureState], ...]:
     return tuple(
         (PureState(a, (2,)), PureState(b, (2,))) for a, b in pairs_raw
     )
+
+
+def werner_with_imaginary_residual() -> DensityMatrix:
+    """werner(0.3) plus 0.45e-12j at (0, 2), (2, 0), (1, 3), (3, 1).
+
+    Its Hermiticity residual is 0.9e-12, which DensityMatrix accepts;
+    both entries feed rho_A[0, 1], whose residual is then 1.8e-12.
+    """
+    m = werner(0.3).matrix.copy()
+    for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
+        m[i, j] += 0.45e-12j
+    return DensityMatrix(m, (2, 2))
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def near_pure_rotated(rng, legs):
+    """(U_A x U_B) diag(lam) (U_A x U_B)^dagger, one eigenvalue ~1 and the rest from 1e-12 to 1."""
+    d = legs[0] * legs[1]
+    lam = np.concatenate([[1.0], 10.0 ** rng.uniform(-12.0, 0.0, d - 1)])
+    u = np.kron(haar_unitary(rng, legs[0]), haar_unitary(rng, legs[1]))
+    return DensityMatrix((u * (lam / lam.sum())) @ u.conj().T, legs)

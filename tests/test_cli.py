@@ -13,6 +13,8 @@ from qdissonance import statefile
 from qdissonance import DensityMatrix, DomainError, load_state, save_state, werner
 from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main, sweep_rows
 
+from _zoo import werner_with_imaginary_residual
+
 
 def run(capsys, *argv):
     try:
@@ -136,6 +138,15 @@ def test_measures_werner1(tmp_path, capsys):
         "total", "classical", "discord", "geometric_discord",
         "concurrence", "negativity", "theta", "phi",
     }
+
+
+def test_measures_accepts_what_the_loader_accepts(tmp_path, capsys):
+    """A file that loads as valid is measured: its marginal's doubled residual is not re-validated."""
+    state_path = tmp_path / "residual.qs"
+    save_state(werner_with_imaginary_residual(), state_path)
+    code, out, err = run(capsys, "measures", str(state_path))
+    assert (code, err) == (0, "")
+    assert abs(float(kv(out)["total"]) - 0.169698808079) < 1e-11
 
 
 def test_measures_missing_file(tmp_path, capsys):

@@ -43,7 +43,8 @@ from qdissonance.correlations import (
 from qdissonance.qla import FLAT_SPREAD_TOL, NEWTON_ITER_CAP
 
 from _zoo import (
-    build_zoo, random_cq, random_density, random_product, random_qubit_basis, random_two_qubit,
+    build_zoo, near_pure_rotated, random_cq, random_density, random_product, random_qubit_basis,
+    random_two_qubit, werner_with_imaginary_residual,
 )
 
 SEED = 7200
@@ -757,3 +758,34 @@ def test_refinement_matches_the_compass_search(monkeypatch):
         assert refined[0] <= compass[0] + 1e-13, i
         a, b = _direction(*compass[1:]), _direction(*refined[1:])
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-6, i
+
+
+def test_conditional_states_of_near_pure_states_are_made_exact():
+    """Outcome probabilities far below 1 divide the state's rounding by p; the
+    conditional states are made exactly Hermitian, not checked again."""
+    rng = np.random.default_rng(SEED + 60)
+    for i in range(200):
+        legs = (2, 3) if i % 20 == 19 else (2, 2)
+        rho = near_pure_rotated(rng, legs)
+        rep = discord(rho, grid=(16, 32) if legs == (2, 3) else DEFAULT_GRID)
+        db = legs[1]
+        for proj, p, cond in zip(
+            rep.argmin_measurement.projectors, rep.outcome_probs, rep.conditional_states
+        ):
+            if cond is None:
+                continue
+            c = cond.matrix
+            assert np.array_equal(c, c.conj().T)
+            assert abs(np.trace(c) - 1.0) <= 1e-12
+            big = np.kron(proj, np.eye(db))
+            explicit = np.einsum("abac->bc", (big @ rho.matrix @ big).reshape(2, db, 2, db))
+            assert np.abs(p * c - explicit).max() <= 1e-12
+
+
+def test_accepted_hermiticity_residual_is_not_rechecked():
+    """A residual of 0.9e-12 passes DensityMatrix; its marginal doubles it and is not re-validated."""
+    rho = werner_with_imaginary_residual()
+    ref = werner(0.3)
+    assert abs(total_correlation(rho) - total_correlation(ref)) < 1e-10
+    rep = discord(rho)
+    assert abs(rep.discord - werner_discord_analytic(0.3)) < 1e-6

@@ -120,6 +120,20 @@ def test_tensor_types_and_legs():
             tensor(x, y)
 
 
+def test_derived_states_are_not_rechecked():
+    """Inputs accepted at trace or norm 1 + 0.9e-12 give products at 1 + 1.8e-12:
+    the inputs' residual, which is not a new fault."""
+    a = DensityMatrix(np.diag([0.5, 0.5 + 0.9e-12]))
+    ab = tensor(a, a)
+    assert ab.legs == (2, 2)
+    assert np.array_equal(ab.matrix, np.kron(a.matrix, a.matrix))
+    assert np.array_equal(ab.eigenvalues, np.linalg.eigvalsh(ab.matrix))
+    s = PureState(np.array([0.6, 0.8]) * (1.0 + 0.9e-12))
+    p = projector(s)
+    assert np.array_equal(p.matrix, np.outer(s.vector, s.vector))
+    assert abs(np.trace(p.matrix) - (1.0 + 1.8e-12)) < 1e-15
+
+
 def test_partial_trace():
     rng = np.random.default_rng(SEED + 1)
     ga = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -185,7 +199,6 @@ PINNED_TOLERANCES = {
     "DIFFERENCE_STEP": 1e-4,
     "FLAT_SPREAD_TOL": 64 * 2.0**-52,
     "POLE_CUTOFF": 1e-15,
-    "IMAG_RESIDUE_TOL": 1e-10,
     "RANK_TOL": 1e-10,
     "COMMUTATOR_TOL": 1e-9,
     "SCHMIDT_RECONSTRUCTION_TOL": 1e-9,

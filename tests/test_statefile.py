@@ -140,11 +140,8 @@ def test_over_cap_dims_refused_before_any_row():
     assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
 
-def test_load_memory_follows_dims_not_file_size(tmp_path):
-    """A 4 MB file with `dims: 2` and 700000 extra rows: the loader counts them, keeps none."""
-    path = tmp_path / "long.qs"
-    path.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j 0j\n" * 700_002)
-    message = "^expected 2 matrix rows, found 700002$"
+def _load_peak(path, message):
+    """Peak traced memory of load_state(path), which must fail with ``message``."""
     tracemalloc.start()
     try:
         with pytest.raises(StateFileError, match=message):
@@ -152,10 +149,23 @@ def test_load_memory_follows_dims_not_file_size(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole text split into lines took ~50 MB
-    assert peak < 2**20
     with pytest.raises(StateFileError, match=message):
         loads_state(path.read_text())
+    return peak
+
+
+def test_load_memory_follows_dims_not_file_size(tmp_path):
+    """4 MB files with `dims: 2`: 700000 extra rows are counted and none is kept, and
+    a row of 1.4 M entries is split at most 3 ways and the rest counted."""
+    path = tmp_path / "long.qs"
+    path.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j 0j\n" * 700_002)
+    # the whole text split into lines took ~50 MB
+    assert _load_peak(path, "^expected 2 matrix rows, found 700002$") < 2**20
+    wide = tmp_path / "wide.qs"
+    wide.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j " * 1_400_000 + "\n0j 0j\n")
+    # the row is read whole; splitting it into 1.4 M tokens took ~84 MB
+    peak = _load_peak(wide, "^row 0: expected 2 entries, found 1400000$")
+    assert peak <= 3 * wide.stat().st_size
 
 
 def test_non_ascii_byte_named_by_file_offset(tmp_path):

@@ -264,6 +264,15 @@ def test_cq_state():
             cq_state([bad, 1.0], None, [sigma, sigma])
 
 
+def test_cq_state_checks_the_state_it_builds():
+    """`qdiss state cq` writes this state and the file must load back, so cq_state
+    validates it: probabilities and B states each accepted at trace 1 + 0.9e-12
+    compose to a trace of 1 + 1.8e-12, which it refuses."""
+    b = DensityMatrix(np.diag([0.5, 0.5 + 0.9e-12]))
+    with pytest.raises(DomainError, match=r"^matrix trace is 1\.0000000000018"):
+        cq_state([0.5, 0.5 + 0.9e-12], None, [b, b])
+
+
 def test_cc_pairs():
     two = cc_pairs(2)
     assert two.dim == 16
