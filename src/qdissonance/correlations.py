@@ -13,11 +13,16 @@ refines the best three cells together with one safeguarded Riemannian
 Newton method on the sphere, whose gradient and Hessian are central
 differences on an 8-point stencil, so repeated runs give identical
 results.  The same refinement serves the two-qubit and qubit-qudit
-objectives and the brute-force geometric discord.  When the scan's
-spread max - min is at most ``qla.FLAT_SPREAD_TOL`` (on a grid of at
-least 3 x 5) every measurement is optimal (Werner, product and pure
-states): the grid minimum is returned, nothing is refined, and the
-reported measurement is the pole theta = phi = 0.
+objectives and the brute-force geometric discord.  Two rules find
+an objective on which every measurement is optimal, and report the
+pole theta = phi = 0 without refining.  The sphere rule comes first
+and needs no scan: a two-qubit state whose Bloch data has x = T y = 0
+and T T^T prop. to I, to ``qla.SPHERE_TOL`` (Werner states, the
+protocols' outputs and their local rotations), gets the objective at
+the pole.  The flat rule reads the scan: when its spread max - min is
+at most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
+minimum is returned (product and pure states, which are flat but not
+spheres, and flat qubit-qudit states).
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
 entropy is the entropy of their spectra.  For a qubit B the spectrum
@@ -36,7 +41,7 @@ import numpy as np
 from .qla import (
     CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, CURVATURE_CUTOFF, DIFFERENCE_STEP,
     ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL, NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF,
-    TOTAL_SIGN_TOL, DensityMatrix, DomainError, _as_index, partial_trace,
+    SPHERE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError, _as_index, partial_trace,
 )
 from .witness import PAULI_MATRICES, correlation_matrix
 
@@ -176,18 +181,23 @@ def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
     return -_xlog2(lam).sum(axis=0) + _xlog2(lam.sum(axis=0))
 
 
-def _conditional_entropy_objective(rho: DensityMatrix):
+def _measured_parts(rho: DensityMatrix) -> np.ndarray:
+    """The Pauli parts that measuring A splits into its two outcomes.
+
+    For two qubits, Luo's Bloch data 2 r = [[1, y], [x, T]] (r the
+    correlation matrix), the Pauli coefficients of 2 G_i, shape (4, 4);
+    otherwise the G_i, shape (4, d_B, d_B).
+    """
+    return 2.0 * correlation_matrix(rho) if rho.legs == (2, 2) else _pauli_parts(rho)
+
+
+def _conditional_entropy_objective(parts: np.ndarray):
     """sum_a p_a S(rho_B|a) as a function of directions n, shape (3, ...) -> (...).
 
-    The outcome states are split from the Pauli parts G_i.  For two
-    qubits the parts are Luo's Bloch data 2 r = [[1, y], [x, T]] (r the
-    correlation matrix), the Pauli coefficients of 2 G_i, and each
-    outcome's spectrum is closed form; otherwise they are the G_i.
+    ``parts`` are ``_measured_parts``: from two-qubit Bloch data each
+    outcome's spectrum is closed form, otherwise it is eigvalsh.
     """
-    if rho.legs == (2, 2):
-        parts, spectrum = 2.0 * correlation_matrix(rho), _bloch_spectrum
-    else:
-        parts, spectrum = _pauli_parts(rho), _matrix_spectrum
+    spectrum = _bloch_spectrum if parts.ndim == 2 else _matrix_spectrum
 
     def objective(n):
         return _cond_entropy_terms(spectrum(_split(parts, n))).sum(axis=0)
@@ -195,12 +205,35 @@ def _conditional_entropy_objective(rho: DensityMatrix):
     return objective
 
 
+def _is_sphere(bloch: np.ndarray) -> bool:
+    """Whether the conditional entropy is constant on the sphere, from Bloch data 2 r.
+
+    With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli
+    coefficients (1 +/- x.n, y +/- T^T n)/2, so the objective is
+    g(x.n, w.n, n^T M n) with w = T y and M = T T^T.  It is constant
+    when x = w = 0 and M = |T|^2 I / 3 (Girolami & Adesso, PRA 83,
+    052108, 2011): Werner states and their local rotations.  Each
+    equality holds to SPHERE_TOL, |x| absolutely and |w|, |M - |T|^2 I / 3|
+    relative to |T| (Frobenius), the sizes their rounding takes.
+    """
+    x = bloch[1:, 0]
+    if x @ x > SPHERE_TOL**2:
+        return False
+    t = bloch[1:, 1:]
+    m = t @ t.T
+    tt = np.trace(m)  # |T|^2
+    w = t @ bloch[0, 1:]
+    dev = m - tt / 3.0 * np.eye(3)
+    return w @ w <= SPHERE_TOL**2 * tt and (dev * dev).sum() <= SPHERE_TOL**2 * tt
+
+
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
     """Average post-measurement B entropy sum_a p_a S(rho_B|a) in bits.
 
     Outcomes with probability below 1e-14 are skipped.
     """
-    return float(_conditional_entropy_objective(rho)(_direction(m.theta, m.phi)))
+    objective = _conditional_entropy_objective(_measured_parts(rho))
+    return float(objective(_direction(m.theta, m.phi)))
 
 
 def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,11 +277,15 @@ def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCA
     """Hemisphere-grid scan, then refinement of the best 3 cells.
 
     ``objective(n)`` must map directions of shape (3, ...) to values
-    of shape (...), with f(n) = f(-n).  When the scan's spread
-    max - min is at most FLAT_SPREAD_TOL (on a grid of at least two
-    theta rows and five phi columns) the objective is flat: every
+    of shape (...), with f(n) = f(-n).  The flat rule: when the scan's
+    spread max - min is at most FLAT_SPREAD_TOL (on a grid of at least
+    two theta rows and five phi columns) the objective is flat: every
     measurement is optimal, the grid minimum is returned with the
-    canonical pole theta = phi = 0, and nothing is refined.  Otherwise
+    canonical pole theta = phi = 0, and nothing is refined.  It serves
+    flat objectives that are not spheres (product and pure states),
+    qubit-qudit states and the brute-force geometric discord;
+    ``classical_correlation`` takes two-qubit spheres out before the
+    scan (``_is_sphere``).  Otherwise
     ``_refine`` moves the three seeds, and the value reported is
     ``objective`` at the canonical angles of the best of them: each
     refined n is first mapped to n_z >= 0 (phi in [0, pi) on the
@@ -340,13 +377,20 @@ def classical_correlation(
     """Maximal classical mutual information over projective qubit measurements on A.
 
     Returns S(B) minus the minimized conditional entropy, together with
-    the minimizing measurement.  The reported value is accurate to
-    about 1e-6 bits at the default grid (see
-    ``_minimize_over_directions``).  A (2, d_B > 2) state whose scan
-    would cost more than MAX_QUDIT_SCAN_WORK directions x d_B^3 is
-    refused before the scan allocates anything.
+    the minimizing measurement.  Two rules decide a constant objective,
+    where every measurement is optimal and the pole theta = phi = 0 is
+    reported.  The sphere rule (``_is_sphere``) reads it from the Bloch
+    data of a two-qubit state before any scan, and returns S(B) minus
+    the objective at the pole: Werner states, the protocols' outputs and
+    their local rotations.  The flat rule of ``_minimize_over_directions``
+    reads it from the scan: product and pure states, and the qubit-qudit
+    states.  Otherwise the reported value is accurate to about 1e-6 bits
+    at the default grid.  The grid is checked on every path.  A (2, d_B > 2)
+    state whose scan would cost more than MAX_QUDIT_SCAN_WORK directions
+    x d_B^3 is refused before the scan allocates anything.
     """
-    objective = _conditional_entropy_objective(rho)
+    parts = _measured_parts(rho)
+    objective = _conditional_entropy_objective(parts)
     db = rho.legs[1]
     if db > 2:
         dirs = math.prod(a.size for a in _grid_directions(grid))
@@ -356,6 +400,9 @@ def classical_correlation(
                 f" x {db}^3 = {dirs * db**3} > {MAX_QUDIT_SCAN_WORK}; use a coarser grid"
             )
     sb = entropy(partial_trace(rho, (0,)))
+    if parts.ndim == 2 and _is_sphere(parts):
+        _grid_directions(grid)  # a bad grid is refused on this path too
+        return sb - float(objective(_direction(0.0, 0.0))), qubit_measurement(0.0, 0.0)
     tile = max(_SCAN_TILE * 4 // db**2, 1)
     val, theta, phi = _minimize_over_directions(objective, grid, tile)
     return sb - val, qubit_measurement(theta, phi)

@@ -18,7 +18,6 @@ invariant: a loaded state enters the package here.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import re
@@ -94,8 +93,17 @@ def _parse(chunks) -> DensityMatrix:
         raise StateFileError(f"file does not encode a valid density matrix: {exc}") from exc
 
 
+def _text_lines(text: str):
+    """The newline-terminated lines of ``text``, sliced one at a time; the text is not copied."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
 def loads_state(text: str) -> DensityMatrix:
-    return _parse(io.StringIO(text))
+    return _parse(_text_lines(text))
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -79,8 +79,11 @@ def _snapshot(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def replay(workdir: Path) -> dict:
-    """Run every corpus command in ``workdir``: {name: {"exit", "stdout", "stderr", "files"}}."""
+def replay(workdir: Path, runs=RUNS) -> dict:
+    """Run corpus commands in ``workdir``: {name: {"exit", "stdout", "stderr", "files"}}.
+
+    ``runs`` is RUNS or a part of it, in its order.
+    """
     from qdissonance.cli import main
 
     for fname, text in SETUP_FILES.items():
@@ -90,7 +93,7 @@ def replay(workdir: Path) -> dict:
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to the terminal width
     os.chdir(workdir)
     try:
-        for name, argv in RUNS:
+        for name, argv in runs:
             before = _snapshot(workdir)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

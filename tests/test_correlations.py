@@ -35,6 +35,7 @@ from qdissonance.correlations import (
     _conditional_entropy_objective,
     _direction,
     _grid_directions,
+    _measured_parts,
     _minimize_over_directions,
     _refine,
     _scan,
@@ -401,7 +402,7 @@ def test_top3_selection_matches_stable_argsort():
             vals = rng.integers(0, levels, size=size).astype(float)  # planted ties
             assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
     # the isotropic Werner objective is flat up to rounding: ties everywhere
-    vals = _scan(_conditional_entropy_objective(werner(0.3)), *_grid_directions(DEFAULT_GRID))
+    vals = _scan(_conditional_entropy_objective(_measured_parts(werner(0.3))), *_grid_directions(DEFAULT_GRID))
     assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
 
 
@@ -522,6 +523,46 @@ def test_flat_objectives_match_closed_forms_at_the_pole():
     assert _at_pole(classical_correlation(prod23)[1])
 
 
+def _no_scan(monkeypatch):
+    def scan(*args):
+        raise _ReachedScan
+
+    monkeypatch.setattr(correlations, "_scan", scan)
+
+
+def test_sphere_rule_decides_werner_class_states_without_a_scan(monkeypatch):
+    """Werner states, their local rotations and both protocols' outputs are flat spheres
+    (x = w = 0, M = T T^T prop. to I): the pole, with no scan, to Werner's closed form."""
+    rng = np.random.default_rng(SEED + 20)
+    zs = [float(z) for z in np.linspace(0.0, 1.0, 21)]
+    cases = [(z, werner(z)) for z in zs]
+    for z in zs:
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
+        cases.append((z, DensityMatrix(u @ werner(z).matrix @ u.conj().T, (2, 2))))
+    cases += [(z, run_kraus_protocol(z).final) for z in (0.05, 0.2, 1.0 / 3.0)]
+    cases.append((1.0 / 3.0, run_unitary_protocol(1.0 / 3.0).final))
+    _no_scan(monkeypatch)
+    for i, (z, rho) in enumerate(cases):
+        rep = discord(rho)
+        assert _at_pole(rep.argmin_measurement), i
+        assert abs(rep.discord - werner_discord_analytic(z)) <= 1e-12, i
+
+
+def test_states_just_off_the_sphere_reach_the_scan(monkeypatch):
+    """A planted field eps sz x I / 4 on A gives x != 0; eps I x sz / 4 on B gives y != 0,
+    so w = T y != 0 while M stays prop. to I.  A bad grid is refused before either rule."""
+    _no_scan(monkeypatch)
+    base = werner(0.3).matrix
+    sz, i2 = np.diag([1.0, -1.0]), np.eye(2)
+    for field in (np.kron(sz, i2), np.kron(i2, sz)):
+        for eps in (1e-13, 1e-9):
+            with pytest.raises(_ReachedScan):
+                classical_correlation(DensityMatrix(base + eps * field / 4, (2, 2)))
+    for grid in ((1, 1), (2, correlations.MAX_GRID_POINTS)):
+        with pytest.raises(DomainError):
+            classical_correlation(werner(0.3), grid=grid)
+
+
 def _golden_min(fn, lo, hi, tol=1e-10):
     """Minimum of fn on [lo, hi] by golden-section search (fn unimodal there)."""
     g = (np.sqrt(5.0) - 1.0) / 2.0
@@ -602,7 +643,7 @@ def test_discord_finds_off_axis_optima_of_x_states():
             assert abs(discord(rho, grid=grid).discord - ref) <= 1e-9, grid
     seeds = _spread_directions(64)
     for params in _OFF_AXIS_X_STATES + _COMPETING_X_STATES:
-        objective = _conditional_entropy_objective(_x_state(*params))
+        objective = _conditional_entropy_objective(_measured_parts(_x_state(*params)))
         trials = []
 
         def counted(n):
@@ -661,7 +702,7 @@ def test_reported_measurement_has_nonnegative_n_z():
     rng = np.random.default_rng(SEED)
     states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(40)]
     for rho in states:
-        objective = _conditional_entropy_objective(rho)
+        objective = _conditional_entropy_objective(_measured_parts(rho))
         for grid in (DEFAULT_GRID, (2, 4)):
             _, m = classical_correlation(rho, grid)
             assert 0.0 <= m.theta <= np.pi / 2
@@ -748,7 +789,7 @@ def test_refinement_matches_the_compass_search(monkeypatch):
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(200)]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(20)]
-    objectives = [_conditional_entropy_objective(rho) for rho in states]
+    objectives = [_conditional_entropy_objective(_measured_parts(rho)) for rho in states]
     for i in range(50):
         rho = random_density(rng, 4, (2, 2), rank=1 + i % 4)
         objectives.append(_brute_force_objective(monkeypatch, rho))

@@ -140,17 +140,15 @@ def test_over_cap_dims_refused_before_any_row():
     assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
 
-def _load_peak(path, message):
-    """Peak traced memory of load_state(path), which must fail with ``message``."""
+def _peak(load, source, message):
+    """Peak traced memory of load(source), which must fail with ``message``."""
     tracemalloc.start()
     try:
         with pytest.raises(StateFileError, match=message):
-            load_state(path)
+            load(source)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    with pytest.raises(StateFileError, match=message):
-        loads_state(path.read_text())
     return peak
 
 
@@ -159,13 +157,19 @@ def test_load_memory_follows_dims_not_file_size(tmp_path):
     a row of 1.4 M entries is split at most 3 ways and the rest counted."""
     path = tmp_path / "long.qs"
     path.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j 0j\n" * 700_002)
+    message = "^expected 2 matrix rows, found 700002$"
     # the whole text split into lines took ~50 MB
-    assert _load_peak(path, "^expected 2 matrix rows, found 700002$") < 2**20
+    assert _peak(load_state, path, message) < 2**20
+    with pytest.raises(StateFileError, match=message):
+        loads_state(path.read_text())
     wide = tmp_path / "wide.qs"
     wide.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j " * 1_400_000 + "\n0j 0j\n")
+    message = "^row 0: expected 2 entries, found 1400000$"
     # the row is read whole; splitting it into 1.4 M tokens took ~84 MB
-    peak = _load_peak(wide, "^row 0: expected 2 entries, found 1400000$")
-    assert peak <= 3 * wide.stat().st_size
+    assert _peak(load_state, wide, message) <= 3 * wide.stat().st_size
+    # the text is sliced line by line; a StringIO copy of it took ~6x its size
+    text = wide.read_text()
+    assert _peak(loads_state, text, message) <= 3 * len(text)
 
 
 def test_non_ascii_byte_named_by_file_offset(tmp_path):
