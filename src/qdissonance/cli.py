@@ -15,7 +15,7 @@ import numpy as np
 
 from .qla import TARGET_DISTANCE_TOL, DomainError, _as_index, projector
 from .states import _BELL_NAMES, bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
-from .correlations import DEFAULT_GRID, discord
+from .correlations import DEFAULT_GRID, _grid_directions, discord
 from .witness import WitnessReport, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
 from .statefile import StateFileError, check_dims, load_state, save_state
@@ -172,6 +172,7 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
         raise DomainError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:
         raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
+    _grid_directions(grid)
     return (_sweep_row(float(z), grid) for z in np.linspace(zmin, zmax, steps))
 
 

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qla import (
-    CONDITIONAL_STATE_CUTOFF, CORRELATION_SIGN_TOL, CURVATURE_CUTOFF, DIFFERENCE_STEP,
-    ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL, NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF,
-    SPHERE_TOL, TOTAL_SIGN_TOL, DensityMatrix, DomainError, _as_index, partial_trace,
+    CORRELATION_SIGN_TOL, CURVATURE_CUTOFF, DIFFERENCE_STEP, ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL,
+    NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF, SPHERE_TOL, TOTAL_SIGN_TOL,
+    DensityMatrix, DomainError, _as_index, partial_trace,
 )
 from .witness import PAULI_MATRICES, correlation_matrix
 
@@ -68,9 +68,9 @@ MAX_GRID_POINTS = 2**21
 # scan's temporaries; 2**15 was the fastest tile on the 640x1280 grid.
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**15
-# Hemisphere directions x d_B**3 a (2, d_B > 2) scan may cost (one d_B x d_B
-# eigvalsh per outcome per direction): admits (2, 16) at the default grid
-# and (2, 3) at the largest grid, and refuses (2, 32) at the default grid.
+# Hemisphere directions x d_B**3 a (2, d_B) scan may cost (one d_B x d_B
+# eigvalsh per outcome per direction): admits two qubits on every grid, (2, 16)
+# at the default grid and (2, 3) at the largest, and refuses (2, 32) at the default.
 MAX_QUDIT_SCAN_WORK = 2**26
 
 
@@ -83,10 +83,7 @@ def _direction(theta, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Rank-1 projective qubit measurement along the Bloch direction (theta, phi).
-
-    The angles are the whole state; ``projectors`` is derived from them.
-    """
+    """Rank-1 projective qubit measurement along the Bloch direction (theta, phi)."""
 
     theta: float
     phi: float
@@ -94,14 +91,6 @@ class Measurement:
     def __post_init__(self):
         if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
             raise DomainError(f"measurement angles must be finite, got ({self.theta}, {self.phi})")
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(I + n.sigma)/2 and (I - n.sigma)/2 for the unit vector n(theta, phi).
-
-        Both are exactly Hermitian, since n.sigma is.
-        """
-        return tuple(_split(PAULI_MATRICES, _direction(self.theta, self.phi)))
 
 
 def qubit_measurement(theta: float, phi: float) -> Measurement:
@@ -139,9 +128,12 @@ def _require_bipartite(rho: DensityMatrix, op: str) -> tuple[int, int]:
 def total_correlation(rho: DensityMatrix) -> float:
     """Mutual information S(A) + S(B) - S(AB) in bits."""
     _require_bipartite(rho, "total_correlation")
-    sa = entropy(partial_trace(rho, (1,)))
-    sb = entropy(partial_trace(rho, (0,)))
-    return sa + sb - entropy(rho)
+    return _mutual_information(rho, entropy(partial_trace(rho, (0,))))
+
+
+def _mutual_information(rho: DensityMatrix, sb: float) -> float:
+    """S(A) + S(B) - S(AB), given S(B)."""
+    return entropy(partial_trace(rho, (1,))) + sb - entropy(rho)
 
 
 def _pauli_parts(rho: DensityMatrix) -> np.ndarray:
@@ -390,18 +382,19 @@ def classical_correlation(
     x d_B^3 is refused before the scan allocates anything.
     """
     parts = _measured_parts(rho)
+    return _classical_correlation(parts, entropy(partial_trace(rho, (0,))), rho.legs[1], grid)
+
+
+def _classical_correlation(parts: np.ndarray, sb: float, db: int, grid: tuple[int, int]):
+    """``classical_correlation`` from the state's ``_measured_parts``, S(B) and d_B."""
+    dirs = math.prod(a.size for a in _grid_directions(grid))  # a bad grid is refused on every path
+    if dirs * db**3 > MAX_QUDIT_SCAN_WORK:
+        raise DomainError(
+            f"a (2, {db}) state on grid {grid[0]}x{grid[1]} needs {dirs} directions"
+            f" x {db}^3 = {dirs * db**3} > {MAX_QUDIT_SCAN_WORK}; use a coarser grid"
+        )
     objective = _conditional_entropy_objective(parts)
-    db = rho.legs[1]
-    if db > 2:
-        dirs = math.prod(a.size for a in _grid_directions(grid))
-        if dirs * db**3 > MAX_QUDIT_SCAN_WORK:
-            raise DomainError(
-                f"a (2, {db}) state on grid {grid[0]}x{grid[1]} needs {dirs} directions"
-                f" x {db}^3 = {dirs * db**3} > {MAX_QUDIT_SCAN_WORK}; use a coarser grid"
-            )
-    sb = entropy(partial_trace(rho, (0,)))
     if parts.ndim == 2 and _is_sphere(parts):
-        _grid_directions(grid)  # a bad grid is refused on this path too
         return sb - float(objective(_direction(0.0, 0.0))), qubit_measurement(0.0, 0.0)
     tile = max(_SCAN_TILE * 4 // db**2, 1)
     val, theta, phi = _minimize_over_directions(objective, grid, tile)
@@ -426,14 +419,15 @@ class CorrelationReport:
     concurrence: float | None
     negativity: float
     argmin_measurement: Measurement
-    outcome_probs: tuple[float, ...]
-    conditional_states: tuple[DensityMatrix | None, ...]
 
 
 def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> CorrelationReport:
-    """Quantum discord (total minus classical correlation) with full report."""
-    total = total_correlation(rho)
-    classical, m = classical_correlation(rho, grid=grid)
+    """Quantum discord (total minus classical correlation) with full report, in one pass."""
+    _require_bipartite(rho, "discord")
+    parts = _measured_parts(rho)
+    sb = entropy(partial_trace(rho, (0,)))
+    total = _mutual_information(rho, sb)
+    classical, m = _classical_correlation(parts, sb, rho.legs[1], grid)
     disc = total - classical
     sign_tol = -CORRELATION_SIGN_TOL
     if disc < sign_tol or classical < sign_tol or total < -TOTAL_SIGN_TOL:
@@ -443,23 +437,15 @@ def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> Correla
     # rounding may break 0 <= classical <= total by a few ulps; report inside it
     total = max(total, 0.0)
     classical = min(max(classical, 0.0), total)
-    outcomes = _split(_pauli_parts(rho), _direction(m.theta, m.phi))
-    probs = [float(np.real(np.trace(reduced))) for reduced in outcomes]
-    cond = [
-        DensityMatrix._made(reduced / p, rho.legs[1:]) if p > CONDITIONAL_STATE_CUTOFF else None
-        for reduced, p in zip(outcomes, probs)
-    ]
     two_qubit = rho.legs == (2, 2)
     return CorrelationReport(
         total=total,
         classical=classical,
         discord=total - classical,
-        geometric_discord=geometric_discord(rho) if two_qubit else None,
+        geometric_discord=_closed_form_geometric_discord(parts) if two_qubit else None,
         concurrence=concurrence(rho) if two_qubit else None,
         negativity=negativity(rho),
         argmin_measurement=m,
-        outcome_probs=tuple(probs),
-        conditional_states=tuple(cond),
     )
 
 
@@ -476,12 +462,7 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     if rho.legs != (2, 2):
         raise DomainError(f"geometric_discord requires legs (2, 2), got {rho.legs}")
     if method == "closed-form":
-        r = correlation_matrix(rho)
-        x = 2.0 * r[1:, 0]
-        t = 2.0 * r[1:, 1:]
-        k = np.outer(x, x) + t @ t.T
-        kmax = float(np.linalg.eigvalsh(k)[-1])
-        return max(float((x @ x + np.sum(t * t) - kmax) / 4.0), 0.0)
+        return _closed_form_geometric_discord(_measured_parts(rho))
     if method == "brute-force":
         parts = _pauli_parts(rho)
         pur = rho.purity()
@@ -492,6 +473,15 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         val, _, _ = _minimize_over_directions(objective, DEFAULT_GRID)
         return float(val)
     raise DomainError(f"unknown geometric_discord method {method!r}")
+
+
+def _closed_form_geometric_discord(bloch: np.ndarray) -> float:
+    """(|x|^2 + |T|^2 - k_max) / 4 from two-qubit Bloch data 2 r = [[1, y], [x, T]]."""
+    x = bloch[1:, 0]
+    t = bloch[1:, 1:]
+    k = np.outer(x, x) + t @ t.T
+    kmax = float(np.linalg.eigvalsh(k)[-1])
+    return max(float((x @ x + np.sum(t * t) - kmax) / 4.0), 0.0)
 
 
 def concurrence(rho: DensityMatrix) -> float:

@@ -4,9 +4,9 @@ Everything in this package runs through the two container types defined
 here, which carry the tensor-leg structure (``legs``) needed for partial
 traces.  A state is validated once, where it enters: ``DensityMatrix(...)``
 and ``PureState(...)`` check their invariants.  A state made from
-validated ones (``partial_trace``, ``tensor``, ``projector``, conditional
-states, ``from_factor``) goes through ``DensityMatrix._made``, which keeps
-its Hermitian part and checks nothing again.
+validated ones (``partial_trace``, ``tensor``, ``projector``, ``werner``,
+``from_factor``) goes through ``DensityMatrix._made``, which keeps its
+Hermitian part and checks nothing again.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ PHASE_REF_CUTOFF = 1e-8  # amplitude the phase-fixing entry of a factor must exc
 ORTHOGONALITY_TOL = 1e-8  # |<left|right>| of each factor pair for the unitary protocol
 TARGET_DISTANCE_TOL = 1e-10  # protocol trace distance to werner(z) that `qdiss protocol` passes
 PROB_CUTOFF = 1e-14  # probability taken as 0 in x log x, and least control-outcome probability
-CONDITIONAL_STATE_CUTOFF = 1e-12  # outcome probability at or below which no conditional state
 CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord may round
 TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
 NEWTON_TOL = 1e-8  # Newton step, radians, at or below which a seed has converged

@@ -307,6 +307,10 @@ def test_sweep_bad_ranges(tmp_path, capsys):
                               (0.0, 1.0, MAX_SWEEP_STEPS + 1)):
         with pytest.raises(DomainError):
             sweep_rows(zmin, zmax, steps)
+    # so is the grid: the generator is never started
+    for grid in ((1, 1), (64, "x"), (2, 2**21)):
+        with pytest.raises(DomainError):
+            sweep_rows(0.0, 1.0, 3, grid=grid)
     assert len(list(sweep_rows(0.0, 1.0, np.int64(2), grid=(4, 8)))) == 2
 
 

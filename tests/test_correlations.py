@@ -93,13 +93,9 @@ def test_total_correlation():
 
 
 def test_qubit_measurement():
-    # the angles are the whole state; the projectors are derived from them
+    # the angles are the whole state
     assert [f.name for f in dataclasses.fields(Measurement)] == ["theta", "phi"]
-    m = qubit_measurement(0.0, 0.0)
-    assert np.abs(m.projectors[0] - np.diag([1.0, 0.0])).max() < 1e-15
     m = qubit_measurement(np.pi / 2, 0.0)
-    plus = np.array([1, 1]) / np.sqrt(2)
-    assert np.abs(m.projectors[0] - np.outer(plus, plus)).max() < 1e-15
     assert Measurement(theta=np.pi / 2, phi=0.0) == m
     # a non-finite angle is no direction; it must not reach the entropy
     for bad in ((float("nan"), 0.0), (0.0, float("nan")), (np.inf, 0), (0.0, -np.inf)):
@@ -165,27 +161,9 @@ def test_discord_werner_13_value():
 
 def test_discord_report_fields():
     rep = discord(werner(0.5))
-    assert sum(rep.outcome_probs) == pytest.approx(1.0, abs=1e-12)
-    for p, cond in zip(rep.outcome_probs, rep.conditional_states):
-        assert p > 0
-        assert cond is not None and cond.legs == (2,)
     assert rep.geometric_discord == pytest.approx(0.125, abs=1e-12)
     assert rep.concurrence == pytest.approx(0.25, abs=1e-8)
     assert rep.negativity == pytest.approx(0.125, abs=1e-12)
-
-    # outcomes and conditional states equal Tr_A[(P x I) rho (P x I)]
-    rng = np.random.default_rng(SEED + 8)
-    for db in (2, 2, 3, 3):
-        rho = random_density(rng, 2 * db, (2, db))
-        rep = discord(rho)
-        for proj, p, cond in zip(
-            rep.argmin_measurement.projectors, rep.outcome_probs, rep.conditional_states
-        ):
-            big = np.kron(proj, np.eye(db))
-            ref = (big @ rho.matrix @ big).reshape(2, db, 2, db).trace(axis1=0, axis2=2)
-            p_ref = np.trace(ref).real
-            assert abs(p - p_ref) < 1e-12
-            assert np.abs(cond.matrix - ref / p_ref).max() < 1e-12
 
 
 def test_discord_zero_for_cc_and_cq():
@@ -801,26 +779,62 @@ def test_refinement_matches_the_compass_search(monkeypatch):
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-6, i
 
 
-def test_conditional_states_of_near_pure_states_are_made_exact():
-    """Outcome probabilities far below 1 divide the state's rounding by p; the
-    conditional states are made exactly Hermitian, not checked again."""
+def test_discord_of_near_pure_states_stays_in_bounds():
+    """Outcome probabilities far below 1 divide a state's rounding by p.
+
+    On 200 seeded near-pure states, two-qubit and (2, 3), discord returns
+    with 0 <= classical <= total and discord >= 0; derived states are not
+    validated again, so none of them raises.
+    """
     rng = np.random.default_rng(SEED + 60)
     for i in range(200):
         legs = (2, 3) if i % 20 == 19 else (2, 2)
-        rho = near_pure_rotated(rng, legs)
-        rep = discord(rho, grid=(16, 32) if legs == (2, 3) else DEFAULT_GRID)
-        db = legs[1]
-        for proj, p, cond in zip(
-            rep.argmin_measurement.projectors, rep.outcome_probs, rep.conditional_states
-        ):
-            if cond is None:
-                continue
-            c = cond.matrix
-            assert np.array_equal(c, c.conj().T)
-            assert abs(np.trace(c) - 1.0) <= 1e-12
-            big = np.kron(proj, np.eye(db))
-            explicit = np.einsum("abac->bc", (big @ rho.matrix @ big).reshape(2, db, 2, db))
-            assert np.abs(p * c - explicit).max() <= 1e-12
+        grid = (16, 32) if legs == (2, 3) else DEFAULT_GRID
+        rep = discord(near_pure_rotated(rng, legs), grid=grid)
+        assert 0.0 <= rep.classical <= rep.total, i
+        assert rep.discord >= 0.0, i
+
+
+def test_discord_builds_each_piece_once(monkeypatch):
+    """One discord call expands the state once and takes each marginal once.
+
+    A two-qubit call makes 1 correlation matrix, 0 Pauli-part stacks and 2
+    partial traces; a (2, 3) call makes its Pauli parts once.  The shared
+    pass returns bitwise what the public functions return.
+    """
+    rng = np.random.default_rng(SEED + 61)
+    names = ("correlation_matrix", "_pauli_parts", "partial_trace")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        f = getattr(correlations, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(correlations, name, counting(name))
+
+    def counts(rho):
+        calls.update(dict.fromkeys(names, 0))
+        discord(rho)
+        return tuple(calls[name] for name in names)
+
+    assert counts(random_two_qubit(rng)) == (1, 0, 2)
+    assert counts(werner(0.3)) == (1, 0, 2)
+    assert counts(random_density(rng, 6, (2, 3)))[1] == 1
+
+    states = [rho for _, rho, _ in build_zoo()]
+    states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]
+    for rho in states:
+        rep = discord(rho)
+        if rho.legs == (2, 2):
+            assert rep.geometric_discord == geometric_discord(rho)
+        assert rep.argmin_measurement == classical_correlation(rho)[1]
+        assert rep.total == max(total_correlation(rho), 0.0)
 
 
 def test_accepted_hermiticity_residual_is_not_rechecked():

@@ -190,7 +190,6 @@ PINNED_TOLERANCES = {
     "ORTHOGONALITY_TOL": 1e-8,
     "TARGET_DISTANCE_TOL": 1e-10,
     "PROB_CUTOFF": 1e-14,
-    "CONDITIONAL_STATE_CUTOFF": 1e-12,
     "CORRELATION_SIGN_TOL": 1e-8,
     "TOTAL_SIGN_TOL": 1e-10,
     "NEWTON_TOL": 1e-8,
