@@ -14,8 +14,10 @@ import sys
 import numpy as np
 
 from .qla import TARGET_DISTANCE_TOL, DomainError, _as_index, projector
-from .states import _BELL_NAMES, bell, cc_pairs, cc_state, cq_state, product_decomposition, werner
-from .correlations import DEFAULT_GRID, _grid_directions, discord
+from .states import (
+    _BELL_NAMES, _werner_stack, bell, cc_pairs, cc_state, cq_state, product_decomposition, werner,
+)
+from .correlations import DEFAULT_GRID, _reports, discord
 from .witness import WitnessReport, witness_report
 from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
 from .statefile import StateFileError, check_dims, load_state, save_state
@@ -163,7 +165,8 @@ MAX_SWEEP_STEPS = 10_000
 def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
     """Measure werner(z) on an even grid: an iterator of one row dict per z.
 
-    The arguments are checked at the call, before any row is computed.
+    The arguments are checked at the call.  Then every row is computed
+    at once, in one stacked call for all the Werner states.
     """
     if not (0.0 <= zmin < zmax <= 1.0):
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
@@ -172,15 +175,12 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
         raise DomainError(f"steps must be >= 2, got {steps}")
     if steps > MAX_SWEEP_STEPS:
         raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
-    _grid_directions(grid)
-    return (_sweep_row(float(z), grid) for z in np.linspace(zmin, zmax, steps))
-
-
-def _sweep_row(z: float, grid) -> dict:
-    rho = werner(z)
-    rep = discord(rho, grid=grid)
-    wit = witness_report(rho)
-    return {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
+    zs = np.linspace(zmin, zmax, steps)
+    rows = _reports(*_werner_stack(zs), (2, 2), grid, witness=True)
+    return iter([
+        {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
+        for z, (rep, wit) in zip(zs.tolist(), rows)
+    ])
 
 
 SWEEP_HEADER = ",".join(("z", *_MEASURES, "rank_L"))

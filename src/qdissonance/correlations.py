@@ -29,11 +29,23 @@ entropy is the entropy of their spectra.  For a qubit B the spectrum
 is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
 coefficients of the G_i, so no matrices are formed; otherwise it is
 eigvalsh.
+
+Every state goes through one pass, ``_reports``, which takes a stack
+of N states (N, d, d) with their spectra: ``discord`` is its N = 1
+case, and ``cli.sweep_rows`` and ``protocols.certify`` call it with
+the witness.  Its kernels take the stack: the measured parts
+(``_measured_parts``, the correlation matrices for two qubits),
+``_marginal_entropies`` and ``_entropies``, ``_is_sphere`` and the
+objective at the pole for every sphere row (``_pole_values``),
+``_closed_form_geometric_discord`` (a batched 3 x 3 eigvalsh),
+``_concurrences`` (batched eigh and svd) and ``_negativities``
+(batched eigvalsh); the sign checks and clamps of ``discord`` are
+applied elementwise.  A row that is not a sphere is scanned and
+refined on its own by ``_minimize_over_directions``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +53,9 @@ import numpy as np
 from .qla import (
     CORRELATION_SIGN_TOL, CURVATURE_CUTOFF, DIFFERENCE_STEP, ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL,
     NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF, SPHERE_TOL, TOTAL_SIGN_TOL,
-    DensityMatrix, DomainError, _as_index, partial_trace,
+    DensityMatrix, DomainError, _as_index, _hermitian,
 )
-from .witness import PAULI_MATRICES, correlation_matrix
+from .witness import PAULI_MATRICES, WitnessReport, _correlation_matrices, _witness_reports
 
 __all__ = [
     "Measurement",
@@ -115,33 +127,54 @@ def _xlog2(x: np.ndarray) -> np.ndarray:
 
 def entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -sum(lam log2 lam) in bits, with 0 log 0 = 0."""
+    return float(_entropies(rho.eigenvalues))
+
+
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """Entropy of each spectrum on the last axis of ``lam``."""
     # 0.0 - sum, not -sum: a pure spectrum gives +0.0, never -0.0
-    return float(0.0 - _xlog2(np.clip(rho.eigenvalues, 0.0, None)).sum())
+    return 0.0 - _xlog2(np.clip(lam, 0.0, None)).sum(axis=-1)
 
 
-def _require_bipartite(rho: DensityMatrix, op: str) -> tuple[int, int]:
-    if len(rho.legs) != 2:
-        raise DomainError(f"{op} needs exactly two legs; merge legs first (got {rho.legs})")
-    return rho.legs
+def _require_bipartite(legs: tuple[int, ...], op: str) -> tuple[int, int]:
+    if len(legs) != 2:
+        raise DomainError(f"{op} needs exactly two legs; merge legs first (got {legs})")
+    return legs
 
 
 def total_correlation(rho: DensityMatrix) -> float:
     """Mutual information S(A) + S(B) - S(AB) in bits."""
-    _require_bipartite(rho, "total_correlation")
-    return _mutual_information(rho, entropy(partial_trace(rho, (0,))))
+    _require_bipartite(rho.legs, "total_correlation")
+    m = rho.matrix[None]
+    sb = _marginal_entropies(m, rho.legs, 1)
+    return float(_mutual_information(m, rho.eigenvalues[None], rho.legs, sb)[0])
 
 
-def _mutual_information(rho: DensityMatrix, sb: float) -> float:
-    """S(A) + S(B) - S(AB), given S(B)."""
-    return entropy(partial_trace(rho, (1,))) + sb - entropy(rho)
+def _marginal_entropies(m: np.ndarray, legs: tuple[int, int], keep: int) -> np.ndarray:
+    """S(A) (keep = 0) or S(B) (keep = 1) of each state in a stack (N, d, d), legs (d_A, d_B).
+
+    Each marginal is made as ``partial_trace`` makes it: its Hermitian
+    part, then eigvalsh.
+    """
+    da, db = legs
+    t = m.reshape(-1, da, db, da, db)
+    marginal = np.einsum("xabcb->xac", t) if keep == 0 else np.einsum("xabae->xbe", t)
+    return _entropies(np.linalg.eigvalsh(_hermitian(marginal)))
 
 
-def _pauli_parts(rho: DensityMatrix) -> np.ndarray:
-    """G_i = Tr_A[(sigma_i x I) rho] of a [2, d_B] state, shape (4, d_B, d_B); G_0 = rho_B."""
-    da, db = _require_bipartite(rho, "measurement on A")
-    if da != 2:
-        raise DomainError(f"measured leg must have dimension 2, got {da}")
-    return np.einsum("nca,abce->nbe", PAULI_MATRICES, rho.matrix.reshape(2, db, 2, db))
+def _mutual_information(
+    m: np.ndarray, lam: np.ndarray, legs: tuple[int, int], sb: np.ndarray
+) -> np.ndarray:
+    """S(A) + S(B) - S(AB) of each state in a stack, given its spectra lam and S(B)."""
+    return _marginal_entropies(m, legs, 0) + sb - _entropies(lam)
+
+
+def _pauli_parts(m: np.ndarray, db: int) -> np.ndarray:
+    """G_i = Tr_A[(sigma_i x I) rho] of each [2, d_B] state in a stack, shape (N, 4, d_B, d_B).
+
+    G_0 = rho_B.
+    """
+    return np.einsum("nca,xabce->xnbe", PAULI_MATRICES, m.reshape(-1, 2, db, 2, db))
 
 
 def _split(parts: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -173,21 +206,26 @@ def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
     return -_xlog2(lam).sum(axis=0) + _xlog2(lam.sum(axis=0))
 
 
-def _measured_parts(rho: DensityMatrix) -> np.ndarray:
-    """The Pauli parts that measuring A splits into its two outcomes.
+def _measured_parts(m: np.ndarray, legs: tuple[int, ...]) -> np.ndarray:
+    """The Pauli parts that measuring A splits into its two outcomes, for a stack (N, d, d).
 
     For two qubits, Luo's Bloch data 2 r = [[1, y], [x, T]] (r the
-    correlation matrix), the Pauli coefficients of 2 G_i, shape (4, 4);
-    otherwise the G_i, shape (4, d_B, d_B).
+    correlation matrix), the Pauli coefficients of 2 G_i, shape (N, 4, 4);
+    otherwise the G_i, shape (N, 4, d_B, d_B).
     """
-    return 2.0 * correlation_matrix(rho) if rho.legs == (2, 2) else _pauli_parts(rho)
+    if legs == (2, 2):
+        return 2.0 * _correlation_matrices(m)
+    da, db = _require_bipartite(legs, "measurement on A")
+    if da != 2:
+        raise DomainError(f"measured leg must have dimension 2, got {da}")
+    return _pauli_parts(m, db)
 
 
 def _conditional_entropy_objective(parts: np.ndarray):
     """sum_a p_a S(rho_B|a) as a function of directions n, shape (3, ...) -> (...).
 
-    ``parts`` are ``_measured_parts``: from two-qubit Bloch data each
-    outcome's spectrum is closed form, otherwise it is eigvalsh.
+    ``parts`` are one state's ``_measured_parts``: from two-qubit Bloch
+    data each outcome's spectrum is closed form, otherwise it is eigvalsh.
     """
     spectrum = _bloch_spectrum if parts.ndim == 2 else _matrix_spectrum
 
@@ -197,8 +235,8 @@ def _conditional_entropy_objective(parts: np.ndarray):
     return objective
 
 
-def _is_sphere(bloch: np.ndarray) -> bool:
-    """Whether the conditional entropy is constant on the sphere, from Bloch data 2 r.
+def _is_sphere(bloch: np.ndarray) -> np.ndarray:
+    """Whether the conditional entropy is constant on the sphere, for each 2 r of a stack.
 
     With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli
     coefficients (1 +/- x.n, y +/- T^T n)/2, so the objective is
@@ -208,15 +246,32 @@ def _is_sphere(bloch: np.ndarray) -> bool:
     equality holds to SPHERE_TOL, |x| absolutely and |w|, |M - |T|^2 I / 3|
     relative to |T| (Frobenius), the sizes their rounding takes.
     """
-    x = bloch[1:, 0]
-    if x @ x > SPHERE_TOL**2:
-        return False
-    t = bloch[1:, 1:]
-    m = t @ t.T
-    tt = np.trace(m)  # |T|^2
-    w = t @ bloch[0, 1:]
-    dev = m - tt / 3.0 * np.eye(3)
-    return w @ w <= SPHERE_TOL**2 * tt and (dev * dev).sum() <= SPHERE_TOL**2 * tt
+    x = bloch[:, 1:, 0]
+    t = bloch[:, 1:, 1:]
+    m = t @ np.swapaxes(t, 1, 2)
+    tt = np.trace(m, axis1=1, axis2=2)  # |T|^2
+    w = (t @ bloch[:, 0, 1:, None])[..., 0]
+    dev = m - tt[:, None, None] / 3.0 * np.eye(3)
+    return (
+        (_dots(x) <= SPHERE_TOL**2)
+        & (_dots(w) <= SPHERE_TOL**2 * tt)
+        & ((dev * dev).sum(axis=(1, 2)) <= SPHERE_TOL**2 * tt)
+    )
+
+
+def _dots(v: np.ndarray) -> np.ndarray:
+    """v . v of each row of a stack (N, k), each row its own matrix product.
+
+    So a row's rounding is that of the 1-D ``v @ v`` and does not depend on N.
+    """
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _pole_values(bloch: np.ndarray) -> np.ndarray:
+    """The two-qubit objective at the pole theta = phi = 0 of each 2 r in a stack (N, 4, 4)."""
+    # the records on a trailing axis, where _split puts the directions
+    outcomes = _split(np.moveaxis(bloch, 0, -1), _direction(0.0, 0.0))
+    return _cond_entropy_terms(_bloch_spectrum(outcomes)).sum(axis=0)
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -224,7 +279,7 @@ def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
 
     Outcomes with probability below 1e-14 are skipped.
     """
-    objective = _conditional_entropy_objective(_measured_parts(rho))
+    objective = _conditional_entropy_objective(_measured_parts(rho.matrix[None], rho.legs)[0])
     return float(objective(_direction(m.theta, m.phi)))
 
 
@@ -265,8 +320,11 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(vals[cand], kind="stable")[:k]]
 
 
-def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCAN_TILE):
-    """Hemisphere-grid scan, then refinement of the best 3 cells.
+def _minimize_over_directions(
+    objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE
+):
+    """Scan of the hemisphere grid whose ``_grid_directions`` tables are given, then
+    refinement of the best 3 cells.
 
     ``objective(n)`` must map directions of shape (3, ...) to values
     of shape (...), with f(n) = f(-n).  The flat rule: when the scan's
@@ -285,7 +343,6 @@ def _minimize_over_directions(objective, grid: tuple[int, int], tile: int = _SCA
     Returns (value, theta, phi); deterministic (ties broken by grid
     and seed order).
     """
-    thetas, phis = _grid_directions(grid)
     vals = _scan(objective, thetas, phis, tile)
     # Two theta rows and five phi columns are the fewest that tell every
     # quadratic n^T M n apart from a constant, so a coarser scan cannot
@@ -381,24 +438,44 @@ def classical_correlation(
     state whose scan would cost more than MAX_QUDIT_SCAN_WORK directions
     x d_B^3 is refused before the scan allocates anything.
     """
-    parts = _measured_parts(rho)
-    return _classical_correlation(parts, entropy(partial_trace(rho, (0,))), rho.legs[1], grid)
+    m = rho.matrix[None]
+    parts = _measured_parts(m, rho.legs)
+    tables = _scan_tables(grid, rho.legs[1])
+    sb = _marginal_entropies(m, rho.legs, 1)
+    classical, measurements = _classical_correlations(parts, sb, rho.legs[1], tables)
+    return float(classical[0]), measurements[0]
 
 
-def _classical_correlation(parts: np.ndarray, sb: float, db: int, grid: tuple[int, int]):
-    """``classical_correlation`` from the state's ``_measured_parts``, S(B) and d_B."""
-    dirs = math.prod(a.size for a in _grid_directions(grid))  # a bad grid is refused on every path
+def _scan_tables(grid: tuple[int, int], db: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's ``_grid_directions`` tables, refused when a (2, d_B) scan costs too much."""
+    thetas, phis = _grid_directions(grid)
+    dirs = thetas.size * phis.size
     if dirs * db**3 > MAX_QUDIT_SCAN_WORK:
         raise DomainError(
             f"a (2, {db}) state on grid {grid[0]}x{grid[1]} needs {dirs} directions"
             f" x {db}^3 = {dirs * db**3} > {MAX_QUDIT_SCAN_WORK}; use a coarser grid"
         )
-    objective = _conditional_entropy_objective(parts)
-    if parts.ndim == 2 and _is_sphere(parts):
-        return sb - float(objective(_direction(0.0, 0.0))), qubit_measurement(0.0, 0.0)
+    return thetas, phis
+
+
+def _classical_correlations(parts: np.ndarray, sb: np.ndarray, db: int, tables: tuple):
+    """``classical_correlation`` of each (2, d_B) state in a stack, from its
+    ``_measured_parts`` and S(B) and the grid's ``_scan_tables``.
+
+    The sphere rows get the objective at the pole in one call; every
+    other row is scanned and refined on its own.
+    """
+    vals = np.empty(len(parts))
+    angles = np.zeros((len(parts), 2))
+    sphere = _is_sphere(parts) if parts.ndim == 3 else np.zeros(len(parts), dtype=bool)
+    if sphere.any():
+        vals[sphere] = _pole_values(parts[sphere])
     tile = max(_SCAN_TILE * 4 // db**2, 1)
-    val, theta, phi = _minimize_over_directions(objective, grid, tile)
-    return sb - val, qubit_measurement(theta, phi)
+    for i in np.flatnonzero(~sphere):
+        vals[i], angles[i, 0], angles[i, 1] = _minimize_over_directions(
+            _conditional_entropy_objective(parts[i]), *tables, tile
+        )
+    return sb - vals, [qubit_measurement(theta, phi) for theta, phi in angles.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,30 +500,57 @@ class CorrelationReport:
 
 def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> CorrelationReport:
     """Quantum discord (total minus classical correlation) with full report, in one pass."""
-    _require_bipartite(rho, "discord")
-    parts = _measured_parts(rho)
-    sb = entropy(partial_trace(rho, (0,)))
-    total = _mutual_information(rho, sb)
-    classical, m = _classical_correlation(parts, sb, rho.legs[1], grid)
+    _require_bipartite(rho.legs, "discord")
+    return _reports(rho.matrix[None], rho.eigenvalues[None], rho.legs, grid)[0][0]
+
+
+def _reports(
+    m: np.ndarray, lam: np.ndarray, legs: tuple[int, int], grid: tuple[int, int],
+    witness: bool = False,
+) -> list[tuple[CorrelationReport, WitnessReport | None]]:
+    """``discord`` of each state in a stack (N, d, d) with spectra lam (N, d), in one pass.
+
+    With ``witness`` (two qubits only) each row also gets its
+    ``witness_report``, from the same correlation matrix.  Every check
+    of the single-state path runs on every row, and the first failing
+    row raises.
+    """
+    parts = _measured_parts(m, legs)
+    tables = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
+    sb = _marginal_entropies(m, legs, 1)
+    total = _mutual_information(m, lam, legs, sb)
+    classical, measurements = _classical_correlations(parts, sb, legs[1], tables)
     disc = total - classical
     sign_tol = -CORRELATION_SIGN_TOL
-    if disc < sign_tol or classical < sign_tol or total < -TOTAL_SIGN_TOL:
+    bad = (disc < sign_tol) | (classical < sign_tol) | (total < -TOTAL_SIGN_TOL)
+    if bad.any():
+        i = np.argmax(bad)
         raise ArithmeticError(
-            f"inconsistent correlations: total={total}, classical={classical}, discord={disc}"
+            f"inconsistent correlations: total={float(total[i])}, classical={float(classical[i])},"
+            f" discord={float(disc[i])}"
         )
     # rounding may break 0 <= classical <= total by a few ulps; report inside it
-    total = max(total, 0.0)
-    classical = min(max(classical, 0.0), total)
-    two_qubit = rho.legs == (2, 2)
-    return CorrelationReport(
-        total=total,
-        classical=classical,
-        discord=total - classical,
-        geometric_discord=_closed_form_geometric_discord(parts) if two_qubit else None,
-        concurrence=concurrence(rho) if two_qubit else None,
-        negativity=negativity(rho),
-        argmin_measurement=m,
-    )
+    total = np.maximum(total, 0.0)
+    classical = np.minimum(np.maximum(classical, 0.0), total)
+    disc = total - classical
+    if legs == (2, 2):
+        geometric = _closed_form_geometric_discord(parts).tolist()
+        conc = _concurrences(m).tolist()
+    else:
+        geometric = conc = [None] * len(m)
+    reports = [
+        CorrelationReport(
+            total=t, classical=c, discord=d, geometric_discord=g, concurrence=k, negativity=n,
+            argmin_measurement=a,
+        )
+        for t, c, d, g, k, n, a in zip(
+            total.tolist(), classical.tolist(), disc.tolist(), geometric, conc,
+            _negativities(m, legs).tolist(), measurements,
+        )
+    ]
+    # parts is 2 r, so halving it gives back r bit for bit
+    witnesses = _witness_reports(parts / 2.0, m) if witness else [None] * len(m)
+    return list(zip(reports, witnesses))
 
 
 def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
@@ -462,26 +566,31 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     if rho.legs != (2, 2):
         raise DomainError(f"geometric_discord requires legs (2, 2), got {rho.legs}")
     if method == "closed-form":
-        return _closed_form_geometric_discord(_measured_parts(rho))
+        bloch = _measured_parts(rho.matrix[None], rho.legs)
+        return float(_closed_form_geometric_discord(bloch)[0])
     if method == "brute-force":
-        parts = _pauli_parts(rho)
+        parts = _pauli_parts(rho.matrix[None], 2)[0]
         pur = rho.purity()
 
         def objective(n):
             return pur - (np.abs(_split(parts, n)) ** 2).sum(axis=(0, 1, 2))
 
-        val, _, _ = _minimize_over_directions(objective, DEFAULT_GRID)
+        val, _, _ = _minimize_over_directions(objective, *_grid_directions(DEFAULT_GRID))
         return float(val)
     raise DomainError(f"unknown geometric_discord method {method!r}")
 
 
-def _closed_form_geometric_discord(bloch: np.ndarray) -> float:
-    """(|x|^2 + |T|^2 - k_max) / 4 from two-qubit Bloch data 2 r = [[1, y], [x, T]]."""
-    x = bloch[1:, 0]
-    t = bloch[1:, 1:]
-    k = np.outer(x, x) + t @ t.T
-    kmax = float(np.linalg.eigvalsh(k)[-1])
-    return max(float((x @ x + np.sum(t * t) - kmax) / 4.0), 0.0)
+def _closed_form_geometric_discord(bloch: np.ndarray) -> np.ndarray:
+    """(|x|^2 + |T|^2 - k_max) / 4 of each 2 r = [[1, y], [x, T]] in a stack (N, 4, 4)."""
+    x = bloch[:, 1:, 0]
+    t = bloch[:, 1:, 1:]
+    k = x[:, :, None] * x[:, None, :] + t @ np.swapaxes(t, 1, 2)
+    kmax = np.linalg.eigvalsh(k)[:, -1]
+    return np.maximum((_dots(x) + (t * t).sum(axis=(1, 2)) - kmax) / 4.0, 0.0)
+
+
+# sigma_y x sigma_y, the spin flip of Wootters' concurrence
+_YY = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[2])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -494,12 +603,16 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.legs != (2, 2):
         raise DomainError(f"concurrence requires legs (2, 2), got {rho.legs}")
-    w, v = np.linalg.eigh(rho.matrix)
-    x = v * np.sqrt(np.clip(w, 0.0, None))
-    yy = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[2])
-    lam = np.linalg.svd(x.T @ yy @ x, compute_uv=False)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return 0.0 if c <= ENTANGLEMENT_FLOOR else float(c)
+    return float(_concurrences(rho.matrix[None])[0])
+
+
+def _concurrences(m: np.ndarray) -> np.ndarray:
+    """``concurrence`` of each two-qubit density matrix in a stack (N, 4, 4)."""
+    w, v = np.linalg.eigh(m)
+    x = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    lam = np.linalg.svd(np.swapaxes(x, 1, 2) @ _YY @ x, compute_uv=False)
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.where(c <= ENTANGLEMENT_FLOOR, 0.0, c)
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -507,8 +620,13 @@ def negativity(rho: DensityMatrix) -> float:
 
     Sums at most ENTANGLEMENT_FLOOR are reported as exactly 0.
     """
-    da, db = _require_bipartite(rho, "negativity")
-    t = rho.matrix.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
-    lam = np.linalg.eigvalsh(t)
-    neg = np.clip(-lam, 0.0, None).sum()
-    return 0.0 if neg <= ENTANGLEMENT_FLOOR else float(neg)
+    return float(_negativities(rho.matrix[None], _require_bipartite(rho.legs, "negativity"))[0])
+
+
+def _negativities(m: np.ndarray, legs: tuple[int, int]) -> np.ndarray:
+    """``negativity`` of each state in a stack (N, d, d) with legs (d_A, d_B)."""
+    da, db = legs
+    d = da * db
+    t = m.reshape(-1, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(-1, d, d)
+    neg = np.clip(-np.linalg.eigvalsh(t), 0.0, None).sum(axis=-1)
+    return np.where(neg <= ENTANGLEMENT_FLOOR, 0.0, neg)

@@ -25,8 +25,8 @@ from .qla import (
     _isometry_error, partial_trace, trace_distance,
 )
 from .states import cc_pairs, product_decomposition, werner
-from .correlations import CorrelationReport, discord
-from .witness import WitnessReport, witness_report
+from .correlations import DEFAULT_GRID, CorrelationReport, _reports
+from .witness import WitnessReport
 
 __all__ = [
     "ProtocolUnavailableError",
@@ -247,8 +247,9 @@ def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:
 
 
 def certify(result: ProtocolResult) -> CertificationBundle:
-    """Measure and witness the protocol output."""
-    return CertificationBundle(
-        correlations=discord(result.final),
-        witness=witness_report(result.final),
+    """Measure and witness the protocol output, from one correlation matrix."""
+    rho = result.final
+    [(correlations, witness)] = _reports(
+        rho.matrix[None], rho.eigenvalues[None], rho.legs, DEFAULT_GRID, witness=True
     )
+    return CertificationBundle(correlations=correlations, witness=witness)

@@ -66,6 +66,14 @@ SCHMIDT_RECONSTRUCTION_TOL = 1e-9  # max entry error of an operator Schmidt deco
 ENTANGLEMENT_FLOOR = 16 * np.finfo(float).eps
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger)/2 of a matrix or of each matrix in a stack (..., d, d).
+
+    The result is exactly Hermitian, so taking it again changes no bit.
+    """
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+
+
 def _isometry_error(c: np.ndarray) -> float:
     """max|C^dagger C - I| of a (rows, cols) matrix: 0 when its columns are orthonormal."""
     return float(np.abs(c.conj().T @ c - np.eye(c.shape[1])).max())
@@ -180,7 +188,7 @@ class DensityMatrix:
     @classmethod
     def _made(cls, m: np.ndarray, legs: tuple[int, ...], lam: np.ndarray | None = None) -> DensityMatrix:
         """A state made from validated ones: the Hermitian part of m, with spectrum lam (or eigvalsh)."""
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian(m)
         return cls.__new__(cls)._freeze(m, legs, np.linalg.eigvalsh(m) if lam is None else lam)
 
     @property

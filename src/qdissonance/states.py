@@ -21,7 +21,7 @@ import numpy as np
 
 from .qla import (
     ISOMETRY_TOL, PHASE_EQ_TOL, PHASE_REF_CUTOFF, PRODUCT_RECONSTRUCTION_TOL, TRACE_TOL,
-    DensityMatrix, DomainError, PureState, _as_index, _isometry_error,
+    DensityMatrix, DomainError, PureState, _as_index, _hermitian, _isometry_error,
 )
 
 __all__ = [
@@ -45,6 +45,9 @@ _BELL_NAMES = ("psi+", "psi-", "phi+", "phi-")
 _BELL = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], dtype=complex)
 _BELL /= np.sqrt(2.0)
 _BELL.setflags(write=False)
+# |psi-><psi-|, the entangled part of every Werner state
+_SINGLET = np.outer(_BELL[1], _BELL[1].conj())
+_SINGLET.setflags(write=False)
 
 
 def _basis_vectors(d: int) -> list[np.ndarray]:
@@ -133,8 +136,15 @@ def werner(z: float) -> DensityMatrix:
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"werner: z must lie in [0, 1], got {z}")
-    psim = _BELL[1]
-    return DensityMatrix._made(z * np.outer(psim, psim.conj()) + (1.0 - z) / 4.0 * np.eye(4), (2, 2))
+    m, lam = _werner_stack(np.array([z]))
+    return DensityMatrix._made(m[0], (2, 2), lam[0])
+
+
+def _werner_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (N, 4, 4) and spectra (N, 4) of werner(z) for a 1-D array of z in [0, 1]."""
+    z = z[:, None, None]
+    m = _hermitian(z * _SINGLET + (1.0 - z) / 4.0 * np.eye(4))
+    return m, np.linalg.eigvalsh(m)
 
 
 def phase_equation_residual(thetas: Sequence[float], z: float) -> float:

@@ -9,6 +9,12 @@ pairwise: they are Hermitian, and commuting Hermitian operators always
 share an eigenbasis, so the commutators alone decide.  Other
 Hilbert-Schmidt-orthonormal bases only turn R into O_A R O_B^T with
 orthogonal O_A, O_B, so neither L nor the verdict depends on the basis.
+
+The kernels take stacks of N states: ``_correlation_matrices`` builds
+R with a batch index, and ``_witness_reports`` takes one batched SVD
+and checks the Schmidt reconstruction and the commutator norms of the
+whole stack.  ``correlation_matrix`` and ``witness_report`` are their
+N = 1 case.
 """
 
 from __future__ import annotations
@@ -34,14 +40,23 @@ PAULI_MATRICES = np.array(
 # {I, sx, sy, sz} / sqrt(2): Hermitian and orthonormal under Tr(X Y).
 _PAULI_BASIS = PAULI_MATRICES / np.sqrt(2.0)
 _PAULI_BASIS.setflags(write=False)
+# The six index pairs k < l of four operators.
+_PAIRS = np.triu_indices(4, 1)
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """Real coefficient matrix r_nm = Tr[rho (P_n x P_m)] in the normalized Pauli basis."""
     if rho.legs != (2, 2):
         raise DomainError(f"correlation_matrix needs legs (2, 2), got {rho.legs}")
+    return _correlation_matrices(rho.matrix[None])[0]
+
+
+def _correlation_matrices(m: np.ndarray) -> np.ndarray:
+    """``correlation_matrix`` of each two-qubit density matrix in a stack (N, 4, 4)."""
     # the Paulis halved, not the rounded basis: exact for dyadic entries
-    r = np.einsum("abce,nca,meb->nm", rho.matrix.reshape(2, 2, 2, 2), PAULI_MATRICES, PAULI_MATRICES) / 2.0
+    r = np.einsum(
+        "xabce,nca,meb->xnm", m.reshape(-1, 2, 2, 2, 2), PAULI_MATRICES, PAULI_MATRICES
+    ) / 2.0
     return r.real
 
 
@@ -78,24 +93,41 @@ def witness_report(rho: DensityMatrix) -> WitnessReport:
     most 1e-9; ``verdicts["rank_witness"]`` is L > 2, which certifies
     nonzero discord (False is inconclusive).
     """
-    r = correlation_matrix(rho)
+    return _witness_reports(correlation_matrix(rho)[None], rho.matrix[None])[0]
+
+
+def _witness_reports(r: np.ndarray, m: np.ndarray) -> list[WitnessReport]:
+    """``witness_report`` of each state in a stack (N, 4, 4), from its correlation matrices r.
+
+    One batched SVD; all four S_k and F_k of every state are built, and
+    the ones beyond a state's rank L enter neither its reconstruction
+    (their coefficient is 0) nor its commutators (masked), nor its report.
+    """
     u, s, vh = np.linalg.svd(r)
-    l_rank = int((s > RANK_TOL).sum())
-    s_ops = np.tensordot(u[:, :l_rank].T, _PAULI_BASIS, axes=1)
-    f_ops = np.tensordot(vh[:l_rank], _PAULI_BASIS, axes=1)
-    recon = np.einsum("k,kac,kbd->abcd", s[:l_rank], s_ops, f_ops).reshape(4, 4)
-    err = np.abs(recon - rho.matrix).max()
-    if err > SCHMIDT_RECONSTRUCTION_TOL:
-        raise ArithmeticError(f"operator Schmidt reconstruction error {err:.3e}")
-    comm = s_ops[:, None] @ s_ops[None] - s_ops[None] @ s_ops[:, None]
-    max_norm = float(np.linalg.norm(comm, axis=(2, 3)).max(initial=0.0))
+    kept = s > RANK_TOL  # s descends, so the first L of each row
+    basis = _PAULI_BASIS.reshape(4, 4)
+    s_ops = (np.swapaxes(u, 1, 2) @ basis).reshape(-1, 4, 2, 2)
+    f_ops = (vh @ basis).reshape(-1, 4, 2, 2)
+    recon = np.einsum("xk,xkac,xkbd->xabcd", np.where(kept, s, 0.0), s_ops, f_ops)
+    err = np.abs(recon.reshape(-1, 4, 4) - m).max(axis=(1, 2))
+    bad = err > SCHMIDT_RECONSTRUCTION_TOL
+    if bad.any():
+        raise ArithmeticError(f"operator Schmidt reconstruction error {err[np.argmax(bad)]:.3e}")
+    # [S_l, S_k] = -[S_k, S_l] exactly, so the pairs k < l give every norm
+    k, l = _PAIRS
+    a, b = s_ops[:, k], s_ops[:, l]
+    norms = np.linalg.norm(a @ b - b @ a, axis=(2, 3))
+    max_norms = np.where(kept[:, k] & kept[:, l], norms, 0.0).max(axis=1)
     for arr in (s, s_ops, f_ops):
         arr.setflags(write=False)
-    verdicts = {"commutator_zero_discord": max_norm <= COMMUTATOR_TOL, "rank_witness": l_rank > 2}
-    return WitnessReport(
-        singular_values=s, l_rank=l_rank, s_ops=s_ops, f_ops=f_ops,
-        max_commutator_norm=max_norm, verdicts=MappingProxyType(verdicts),
-    )
+    reports = []
+    for sv, rank, so, fo, norm in zip(s, kept.sum(axis=1).tolist(), s_ops, f_ops, max_norms.tolist()):
+        verdicts = {"commutator_zero_discord": norm <= COMMUTATOR_TOL, "rank_witness": rank > 2}
+        reports.append(WitnessReport(
+            singular_values=sv, l_rank=rank, s_ops=so[:rank], f_ops=fo[:rank],
+            max_commutator_norm=norm, verdicts=MappingProxyType(verdicts),
+        ))
+    return reports
 
 
 # The operator Schmidt decomposition is the witness pass itself.

@@ -10,7 +10,9 @@ import pytest
 
 import qdissonance
 from qdissonance import statefile
-from qdissonance import DensityMatrix, DomainError, load_state, save_state, werner
+from qdissonance import (
+    DensityMatrix, DomainError, correlations, discord, load_state, save_state, werner, witness_report,
+)
 from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main, sweep_rows
 
 from _zoo import werner_with_imaginary_residual
@@ -307,11 +309,48 @@ def test_sweep_bad_ranges(tmp_path, capsys):
                               (0.0, 1.0, MAX_SWEEP_STEPS + 1)):
         with pytest.raises(DomainError):
             sweep_rows(zmin, zmax, steps)
-    # so is the grid: the generator is never started
+    # so is the grid: no row is measured
     for grid in ((1, 1), (64, "x"), (2, 2**21)):
         with pytest.raises(DomainError):
             sweep_rows(0.0, 1.0, 3, grid=grid)
     assert len(list(sweep_rows(0.0, 1.0, np.int64(2), grid=(4, 8)))) == 2
+
+
+def _sweep_calls(rng, rows):
+    """Seeded (zmin, zmax, steps) ranges with at least ``rows`` rows, after three whose
+    endpoints are 0, 1/3 - 1e-12, 1/3, 1/3 + 1e-12 and 1."""
+    calls = [(0.0, 1.0 / 3.0, 2), (1.0 / 3.0 - 1e-12, 1.0 / 3.0 + 1e-12, 3), (1.0 / 3.0, 1.0, 2)]
+    while sum(steps for _, _, steps in calls) < rows:
+        zmin = float(rng.uniform(0.0, 0.9))
+        calls.append((zmin, float(rng.uniform(zmin + 1e-3, 1.0)), int(rng.integers(2, 30))))
+    return calls
+
+
+def test_sweep_rows_equal_the_per_state_reports():
+    """Every stacked row is bitwise discord(werner(z)) and witness_report(werner(z)).l_rank,
+    on 500 seeded z values and the ends of the separable range, at two grids; the values
+    are Python floats and ints."""
+    calls = _sweep_calls(np.random.default_rng(20), 500)
+    for grid in ((64, 128), (16, 32)):
+        for zmin, zmax, steps in calls:
+            rows = list(sweep_rows(zmin, zmax, steps, grid=grid))
+            assert [row["z"] for row in rows] == np.linspace(zmin, zmax, steps).tolist()
+            for row in rows:
+                rho = werner(row["z"])
+                rep = discord(rho, grid=grid)
+                measures = {key: getattr(rep, key) for key in SWEEP_HEADER.split(",")[1:-1]}
+                want = {"z": row["z"], **measures, "rank_L": witness_report(rho).l_rank}
+                assert row == want, row["z"]
+                assert list(map(type, row.values())) == [float] * 7 + [int], row["z"]
+
+
+def test_sweep_rows_never_scan(monkeypatch):
+    """Every Werner row is a sphere: 21 rows take the pole, and no grid scan runs."""
+    def scan(*args):
+        raise AssertionError("a sweep row reached the grid scan")
+
+    monkeypatch.setattr(correlations, "_scan", scan)
+    assert len(list(sweep_rows(0.0, 1.0, 21))) == 21
 
 
 def test_sweep_unwritable_out(tmp_path, capsys):

@@ -9,6 +9,7 @@ from qdissonance import (
     DomainError,
     bell,
     cc_state,
+    certify,
     classical_correlation,
     concurrence,
     conditional_entropy_after,
@@ -25,8 +26,10 @@ from qdissonance import (
     tensor,
     total_correlation,
     werner,
+    witness_report,
 )
 from qdissonance import correlations
+from qdissonance.cli import sweep_rows
 from qdissonance.correlations import (
     DEFAULT_GRID,
     Measurement,
@@ -49,6 +52,11 @@ from _zoo import (
 )
 
 SEED = 7200
+
+
+def _parts(rho):
+    """One state's ``_measured_parts``: the N = 1 case of the stacked kernel."""
+    return _measured_parts(rho.matrix[None], rho.legs)[0]
 
 
 def werner_discord_analytic(z):
@@ -380,7 +388,7 @@ def test_top3_selection_matches_stable_argsort():
             vals = rng.integers(0, levels, size=size).astype(float)  # planted ties
             assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
     # the isotropic Werner objective is flat up to rounding: ties everywhere
-    vals = _scan(_conditional_entropy_objective(_measured_parts(werner(0.3))), *_grid_directions(DEFAULT_GRID))
+    vals = _scan(_conditional_entropy_objective(_parts(werner(0.3))), *_grid_directions(DEFAULT_GRID))
     assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
 
 
@@ -621,7 +629,7 @@ def test_discord_finds_off_axis_optima_of_x_states():
             assert abs(discord(rho, grid=grid).discord - ref) <= 1e-9, grid
     seeds = _spread_directions(64)
     for params in _OFF_AXIS_X_STATES + _COMPETING_X_STATES:
-        objective = _conditional_entropy_objective(_measured_parts(_x_state(*params)))
+        objective = _conditional_entropy_objective(_parts(_x_state(*params)))
         trials = []
 
         def counted(n):
@@ -680,7 +688,7 @@ def test_reported_measurement_has_nonnegative_n_z():
     rng = np.random.default_rng(SEED)
     states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(40)]
     for rho in states:
-        objective = _conditional_entropy_objective(_measured_parts(rho))
+        objective = _conditional_entropy_objective(_parts(rho))
         for grid in (DEFAULT_GRID, (2, 4)):
             _, m = classical_correlation(rho, grid)
             assert 0.0 <= m.theta <= np.pi / 2
@@ -767,13 +775,13 @@ def test_refinement_matches_the_compass_search(monkeypatch):
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(200)]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(20)]
-    objectives = [_conditional_entropy_objective(_measured_parts(rho)) for rho in states]
+    objectives = [_conditional_entropy_objective(_parts(rho)) for rho in states]
     for i in range(50):
         rho = random_density(rng, 4, (2, 2), rank=1 + i % 4)
         objectives.append(_brute_force_objective(monkeypatch, rho))
     for i, objective in enumerate(objectives):
         compass = _compass_minimum(objective)
-        refined = _minimize_over_directions(objective, DEFAULT_GRID)
+        refined = _minimize_over_directions(objective, *_grid_directions(DEFAULT_GRID))
         assert refined[0] <= compass[0] + 1e-13, i
         a, b = _direction(*compass[1:]), _direction(*refined[1:])
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-6, i
@@ -796,21 +804,24 @@ def test_discord_of_near_pure_states_stays_in_bounds():
 
 
 def test_discord_builds_each_piece_once(monkeypatch):
-    """One discord call expands the state once and takes each marginal once.
+    """One pass expands each state once and takes each marginal once.
 
-    A two-qubit call makes 1 correlation matrix, 0 Pauli-part stacks and 2
-    partial traces; a (2, 3) call makes its Pauli parts once.  The shared
-    pass returns bitwise what the public functions return.
+    The pieces are stacked: one call covers every state of the pass.  A
+    two-qubit discord call makes 1 correlation-matrix stack, 0 Pauli-part
+    stacks and 2 marginal-entropy stacks; a (2, 3) call makes its Pauli
+    parts once; ``certify`` shares one correlation matrix between discord
+    and the witness; a 21-row sweep makes each stack once, 21 rows deep.
+    The shared pass returns bitwise what the public functions return.
     """
     rng = np.random.default_rng(SEED + 61)
-    names = ("correlation_matrix", "_pauli_parts", "partial_trace")
-    calls = dict.fromkeys(names, 0)
+    names = ("_correlation_matrices", "_pauli_parts", "_marginal_entropies")
+    calls = {name: [] for name in names}
 
     def counting(name):
         f = getattr(correlations, name)
 
         def counted(*args):
-            calls[name] += 1
+            calls[name].append(len(args[0]))  # the states in the stack
             return f(*args)
 
         return counted
@@ -818,14 +829,17 @@ def test_discord_builds_each_piece_once(monkeypatch):
     for name in names:
         monkeypatch.setattr(correlations, name, counting(name))
 
-    def counts(rho):
-        calls.update(dict.fromkeys(names, 0))
-        discord(rho)
+    def counts(call, *args):
+        for name in names:
+            calls[name].clear()
+        call(*args)
         return tuple(calls[name] for name in names)
 
-    assert counts(random_two_qubit(rng)) == (1, 0, 2)
-    assert counts(werner(0.3)) == (1, 0, 2)
-    assert counts(random_density(rng, 6, (2, 3)))[1] == 1
+    assert counts(discord, random_two_qubit(rng)) == ([1], [], [1, 1])
+    assert counts(discord, werner(0.3)) == ([1], [], [1, 1])
+    assert counts(discord, random_density(rng, 6, (2, 3)))[1] == [1]
+    assert counts(certify, run_kraus_protocol(0.2))[0] == [1]
+    assert counts(sweep_rows, 0.0, 1.0, 21) == ([21], [], [21, 21])
 
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]
@@ -833,8 +847,60 @@ def test_discord_builds_each_piece_once(monkeypatch):
         rep = discord(rho)
         if rho.legs == (2, 2):
             assert rep.geometric_discord == geometric_discord(rho)
+            assert rep.concurrence == concurrence(rho)
         assert rep.argmin_measurement == classical_correlation(rho)[1]
         assert rep.total == max(total_correlation(rho), 0.0)
+        assert rep.negativity == negativity(rho)
+
+
+def _stack(states):
+    return np.stack([rho.matrix for rho in states]), np.stack([rho.eigenvalues for rho in states])
+
+
+def _same_witness(a, b):
+    return (
+        np.array_equal(a.singular_values, b.singular_values) and a.l_rank == b.l_rank
+        and np.array_equal(a.s_ops, b.s_ops) and np.array_equal(a.f_ops, b.f_ops)
+        and a.max_commutator_norm == b.max_commutator_norm
+        and dict(a.verdicts) == dict(b.verdicts)
+    )
+
+
+def test_a_mixed_stack_equals_the_per_state_reports():
+    """Werner rows (sphere rule) and the zoo (scans among them) in one two-qubit
+    stack, and three (2, 3) states in another: every field of every row is
+    bitwise the per-state discord and witness_report."""
+    rng = np.random.default_rng(SEED + 62)
+    two_qubit = [werner(float(z)) for z in rng.uniform(0.0, 1.0, 7)]
+    two_qubit += [rho for _, rho, _ in build_zoo()]
+    qutrit = [random_density(rng, 6, (2, 3), rank=1 + i) for i in range(3)]
+    for grid in (DEFAULT_GRID, (16, 32)):
+        rows = correlations._reports(*_stack(two_qubit), (2, 2), grid, witness=True)
+        # some rows were scanned and refined
+        assert not all(_at_pole(rep.argmin_measurement) for rep, _ in rows)
+        for i, (rho, (rep, wit)) in enumerate(zip(two_qubit, rows)):
+            assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
+            assert _same_witness(wit, witness_report(rho)), i
+        rows = correlations._reports(*_stack(qutrit), (2, 3), grid)
+        for i, (rho, (rep, wit)) in enumerate(zip(qutrit, rows)):
+            assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
+            assert wit is None and rep.geometric_discord is None and rep.concurrence is None
+
+
+def test_every_row_of_a_stack_is_checked():
+    """A bad row anywhere in a stack raises as it would alone: the sign check of
+    discord and the Schmidt reconstruction of the witness."""
+    states = [werner(0.1), werner(0.2), cc_state(np.diag([0.5, 0.5])), werner(0.3)]
+    m, lam = _stack(states)
+    lam[2] = 0.25  # S(AB) = 2 bits with 1 bit per marginal: total 0 below classical 1
+    with pytest.raises(ArithmeticError, match=r"total=0\.0, classical=1\.0, discord=-1\.0"):
+        correlations._reports(m, lam, (2, 2), DEFAULT_GRID)
+    m, lam = _stack(states)
+    r = correlations._correlation_matrices(m)
+    r[1, 3, 3] += 1e-6  # row 1's r no longer reconstructs row 1's matrix
+    with pytest.raises(ArithmeticError, match="operator Schmidt reconstruction error"):
+        correlations._witness_reports(r, m)
+    assert len(correlations._witness_reports(np.delete(r, 1, 0), np.delete(m, 1, 0))) == 3
 
 
 def test_accepted_hermiticity_residual_is_not_rechecked():
