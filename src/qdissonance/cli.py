@@ -157,16 +157,17 @@ def cmd_protocol(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
-# Each row measures one Werner state; larger sweeps are rejected before
-# anything is allocated.
+# Larger sweeps are rejected before anything is allocated.  The rows are
+# computed _SWEEP_BLOCK at a time, so a sweep's memory does not grow with it.
 MAX_SWEEP_STEPS = 10_000
+_SWEEP_BLOCK = 512
 
 
-def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
+def sweep_rows(zmin: float, zmax: float, steps: int):
     """Measure werner(z) on an even grid: an iterator of one row dict per z.
 
-    The arguments are checked at the call.  Then every row is computed
-    at once, in one stacked call for all the Werner states.
+    The arguments are checked at the call.  The rows are then streamed in
+    blocks of ``_SWEEP_BLOCK`` z values, each block one stacked call.
     """
     if not (0.0 <= zmin < zmax <= 1.0):
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
@@ -176,25 +177,29 @@ def sweep_rows(zmin: float, zmax: float, steps: int, grid=DEFAULT_GRID):
     if steps > MAX_SWEEP_STEPS:
         raise DomainError(f"steps must be <= {MAX_SWEEP_STEPS}, got {steps}")
     zs = np.linspace(zmin, zmax, steps)
-    rows = _reports(*_werner_stack(zs), (2, 2), grid, witness=True)
-    return iter([
+    blocks = (zs[start:start + _SWEEP_BLOCK] for start in range(0, steps, _SWEEP_BLOCK))
+    return (
         {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
-        for z, (rep, wit) in zip(zs.tolist(), rows)
-    ])
+        for block in blocks
+        for z, (rep, wit) in zip(
+            block.tolist(), _reports(*_werner_stack(block), (2, 2), DEFAULT_GRID, witness=True)
+        )
+    )
 
 
 SWEEP_HEADER = ",".join(("z", *_MEASURES, "rank_L"))
 
 
 def cmd_sweep(args) -> int:
-    rows = list(sweep_rows(args.zmin, args.zmax, args.steps, grid=args.opt_grid))
+    rows = sweep_rows(args.zmin, args.zmax, args.steps)
+    count = 0
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             fields = [_fmt(row[key]) for key in ("z", *_MEASURES)]
             fields.append(str(row["rank_L"]))
             fh.write(",".join(fields) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 
@@ -233,7 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas = sub.add_parser("measures", help="correlation measures of a saved state")
     p_meas.add_argument("input")
     p_meas.add_argument("--json", help="also write the report as JSON")
-    _add_opt_flags(p_meas)
+    p_meas.add_argument(
+        "--opt-grid",
+        type=_parse_grid,
+        default=DEFAULT_GRID,
+        metavar="TxP",
+        help=f"measurement search grid (default {DEFAULT_GRID[0]}x{DEFAULT_GRID[1]})",
+    )
     p_meas.set_defaults(func=cmd_measures)
 
     p_wit = sub.add_parser("witness", help="correlation-matrix witness of a saved state")
@@ -251,23 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--zmax", type=float, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=21)
     p_sweep.add_argument("--out", required=True)
-    _add_opt_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_dec = sub.add_parser("decompose", help="print the product decomposition at z")
     p_dec.add_argument("--z", type=float, required=True)
     p_dec.set_defaults(func=cmd_decompose)
     return parser
-
-
-def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--opt-grid",
-        type=_parse_grid,
-        default=DEFAULT_GRID,
-        metavar="TxP",
-        help=f"measurement search grid (default {DEFAULT_GRID[0]}x{DEFAULT_GRID[1]})",
-    )
 
 
 # Each handled exception type with its exit code; the first match wins.

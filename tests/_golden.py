@@ -56,7 +56,7 @@ RUNS = (
     ("witness-cq", "witness cq.qs"),
     ("protocol-unitary-third", "protocol unitary --z 0.3333333333333333 --dump-dir run2"),
     ("protocol-kraus-0.2", "protocol kraus --z 0.2"),
-    ("sweep-separable-coarse", "sweep --zmin 0 --zmax 0.3333333333333333 --steps 5 --opt-grid 16x32 --out sweep2.csv"),
+    ("sweep-separable", "sweep --zmin 0 --zmax 0.3333333333333333 --steps 5 --out sweep2.csv"),
     ("decompose-third", "decompose --z 0.3333333333333333"),
     ("measures-00", "measures zz.qs --json zz.json"),
     ("error-werner-z2", "state werner --z 2"),

@@ -3,17 +3,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdissonance
-from qdissonance import statefile
+from qdissonance import cli, statefile
 from qdissonance import (
     DensityMatrix, DomainError, correlations, discord, load_state, save_state, werner, witness_report,
 )
 from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main, sweep_rows
+from qdissonance.correlations import DEFAULT_GRID
+from qdissonance.states import _werner_stack
 
 from _zoo import werner_with_imaginary_residual
 
@@ -309,11 +312,10 @@ def test_sweep_bad_ranges(tmp_path, capsys):
                               (0.0, 1.0, MAX_SWEEP_STEPS + 1)):
         with pytest.raises(DomainError):
             sweep_rows(zmin, zmax, steps)
-    # so is the grid: no row is measured
-    for grid in ((1, 1), (64, "x"), (2, 2**21)):
-        with pytest.raises(DomainError):
-            sweep_rows(0.0, 1.0, 3, grid=grid)
-    assert len(list(sweep_rows(0.0, 1.0, np.int64(2), grid=(4, 8)))) == 2
+    # a sweep takes no grid: every Werner row is a sphere, which no grid scans
+    with pytest.raises(TypeError):
+        sweep_rows(0.0, 1.0, 3, grid=(16, 32))
+    assert len(list(sweep_rows(0.0, 1.0, np.int64(2)))) == 2
 
 
 def _sweep_calls(rng, rows):
@@ -326,22 +328,68 @@ def _sweep_calls(rng, rows):
     return calls
 
 
+def _per_state_row(z, grid=(64, 128)):
+    """The sweep row of werner(z), from discord on ``grid`` and witness_report."""
+    rho = werner(z)
+    rep = discord(rho, grid=grid)
+    measures = {key: getattr(rep, key) for key in SWEEP_HEADER.split(",")[1:-1]}
+    return {"z": z, **measures, "rank_L": witness_report(rho).l_rank}
+
+
 def test_sweep_rows_equal_the_per_state_reports():
     """Every stacked row is bitwise discord(werner(z)) and witness_report(werner(z)).l_rank,
-    on 500 seeded z values and the ends of the separable range, at two grids; the values
-    are Python floats and ints."""
-    calls = _sweep_calls(np.random.default_rng(20), 500)
-    for grid in ((64, 128), (16, 32)):
-        for zmin, zmax, steps in calls:
-            rows = list(sweep_rows(zmin, zmax, steps, grid=grid))
-            assert [row["z"] for row in rows] == np.linspace(zmin, zmax, steps).tolist()
-            for row in rows:
-                rho = werner(row["z"])
-                rep = discord(rho, grid=grid)
-                measures = {key: getattr(rep, key) for key in SWEEP_HEADER.split(",")[1:-1]}
-                want = {"z": row["z"], **measures, "rank_L": witness_report(rho).l_rank}
-                assert row == want, row["z"]
-                assert list(map(type, row.values())) == [float] * 7 + [int], row["z"]
+    on 500 seeded z values and the ends of the separable range, with discord at two
+    grids: no grid changes a Werner row.  The values are Python floats and ints."""
+    for zmin, zmax, steps in _sweep_calls(np.random.default_rng(20), 500):
+        rows = list(sweep_rows(zmin, zmax, steps))
+        assert [row["z"] for row in rows] == np.linspace(zmin, zmax, steps).tolist()
+        for row in rows:
+            for grid in ((64, 128), (16, 32)):
+                assert row == _per_state_row(row["z"], grid), (row["z"], grid)
+            assert list(map(type, row.values())) == [float] * 7 + [int], row["z"]
+
+
+def test_sweep_rows_stream_in_blocks(monkeypatch):
+    """A sweep stacks _SWEEP_BLOCK rows at a time, and the blocks change no row: sweeps
+    around the block edges equal one unblocked pass over all their states, and the
+    per-state reports at the rows beside each edge."""
+    seen = []
+    matrices = correlations._correlation_matrices
+
+    def counted(*args):
+        seen.append(len(args[0]))  # the states in the stack
+        return matrices(*args)
+
+    monkeypatch.setattr(correlations, "_correlation_matrices", counted)
+    assert sum(1 for _ in sweep_rows(0.0, 1.0, 1025)) == 1025
+    assert seen == [cli._SWEEP_BLOCK, cli._SWEEP_BLOCK, 1]
+    monkeypatch.undo()
+
+    block = cli._SWEEP_BLOCK
+    for steps in (block - 1, block, block + 1, 2 * block + 1):
+        zs = np.linspace(0.0, 1.0, steps)
+        whole = correlations._reports(*_werner_stack(zs), (2, 2), DEFAULT_GRID, witness=True)
+        want = [
+            {"z": z, **{key: getattr(rep, key) for key in cli._MEASURES}, "rank_L": wit.l_rank}
+            for z, (rep, wit) in zip(zs.tolist(), whole)
+        ]
+        rows = list(sweep_rows(0.0, 1.0, steps))
+        assert rows == want, steps
+        for i in range(block - 2, steps, block):
+            for row in rows[i:i + 4]:
+                assert row == _per_state_row(row["z"]), (steps, row["z"])
+
+
+def test_sweep_rows_memory_is_bounded():
+    """A sweep at MAX_SWEEP_STEPS, consumed row by row, holds one block at a time."""
+    tracemalloc.start()
+    try:
+        for _ in sweep_rows(0.0, 1.0, MAX_SWEEP_STEPS):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 def test_sweep_rows_never_scan(monkeypatch):
@@ -416,9 +464,12 @@ def test_bad_grid_argument(tmp_path, capsys):
     code, _, err = run(capsys, "measures", str(state_path), "--opt-grid", "2048x1025")
     assert code == 2
     assert "directions" in err
+    # a sweep takes no grid at all: argparse refuses the flag before any row
     out_csv = tmp_path / "s.csv"
     code, _, err = run(capsys, "sweep", "--opt-grid", "2048x1025", "--out", str(out_csv))
     assert code == 2
+    assert "unrecognized arguments: --opt-grid" in err
+    assert not out_csv.exists()
     # the refinement's stopping rules are constants (qla.NEWTON_TOL); no flag sets them
     for verb in (("measures", str(state_path)), ("sweep", "--out", str(out_csv))):
         code, _, err = run(capsys, *verb, "--opt-refine", "1e-6")

@@ -118,10 +118,7 @@ def _argv(draw, tmp):
     if verb == "sweep":
         argv = ["sweep", "--zmin", draw(_FLOATS), "--zmax", draw(_FLOATS), "--out", out]
         steps = draw(st.sampled_from(("-1", "0", "1", "2", "5", "10001", "2.5", str(2**70))))
-        argv += ["--steps", steps]
-        if draw(st.booleans()):
-            argv += ["--opt-grid", draw(_GRIDS)]
-        return argv
+        return argv + ["--steps", steps]
     return ["decompose", "--z", draw(_FLOATS)]
 
 

@@ -839,7 +839,7 @@ def test_discord_builds_each_piece_once(monkeypatch):
     assert counts(discord, werner(0.3)) == ([1], [], [1, 1])
     assert counts(discord, random_density(rng, 6, (2, 3)))[1] == [1]
     assert counts(certify, run_kraus_protocol(0.2))[0] == [1]
-    assert counts(sweep_rows, 0.0, 1.0, 21) == ([21], [], [21, 21])
+    assert counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21) == ([21], [], [21, 21])
 
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]
