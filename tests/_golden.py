@@ -28,12 +28,20 @@ import numpy as np
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Files the shell writes before the first run: the README's two qubit
-# projectors, |00>, a `dims:` line whose int64 product wraps to 1, and one
-# above statefile.MAX_STATE_DIM.
+# projectors, |00>, a generic rank-4 two-qubit state (neither a Bloch
+# sphere nor flat, so `measures` scans and refines it), a `dims:` line whose
+# int64 product wraps to 1, and one above statefile.MAX_STATE_DIM.
 SETUP_FILES = {
     "b0.qs": "qstate v1\ndims: 2\n1+0j 0j\n0j 0j\n",
     "b1.qs": "qstate v1\ndims: 2\n0j 0j\n0j 1+0j\n",
     "zz.qs": "qstate v1\ndims: 2 2\n1+0j 0j 0j 0j\n0j 0j 0j 0j\n0j 0j 0j 0j\n0j 0j 0j 0j\n",
+    "generic.qs": (
+        "qstate v1\ndims: 2 2\n"
+        "0.4 0.05+0.02j -0.03+0.01j 0.025-0.03j\n"
+        "0.05-0.02j 0.3 0.04+0.035j -0.01+0.01j\n"
+        "-0.03-0.01j 0.04-0.035j 0.2 0.02+0.01j\n"
+        "0.025+0.03j -0.01-0.01j 0.02-0.01j 0.1\n"
+    ),
     "big.qs": "qstate v1\ndims: 9223372036854775807 9223372036854775807\n1+0j\n",
     "huge.qs": "qstate v1\ndims: 30000\n",
 }
@@ -59,6 +67,8 @@ RUNS = (
     ("sweep-separable", "sweep --zmin 0 --zmax 0.3333333333333333 --steps 5 --out sweep2.csv"),
     ("decompose-third", "decompose --z 0.3333333333333333"),
     ("measures-00", "measures zz.qs --json zz.json"),
+    ("measures-generic", "measures generic.qs --json generic.json"),
+    ("measures-generic-fine", "measures generic.qs --opt-grid 640x1280 --json generic-fine.json"),
     ("error-werner-z2", "state werner --z 2"),
     ("error-missing-file", "measures missing.qs"),
     ("error-witness-pairs", "witness pairs.qs"),
