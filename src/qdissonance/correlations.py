@@ -8,11 +8,12 @@ entropies are in bits.
 
 The measurement optimization scans a deterministic grid over the
 upper Bloch hemisphere (n and -n are the same projective measurement,
-with the outcomes swapped), tile by tile into one value array, and
-refines the best three cells together with one safeguarded Riemannian
-Newton method on the sphere, whose gradient and Hessian are central
-differences on an 8-point stencil, so repeated runs give identical
-results.  The same refinement serves the two-qubit and qubit-qudit
+with the outcomes swapped), tile by tile into one value array, each
+tile's directions built from the 1-D trig tables into one reused
+buffer.  It refines the best three cells together with one safeguarded
+Riemannian Newton method on the sphere, whose gradient and Hessian are
+central differences on an 8-point stencil, so repeated runs give
+identical results.  The same refinement serves the two-qubit and qubit-qudit
 objectives and the brute-force geometric discord.  Two rules find
 an objective on which every measurement is optimal, and report the
 pole theta = phi = 0 without refining.  The sphere rule comes first
@@ -28,7 +29,11 @@ Measuring +/-n on A leaves B in the unnormalized states
 entropy is the entropy of their spectra.  For a qubit B the spectrum
 is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
 coefficients of the G_i, so no matrices are formed; otherwise it is
-eigvalsh.
+eigvalsh.  One kernel, ``_bloch_values``, evaluates the two-qubit form
+for the scan, the refinement's stencils and the sphere rule's pole.  It
+works in place in buffers that a scan allocates once: per direction a
+4 x 3 matrix product, a norm and six logarithms, 40-55 ns on the
+640 x 1280 grid (2-core Xeon VM, one BLAS thread).
 
 Every state goes through one pass, ``_reports``, which takes a stack
 of N states (N, d, d) with their spectra: ``discord`` is its N = 1
@@ -72,14 +77,18 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (64, 128)
-# Scan memory grows linearly with the number of grid directions; 2**21 is
-# ~2.5x the 640x1280 oracle grid.  Larger grids are rejected before the
-# scan allocates anything.
+# The scan keeps one float per hemisphere direction, and picking its seeds
+# copies them once: 6.3 MiB on the 640x1280 oracle grid, where discord peaks
+# at 7.1 MiB under tracemalloc, and 16 MiB at this cap, ~2.5x that grid.
+# Larger grids are rejected before the scan allocates anything.
 MAX_GRID_POINTS = 2**21
-# Two-qubit directions per objective call in the grid scan: bounds the
-# scan's temporaries; 2**15 was the fastest tile on the 640x1280 grid.
+# Two-qubit directions per objective call in the grid scan, rounded down to
+# whole theta rows: bounds the kernel's buffers (14 floats per direction,
+# 0.9 MB at 2**13).  On the 640x1280 grid tiles of 2**13 to 2**15 scan in
+# 18-25 ms, 2**12 in 25-30 ms and 2**16 in 25-29 ms (2-core Xeon VM, one
+# BLAS thread); 2**13 has the smallest buffers of the fastest.
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
-_SCAN_TILE = 2**15
+_SCAN_TILE = 2**13
 # Hemisphere directions x d_B**3 a (2, d_B) scan may cost (one d_B x d_B
 # eigvalsh per outcome per direction): admits two qubits on every grid, (2, 16)
 # at the default grid and (2, 3) at the largest, and refuses (2, 32) at the default.
@@ -118,11 +127,15 @@ def _angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(np.clip(nz, -1.0, 1.0)), phi
 
 
-def _xlog2(x: np.ndarray) -> np.ndarray:
-    """x log2 x elementwise, with 0 wherever x <= PROB_CUTOFF."""
-    x = np.asarray(x, dtype=float)
-    mask = x > PROB_CUTOFF
-    return np.where(mask, x * np.log2(np.where(mask, x, 1.0)), 0.0)
+def _xlog2(x: np.ndarray, log: np.ndarray | None = None, mask: np.ndarray | None = None):
+    """x log2 x elementwise in place in the float array x, with 0 wherever x <= PROB_CUTOFF.
+
+    ``log`` (float) and ``mask`` (bool), of x's shape, are optional
+    scratch.  Entries at most PROB_CUTOFF become 1 before the log2, so
+    they give 1 * 0 = +0 and log2 never sees 0.  Returns x.
+    """
+    np.copyto(x, 1.0, where=np.less_equal(x, PROB_CUTOFF, out=mask))
+    return np.multiply(x, np.log2(x, out=log), out=x)
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -189,12 +202,6 @@ def _split(parts: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.stack([x0 + nx, x0 - nx]) / 2.0
 
 
-def _bloch_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues (m_0 -/+ |m|)/2 of (m_0 I + m.sigma)/2, from Pauli coefficients on axis 1."""
-    rad = np.sqrt((m[:, 1:] * m[:, 1:]).sum(axis=1))
-    return np.stack([m[:, 0] - rad, m[:, 0] + rad]) / 2.0
-
-
 def _matrix_spectrum(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of the matrices on axes 1 and 2, on a new first axis."""
     return np.moveaxis(np.linalg.eigvalsh(np.moveaxis(m, (1, 2), (-2, -1))), -1, 0)
@@ -203,7 +210,62 @@ def _matrix_spectrum(m: np.ndarray) -> np.ndarray:
 def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
     """p_a S(rho_B|a) of each outcome from its unnormalized eigenvalues (first axis)."""
     lam = np.clip(lam, 0.0, None)
-    return -_xlog2(lam).sum(axis=0) + _xlog2(lam.sum(axis=0))
+    p = lam.sum(axis=0)
+    return _xlog2(p) - _xlog2(lam).sum(axis=0)
+
+
+def _bloch_values(x0: np.ndarray, w: np.ndarray, mask: np.ndarray | None = None, out=None):
+    """The two-qubit objective, in place in ``w`` (2, 7, N), from B^T n in ``w[0, :4]``.
+
+    With x0 = 2 r[0] (broadcast to (4, N)) and B = 2 r[1:] the rows of
+    2 r = [[1, y], [x, T]], measuring +/-n leaves B with the Pauli coefficients
+    a = x0 +/- B^T n of twice its unnormalized state, whose eigenvalues
+    are (a_0 -/+ |a_1..3|) / 4 (Luo, PRA 77, 042303, 2008).  The two
+    halvings of the Bloch form fold into that one exact x 0.25, so the
+    values are bit for bit those of halving first.  ``w[:, 4:]`` and
+    ``mask`` (bool, (2, 3, N)) are scratch for ``_xlog2``.  Returns
+    sum over outcomes of p log2 p - sum(lam log2 lam), into ``out``.
+    """
+    a = w[:, :4]
+    np.subtract(x0, a[0], out=a[1])
+    np.add(x0, a[0], out=a[0])
+    np.multiply(a[:, 1:], a[:, 1:], out=a[:, 1:])
+    np.add(a[:, 1], a[:, 2], out=a[:, 1])
+    rad = np.add(a[:, 1], a[:, 3], out=a[:, 1])
+    np.sqrt(rad, out=rad)
+    lam = a[:, 2:]  # the two eigenvalues of each outcome
+    np.subtract(a[:, 0], rad, out=lam[:, 0])
+    np.add(a[:, 0], rad, out=lam[:, 1])
+    np.multiply(lam, 0.25, out=lam)
+    np.maximum(lam, 0.0, out=lam)
+    np.add(lam[:, 0], lam[:, 1], out=a[:, 1])  # the outcome probabilities p
+    ent = _xlog2(a[:, 1:], w[:, 4:], mask)  # p log2 p, then lam log2 lam
+    np.add(ent[:, 1], ent[:, 2], out=ent[:, 1])
+    np.subtract(ent[:, 0], ent[:, 1], out=ent[:, 0])
+    return np.add(ent[0, 0], ent[1, 0], out=out)
+
+
+def _bloch_objective(bloch: np.ndarray):
+    """The two-qubit objective of one 2 r (4, 4): ``_bloch_values`` of B^T n.
+
+    Its buffers are kept from call to call and grow to the largest
+    call, so a scan allocates them at its first tile and the refinement
+    reuses them; a call on its own allocates only its own size.
+    """
+    bt, x0 = bloch[1:].T, bloch[0][:, None]
+    work, mask = np.empty(0), np.empty(0, dtype=bool)
+
+    def objective(n, out=None):
+        nonlocal work, mask
+        size = n[0].size
+        if mask.size < 6 * size:
+            work, mask = np.empty(14 * size), np.empty(6 * size, dtype=bool)
+        w = work[: 14 * size].reshape(2, 7, size)
+        np.matmul(bt, n.reshape(3, size), out=w[0, :4])
+        vals = _bloch_values(x0, w, mask[: 6 * size].reshape(2, 3, size), out)
+        return vals.reshape(n.shape[1:])
+
+    return objective
 
 
 def _measured_parts(m: np.ndarray, legs: tuple[int, ...]) -> np.ndarray:
@@ -225,12 +287,15 @@ def _conditional_entropy_objective(parts: np.ndarray):
     """sum_a p_a S(rho_B|a) as a function of directions n, shape (3, ...) -> (...).
 
     ``parts`` are one state's ``_measured_parts``: from two-qubit Bloch
-    data each outcome's spectrum is closed form, otherwise it is eigvalsh.
+    data each outcome's spectrum is closed form (``_bloch_objective``),
+    otherwise it is eigvalsh.  Like every objective here it takes an
+    optional ``out`` for its values.
     """
-    spectrum = _bloch_spectrum if parts.ndim == 2 else _matrix_spectrum
+    if parts.ndim == 2:
+        return _bloch_objective(parts)
 
-    def objective(n):
-        return _cond_entropy_terms(spectrum(_split(parts, n))).sum(axis=0)
+    def objective(n, out=None):
+        return _cond_entropy_terms(_matrix_spectrum(_split(parts, n))).sum(axis=0, out=out)
 
     return objective
 
@@ -269,9 +334,9 @@ def _dots(v: np.ndarray) -> np.ndarray:
 
 def _pole_values(bloch: np.ndarray) -> np.ndarray:
     """The two-qubit objective at the pole theta = phi = 0 of each 2 r in a stack (N, 4, 4)."""
-    # the records on a trailing axis, where _split puts the directions
-    outcomes = _split(np.moveaxis(bloch, 0, -1), _direction(0.0, 0.0))
-    return _cond_entropy_terms(_bloch_spectrum(outcomes)).sum(axis=0)
+    w = np.empty((2, 7, len(bloch)))
+    w[0, :4] = bloch[:, 3].T  # B^T n at n = (0, 0, 1) is row 3 of 2 r, exactly
+    return _bloch_values(bloch[:, 0].T, w)
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -303,12 +368,27 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE) -> np.ndarray:
-    """Objective on every (theta, phi) pair in row-major order, ``tile`` at a time."""
-    # trig of the 1-D tables only; the grid is their outer product
-    n = _direction(thetas[:, None], phis).reshape(3, -1)
-    vals = np.empty(n.shape[1])
-    for lo in range(0, vals.size, tile):
-        vals[lo : lo + tile] = objective(n[:, lo : lo + tile])
+    """Objective on every (theta, phi) pair in row-major order, at most ``tile`` at a time.
+
+    A tile is whole theta rows, or a piece of one row when a row holds
+    more than ``tile`` directions.  Its directions are built from the
+    1-D trig tables into one buffer reused by every tile, and
+    ``objective(n, out)`` writes its values into the result.
+    """
+    st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
+    rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
+    buf = np.empty(3 * rows * cols)
+    vals = np.empty(thetas.size * phis.size)
+    for r in range(0, thetas.size, rows):
+        sin_t, cos_t = st[r : r + rows, None], ct[r : r + rows, None]
+        for c in range(0, phis.size, cols):
+            cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
+            n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, sin_t.size, cos_p.size)
+            np.multiply(sin_t, cos_p, out=n[0])
+            np.multiply(sin_t, sin_p, out=n[1])
+            n[2] = cos_t
+            lo = r * phis.size + c
+            objective(n.reshape(3, -1), out=vals[lo : lo + n[0].size])
     return vals
 
 
@@ -326,8 +406,9 @@ def _minimize_over_directions(
     """Scan of the hemisphere grid whose ``_grid_directions`` tables are given, then
     refinement of the best 3 cells.
 
-    ``objective(n)`` must map directions of shape (3, ...) to values
-    of shape (...), with f(n) = f(-n).  The flat rule: when the scan's
+    ``objective(n, out=None)`` must map directions of shape (3, ...) to
+    values of shape (...), into ``out`` when given, with f(n) = f(-n).
+    The flat rule: when the scan's
     spread max - min is at most FLAT_SPREAD_TOL (on a grid of at least
     two theta rows and five phi columns) the objective is flat: every
     measurement is optimal, the grid minimum is returned with the
@@ -572,8 +653,8 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         parts = _pauli_parts(rho.matrix[None], 2)[0]
         pur = rho.purity()
 
-        def objective(n):
-            return pur - (np.abs(_split(parts, n)) ** 2).sum(axis=(0, 1, 2))
+        def objective(n, out=None):
+            return np.subtract(pur, (np.abs(_split(parts, n)) ** 2).sum(axis=(0, 1, 2)), out=out)
 
         val, _, _ = _minimize_over_directions(objective, *_grid_directions(DEFAULT_GRID))
         return float(val)

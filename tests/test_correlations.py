@@ -40,11 +40,12 @@ from qdissonance.correlations import (
     _grid_directions,
     _measured_parts,
     _minimize_over_directions,
+    _pole_values,
     _refine,
     _scan,
     _smallest,
 )
-from qdissonance.qla import FLAT_SPREAD_TOL, NEWTON_ITER_CAP
+from qdissonance.qla import FLAT_SPREAD_TOL, NEWTON_ITER_CAP, PROB_CUTOFF
 
 from _zoo import (
     build_zoo, near_pure_rotated, random_cq, random_density, random_product, random_qubit_basis,
@@ -785,6 +786,84 @@ def test_refinement_matches_the_compass_search(monkeypatch):
         assert refined[0] <= compass[0] + 1e-13, i
         a, b = _direction(*compass[1:]), _direction(*refined[1:])
         assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-6, i
+
+
+def _reference_xlog2(x):
+    mask = x > PROB_CUTOFF
+    return np.where(mask, x * np.log2(np.where(mask, x, 1.0)), 0.0)
+
+
+def _reference_objective(bloch, n):
+    """The two-qubit objective of one 2 r as the Bloch form reads: split, halve, spectrum, terms.
+
+    Both outcomes (X_0 +/- n.X) / 2 of the rows X of 2 r, each outcome's
+    eigenvalues (m_0 -/+ |m|) / 2 from its Pauli coefficients m, clipped
+    at 0, then sum over outcomes of p log2 p - sum(lam log2 lam).
+    """
+    nx = (bloch[1:].T @ n.reshape(3, -1)).reshape((4,) + n.shape[1:])
+    x0 = bloch[0].reshape((4,) + (1,) * (n.ndim - 1))
+    m = np.stack([x0 + nx, x0 - nx]) / 2.0
+    rad = np.sqrt((m[:, 1:] * m[:, 1:]).sum(axis=1))
+    lam = np.clip(np.stack([m[:, 0] - rad, m[:, 0] + rad]) / 2.0, 0.0, None)
+    return (-_reference_xlog2(lam).sum(axis=0) + _reference_xlog2(lam.sum(axis=0))).sum(axis=0)
+
+
+def _kernel_states():
+    """206 two-qubit states: every rank, the zoo, Bell-diagonal, X, near-pure and products."""
+    rng = np.random.default_rng(SEED + 70)
+    states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(100)]
+    states += [rho for _, rho, _ in build_zoo()]
+    bells = [bell(name).vector for name in ("phi+", "phi-", "psi+", "psi-")]
+    for _ in range(10):
+        m = sum(p * np.outer(v, v.conj()) for p, v in zip(rng.dirichlet(np.ones(4)), bells))
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
+        states += [DensityMatrix(m, (2, 2)), DensityMatrix(u @ m @ u.conj().T, (2, 2))]
+    states += [_x_state(*params) for params in _OFF_AXIS_X_STATES + _COMPETING_X_STATES]
+    states += [near_pure_rotated(rng, (2, 2)) for _ in range(20)]
+    states += [random_product(rng) for _ in range(10)]
+    return states
+
+
+def test_bloch_kernel_is_bitwise_the_reference_chain():
+    """The in-place two-qubit kernel gives the reference's bits on every call shape.
+
+    Directions (3, N), stencils (3, k, 8), the pole of a whole stack,
+    and the grid scan at a 64-direction tile and at the default tile.
+    """
+    rng = np.random.default_rng(SEED + 71)
+    states = _kernel_states()
+    assert len(states) >= 200
+    thetas, phis = _grid_directions(DEFAULT_GRID)
+    grid = _direction(thetas[:, None], phis)
+    n = _spread_directions(257)
+    bloch = np.stack([_parts(rho) for rho in states])
+    pole = np.array([_reference_objective(b, _direction(0.0, 0.0)) for b in bloch])
+    assert np.array_equal(_pole_values(bloch), pole)
+    for i in range(len(states)):
+        objective = _conditional_entropy_objective(bloch[i])
+        stencil = rng.standard_normal((3, 3, 8))
+        stencil /= np.sqrt((stencil * stencil).sum(axis=0))
+        for dirs in (n, -n, n[:, :3], n[:, 0], stencil):
+            assert np.array_equal(objective(dirs), _reference_objective(bloch[i], dirs)), i
+        want = _reference_objective(bloch[i], grid).reshape(-1)
+        for tile in (64, correlations._SCAN_TILE):
+            assert np.array_equal(_scan(objective, thetas, phis, tile), want), (i, tile)
+
+
+def test_fine_scan_memory_is_bounded():
+    """The 640x1280 scan holds its value array and one tile's buffers, not the grid.
+
+    The hemisphere's 409600 values take 3.1 MiB; building the grid's
+    (3, 409600) directions at once took another 9.4 MiB.
+    """
+    rho = random_two_qubit(np.random.default_rng(SEED + 72))
+    tracemalloc.start()
+    try:
+        discord(rho, grid=(640, 1280))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_discord_of_near_pure_states_stays_in_bounds():
