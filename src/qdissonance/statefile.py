@@ -102,7 +102,19 @@ def _text_lines(text: str):
         pos = end
 
 
+def _not_ascii(byte: int, position: int) -> StateFileError:
+    return StateFileError(
+        f"not an ASCII state file: 'ascii' codec can't decode byte 0x{byte:02x} "
+        f"in position {position}: ordinal not in range(128)"
+    )
+
+
 def loads_state(text: str) -> DensityMatrix:
+    """The state in ``text``; a non-ASCII character is named as ``load_state`` names it
+    in the UTF-8 file of the same text, ahead of any format error."""
+    if not text.isascii():
+        k = re.search(r"[^\x00-\x7f]", text).start()
+        raise _not_ascii(text[k].encode("utf-8", "surrogatepass")[0], k)
     return _parse(_text_lines(text))
 
 
@@ -116,11 +128,8 @@ def _ascii_lines(fh):
     offset = 0
     for raw in fh:
         if not raw.isascii():
-            k = next(k for k, b in enumerate(raw) if b > 127)
-            raise StateFileError(
-                f"not an ASCII state file: 'ascii' codec can't decode byte 0x{raw[k]:02x} "
-                f"in position {offset + k}: ordinal not in range(128)"
-            )
+            k = re.search(rb"[^\x00-\x7f]", raw).start()
+            raise _not_ascii(raw[k], offset + k)
         offset += len(raw)
         line = raw.decode("ascii")
         del raw  # hold one copy of a long line, not two

@@ -6,8 +6,9 @@ mixing parameters z in [0, 1/3]: four unnormalized components eta_j
 (norm 1/2 each) that sum to the Werner state and factor into qubit
 pairs (Psi_j, Phi_j) once the relative phases are chosen correctly.
 
-CC and CQ states are both sum_i w_i |a_i><a_i| x block_i and share one
-builder.  The Bell vectors are one read-only table that ``bell``,
+CC and CQ states are both sum_i |a_i><a_i| x T_i, built by one
+contraction over a basis matrix (columns a_i) and a stack of weighted
+B blocks T_i.  The Bell vectors are one read-only table that ``bell``,
 ``werner`` and the components read, and the components are one matrix
 product of phased sign patterns with the weighted Bell vectors.
 """
@@ -50,17 +51,17 @@ _SINGLET = np.outer(_BELL[1], _BELL[1].conj())
 _SINGLET.setflags(write=False)
 
 
-def _basis_vectors(d: int) -> list[np.ndarray]:
-    return [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-
-
-def _check_orthonormal(vecs: Sequence[np.ndarray], d: int, name: str) -> list[np.ndarray]:
+def _basis(vecs, d: int, name: str) -> np.ndarray:
+    """The basis ``vecs`` as the columns of a (d, d) matrix; the computational one for None."""
+    if vecs is None:
+        return np.eye(d, dtype=complex)
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vecs]
     if len(vecs) != d or any(v.shape != (d,) for v in vecs):
         raise DomainError(f"{name}: expected {d} vectors of dimension {d}")
-    if _isometry_error(np.stack(vecs, axis=1)) > ISOMETRY_TOL:
+    a = np.stack(vecs, axis=1)
+    if _isometry_error(a) > ISOMETRY_TOL:
         raise DomainError(f"{name}: vectors are not orthonormal")
-    return vecs
+    return a
 
 
 def _check_probabilities(p: np.ndarray, op: str) -> None:
@@ -87,11 +88,9 @@ def cc_state(p, basis_a=None, basis_b=None) -> DensityMatrix:
         raise DomainError(f"cc_state: probability table must be 2-D, got shape {p.shape}")
     _check_probabilities(p, "cc_state")
     da, db = p.shape
-    avecs = _basis_vectors(da) if basis_a is None else _check_orthonormal(basis_a, da, "basis_a")
-    bvecs = _basis_vectors(db) if basis_b is None else _check_orthonormal(basis_b, db, "basis_b")
-    blocks = [np.outer(b, b.conj()) for b in bvecs]
-    terms = ((p[i, j], avecs[i], blocks[j]) for i in range(da) for j in range(db))
-    return _classical_on_a(terms, da, db)
+    a = _basis(basis_a, da, "basis_a")
+    b = _basis(basis_b, db, "basis_b")
+    return _classical_on_a(a, np.einsum("ij,kj,lj->ikl", p, b, b.conj()))
 
 
 def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
@@ -103,7 +102,7 @@ def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
     p = np.asarray(p, dtype=float).reshape(-1)
     _check_probabilities(p, "cq_state")
     da = p.shape[0]
-    avecs = _basis_vectors(da) if basis_a is None else _check_orthonormal(basis_a, da, "basis_a")
+    a = _basis(basis_a, da, "basis_a")
     if len(states_b) != da:
         raise DomainError(f"cq_state: need {da} B-side states, got {len(states_b)}")
     if not all(isinstance(s, DensityMatrix) for s in states_b):
@@ -111,15 +110,14 @@ def cq_state(p, basis_a, states_b: Sequence[DensityMatrix]) -> DensityMatrix:
     db = states_b[0].dim
     if any(s.dim != db for s in states_b):
         raise DomainError("cq_state: B-side states differ in dimension")
-    return _classical_on_a(zip(p, avecs, (s.matrix for s in states_b)), da, db)
+    return _classical_on_a(a, p[:, None, None] * np.stack([s.matrix for s in states_b]))
 
 
-def _classical_on_a(terms, da: int, db: int) -> DensityMatrix:
-    """sum w |a><a| x block over (w, a, block) terms, in order, skipping w = 0."""
-    rho = np.zeros((da * db, da * db), dtype=complex)
-    for w, a, block in terms:
-        if w != 0.0:
-            rho += w * np.kron(np.outer(a, a.conj()), block)
+def _classical_on_a(a: np.ndarray, t: np.ndarray) -> DensityMatrix:
+    """sum_i |a_i><a_i| x t_i: one contraction over the basis matrix ``a`` (columns a_i)
+    and the (d_A, d_B, d_B) stack ``t`` of weighted B blocks."""
+    da, db = t.shape[:2]
+    rho = np.einsum("im,jm,mkl->ikjl", a, a.conj(), t).reshape(da * db, da * db)
     return DensityMatrix(rho, (da, db))
 
 
@@ -177,8 +175,8 @@ class PhaseSolution:
 
 
 def _decomposable_z(z: float, op: str) -> float:
-    """``z`` as a float; DomainError naming ``op`` unless it lies in [0, 1/3]."""
-    z = float(z)
+    """``z`` as a float, +0.0 for -0.0; DomainError naming ``op`` unless it lies in [0, 1/3]."""
+    z = float(z) + 0.0  # -0.0 + 0.0 is +0.0
     if not 0.0 <= z <= 1.0 / 3.0:
         raise DomainError(f"{op}: z must lie in [0, 1/3], got {z}")
     return z

@@ -440,6 +440,12 @@ def test_decompose_solves_phases_once(monkeypatch, capsys):
     assert calls == [0.2]
 
 
+def test_decompose_prints_unsigned_zero(capsys):
+    code, out, _ = run(capsys, "decompose", "--z", "-0")
+    assert code == 0
+    assert kv(out)["z"] == "0"
+
+
 def test_decompose_bad_z(capsys):
     code, _, err = run(capsys, "decompose", "--z", "0.5")
     assert code == 2

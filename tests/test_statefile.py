@@ -185,6 +185,32 @@ def test_non_ascii_byte_named_by_file_offset(tmp_path):
         load_state(path)
 
 
+def test_non_ascii_text_refused_like_the_file(tmp_path):
+    """`int` and `complex` accept Unicode digits, so a text must be ASCII before it is
+    parsed; `loads_state` names the character as `load_state` names its first UTF-8
+    byte in the file, ahead of any format error."""
+    arabic = str.maketrans("0123456789", "".join(chr(0x660 + i) for i in range(10)))
+    good = dumps_state(werner(0.2))
+    rows = good.splitlines()
+    texts = {
+        good.replace("dims: 2 2", "dims: \u0662 2"): "0xd9 in position 16",
+        f"{FORMAT_VERSION}\n" + dumps_state(werner(0.0)).split("\n", 1)[1].translate(arabic): (
+            "0xd9 in position 16"
+        ),
+        "\n".join(rows[:3] + [rows[3] + " \u00e9"] + rows[4:]): "0xc3",
+        "qstate v0\ndims: 2\n\u00e90j 0j\n0j 0j\n": "0xc3 in position 18",
+    }
+    for i, (text, where) in enumerate(texts.items()):
+        path = tmp_path / f"text{i}.qs"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(StateFileError, match="^not an ASCII state file") as from_file:
+            load_state(path)
+        with pytest.raises(StateFileError) as from_text:
+            loads_state(text)
+        assert str(from_text.value) == str(from_file.value)
+        assert where in str(from_text.value)
+
+
 def test_wrong_row_count():
     good = dumps_state(werner(0.2)).splitlines()
     with pytest.raises(StateFileError):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from qdissonance import (
     werner,
 )
 
-from _zoo import explicit_factors_z13
+from _zoo import explicit_factors_z13, haar_unitary, random_density
 
 SEED = 7100
 Z_GRID = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 1.0 / 3.0]
@@ -236,6 +238,83 @@ def test_cc_state_custom_bases():
     mm = np.outer(minus, minus.conj())
     expect = 0.5 * np.kron(pp, pp) + 0.5 * np.kron(mm, mm)
     assert np.abs(rho.matrix - expect).max() < 1e-14
+
+
+def _classical_reference(weights, avecs, blocks):
+    """sum_i weights_i |a_i><a_i| x blocks_i, one Kronecker product per term."""
+    d = len(avecs[0]) * len(blocks[0])
+    rho = np.zeros((d, d), dtype=complex)
+    for w, a, block in zip(weights, avecs, blocks):
+        rho += w * np.kron(np.outer(a, a.conj()), block)
+    return rho
+
+
+def _cc_reference(p, avecs, bvecs):
+    da, db = p.shape
+    blocks = [np.outer(b, b.conj()) for b in bvecs]
+    terms = [(p[i, j], avecs[i], blocks[j]) for i in range(da) for j in range(db)]
+    return _classical_reference(*zip(*terms))
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 5), (8, 8)])
+def test_classical_states_match_kron_sum(da, db):
+    """One contraction over the basis matrix gives the explicit sum of Kronecker products."""
+    rng = np.random.default_rng(SEED + 10 * da + db)
+    p = rng.dirichlet(np.ones(da * db)).reshape(da, db)
+    p[0, -1] = 0.0
+    p /= p.sum()
+    ua, ub = haar_unitary(rng, da), haar_unitary(rng, db)
+    rho = cc_state(p, list(ua.T), list(ub.T))
+    assert np.abs(rho.matrix - _cc_reference(p, ua.T, ub.T)).max() < 1e-15
+    assert rho.legs == (da, db)
+
+    q = p.sum(axis=1)
+    states_b = [random_density(rng, db) for _ in range(da)]
+    rho = cq_state(q, list(ua.T), states_b)
+    ref = _classical_reference(q, ua.T, [s.matrix for s in states_b])
+    assert np.abs(rho.matrix - ref).max() < 1e-15
+    assert rho.legs == (da, db)
+
+    # computational bases, on the random table and on a dyadic one, are exact
+    dyadic = rng.integers(0, 4, size=(da, db)).astype(float)
+    dyadic[0, 0] = 1024 - dyadic.sum() + dyadic[0, 0]
+    dyadic /= 1024
+    ea, eb = np.eye(da), np.eye(db)
+    for table in (p, dyadic):
+        assert cc_state(table).matrix.tobytes() == _cc_reference(table, ea, eb).tobytes()
+        q = table.sum(axis=1)
+        ref = _classical_reference(q, ea, [s.matrix for s in states_b])
+        assert cq_state(q, None, states_b).matrix.tobytes() == ref.tobytes()
+
+
+def test_cc_state_largest_table_is_fast():
+    """A uniform 32 x 32 table (d = 1024, the state-file cap) builds in one contraction."""
+    p = np.full((32, 32), 1.0 / 1024)
+    start = time.perf_counter()
+    rho = cc_state(p)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"cc_state on a 32 x 32 table took {elapsed:.2f} s"
+    assert rho.legs == (32, 32)
+    assert np.array_equal(rho.matrix, np.diag(np.full(1024, 1.0 / 1024)).astype(complex))
+
+
+def test_basis_errors():
+    plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    table = np.diag([0.5, 0.5])
+    sigma = DensityMatrix(np.eye(2) / 2)
+    bad = {
+        "expected 2 vectors of dimension 2": ([plus], [plus, minus, plus], [plus, np.ones(3)]),
+        "vectors are not orthonormal": ([np.array([1, 0]), np.array([1, 1])], [plus, plus]),
+    }
+    for message, bases in bad.items():
+        for basis in bases:
+            for name, build in (
+                ("basis_a", lambda v: cc_state(table, basis_a=v)),
+                ("basis_b", lambda v: cc_state(table, basis_b=v)),
+                ("basis_a", lambda v: cq_state([0.5, 0.5], v, [sigma, sigma])),
+            ):
+                with pytest.raises(DomainError, match=f"^{name}: {message}$"):
+                    build(basis)
 
 
 def test_cq_state():
