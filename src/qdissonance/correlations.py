@@ -37,8 +37,8 @@ works in place in buffers that a scan allocates once: per direction a
 
 Every state goes through one pass, ``_reports``, which takes a stack
 of N states (N, d, d) with their spectra: ``discord`` is its N = 1
-case, and ``cli.sweep_rows`` and ``protocols.certify`` call it with
-the witness.  Its kernels take the stack: the measured parts
+case, and ``cli.sweep_rows`` calls it on each block of Werner states.
+Its kernels take the stack: the measured parts
 (``_measured_parts``, the correlation matrices for two qubits),
 ``_marginal_entropies`` and ``_entropies``, ``_is_sphere`` and the
 objective at the pole for every sphere row (``_pole_values``),
@@ -46,7 +46,8 @@ objective at the pole for every sphere row (``_pole_values``),
 ``_concurrences`` (batched eigh and svd) and ``_negativities``
 (batched eigvalsh); the sign checks and clamps of ``discord`` are
 applied elementwise.  A row that is not a sphere is scanned and
-refined on its own by ``_minimize_over_directions``.
+refined on its own by ``_minimize_over_directions``.  The witness is a
+separate pass, in ``witness``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .qla import (
     NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF, SPHERE_TOL, TOTAL_SIGN_TOL,
     DensityMatrix, DomainError, _as_index, _hermitian,
 )
-from .witness import PAULI_MATRICES, WitnessReport, _correlation_matrices, _witness_reports
+from .witness import PAULI_MATRICES, _correlation_matrices
 
 __all__ = [
     "Measurement",
@@ -89,14 +90,13 @@ MAX_GRID_POINTS = 2**21
 # BLAS thread); 2**13 has the smallest buffers of the fastest.
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**13
-# Hemisphere directions x d_B**3 a (2, d_B) scan may cost (one d_B x d_B
-# eigvalsh per outcome per direction): admits two qubits on every grid, (2, 16)
-# at the default grid and (2, 3) at the largest, and refuses (2, 32) at the default.
-# It bounds the scan only, not the Newton refinement after it: up to
-# NEWTON_ITER_CAP iterations of 9 directions per seed.  A random (2, 322) state
-# at grid 2x2 scans 2 directions, then refines over 206 in 10.8 s (2-core Xeon
-# VM, one BLAS thread).
+# Directions x d_B**3 a (2, d_B) search may cost (one d_B x d_B eigvalsh per
+# outcome per direction), counting the hemisphere scan and the worst-case
+# refinement: 3 seeds x NEWTON_ITER_CAP iterations x (8 stencil + 1 trial)
+# directions, plus the 3 final evaluations.  Admits two qubits on every grid,
+# (2, 23) at the default grid, (2, 43) at 2x2 and (2, 3) at the largest grid.
 MAX_QUDIT_SCAN_WORK = 2**26
+_REFINE_DIRECTIONS = 3 * (9 * NEWTON_ITER_CAP + 1)
 
 
 def _direction(theta, phi) -> np.ndarray:
@@ -520,8 +520,7 @@ def classical_correlation(
     reads it from the scan: product and pure states, and the qubit-qudit
     states.  Otherwise the reported value is accurate to about 1e-6 bits
     at the default grid.  The grid is checked on every path.  A (2, d_B > 2)
-    state whose scan would cost more than MAX_QUDIT_SCAN_WORK directions
-    x d_B^3 is refused before the scan allocates anything.
+    state over MAX_QUDIT_SCAN_WORK (``_scan_tables``) is refused before the scan.
     """
     m = rho.matrix[None]
     parts = _measured_parts(m, rho.legs)
@@ -532,13 +531,16 @@ def classical_correlation(
 
 
 def _scan_tables(grid: tuple[int, int], db: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's ``_grid_directions`` tables, refused when a (2, d_B) scan costs too much."""
+    """The grid's ``_grid_directions`` tables, refused when a (2, d_B) search costs too much."""
     thetas, phis = _grid_directions(grid)
     dirs = thetas.size * phis.size
-    if dirs * db**3 > MAX_QUDIT_SCAN_WORK:
+    work = (dirs + _REFINE_DIRECTIONS) * db**3
+    if work > MAX_QUDIT_SCAN_WORK:
+        fits = (2 + _REFINE_DIRECTIONS) * db**3 <= MAX_QUDIT_SCAN_WORK  # 2x2 scans the fewest, 2
         raise DomainError(
-            f"a (2, {db}) state on grid {grid[0]}x{grid[1]} needs {dirs} directions"
-            f" x {db}^3 = {dirs * db**3} > {MAX_QUDIT_SCAN_WORK}; use a coarser grid"
+            f"a (2, {db}) state on grid {grid[0]}x{grid[1]} needs {dirs} scan + {_REFINE_DIRECTIONS}"
+            f" refinement directions x {db}^3 = {work} > {MAX_QUDIT_SCAN_WORK};"
+            f" {'a coarser grid' if fits else 'no grid'} admits it"
         )
     return thetas, phis
 
@@ -586,19 +588,16 @@ class CorrelationReport:
 def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> CorrelationReport:
     """Quantum discord (total minus classical correlation) with full report, in one pass."""
     _require_bipartite(rho.legs, "discord")
-    return _reports(rho.matrix[None], rho.eigenvalues[None], rho.legs, grid)[0][0]
+    return _reports(rho.matrix[None], rho.eigenvalues[None], rho.legs, grid)[0]
 
 
 def _reports(
-    m: np.ndarray, lam: np.ndarray, legs: tuple[int, int], grid: tuple[int, int],
-    witness: bool = False,
-) -> list[tuple[CorrelationReport, WitnessReport | None]]:
+    m: np.ndarray, lam: np.ndarray, legs: tuple[int, int], grid: tuple[int, int]
+) -> list[CorrelationReport]:
     """``discord`` of each state in a stack (N, d, d) with spectra lam (N, d), in one pass.
 
-    With ``witness`` (two qubits only) each row also gets its
-    ``witness_report``, from the same correlation matrix.  Every check
-    of the single-state path runs on every row, and the first failing
-    row raises.
+    Every check of the single-state path runs on every row, and the
+    first failing row raises.
     """
     parts = _measured_parts(m, legs)
     tables = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
@@ -623,7 +622,7 @@ def _reports(
         conc = _concurrences(m).tolist()
     else:
         geometric = conc = [None] * len(m)
-    reports = [
+    return [
         CorrelationReport(
             total=t, classical=c, discord=d, geometric_discord=g, concurrence=k, negativity=n,
             argmin_measurement=a,
@@ -633,9 +632,6 @@ def _reports(
             _negativities(m, legs).tolist(), measurements,
         )
     ]
-    # parts is 2 r, so halving it gives back r bit for bit
-    witnesses = _witness_reports(parts / 2.0, m) if witness else [None] * len(m)
-    return list(zip(reports, witnesses))
 
 
 def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:

@@ -25,8 +25,8 @@ from .qla import (
     _isometry_error, partial_trace, trace_distance,
 )
 from .states import cc_pairs, product_decomposition, werner
-from .correlations import DEFAULT_GRID, CorrelationReport, _reports
-from .witness import WitnessReport
+from .correlations import CorrelationReport, discord
+from .witness import WitnessReport, witness_report
 
 __all__ = [
     "ProtocolUnavailableError",
@@ -247,9 +247,6 @@ def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:
 
 
 def certify(result: ProtocolResult) -> CertificationBundle:
-    """Measure and witness the protocol output, from one correlation matrix."""
+    """Measure the protocol output with ``discord`` and witness it with ``witness_report``."""
     rho = result.final
-    [(correlations, witness)] = _reports(
-        rho.matrix[None], rho.eigenvalues[None], rho.legs, DEFAULT_GRID, witness=True
-    )
-    return CertificationBundle(correlations=correlations, witness=witness)
+    return CertificationBundle(correlations=discord(rho), witness=witness_report(rho))

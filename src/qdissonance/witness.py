@@ -14,7 +14,8 @@ The kernels take stacks of N states: ``_correlation_matrices`` builds
 R with a batch index, and ``_witness_reports`` takes one batched SVD
 and checks the Schmidt reconstruction and the commutator norms of the
 whole stack.  ``correlation_matrix`` and ``witness_report`` are their
-N = 1 case.
+N = 1 case.  ``protocols.certify`` and ``cli.sweep_rows`` run this pass
+beside the discord pass of ``correlations``, which builds its own R.
 """
 
 from __future__ import annotations

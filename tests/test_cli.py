@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qdissonance
-from qdissonance import cli, statefile
+from qdissonance import cli, statefile, witness
 from qdissonance import (
     DensityMatrix, DomainError, correlations, discord, load_state, save_state, werner, witness_report,
 )
@@ -351,8 +351,8 @@ def test_sweep_rows_equal_the_per_state_reports():
 
 def test_sweep_rows_stream_in_blocks(monkeypatch):
     """A sweep stacks _SWEEP_BLOCK rows at a time, and the blocks change no row: sweeps
-    around the block edges equal one unblocked pass over all their states, and the
-    per-state reports at the rows beside each edge."""
+    around the block edges equal one unblocked discord pass and one unblocked witness
+    pass over all their states, and the per-state reports at the rows beside each edge."""
     seen = []
     matrices = correlations._correlation_matrices
 
@@ -368,10 +368,13 @@ def test_sweep_rows_stream_in_blocks(monkeypatch):
     block = cli._SWEEP_BLOCK
     for steps in (block - 1, block, block + 1, 2 * block + 1):
         zs = np.linspace(0.0, 1.0, steps)
-        whole = correlations._reports(*_werner_stack(zs), (2, 2), DEFAULT_GRID, witness=True)
+        m, lam = _werner_stack(zs)
+        reps = correlations._reports(m, lam, (2, 2), DEFAULT_GRID)
+        wits = witness._witness_reports(witness._correlation_matrices(m), m)
+        assert len(reps) == len(wits) == steps
         want = [
             {"z": z, **{key: getattr(rep, key) for key in cli._MEASURES}, "rank_L": wit.l_rank}
-            for z, (rep, wit) in zip(zs.tolist(), whole)
+            for z, rep, wit in zip(zs.tolist(), reps, wits)
         ]
         rows = list(sweep_rows(0.0, 1.0, steps))
         assert rows == want, steps

@@ -28,7 +28,7 @@ from qdissonance import (
     werner,
     witness_report,
 )
-from qdissonance import correlations
+from qdissonance import cli, correlations, witness
 from qdissonance.cli import sweep_rows
 from qdissonance.correlations import (
     DEFAULT_GRID,
@@ -418,7 +418,8 @@ class _ReachedScan(Exception):
 
 
 def test_qudit_scan_work_is_capped(monkeypatch):
-    """A (2, d_B) scan above MAX_QUDIT_SCAN_WORK is refused before it allocates."""
+    """A (2, d_B) search whose scan plus worst-case refinement exceeds
+    MAX_QUDIT_SCAN_WORK is refused before it allocates or calls the objective."""
     rng = np.random.default_rng(SEED + 19)
     rho = random_density(rng, 64, (2, 32))
     tracemalloc.start()
@@ -430,13 +431,36 @@ def test_qudit_scan_work_is_capped(monkeypatch):
         tracemalloc.stop()
     assert peak <= 2**20  # one scan tile of this state is 4 MiB
 
-    # the largest admitted cases reach the scan: (2, 16) at the default
-    # grid and (2, 3) at the largest grid
+    calls = []
+    make_objective = correlations._conditional_entropy_objective
+
+    def counted(parts):
+        objective = make_objective(parts)
+
+        def call(n, out=None):
+            calls.append(n.shape)
+            return objective(n, out)
+
+        return call
+
+    monkeypatch.setattr(correlations, "_conditional_entropy_objective", counted)
+    # the 813 refinement directions refuse (2, 44) on every grid, and a
+    # coarser grid admits (2, 24)
+    for db, grid, hint in ((44, (2, 2), "no grid"), (24, DEFAULT_GRID, "a coarser grid")):
+        rho = random_density(rng, 2 * db, (2, db))
+        with pytest.raises(DomainError, match=rf"needs \d+ scan \+ 813 refinement.*; {hint} admits it"):
+            classical_correlation(rho, grid)
+        with pytest.raises(DomainError, match=rf"\(2, {db}\) state on grid {grid[0]}x{grid[1]}"):
+            discord(rho, grid)
+    assert calls == []
+
+    # the largest admitted cases reach the scan: (2, 43) at 2x2, (2, 23) at
+    # the default grid and (2, 3) at the largest grid
     def reached(*args):
         raise _ReachedScan
 
     monkeypatch.setattr(correlations, "_minimize_over_directions", reached)
-    for db, grid in ((16, DEFAULT_GRID), (3, (3, correlations.MAX_GRID_POINTS // 3))):
+    for db, grid in ((43, (2, 2)), (23, DEFAULT_GRID), (3, (3, correlations.MAX_GRID_POINTS // 3))):
         with pytest.raises(_ReachedScan):
             classical_correlation(random_density(rng, 2 * db, (2, db)), grid)
 
@@ -888,16 +912,18 @@ def test_discord_builds_each_piece_once(monkeypatch):
     The pieces are stacked: one call covers every state of the pass.  A
     two-qubit discord call makes 1 correlation-matrix stack, 0 Pauli-part
     stacks and 2 marginal-entropy stacks; a (2, 3) call makes its Pauli
-    parts once; ``certify`` shares one correlation matrix between discord
-    and the witness; a 21-row sweep makes each stack once, 21 rows deep.
-    The shared pass returns bitwise what the public functions return.
+    parts once.  Discord and the witness are two passes, each with its own
+    correlation matrix: ``certify`` makes one stack per pass, and a 21-row
+    sweep makes each stack once per pass, 21 rows deep.  Every module that
+    builds correlation matrices is counted.  The shared pass returns
+    bitwise what the public functions return.
     """
     rng = np.random.default_rng(SEED + 61)
     names = ("_correlation_matrices", "_pauli_parts", "_marginal_entropies")
     calls = {name: [] for name in names}
 
-    def counting(name):
-        f = getattr(correlations, name)
+    def counting(module, name):
+        f = getattr(module, name)
 
         def counted(*args):
             calls[name].append(len(args[0]))  # the states in the stack
@@ -906,7 +932,9 @@ def test_discord_builds_each_piece_once(monkeypatch):
         return counted
 
     for name in names:
-        monkeypatch.setattr(correlations, name, counting(name))
+        monkeypatch.setattr(correlations, name, counting(correlations, name))
+    for module in (witness, cli):
+        monkeypatch.setattr(module, "_correlation_matrices", counting(module, "_correlation_matrices"))
 
     def counts(call, *args):
         for name in names:
@@ -917,8 +945,9 @@ def test_discord_builds_each_piece_once(monkeypatch):
     assert counts(discord, random_two_qubit(rng)) == ([1], [], [1, 1])
     assert counts(discord, werner(0.3)) == ([1], [], [1, 1])
     assert counts(discord, random_density(rng, 6, (2, 3)))[1] == [1]
-    assert counts(certify, run_kraus_protocol(0.2))[0] == [1]
-    assert counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21) == ([21], [], [21, 21])
+    assert counts(witness_report, werner(0.3)) == ([1], [], [])
+    assert counts(certify, run_kraus_protocol(0.2)) == ([1, 1], [], [1, 1])
+    assert counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21) == ([21, 21], [], [21, 21])
 
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]
@@ -953,17 +982,23 @@ def test_a_mixed_stack_equals_the_per_state_reports():
     two_qubit = [werner(float(z)) for z in rng.uniform(0.0, 1.0, 7)]
     two_qubit += [rho for _, rho, _ in build_zoo()]
     qutrit = [random_density(rng, 6, (2, 3), rank=1 + i) for i in range(3)]
+    m, lam = _stack(two_qubit)
+    wits = witness._witness_reports(witness._correlation_matrices(m), m)
+    assert len(wits) == len(two_qubit)
+    for i, (rho, wit) in enumerate(zip(two_qubit, wits)):
+        assert _same_witness(wit, witness_report(rho)), i
     for grid in (DEFAULT_GRID, (16, 32)):
-        rows = correlations._reports(*_stack(two_qubit), (2, 2), grid, witness=True)
+        rows = correlations._reports(m, lam, (2, 2), grid)
+        assert len(rows) == len(two_qubit)
         # some rows were scanned and refined
-        assert not all(_at_pole(rep.argmin_measurement) for rep, _ in rows)
-        for i, (rho, (rep, wit)) in enumerate(zip(two_qubit, rows)):
+        assert not all(_at_pole(rep.argmin_measurement) for rep in rows)
+        for i, (rho, rep) in enumerate(zip(two_qubit, rows)):
             assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
-            assert _same_witness(wit, witness_report(rho)), i
         rows = correlations._reports(*_stack(qutrit), (2, 3), grid)
-        for i, (rho, (rep, wit)) in enumerate(zip(qutrit, rows)):
+        assert len(rows) == len(qutrit)
+        for i, (rho, rep) in enumerate(zip(qutrit, rows)):
             assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
-            assert wit is None and rep.geometric_discord is None and rep.concurrence is None
+            assert rep.geometric_discord is None and rep.concurrence is None
 
 
 def test_every_row_of_a_stack_is_checked():
@@ -975,11 +1010,11 @@ def test_every_row_of_a_stack_is_checked():
     with pytest.raises(ArithmeticError, match=r"total=0\.0, classical=1\.0, discord=-1\.0"):
         correlations._reports(m, lam, (2, 2), DEFAULT_GRID)
     m, lam = _stack(states)
-    r = correlations._correlation_matrices(m)
+    r = witness._correlation_matrices(m)
     r[1, 3, 3] += 1e-6  # row 1's r no longer reconstructs row 1's matrix
     with pytest.raises(ArithmeticError, match="operator Schmidt reconstruction error"):
-        correlations._witness_reports(r, m)
-    assert len(correlations._witness_reports(np.delete(r, 1, 0), np.delete(m, 1, 0))) == 3
+        witness._witness_reports(r, m)
+    assert len(witness._witness_reports(np.delete(r, 1, 0), np.delete(m, 1, 0))) == 3
 
 
 def test_accepted_hermiticity_residual_is_not_rechecked():

@@ -60,6 +60,25 @@ def test_roundtrip_exact():
         assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
 
 
+def test_rows_format_like_the_per_entry_f_string():
+    """One % per row writes the bytes of formatting each entry with its own f-string."""
+    rng = np.random.default_rng(SEED + 3)
+    texts = []
+    for d in (2, 6, 64):
+        base = random_density(rng, d).matrix
+        # 2^-1060 takes the off-diagonals into the subnormal range and 2^-1100 to
+        # signed zeros: scaled as floats and picked by np.where, which keep -0.0
+        for k in (0, 1060, 1100):
+            scaled = (base.view(float) * 2.0**-k).view(complex)
+            rho = DensityMatrix(np.where(np.eye(d, dtype=bool), base, scaled))
+            rows = (" ".join(f"{v.real:.16e}{v.imag:+.16e}j" for v in row) for row in rho.matrix)
+            want = "\n".join([FORMAT_VERSION, f"dims: {d}", *rows]) + "\n"
+            texts.append(dumps_state(rho))
+            assert texts[-1].encode() == want.encode(), (d, k)
+    assert all(re.search(r"-0\.0{16}e\+00", text) for text in texts[2::3])
+    assert all(re.search(r"\de-3[12]\d", text) for text in texts[1::3])
+
+
 def test_file_layout():
     text = dumps_state(werner(0.25))
     lines = text.splitlines()
