@@ -37,6 +37,15 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _fixed9(value: float) -> str:
+    """value to 9 decimals with its sign; one that rounds to zero prints +0.000000000.
+
+    So the sign of rounding noise, which depends on the CPU's kernels, never shows.
+    """
+    text = f"{value:+.9f}"
+    return "+0.000000000" if text == "-0.000000000" else text
+
+
 def _parse_table(text: str) -> np.ndarray:
     try:
         rows = [
@@ -215,8 +224,8 @@ def cmd_decompose(args) -> int:
         zip(decomp.etas, decomp.factors, decomp.phases)
     ):
         print(f"component {j}: norm={_fmt(eta.norm())} global_phase={_fmt(phase)}")
-        print("  left:  " + " ".join(f"{v.real:+.9f}{v.imag:+.9f}j" for v in left.vector))
-        print("  right: " + " ".join(f"{v.real:+.9f}{v.imag:+.9f}j" for v in right.vector))
+        print("  left:  " + " ".join(f"{_fixed9(v.real)}{_fixed9(v.imag)}j" for v in left.vector))
+        print("  right: " + " ".join(f"{_fixed9(v.real)}{_fixed9(v.imag)}j" for v in right.vector))
     print(f"reconstruction_max_abs_error={decomp.reconstruction_error:.3e}")
     return EXIT_OK
 

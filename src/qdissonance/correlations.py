@@ -8,9 +8,11 @@ entropies are in bits.
 
 The measurement optimization scans a deterministic grid over the
 upper Bloch hemisphere (n and -n are the same projective measurement,
-with the outcomes swapped), tile by tile into one value array, each
-tile's directions built from the 1-D trig tables into one reused
-buffer.  It refines the best three cells together with one safeguarded
+with the outcomes swapped) tile by tile: each tile's directions are
+built from the 1-D trig tables into one reused buffer, its values go
+into another, and the tile is folded into the running min, max and
+three best cells, so no grid-sized array is made.  It refines those
+three cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
 identical results.  The same refinement serves the two-qubit and qubit-qudit
@@ -78,16 +80,18 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (64, 128)
-# The scan keeps one float per hemisphere direction, and picking its seeds
-# copies them once: 6.3 MiB on the 640x1280 oracle grid, where discord peaks
-# at 7.1 MiB under tracemalloc, and 16 MiB at this cap, ~2.5x that grid.
-# Larger grids are rejected before the scan allocates anything.
+# The scan holds one tile, not the grid, so this cap bounds time: a two-qubit
+# discord takes ~20 ms on the 640x1280 oracle grid and ~50 ms at this cap,
+# ~2.5x that grid (2-core Xeon VM, one BLAS thread); a (2, d_B) state is
+# bounded by MAX_QUDIT_SCAN_WORK too.  Larger grids are rejected before the scan.
 MAX_GRID_POINTS = 2**21
 # Two-qubit directions per objective call in the grid scan, rounded down to
 # whole theta rows: bounds the kernel's buffers (14 floats per direction,
-# 0.9 MB at 2**13).  On the 640x1280 grid tiles of 2**13 to 2**15 scan in
-# 18-25 ms, 2**12 in 25-30 ms and 2**16 in 25-29 ms (2-core Xeon VM, one
-# BLAS thread); 2**13 has the smallest buffers of the fastest.
+# 0.9 MB at 2**13).  On the 640x1280 grid the streamed scan's medians over
+# three runs were 17-26 ms at 2**13, 17-24 ms at 2**14, 20-26 ms at 2**15
+# and 22-33 ms at 2**12 (2-core Xeon VM, one BLAS thread); 2**14 was 2-6%
+# faster than 2**13 in each run, within its spread, at twice the buffers: a
+# 640x1280 discord peaks at 2.4 MiB under tracemalloc against 1.3 MiB.
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**13
 # Directions x d_B**3 a (2, d_B) search may cost (one d_B x d_B eigvalsh per
@@ -371,18 +375,26 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE) -> np.ndarray:
-    """Objective on every (theta, phi) pair in row-major order, at most ``tile`` at a time.
+def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE):
+    """Minimum, maximum and the three best cells of the objective on the (theta, phi) grid.
 
-    A tile is whole theta rows, or a piece of one row when a row holds
-    more than ``tile`` directions.  Its directions are built from the
-    1-D trig tables into one buffer reused by every tile, and
-    ``objective(n, out)`` writes its values into the result.
+    The grid is visited in row-major order, at most ``tile`` directions
+    at a time: whole theta rows, or a piece of one row when a row holds
+    more than ``tile`` directions.  Each tile's directions are built from
+    the 1-D trig tables into one reused buffer, ``objective(n, out)``
+    writes its values into one reused tile-sized array, and the tile is
+    folded into the running min and max (a NaN propagates, as in
+    ``values.min()``) and the three best (value, grid index) pairs.
+    Returns (min, max, seeds, seed values), seeds equal to
+    ``argsort(values, kind="stable")[:3]`` of the whole grid, with no
+    grid-sized array made.
     """
     st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
     rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
     buf = np.empty(3 * rows * cols)
-    vals = np.empty(thetas.size * phis.size)
+    out = np.empty(rows * cols)
+    lo, hi = np.inf, -np.inf
+    best, seeds = np.empty(0), np.empty(0, dtype=np.intp)
     for r in range(0, thetas.size, rows):
         sin_t, cos_t = st[r : r + rows, None], ct[r : r + rows, None]
         for c in range(0, phis.size, cols):
@@ -391,17 +403,30 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
             np.multiply(sin_t, cos_p, out=n[0])
             np.multiply(sin_t, sin_p, out=n[1])
             n[2] = cos_t
-            lo = r * phis.size + c
-            objective(n.reshape(3, -1), out=vals[lo : lo + n[0].size])
-    return vals
+            vals = objective(n.reshape(3, -1), out=out[: n[0].size])
+            tile_lo = vals.min()
+            lo, hi = np.minimum(lo, tile_lo), np.maximum(hi, vals.max())
+            # Earlier cells have lower grid indices, so a tile whose minimum only
+            # ties the third best adds nothing.  A NaN on either side compares
+            # False, so that tile is searched (NaN sorts after every number).
+            if best.size == 3 and tile_lo >= best[2]:
+                continue
+            top = _three_smallest(vals)  # merged after the earlier cells, so ties keep grid order
+            best = np.concatenate([best, vals[top]])
+            seeds = np.concatenate([seeds, r * phis.size + c + top])
+            keep = np.argsort(best, kind="stable")[:3]
+            best, seeds = best[keep], seeds[keep]
+    return float(lo), float(hi), seeds, best
 
 
-def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest values, equal to argsort(kind="stable")[:k]."""
-    k = min(k, vals.size)
-    kth = np.partition(vals, k - 1)[k - 1]
-    cand = np.flatnonzero(vals <= kth)
-    return cand[np.argsort(vals[cand], kind="stable")[:k]]
+def _three_smallest(vals: np.ndarray) -> np.ndarray:
+    """Indices of the three smallest values, equal to argsort(kind="stable")[:3]."""
+    if vals.size > 3:
+        kth = np.partition(vals, 2)[2]
+        if not np.isnan(kth):  # else fewer than three are numbers: NaN sorts last
+            cand = np.flatnonzero(vals <= kth)
+            return cand[np.argsort(vals[cand], kind="stable")[:3]]
+    return np.argsort(vals, kind="stable")[:3]
 
 
 def _minimize_over_directions(
@@ -412,7 +437,8 @@ def _minimize_over_directions(
 
     ``objective(n, out=None)`` must map directions of shape (3, ...) to
     values of shape (...), into ``out`` when given, with f(n) = f(-n).
-    The flat rule: when the scan's
+    ``_scan`` returns the grid's min and max and its three best cells
+    (ties by grid index) with their values.  The flat rule: when the
     spread max - min is at most FLAT_SPREAD_TOL (on a grid of at least
     two theta rows and five phi columns) the objective is flat: every
     measurement is optimal, the grid minimum is returned with the
@@ -428,15 +454,14 @@ def _minimize_over_directions(
     Returns (value, theta, phi); deterministic (ties broken by grid
     and seed order).
     """
-    vals = _scan(objective, thetas, phis, tile)
+    lo, hi, seeds, values = _scan(objective, thetas, phis, tile)
     # Two theta rows and five phi columns are the fewest that tell every
     # quadratic n^T M n apart from a constant, so a coarser scan cannot
     # vouch for flatness: on one row, cc_state(diag(.5, .5)) looks flat.
-    if thetas.size > 1 and phis.size > 4 and vals.max() - vals.min() <= FLAT_SPREAD_TOL:
-        return float(vals.min()), 0.0, 0.0
-    seeds = _smallest(vals, 3)
+    if thetas.size > 1 and phis.size > 4 and hi - lo <= FLAT_SPREAD_TOL:
+        return lo, 0.0, 0.0
     row, col = np.divmod(seeds, phis.size)
-    n = _refine(objective, _direction(thetas[row], phis[col]), vals[seeds])
+    n = _refine(objective, _direction(thetas[row], phis[col]), values)
     # n and -n are one measurement: report the one whose first nonzero of
     # (n_z, n_y, n_x) is positive, so n_z >= 0, and phi in [0, pi) on the equator
     nx, ny, nz = n

@@ -449,6 +449,19 @@ def test_decompose_prints_unsigned_zero(capsys):
     assert kv(out)["z"] == "0"
 
 
+def test_decompose_factor_parts_print_unsigned_zero(capsys):
+    """A factor part that rounds to zero prints +0.000000000; every other keeps its digits."""
+    for x, want in ((1e-17, "+0.000000000"), (4.9e-10, "+0.000000000"), (5.1e-10, "+0.000000001")):
+        assert cli._fixed9(x) == want
+        assert cli._fixed9(-x) == ("+0.000000000" if x < 5e-10 else "-0.000000001")
+    assert cli._fixed9(-0.0) == "+0.000000000"
+    assert cli._fixed9(-0.624789859) == "-0.624789859"
+    for z in ("0.2", "0.3333333333333333", "0"):
+        code, out, _ = run(capsys, "decompose", "--z", z)
+        assert code == 0
+        assert "-0.000000000" not in out, z
+
+
 def test_decompose_bad_z(capsys):
     code, _, err = run(capsys, "decompose", "--z", "0.5")
     assert code == 2

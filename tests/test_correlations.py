@@ -43,7 +43,6 @@ from qdissonance.correlations import (
     _pole_values,
     _refine,
     _scan,
-    _smallest,
 )
 from qdissonance.qla import FLAT_SPREAD_TOL, NEWTON_ITER_CAP, PROB_CUTOFF
 
@@ -382,15 +381,71 @@ def test_bloch_objective_matches_explicit_projection():
             assert abs(val - _explicit_conditional_entropy(rho, n)) <= 1e-13
 
 
+def _scanned(objective, thetas, phis, tile=correlations._SCAN_TILE):
+    """``_scan``'s result, and every value it scanned, captured tile by tile in grid order."""
+    seen = []
+
+    def capture(n, out=None):
+        vals = objective(n, out=out)
+        seen.append(vals.copy())
+        return vals
+
+    result = _scan(capture, thetas, phis, tile)
+    return result, np.concatenate(seen)
+
+
+def _planted(vals):
+    """An objective that ignores its directions and gives ``vals`` in scan order."""
+    pos = 0
+
+    def objective(n, out=None):
+        nonlocal pos
+        out[...] = vals[pos : pos + out.size]
+        pos += out.size
+        return out
+
+    return objective
+
+
+def _assert_scan_selects(objective, thetas, phis, tile):
+    """The scan's min, max and seeds are those of its whole value array, seeds by stable argsort."""
+    (lo, hi, seeds, values), vals = _scanned(objective, thetas, phis, tile)
+    assert vals.size == thetas.size * phis.size
+    want = np.argsort(vals, kind="stable")[:3]
+    assert np.array_equal(seeds, want), (seeds, want)
+    assert np.array_equal(values, vals[want], equal_nan=True)
+    assert np.array_equal([lo, hi], [vals.min(), vals.max()], equal_nan=True)
+    return vals
+
+
 def test_top3_selection_matches_stable_argsort():
+    """The streamed scan keeps the three best cells exactly as a stable argsort of the grid.
+
+    At a 64-direction tile planted ties straddle tiles, whole rows and
+    pieces of one row; 2x2 has fewer than three hemisphere directions.
+    """
     rng = np.random.default_rng(SEED + 12)
     for size in (1, 2, 3, 4, 7, 50, 1000):
+        shapes = [(1, size), (size, 1)] + ([(size // 25, 25)] if size % 25 == 0 else [])
         for levels in (1, 2, 3, 5, 1000):
             vals = rng.integers(0, levels, size=size).astype(float)  # planted ties
-            assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
+            for rows, cols in shapes:
+                got = _assert_scan_selects(_planted(vals), np.zeros(rows), np.zeros(cols), 64)
+                assert np.array_equal(got, vals)
+    # a NaN propagates to the min and max and sorts after every number, also
+    # when it shares a later tile with the new best cells
+    nan_cases = ((7, [0, 3]), (200, [1, 70, 130]), (160, [150]), (3, [0, 1, 2]), (130, range(128)))
+    for size, nans in nan_cases:
+        for vals in (rng.integers(0, 3, size=size).astype(float), np.arange(size, 0.0, -1.0)):
+            vals[list(nans)] = np.nan
+            _assert_scan_selects(_planted(vals), np.zeros(1), np.zeros(size), 64)
     # the isotropic Werner objective is flat up to rounding: ties everywhere
-    vals = _scan(_conditional_entropy_objective(_parts(werner(0.3))), *_grid_directions(DEFAULT_GRID))
-    assert np.array_equal(_smallest(vals, 3), np.argsort(vals, kind="stable")[:3])
+    werner_objective = _conditional_entropy_objective(_parts(werner(0.3)))
+    generic = _conditional_entropy_objective(_parts(random_two_qubit(rng)))
+    for tile in (64, correlations._SCAN_TILE):
+        _assert_scan_selects(werner_objective, *_grid_directions(DEFAULT_GRID), tile)
+        for grid in ((2, 2), (3, 5)):
+            _assert_scan_selects(generic, *_grid_directions(grid), tile)
 
 
 def test_qudit_scan_memory_is_bounded_by_tile(monkeypatch):
@@ -765,12 +820,11 @@ def _compass_search(objective, theta, phi, val, step0: float):
 def _compass_minimum(objective, grid=DEFAULT_GRID):
     """The default-grid scan, flat rule and seeds, refined by the compass search."""
     thetas, phis = _grid_directions(grid)
-    vals = _scan(objective, thetas, phis)
-    if vals.max() - vals.min() <= FLAT_SPREAD_TOL:
-        return float(vals.min()), 0.0, 0.0
-    seeds = _smallest(vals, 3)
+    lo, hi, seeds, values = _scan(objective, thetas, phis)
+    if hi - lo <= FLAT_SPREAD_TOL:
+        return lo, 0.0, 0.0
     row, col = np.divmod(seeds, phis.size)
-    return _compass_search(objective, thetas[row], phis[col], vals[seeds], np.pi / grid[0])
+    return _compass_search(objective, thetas[row], phis[col], values, np.pi / grid[0])
 
 
 def _brute_force_objective(monkeypatch, rho):
@@ -852,7 +906,8 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     """The in-place two-qubit kernel gives the reference's bits on every call shape.
 
     Directions (3, N), stencils (3, k, 8), the pole of a whole stack,
-    and the grid scan at a 64-direction tile and at the default tile.
+    and every value the grid scan folds, at a 64-direction tile and at
+    the default tile.
     """
     rng = np.random.default_rng(SEED + 71)
     states = _kernel_states()
@@ -871,13 +926,14 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
             assert np.array_equal(objective(dirs), _reference_objective(bloch[i], dirs)), i
         want = _reference_objective(bloch[i], grid).reshape(-1)
         for tile in (64, correlations._SCAN_TILE):
-            assert np.array_equal(_scan(objective, thetas, phis, tile), want), (i, tile)
+            assert np.array_equal(_scanned(objective, thetas, phis, tile)[1], want), (i, tile)
 
 
 def test_fine_scan_memory_is_bounded():
-    """The 640x1280 scan holds its value array and one tile's buffers, not the grid.
+    """The 640x1280 scan holds one tile's buffers, not the grid.
 
-    The hemisphere's 409600 values take 3.1 MiB; building the grid's
+    The hemisphere's 409600 values took 3.1 MiB, and their copy for the
+    seed selection another 3.1 MiB (7.1 MiB peak); building the grid's
     (3, 409600) directions at once took another 9.4 MiB.
     """
     rho = random_two_qubit(np.random.default_rng(SEED + 72))
@@ -887,7 +943,7 @@ def test_fine_scan_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2**20
+    assert peak <= 2 * 2**20, peak
 
 
 def test_discord_of_near_pure_states_stays_in_bounds():
