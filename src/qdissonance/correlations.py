@@ -207,7 +207,12 @@ def _split(parts: np.ndarray, n: np.ndarray) -> np.ndarray:
     shape = parts.shape[1:] + n.shape[1:]
     nx = (parts[1:].reshape(3, -1).T @ n.reshape(3, -1)).reshape(shape)
     x0 = parts[0].reshape(parts.shape[1:] + (1,) * (n.ndim - 1))
-    return np.stack([x0 + nx, x0 - nx]) / 2.0
+    # one stack written in place: no sums and halved copy for each call to fault in
+    out = np.empty((2,) + shape, dtype=complex)
+    np.add(x0, nx, out=out[0])
+    np.subtract(x0, nx, out=out[1])
+    out /= 2.0
+    return out
 
 
 def _matrix_spectrum(m: np.ndarray) -> np.ndarray:
@@ -679,7 +684,13 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         pur = rho.purity()
 
         def objective(n, out=None):
-            return np.subtract(pur, (np.abs(_split(parts, n)) ** 2).sum(axis=(0, 1, 2)), out=out)
+            # sum |X|^2 as re^2 + im^2, squared in place in a float view of the
+            # fresh outcome stack; t holds each direction's two sums, interleaved
+            sq = _split(parts, n).view(float)
+            np.multiply(sq, sq, out=sq)
+            t = sq.reshape(8, -1).sum(axis=0)
+            t[0::2] += t[1::2]
+            return np.subtract(pur, t[0::2].reshape(n.shape[1:]), out=out)
 
         val, _, _ = _minimize_over_directions(objective, *_grid_directions(DEFAULT_GRID))
         return float(val)

@@ -80,7 +80,7 @@ class KrausChannel:
         ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)
         # sum_i K_i^dagger K_i = I says the stacked operators form an isometry
         err = _isometry_error(np.vstack(ops))
-        if err > ISOMETRY_TOL:
+        if not err <= ISOMETRY_TOL:
             raise DomainError(f"Kraus completeness violated by {err:.3e}")
         object.__setattr__(self, "operators", ops)
 
@@ -94,7 +94,7 @@ class LocalUnitary:
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=complex)
         err = max(_isometry_error(u), _isometry_error(u.conj().T))
-        if err > ISOMETRY_TOL:
+        if not err <= ISOMETRY_TOL:
             raise DomainError(f"unitarity violated by {err:.3e}")
         object.__setattr__(self, "matrix", u)
 
@@ -197,7 +197,7 @@ def _orthogonal_pairs(z: float):
     """The factor pairs of the decomposition at z; ProtocolUnavailableError unless orthogonal."""
     pairs = product_decomposition(z).factors
     worst = max(abs(np.vdot(left.vector, right.vector)) for left, right in pairs)
-    if worst > ORTHOGONALITY_TOL:
+    if not worst <= ORTHOGONALITY_TOL:
         raise ProtocolUnavailableError(z, worst)
     return pairs
 

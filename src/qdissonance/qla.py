@@ -32,9 +32,11 @@ __all__ = [
 # bounds.  *_TOL bounds a residual a check accepts, *_CUTOFF is a magnitude
 # below which a quantity is treated as zero, *_FLOOR is a result reported
 # as exactly 0 at or below it, *_CAP is a count a loop may not exceed,
-# *_STEP is a fixed increment of a numerical method.  The density-matrix
-# tolerances bound what a state may bring in, so they are checked where it
-# enters, never on a state made from validated ones.
+# *_STEP is a fixed increment of a numerical method.  A check accepts a
+# residual only when it is at most its *_TOL, written ``not x <= TOL``, so
+# a NaN residual fails it.  The density-matrix tolerances bound what a
+# state may bring in, so they are checked where it enters, never on a
+# state made from validated ones.
 HERMITICITY_TOL = 1e-12  # max|M - M^dagger| of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1|, and |sum p - 1| of a CC/CQ probability table
 PSD_TOL = -1e-10  # lowest eigenvalue a density matrix may have
@@ -141,13 +143,13 @@ class DensityMatrix:
             legs = (d,)
         legs = _check_legs(legs, d, "DensityMatrix")
         herm = np.abs(m - m.conj().T).max()
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise DomainError(f"matrix is not Hermitian (residual {herm:.3e})")
         tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise DomainError(f"matrix trace is {tr:.15g}, expected 1")
         lam = np.linalg.eigvalsh(m)
-        if lam[0] < PSD_TOL:
+        if not lam[0] >= PSD_TOL:
             raise DomainError(f"matrix has negative eigenvalue {lam[0]:.3e}")
         self._freeze(m.copy(), legs, lam)
 
@@ -176,7 +178,7 @@ class DensityMatrix:
         terms, d, r = f.shape
         legs = _check_legs(legs, d, "DensityMatrix")
         tr = weight * float(np.vdot(f, f).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise DomainError(f"matrix trace is {tr:.15g}, expected 1")
         m = np.zeros((d, d), dtype=complex)
         for term in f:
@@ -222,7 +224,7 @@ class PureState:
         legs = _check_legs(legs, d, "PureState")
         if normalized:
             nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:
                 raise DomainError(f"vector norm is {nrm:.15g}, expected 1")
         v = v.copy()
         v.setflags(write=False)

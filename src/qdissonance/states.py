@@ -10,7 +10,9 @@ CC and CQ states are both sum_i |a_i><a_i| x T_i, built by one
 contraction over a basis matrix (columns a_i) and a stack of weighted
 B blocks T_i.  The Bell vectors are one read-only table that ``bell``,
 ``werner`` and the components read, and the components are one matrix
-product of phased sign patterns with the weighted Bell vectors.
+product of phased sign patterns with the weighted Bell vectors.  The four
+components are factored together, by one SVD of their (4, 2, 2) stack of
+coefficient matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .qla import (
 
 __all__ = [
     "PhaseSolution",
-    "PureFactorization",
     "ProductDecomposition",
     "cc_state",
     "cq_state",
@@ -36,7 +37,6 @@ __all__ = [
     "solve_phases",
     "phase_equation_residual",
     "eta_states",
-    "factor_pure",
     "product_decomposition",
     "cc_pairs",
 ]
@@ -59,7 +59,7 @@ def _basis(vecs, d: int, name: str) -> np.ndarray:
     if len(vecs) != d or any(v.shape != (d,) for v in vecs):
         raise DomainError(f"{name}: expected {d} vectors of dimension {d}")
     a = np.stack(vecs, axis=1)
-    if _isometry_error(a) > ISOMETRY_TOL:
+    if not _isometry_error(a) <= ISOMETRY_TOL:
         raise DomainError(f"{name}: vectors are not orthonormal")
     return a
 
@@ -72,7 +72,7 @@ def _check_probabilities(p: np.ndarray, op: str) -> None:
         raise DomainError(f"{op}: probability table has non-finite entries")
     if p.min() < 0:
         raise DomainError(f"{op}: negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > TRACE_TOL:
+    if not abs(p.sum() - 1.0) <= TRACE_TOL:
         raise DomainError(f"{op}: probabilities sum to {p.sum():.15g}, expected 1")
 
 
@@ -167,7 +167,7 @@ class PhaseSolution:
 
     def __post_init__(self):
         res = self.residual()
-        if res > PHASE_EQ_TOL:
+        if not res <= PHASE_EQ_TOL:
             raise DomainError(f"phase equation residual {res:.3e} exceeds {PHASE_EQ_TOL}")
 
     def residual(self) -> float:
@@ -228,56 +228,6 @@ def _eta_states(solution: PhaseSolution) -> tuple[PureState, PureState, PureStat
 
 
 @dataclass(frozen=True, eq=False)
-class PureFactorization:
-    """Result of splitting a two-qubit vector into a product of qubit factors.
-
-    ``left`` and ``right`` are normalized with the first sizable
-    amplitude of each made real-positive; ``phase`` is the extracted
-    overall phase, so the input vector equals
-    ``norm * e^{i phase} * left x right`` up to ``residual`` (the
-    second Schmidt coefficient, 0 exactly for product states).
-    """
-
-    left: PureState
-    right: PureState
-    phase: float
-    residual: float
-
-
-def _fix_phase(v: np.ndarray) -> tuple[np.ndarray, complex]:
-    idx = int(np.argmax(np.abs(v) > PHASE_REF_CUTOFF))
-    ph = v[idx] / abs(v[idx])
-    return v / ph, ph
-
-
-def factor_pure(state: PureState) -> PureFactorization:
-    """Factor a normalized two-qubit pure state via its 2x2 Schmidt form.
-
-    ``residual`` is the second singular value of the reshaped
-    coefficient matrix: 0 iff the state is a product state, up to
-    1/sqrt(2) for a maximally entangled one.  It is reported, never raised on.
-    """
-    if state.legs != (2, 2):
-        raise DomainError(f"factor_pure expects legs (2, 2), got {state.legs}")
-    if not state.normalized:
-        raise DomainError("factor_pure expects a normalized PureState")
-    m = state.vector.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    residual = float(s[1])
-    left, ph_l = _fix_phase(u[:, 0])
-    right, ph_r = _fix_phase(vh[0, :])
-    # s[0] carries the norm; the remaining unit phase is what the two
-    # canonicalizations stripped from the rank-1 term s0 * u0 x v0.
-    phase = float(np.angle(s[0] * ph_l * ph_r))
-    return PureFactorization(
-        left=PureState(left, (2,)),
-        right=PureState(right, (2,)),
-        phase=phase,
-        residual=residual,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class ProductDecomposition:
     """Separable Werner state written as a sum of four product components.
 
@@ -295,37 +245,61 @@ class ProductDecomposition:
     reconstruction_error: float
 
 
+def _factor_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit factors and phases of a stack (N, 2, 2) of unit two-qubit vectors, by one SVD.
+
+    Returns the factors, shape (2, N, 2) with the left ones first, and the
+    phases (N,): m[k] is e^{i phases[k]} left[k] x right[k] up to its second
+    Schmidt coefficient (0 for a product state).  Each factor is divided by
+    the unit phase of its first amplitude above PHASE_REF_CUTOFF, which
+    leaves that amplitude real-positive.
+
+    Every value rounds as numpy's scalar arithmetic on one row does, so a
+    row's result does not depend on the stack it is in: moduli come from
+    np.hypot, not from np.abs of complex arrays, and the phase product
+    (s0 + 0i) ph_l ph_r is written in real parts, zero terms included, not
+    as the array complex product (both have SIMD kernels that round
+    differently).
+    """
+    u, s, vh = np.linalg.svd(m)
+    f = np.stack([u[:, :, 0], vh[:, 0, :]])
+    mod = np.hypot(f.real, f.imag)
+    ref = np.argmax(mod > PHASE_REF_CUTOFF, axis=2)[:, :, None]
+    ph = np.take_along_axis(f, ref, 2) / np.take_along_axis(mod, ref, 2)
+    # s0 carries the norm; the remaining unit phase is what the two
+    # canonicalizations stripped from the rank-1 term s0 u0 x v0.
+    (lr, rr), (li, ri) = ph[:, :, 0].real, ph[:, :, 0].imag
+    a, b = s[:, 0] * lr - 0.0 * li, s[:, 0] * li + 0.0 * lr
+    return f / ph, np.arctan2(a * ri + b * rr, a * rr - b * ri)
+
+
 def product_decomposition(z: float) -> ProductDecomposition:
     """Decompose werner(z), z in [0, 1/3], into four product components.
 
-    Solves the phase constraint, builds and factors the components, and
-    checks each factor pair and the whole reconstruction before returning.
+    Solves the phase constraint, builds the components, factors all four
+    in one pass over their stack, and checks each factor pair and the
+    whole reconstruction before returning.
     """
     z = _decomposable_z(z, "product_decomposition")
     solution = solve_phases(z)
     etas = _eta_states(solution)
-    factors = []
-    phases = []
-    recon = np.zeros((4, 4), dtype=complex)
-    for eta in etas:
-        nrm = eta.norm()
-        unit = PureState(eta.vector / nrm, (2, 2))
-        fac = factor_pure(unit)
-        factors.append((fac.left, fac.right))
-        phases.append(fac.phase)
-        recon += np.outer(eta.vector, eta.vector.conj())
-        pair = nrm * np.exp(1j * fac.phase) * np.kron(fac.left.vector, fac.right.vector)
-        if np.abs(pair - eta.vector).max() > PRODUCT_RECONSTRUCTION_TOL:
-            raise DomainError("factorization does not reproduce its component")
+    v = np.stack([eta.vector for eta in etas])
+    # eta.norm() per component: np.linalg.norm(v, axis=1) rounds differently
+    nrm = np.array([eta.norm() for eta in etas])
+    f, phases = _factor_products((v / nrm[:, None]).reshape(4, 2, 2))
+    pairs = (nrm * np.exp(1j * phases))[:, None, None] * f[0, :, :, None] * f[1, :, None, :]
+    if not np.abs(pairs.reshape(4, 4) - v).max() <= PRODUCT_RECONSTRUCTION_TOL:
+        raise DomainError("factorization does not reproduce its component")
+    recon = (v[:, :, None] * v[:, None, :].conj()).sum(axis=0)
     err = float(np.abs(recon - werner(z).matrix).max())
-    if err > PRODUCT_RECONSTRUCTION_TOL:
+    if not err <= PRODUCT_RECONSTRUCTION_TOL:
         raise DomainError(f"decomposition reconstruction error {err:.3e}")
     return ProductDecomposition(
         z=z,
         solution=solution,
         etas=etas,
-        factors=tuple(factors),
-        phases=tuple(phases),
+        factors=tuple((PureState(left, (2,)), PureState(right, (2,))) for left, right in zip(*f)),
+        phases=tuple(phases.tolist()),
         reconstruction_error=err,
     )
 

@@ -111,7 +111,7 @@ def _witness_reports(r: np.ndarray, m: np.ndarray) -> list[WitnessReport]:
     f_ops = (vh @ basis).reshape(-1, 4, 2, 2)
     recon = np.einsum("xk,xkac,xkbd->xabcd", np.where(kept, s, 0.0), s_ops, f_ops)
     err = np.abs(recon.reshape(-1, 4, 4) - m).max(axis=(1, 2))
-    bad = err > SCHMIDT_RECONSTRUCTION_TOL
+    bad = ~(err <= SCHMIDT_RECONSTRUCTION_TOL)
     if bad.any():
         raise ArithmeticError(f"operator Schmidt reconstruction error {err[np.argmax(bad)]:.3e}")
     # [S_l, S_k] = -[S_k, S_l] exactly, so the pairs k < l give every norm

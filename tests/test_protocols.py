@@ -59,6 +59,8 @@ def test_channel_and_unitary_refuse_non_isometries():
         protocols.KrausChannel(operators=ops[:3])
     with pytest.raises(DomainError, match="Kraus completeness violated"):
         protocols.KrausChannel(operators=tuple(m * (1 + 1e-9) for m in ops))
+    with pytest.raises(DomainError, match="Kraus completeness violated by nan"):
+        protocols.KrausChannel(operators=tuple(np.full((4, 4), np.nan) for _ in ops))
     protocols.KrausChannel(operators=tuple(m * (1 + 1e-12) for m in ops))
     u = build_unitary("A", Z13).matrix
     with pytest.raises(DomainError, match="unitarity violated"):
@@ -66,6 +68,8 @@ def test_channel_and_unitary_refuse_non_isometries():
     # orthonormal columns pass U^dagger U = I; U U^dagger = I refuses them
     with pytest.raises(DomainError, match=r"unitarity violated by 1\.000e\+00"):
         protocols.LocalUnitary(matrix=u[:, :4])
+    with pytest.raises(DomainError, match="unitarity violated by nan"):
+        protocols.LocalUnitary(matrix=np.full((8, 8), np.nan))
 
 
 def test_build_kraus_structure_z13():

@@ -64,8 +64,9 @@ def test_from_factor_is_the_gram_product():
         assert np.abs(rho.eigenvalues - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-15
         assert rho.eigenvalues.shape == (d,) and rho.legs == (2, d // 2)
         assert not rho.matrix.flags.writeable and not rho.eigenvalues.flags.writeable
-    with pytest.raises(DomainError, match="trace"):
-        DensityMatrix.from_factor(np.ones((1, 2, 1)), (2,))
+    for f, weight in ((np.ones((1, 2, 1)), 1.0), (np.ones((1, 2, 1)) / np.sqrt(2), np.nan)):
+        with pytest.raises(DomainError, match="trace"):
+            DensityMatrix.from_factor(f, (2,), weight)
     with pytest.raises(DomainError, match="shape"):
         DensityMatrix.from_factor(np.ones((2, 1)) / np.sqrt(2), (2,))
     with pytest.raises(DomainError):

@@ -7,13 +7,11 @@ from qdissonance import (
     DensityMatrix,
     DomainError,
     PhaseSolution,
-    PureState,
     bell,
     cc_pairs,
     cc_state,
     cq_state,
     eta_states,
-    factor_pure,
     partial_trace,
     phase_equation_residual,
     product_decomposition,
@@ -23,6 +21,8 @@ from qdissonance import (
     trace_distance,
     werner,
 )
+
+from qdissonance.states import _factor_products
 
 from _zoo import explicit_factors_z13, haar_unitary, random_density
 
@@ -85,8 +85,9 @@ def test_solve_phases_branch():
 
 
 def test_phase_solution_rejects_bad_phases():
-    with pytest.raises(DomainError):
-        PhaseSolution(z=0.2, thetas=(0.0, 0.0, 0.0, 0.0))
+    for z, thetas in ((0.2, (0.0, 0.0, 0.0, 0.0)), (np.nan, solve_phases(0.2).thetas)):
+        with pytest.raises(DomainError, match="phase equation residual"):
+            PhaseSolution(z=z, thetas=thetas)
     assert phase_equation_residual((0, 0, 0, 0), 0.2) == pytest.approx(4.0)
 
 
@@ -117,37 +118,43 @@ def test_eta_states_z13_match_explicit_product():
         assert np.abs(etas[j].vector - target).max() < 1e-9
 
 
-def test_factor_pure_examples():
-    ket01 = PureState(np.array([0, 1, 0, 0], dtype=complex), (2, 2))
-    fac = factor_pure(ket01)
-    assert np.allclose(fac.left.vector, [1, 0])
-    assert np.allclose(fac.right.vector, [0, 1])
-    assert fac.residual == pytest.approx(0.0, abs=1e-15)
-
-    singlet = bell("psi-")
-    fac = factor_pure(singlet)
-    assert fac.residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    with pytest.raises(DomainError):
-        factor_pure(PureState(np.array([1.0, 0, 0, 0, 0, 0]), (2, 3)))
-    with pytest.raises(DomainError):
-        factor_pure(PureState(0.5 * np.array([1.0, 0, 0, 0]), (2, 2), normalized=False))
+def _scalar_factoring(m):
+    """One 2x2 row factored with numpy's scalar arithmetic: left, right and the phase."""
+    u, s, vh = np.linalg.svd(m)
+    factors, product = [], s[0]
+    for v in (u[:, 0], vh[0]):
+        ph = v[np.argmax(np.abs(v) > 1e-8)]
+        ph = ph / abs(ph)
+        factors.append(v / ph)
+        product = product * ph
+    return factors, float(np.angle(product))
 
 
-def test_factor_pure_random_products():
+def test_factor_products_random_stack():
+    """One stacked call factors 200 random products and |01>, each row bit for bit
+    as its own call and as numpy's scalar arithmetic on that row."""
     rng = np.random.default_rng(SEED)
-    for _ in range(200):
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        state = PureState(np.kron(u, v), (2, 2))
-        fac = factor_pure(state)
-        assert fac.residual < 1e-12
-        assert np.abs(fac.left.vector - _canon_phase(u)).max() < 1e-10
-        assert np.abs(fac.right.vector - _canon_phase(v)).max() < 1e-10
-        rebuilt = np.exp(1j * fac.phase) * np.kron(fac.left.vector, fac.right.vector)
-        assert np.abs(rebuilt - state.vector).max() < 1e-10
+    u = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    v = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    # |01>: its first amplitude is 0, so its right factor takes the second as reference
+    u = np.vstack([u, [1, 0]])
+    v = np.vstack([v, [0, 1]])
+    m = u[:, :, None] * v[:, None, :]
+    f, phases = _factor_products(m)
+    assert f.shape == (2, 201, 2) and phases.shape == (201,)
+    for k in range(201):
+        fk, pk = _factor_products(m[k : k + 1])
+        assert fk.tobytes() == f[:, k : k + 1].tobytes() and pk.tobytes() == phases[k : k + 1].tobytes()
+        (left, right), phase = _scalar_factoring(m[k])
+        assert f[0, k].tobytes() == left.tobytes() and f[1, k].tobytes() == right.tobytes()
+        assert phases[k] == phase
+        assert np.abs(f[0, k] - _canon_phase(u[k])).max() < 1e-10
+        assert np.abs(f[1, k] - _canon_phase(v[k])).max() < 1e-10
+        rebuilt = np.exp(1j * phases[k]) * np.kron(f[0, k], f[1, k])
+        assert np.abs(rebuilt - m[k].reshape(-1)).max() < 1e-10
+    assert np.array_equal(f[:, 200], [[1, 0], [0, 1]]) and phases[200] == 0.0
 
 
 def test_explicit_factors_identities():
@@ -185,6 +192,13 @@ def test_product_decomposition_invariants():
             assert np.abs(pair - eta.vector).max() < 1e-10
             recon += np.outer(eta.vector, eta.vector.conj())
         assert np.abs(recon - werner(z).matrix).max() < 1e-10
+    # At z = 0 the rows of the factored stack pick different reference amplitudes
+    # (on Z_GRID only there): components 0 and 1 their right factor's first,
+    # components 2 and 3 its second, as the first is below PHASE_REF_CUTOFF.
+    rights = np.array([right.vector for _, right in product_decomposition(0.0).factors])
+    assert np.abs(rights[:2] - [1, 0]).max() <= 1e-15
+    assert np.abs(rights[2:] - [0, 1]).max() <= 1e-15
+    assert 0 < np.abs(rights[2:, 0]).max() <= 1e-8
     with pytest.raises(DomainError):
         product_decomposition(0.35)
 
