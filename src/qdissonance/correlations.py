@@ -15,7 +15,9 @@ three best cells, so no grid-sized array is made.  It refines those
 three cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
-identical results.  The same refinement serves the two-qubit and qubit-qudit
+identical results.  Each Newton iteration makes one objective call: the
+seeds' trial points, each with its own stencil, so an accepted point's
+stencil is already known.  The same refinement serves the two-qubit and qubit-qudit
 objectives and the brute-force geometric discord.  Two rules find
 an objective on which every measurement is optimal, and report the
 pole theta = phi = 0 without refining.  The sphere rule comes first
@@ -54,6 +56,7 @@ separate pass, in ``witness``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +99,22 @@ MAX_GRID_POINTS = 2**21
 _SCAN_TILE = 2**13
 # Directions x d_B**3 a (2, d_B) search may cost (one d_B x d_B eigvalsh per
 # outcome per direction), counting the hemisphere scan and the worst-case
-# refinement: 3 seeds x NEWTON_ITER_CAP iterations x (8 stencil + 1 trial)
-# directions, plus the 3 final evaluations.  Admits two qubits on every grid,
-# (2, 23) at the default grid, (2, 43) at 2x2 and (2, 3) at the largest grid.
+# refinement: per seed, 8 for its stencil, NEWTON_ITER_CAP x (1 trial + 8
+# stencil) and 1 final evaluation, 279 directions, 837 for 3 seeds.  Admits
+# two qubits on every grid, (2, 23) at the default grid, (2, 43) at 2x2 and
+# (2, 3) at the largest grid.
 MAX_QUDIT_SCAN_WORK = 2**26
-_REFINE_DIRECTIONS = 3 * (9 * NEWTON_ITER_CAP + 1)
+_REFINE_DIRECTIONS = 3 * (8 + 9 * NEWTON_ITER_CAP + 1)
 
 
 def _direction(theta, phi) -> np.ndarray:
     """Bloch unit vector n(theta, phi) along the first axis; broadcasts over arrays."""
-    return np.stack(
-        np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
-    )
+    sin_t = np.sin(theta)
+    n = np.empty((3,) + np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+    np.multiply(sin_t, np.cos(phi), out=n[0, ...])
+    np.multiply(sin_t, np.sin(phi), out=n[1, ...])
+    n[2] = np.cos(theta)
+    return n
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ def qubit_measurement(theta: float, phi: float) -> Measurement:
 def _angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical angles theta in [0, pi], phi in [0, 2 pi) of unit vectors n, shape (3, ...)."""
     nx, ny, nz = n
-    pole = (np.abs(nx) < POLE_CUTOFF) & (np.abs(ny) < POLE_CUTOFF)
+    pole = np.abs(n[:2]).max(axis=0) < POLE_CUTOFF
     phi = np.where(pole, 0.0, np.arctan2(ny, nx) % (2.0 * np.pi))
     return np.arccos(np.clip(nz, -1.0, 1.0)), phi
 
@@ -469,9 +476,8 @@ def _minimize_over_directions(
     n = _refine(objective, _direction(thetas[row], phis[col]), values)
     # n and -n are one measurement: report the one whose first nonzero of
     # (n_z, n_y, n_x) is positive, so n_z >= 0, and phi in [0, pi) on the equator
-    nx, ny, nz = n
-    first = np.where(nz != 0, nz, np.where(ny != 0, ny, nx))
-    theta, phi = _angles(np.where(first < 0, -n, n))
+    n = [[-u for u in v] if (v[2] or v[1] or v[0]) < 0 else v for v in n.T.tolist()]
+    theta, phi = _angles(np.array(list(zip(*n))))
     val = objective(_direction(theta, phi))
     k = int(np.argmin(val))
     return float(val[k]), float(theta[k]), float(phi[k])
@@ -482,57 +488,113 @@ def _minimize_over_directions(
 _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
 
 
+def _stencil(pts: np.ndarray) -> list:
+    """The 8 stencil points around the unit directions ``pts[:, :, 0]``, in place.
+
+    ``pts`` (3, k, 9) holds each centre, then its points in ``_STENCIL``
+    order.  Returns each centre's frame (e_theta, e_phi).  The offset of
+    the point at (a, b) is -/+ h times e_theta + e_phi, e_theta,
+    e_theta - e_phi or e_phi (minus for the first four, plus for the last
+    four in reverse), which is bit for bit h (a e_theta + b e_phi).
+    """
+    h = DIFFERENCE_STEP
+    c = pts[:, :, 0]
+    frames, offsets = [], ([], [], [])
+    for (x, y, z), rxy in zip(c.T.tolist(), np.hypot(c[0], c[1]).tolist()):
+        cos, sin = (x / rxy, y / rxy) if rxy > 0.0 else (1.0, 0.0)
+        e_theta, e_phi = (z * cos, z * sin, -rxy), (-sin, cos, 0.0 * cos)
+        frames.append((e_theta, e_phi))
+        for row, a, b in zip(offsets, e_theta, e_phi):
+            hs, ht, hd, hp = h * (a + b), h * a, h * (a - b), h * b
+            row += (-hs, -ht, -hd, -hp, hp, hd, ht, hs)
+    p = pts[:, :, 1:]
+    np.add(c[:, :, None], np.array(offsets).reshape(p.shape), out=p)
+    p /= np.sqrt((p * p).sum(axis=0))
+    return frames
+
+
+def _newton_steps(values: list, frames: list) -> list:
+    """Newton steps xi from rows of stencil values (centre first) and the centres' frames.
+
+    The 2 x 2 algebra runs on Python floats, one IEEE operation each, in
+    the order of the array expressions it replaces, so the bits are
+    numpy's; for a few seeds it costs a fraction of the array calls.
+    """
+    h, hh = DIFFERENCE_STEP, DIFFERENCE_STEP * DIFFERENCE_STEP
+    grads, hessians = [], []
+    for f, v0, v1, v2, v3, v4, v5, v6, v7 in values:
+        grads.append(((v6 - v1) / (2.0 * h), (v4 - v3) / (2.0 * h)))
+        h_tt, h_pp = (v6 - 2.0 * f + v1) / hh, (v4 - 2.0 * f + v3) / hh
+        h_tp = (v7 - v5 - v2 + v0) / 4.0 / hh
+        hessians += (h_tt, h_tp, h_tp, h_pp)
+    mu, vec = np.linalg.eigh(np.array(hessians).reshape(-1, 2, 2))
+    steps = []
+    for (g0, g1), (m0, m1), ((a, b), (c, d)), (e_theta, e_phi) in zip(
+        grads, mu.tolist(), vec.tolist(), frames
+    ):
+        # -vec diag(1/mu) vec^T g, each |curvature| at least CURVATURE_CUTOFF
+        y0 = (a * g0 + c * g1) / max(abs(m0), CURVATURE_CUTOFF)
+        y1 = (b * g0 + d * g1) / max(abs(m1), CURVATURE_CUTOFF)
+        s0, s1 = -(a * y0 + b * y1), -(c * y0 + d * y1)
+        steps.append([u * s0 + w * s1 for u, w in zip(e_theta, e_phi)])
+    return steps
+
+
 def _refine(objective, seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Safeguarded Riemannian Newton refinement of unit directions (3, k) with values (k,).
 
-    All seeds move together.  At each new point n the 8 stencil points
-    normalize(n + h (a e_theta + b e_phi)), h = DIFFERENCE_STEP, take one
-    objective call; central differences give the tangent gradient and
-    Hessian.  Normalizing is a second-order retraction, so this is the
+    All seeds move together.  Around each point n the 8 stencil points
+    normalize(n + h (a e_theta + b e_phi)), h = DIFFERENCE_STEP, give
+    the tangent gradient and Hessian by central differences.
+    Normalizing is a second-order retraction, so this is the
     Riemannian Hessian (Absil, Mahony & Sepulchre 2008, ch. 4-6).  Its
     eigenvalues are replaced by their absolute values, floored at
-    CURVATURE_CUTOFF, so every step xi is a descent direction.  A trial
-    point normalize(n + t xi) takes one more call and is accepted only
-    when its value is strictly lower; otherwise t halves, and after an
-    accepted step t is 1 again.  A seed stops once t |xi| is at most
-    NEWTON_TOL, and the loop after NEWTON_ITER_CAP iterations.  Returns
-    the refined directions, none higher than its seed.
+    CURVATURE_CUTOFF, so every step xi is a descent direction.  Each
+    iteration makes one objective call, of shape (3, k, 9): every
+    seed's trial point normalize(n + t xi), centre first, with its own
+    stencil.  A trial is accepted only when its value is strictly lower,
+    and then its stencil is already known; otherwise t halves, and after
+    an accepted step t is 1 again.  So a refinement costs one call for
+    the seeds' stencils and one per iteration.  A seed stops once t |xi|
+    is at most NEWTON_TOL, and the loop after NEWTON_ITER_CAP
+    iterations.  Returns the refined directions, none higher than its seed.
     """
-    n, f = seeds, values
-    xi = np.zeros_like(n)
-    t = np.ones(f.size)
-    fresh = np.ones(f.size, dtype=bool)
-    h = DIFFERENCE_STEP
+    k = values.size
+    pts = np.empty((3, k, 9))
+    pts[:, :, 0] = seeds
+    frames = _stencil(pts)
+    vals = np.empty((k, 9))  # the last call's values: each centre, then its stencil
+    vals[:, 0] = values
+    vals[:, 1:] = objective(pts[:, :, 1:])
+    n, f = seeds.T.tolist(), values.tolist()
+    t, xi, size = [1.0] * k, [None] * k, [0.0] * k
+    fresh = list(range(k))  # the seeds that moved to the last call's centre
     for _ in range(NEWTON_ITER_CAP):
-        if fresh.any():
-            nx, ny, nz = n
-            rxy = np.hypot(nx, ny)
-            c = np.divide(nx, rxy, out=np.ones_like(rxy), where=rxy > 0.0)
-            s = np.divide(ny, rxy, out=np.zeros_like(rxy), where=rxy > 0.0)
-            frame = np.array([[nz * c, nz * s, -rxy], [-s, c, 0.0 * c]])  # (e_theta, e_phi)
-            probe = n[:, :, None] + h * np.einsum("aik,ja->ikj", frame, _STENCIL)
-            probe /= np.sqrt((probe * probe).sum(axis=0))
-            v = objective(probe)  # (k, 8), in stencil order
-            g = np.array([v[:, 6] - v[:, 1], v[:, 4] - v[:, 3]]) / (2.0 * h)
-            h_tt = v[:, 6] - 2.0 * f + v[:, 1]
-            h_pp = v[:, 4] - 2.0 * f + v[:, 3]
-            h_tp = (v[:, 7] - v[:, 5] - v[:, 2] + v[:, 0]) / 4.0
-            hess = np.array([[h_tt, h_tp], [h_tp, h_pp]]).transpose(2, 0, 1) / (h * h)
-            mu, vec = np.linalg.eigh(hess)
-            mu = np.maximum(np.abs(mu), CURVATURE_CUTOFF)
-            step = -np.einsum("kab,kb->ak", vec, np.einsum("kba,bk->ka", vec, g) / mu)
-            xi = np.where(fresh, (frame * step[:, None]).sum(axis=0), xi)
-        moving = t * np.sqrt((xi * xi).sum(axis=0)) > NEWTON_TOL
-        if not moving.any():
+        if fresh:
+            rows = vals.tolist()
+            steps = _newton_steps([rows[i] for i in fresh], [frames[i] for i in fresh])
+            for i, (x, y, z) in zip(fresh, steps):
+                xi[i], size[i] = (x, y, z), math.sqrt(x * x + y * y + z * z)
+        moving = [ti * si > NEWTON_TOL for ti, si in zip(t, size)]
+        if not any(moving):
             break
-        trial = n + np.where(moving, t, 0.0) * xi
-        trial /= np.sqrt((trial * trial).sum(axis=0))
-        f_trial = objective(trial)
-        fresh = moving & (f_trial < f)
-        n = np.where(fresh, trial, n)
-        f = np.where(fresh, f_trial, f)
-        t = np.where(fresh, 1.0, t / 2.0)
-    return n
+        trials = []
+        for (x, y, z), (dx, dy, dz), ti, mi in zip(n, xi, t, moving):
+            ti = ti if mi else 0.0
+            x, y, z = x + ti * dx, y + ti * dy, z + ti * dz
+            norm = math.sqrt(x * x + y * y + z * z)
+            trials.append((x / norm, y / norm, z / norm))
+        pts[:, :, 0] = np.array(trials).T
+        frames = _stencil(pts)
+        vals = objective(pts)
+        fresh = []
+        for i, value in enumerate(vals[:, 0].tolist()):
+            if moving[i] and value < f[i]:
+                fresh.append(i)
+                n[i], f[i], t[i] = trials[i], value, 1.0
+            else:
+                t[i] /= 2.0
+    return np.array(list(zip(*n)))
 
 
 def classical_correlation(

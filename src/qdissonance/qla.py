@@ -6,7 +6,8 @@ traces.  A state is validated once, where it enters: ``DensityMatrix(...)``
 and ``PureState(...)`` check their invariants.  A state made from
 validated ones (``partial_trace``, ``tensor``, ``projector``, ``werner``,
 ``from_factor``) goes through ``DensityMatrix._made``, which keeps its
-Hermitian part and checks nothing again.
+Hermitian part and checks nothing again; the components and factors of
+``product_decomposition`` go through ``PureState._made`` likewise.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ CORRELATION_SIGN_TOL = 1e-8  # how far below 0 classical correlation and discord
 TOTAL_SIGN_TOL = 1e-10  # how far below 0 the mutual information may round
 NEWTON_TOL = 1e-8  # Newton step, radians, at or below which a seed has converged
 CURVATURE_CUTOFF = 1e-6  # least |curvature| (bits/rad^2) a Newton step divides by
-NEWTON_ITER_CAP = 30  # iterations (stencil plus trial step) of one Newton refinement
+NEWTON_ITER_CAP = 30  # iterations (a trial step with its stencil) of one Newton refinement
 DIFFERENCE_STEP = 1e-4  # tangent offset, radians, of the refinement's central differences
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
 SPHERE_TOL = 16 * np.finfo(float).eps  # |x|, |Ty|/|T| and |TT^T - |T|^2 I/3|/|T| of a Bloch sphere
@@ -226,11 +227,19 @@ class PureState:
             nrm = float(np.linalg.norm(v))
             if not abs(nrm - 1.0) <= NORM_TOL:
                 raise DomainError(f"vector norm is {nrm:.15g}, expected 1")
-        v = v.copy()
+        self._freeze(v.copy(), legs, normalized)
+
+    @classmethod
+    def _made(cls, v: np.ndarray, legs: tuple[int, ...], normalized: bool = True) -> PureState:
+        """A state from a complex vector v known to be valid: a copy of v, nothing checked."""
+        return cls.__new__(cls)._freeze(v.copy(), legs, normalized)
+
+    def _freeze(self, v: np.ndarray, legs: tuple[int, ...], normalized: bool) -> PureState:
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "normalized", normalized)
+        return self
 
     @property
     def dim(self) -> int:

@@ -140,9 +140,14 @@ def werner(z: float) -> DensityMatrix:
 
 def _werner_stack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrices (N, 4, 4) and spectra (N, 4) of werner(z) for a 1-D array of z in [0, 1]."""
-    z = z[:, None, None]
-    m = _hermitian(z * _SINGLET + (1.0 - z) / 4.0 * np.eye(4))
+    m = _werner_matrices(z)
     return m, np.linalg.eigvalsh(m)
+
+
+def _werner_matrices(z: np.ndarray) -> np.ndarray:
+    """Matrices (N, 4, 4) of werner(z), bit for bit ``werner``'s, without their spectra."""
+    z = z[:, None, None]
+    return _hermitian(z * _SINGLET + (1.0 - z) / 4.0 * np.eye(4))
 
 
 def phase_equation_residual(thetas: Sequence[float], z: float) -> float:
@@ -224,7 +229,7 @@ def eta_states(z: float) -> tuple[PureState, PureState, PureState, PureState]:
 def _eta_states(solution: PhaseSolution) -> tuple[PureState, PureState, PureState, PureState]:
     """``eta_states`` from an already solved phase equation."""
     etas = (_ETA_SIGNS * np.exp(1j * np.array(solution.thetas))) @ _x_vectors(solution.z) / 2.0
-    return tuple(PureState(v, (2, 2), normalized=False) for v in etas)
+    return tuple(PureState._made(v, (2, 2), normalized=False) for v in etas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,14 +296,16 @@ def product_decomposition(z: float) -> ProductDecomposition:
     if not np.abs(pairs.reshape(4, 4) - v).max() <= PRODUCT_RECONSTRUCTION_TOL:
         raise DomainError("factorization does not reproduce its component")
     recon = (v[:, :, None] * v[:, None, :].conj()).sum(axis=0)
-    err = float(np.abs(recon - werner(z).matrix).max())
+    err = float(np.abs(recon - _werner_matrices(np.array([z]))[0]).max())
     if not err <= PRODUCT_RECONSTRUCTION_TOL:
         raise DomainError(f"decomposition reconstruction error {err:.3e}")
     return ProductDecomposition(
         z=z,
         solution=solution,
         etas=etas,
-        factors=tuple((PureState(left, (2,)), PureState(right, (2,))) for left, right in zip(*f)),
+        factors=tuple(
+            (PureState._made(left, (2,)), PureState._made(right, (2,))) for left, right in zip(*f)
+        ),
         phases=tuple(phases.tolist()),
         reconstruction_error=err,
     )

@@ -44,7 +44,9 @@ from qdissonance.correlations import (
     _refine,
     _scan,
 )
-from qdissonance.qla import FLAT_SPREAD_TOL, NEWTON_ITER_CAP, PROB_CUTOFF
+from qdissonance.qla import (
+    CURVATURE_CUTOFF, DIFFERENCE_STEP, FLAT_SPREAD_TOL, NEWTON_ITER_CAP, NEWTON_TOL, PROB_CUTOFF,
+)
 
 from _zoo import (
     build_zoo, near_pure_rotated, random_cq, random_density, random_product, random_qubit_basis,
@@ -499,11 +501,11 @@ def test_qudit_scan_work_is_capped(monkeypatch):
         return call
 
     monkeypatch.setattr(correlations, "_conditional_entropy_objective", counted)
-    # the 813 refinement directions refuse (2, 44) on every grid, and a
+    # the 837 refinement directions refuse (2, 44) on every grid, and a
     # coarser grid admits (2, 24)
     for db, grid, hint in ((44, (2, 2), "no grid"), (24, DEFAULT_GRID, "a coarser grid")):
         rho = random_density(rng, 2 * db, (2, db))
-        with pytest.raises(DomainError, match=rf"needs \d+ scan \+ 813 refinement.*; {hint} admits it"):
+        with pytest.raises(DomainError, match=rf"needs \d+ scan \+ 837 refinement.*; {hint} admits it"):
             classical_correlation(rho, grid)
         with pytest.raises(DomainError, match=rf"\(2, {db}\) state on grid {grid[0]}x{grid[1]}"):
             discord(rho, grid)
@@ -710,20 +712,20 @@ def test_discord_finds_off_axis_optima_of_x_states():
     seeds = _spread_directions(64)
     for params in _OFF_AXIS_X_STATES + _COMPETING_X_STATES:
         objective = _conditional_entropy_objective(_parts(_x_state(*params)))
-        trials = []
+        calls = []
 
         def counted(n):
-            if n.ndim == 2:  # a trial step; stencil calls have shape (3, k, 8)
-                trials.append(n.shape[1])
+            calls.append(n.shape)
             return objective(n)
 
         for k in range(seeds.shape[1]):
             seed = seeds[:, k : k + 1]
-            trials.clear()
+            calls.clear()
             refined = _refine(counted, seed, objective(seed))
-            # each iteration makes one trial call, so a refinement that did
-            # not converge within its cap made NEWTON_ITER_CAP of them
-            assert len(trials) < NEWTON_ITER_CAP, (params, k)
+            # one call for the seed's stencil, then one per iteration, so a
+            # refinement that did not converge within its cap made
+            # NEWTON_ITER_CAP iterations
+            assert len(calls) - 1 < NEWTON_ITER_CAP, (params, k)
             assert objective(refined)[0] <= objective(seed)[0]
 
 
@@ -905,9 +907,9 @@ def _kernel_states():
 def test_bloch_kernel_is_bitwise_the_reference_chain():
     """The in-place two-qubit kernel gives the reference's bits on every call shape.
 
-    Directions (3, N), stencils (3, k, 8), the pole of a whole stack,
-    and every value the grid scan folds, at a 64-direction tile and at
-    the default tile.
+    Directions (3, N), the refinement's calls (3, k, 8) and (3, k, 9),
+    the pole of a whole stack, and every value the grid scan folds, at a
+    64-direction tile and at the default tile.
     """
     rng = np.random.default_rng(SEED + 71)
     states = _kernel_states()
@@ -920,13 +922,100 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     assert np.array_equal(_pole_values(bloch), pole)
     for i in range(len(states)):
         objective = _conditional_entropy_objective(bloch[i])
-        stencil = rng.standard_normal((3, 3, 8))
+        stencil = rng.standard_normal((3, 3, 9))
         stencil /= np.sqrt((stencil * stencil).sum(axis=0))
-        for dirs in (n, -n, n[:, :3], n[:, 0], stencil):
+        for dirs in (n, -n, n[:, :3], n[:, 0], stencil, stencil[:, :, 1:]):
             assert np.array_equal(objective(dirs), _reference_objective(bloch[i], dirs)), i
         want = _reference_objective(bloch[i], grid).reshape(-1)
         for tile in (64, correlations._SCAN_TILE):
             assert np.array_equal(_scanned(objective, thetas, phis, tile)[1], want), (i, tile)
+
+
+def _reference_refine(objective, seeds, values):
+    """The Newton refinement as two calls per iteration: the stencil at the
+    current points, then the trial points.
+
+    Same stencil order, step, cutoffs, stopping rules and acceptance rule
+    as ``_refine``, each point's frame and stencil built afresh.
+    """
+    h = DIFFERENCE_STEP
+    n, f = seeds, values
+    xi = np.zeros_like(n)
+    t = np.ones(f.size)
+    fresh = np.ones(f.size, dtype=bool)
+    for _ in range(NEWTON_ITER_CAP):
+        if fresh.any():
+            nx, ny, nz = n
+            rxy = np.hypot(nx, ny)
+            c = np.divide(nx, rxy, out=np.ones_like(rxy), where=rxy > 0.0)
+            s = np.divide(ny, rxy, out=np.zeros_like(rxy), where=rxy > 0.0)
+            frame = np.array([[nz * c, nz * s, -rxy], [-s, c, 0.0 * c]])  # (e_theta, e_phi)
+            probe = n[:, :, None] + h * np.einsum("aik,ja->ikj", frame, _STENCIL)
+            probe /= np.sqrt((probe * probe).sum(axis=0))
+            v = objective(probe)  # (k, 8), in stencil order
+            g = np.array([v[:, 6] - v[:, 1], v[:, 4] - v[:, 3]]) / (2.0 * h)
+            h_tt = v[:, 6] - 2.0 * f + v[:, 1]
+            h_pp = v[:, 4] - 2.0 * f + v[:, 3]
+            h_tp = (v[:, 7] - v[:, 5] - v[:, 2] + v[:, 0]) / 4.0
+            hess = np.array([[h_tt, h_tp], [h_tp, h_pp]]).transpose(2, 0, 1) / (h * h)
+            mu, vec = np.linalg.eigh(hess)
+            mu = np.maximum(np.abs(mu), CURVATURE_CUTOFF)
+            step = -np.einsum("kab,kb->ak", vec, np.einsum("kba,bk->ka", vec, g) / mu)
+            xi = np.where(fresh, (frame * step[:, None]).sum(axis=0), xi)
+        moving = t * np.sqrt((xi * xi).sum(axis=0)) > NEWTON_TOL
+        if not moving.any():
+            break
+        trial = n + np.where(moving, t, 0.0) * xi
+        trial /= np.sqrt((trial * trial).sum(axis=0))
+        f_trial = objective(trial)
+        fresh = moving & (f_trial < f)
+        n = np.where(fresh, trial, n)
+        f = np.where(fresh, f_trial, f)
+        t = np.where(fresh, 1.0, t / 2.0)
+    return n
+
+
+def test_refinement_is_bitwise_the_two_call_reference(monkeypatch):
+    """One objective call per Newton iteration, with the reference's bits.
+
+    Each iteration evaluates the trial points together with their
+    stencils, so an accepted point's stencil is never evaluated again.
+    On the kernel states, 10 qubit-qutrit states and 20 brute-force
+    geometric discord objectives, from the default grid's three seeds:
+    the refined directions equal the two-call reference's, the refinement
+    makes one call for the seeds' stencils and one per iteration (the
+    reference's trial calls), and fewer calls than the reference in all.
+    """
+    rng = np.random.default_rng(SEED + 73)
+    states = _kernel_states() + [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(10)]
+    objectives = [_conditional_entropy_objective(_parts(rho)) for rho in states]
+    for i in range(20):
+        rho = random_density(rng, 4, (2, 2), rank=1 + i % 4)
+        objectives.append(_brute_force_objective(monkeypatch, rho))
+    thetas, phis = _grid_directions(DEFAULT_GRID)
+    totals = {"new": 0, "reference": 0}
+    for i, objective in enumerate(objectives):
+        _, _, cells, values = _scan(objective, thetas, phis)
+        row, col = np.divmod(cells, phis.size)
+        seeds = _direction(thetas[row], phis[col])
+        calls = {"new": [], "reference": []}
+
+        def counted(side):
+            def call(n, out=None):
+                calls[side].append(n.shape)
+                return objective(n, out)
+
+            return call
+
+        want = _reference_refine(counted("reference"), seeds, values)
+        got = _refine(counted("new"), seeds, values)
+        assert np.array_equal(got, want), i
+        k = seeds.shape[1]
+        iterations = sum(shape == (3, k) for shape in calls["reference"])
+        assert calls["new"] == [(3, k, 8)] + [(3, k, 9)] * iterations, i
+        for side in totals:
+            totals[side] += len(calls[side])
+    assert totals["new"] < totals["reference"], totals
 
 
 def test_fine_scan_memory_is_bounded():
