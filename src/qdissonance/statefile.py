@@ -8,12 +8,15 @@ Format (one matrix per file):
     ...
 
 Entries are written as ``re+imj`` with 17 significant digits, which
-round-trips IEEE doubles exactly.  Loading refuses a ``dims:`` line
-whose product exceeds MAX_STATE_DIM (``check_dims``, which ``qdiss
-state`` applies too) before it reads any row, keeps at most d rows and
-only counts the lines after them, splits each row at most d + 1 ways and
-only counts the entries after them, and validates every density matrix
-invariant: a loaded state enters the package here.
+round-trips IEEE doubles exactly.  ``load_state`` is the only loader:
+it reads its file once, line by line, with no seek, so a pipe serves as
+well as a file, and a non-ASCII byte is named by its offset in the file
+ahead of any format error.  It refuses a ``dims:`` line whose product
+exceeds MAX_STATE_DIM (``check_dims``, which ``qdiss state`` applies
+too) before it reads any row, keeps at most d rows and only counts the
+lines after them, splits each row at most d + 1 ways and only counts the
+entries after them, and validates every density matrix invariant: a
+loaded state enters the package here.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .qla import DensityMatrix, DomainError
 
-__all__ = ["StateFileError", "FORMAT_VERSION", "dumps_state", "loads_state", "save_state", "load_state"]
+__all__ = ["StateFileError", "FORMAT_VERSION", "dumps_state", "save_state", "load_state"]
 
 FORMAT_VERSION = "qstate v1"
 # Largest total dimension a state file may declare: a 16 MiB matrix, which
@@ -55,9 +58,10 @@ def check_dims(dims) -> int:
     return d
 
 
-def _parse(chunks) -> DensityMatrix:
-    """A state from an iterator of text chunks, read once; blank lines are skipped."""
-    nonblank = (ln for chunk in chunks for ln in chunk.splitlines() if ln and not ln.isspace())
+def _parse(physical) -> DensityMatrix:
+    """A state from the physical lines of a binary file (``_ascii_lines``), read once;
+    each is split again by ``str.splitlines`` and blank lines are skipped."""
+    nonblank = (ln for line in physical for ln in line.splitlines() if ln and not ln.isspace())
     lines = list(itertools.islice(nonblank, 2))
     if not lines or lines[0].strip() != FORMAT_VERSION:
         raise StateFileError(f"missing or unknown format header (expected {FORMAT_VERSION!r})")
@@ -90,31 +94,6 @@ def _parse(chunks) -> DensityMatrix:
         raise StateFileError(f"file does not encode a valid density matrix: {exc}") from exc
 
 
-def _text_lines(text: str):
-    """The newline-terminated lines of ``text``, sliced one at a time; the text is not copied."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos) + 1 or len(text)
-        yield text[pos:end]
-        pos = end
-
-
-def _not_ascii(byte: int, position: int) -> StateFileError:
-    return StateFileError(
-        f"not an ASCII state file: 'ascii' codec can't decode byte 0x{byte:02x} "
-        f"in position {position}: ordinal not in range(128)"
-    )
-
-
-def loads_state(text: str) -> DensityMatrix:
-    """The state in ``text``; a non-ASCII character is named as ``load_state`` names it
-    in the UTF-8 file of the same text, ahead of any format error."""
-    if not text.isascii():
-        k = re.search(r"[^\x00-\x7f]", text).start()
-        raise _not_ascii(text[k].encode("utf-8", "surrogatepass")[0], k)
-    return _parse(_text_lines(text))
-
-
 def save_state(rho: DensityMatrix, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dumps_state(rho))
@@ -126,7 +105,10 @@ def _ascii_lines(fh):
     for raw in fh:
         if not raw.isascii():
             k = re.search(rb"[^\x00-\x7f]", raw).start()
-            raise _not_ascii(raw[k], offset + k)
+            raise StateFileError(
+                f"not an ASCII state file: 'ascii' codec can't decode byte 0x{raw[k]:02x} "
+                f"in position {offset + k}: ordinal not in range(128)"
+            )
         offset += len(raw)
         line = raw.decode("ascii")
         del raw  # hold one copy of a long line, not two

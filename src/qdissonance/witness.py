@@ -73,7 +73,8 @@ class WitnessReport:
     commutator of the S_k.  With degenerate singular values its magnitude
     is fixed by the basis the SVD picks for their subspace; its zero-ness,
     the verdict, is not.  On the Bell states and werner(1) (all four
-    singular values 0.5) it reads sqrt(2) but moves under local rotations.
+    singular values 0.5) it reads sqrt(2), but a 1e-9 perturbation of the
+    state moves it down to about 1.28.
     """
 
     singular_values: np.ndarray

@@ -729,6 +729,71 @@ def test_discord_finds_off_axis_optima_of_x_states():
             assert objective(refined)[0] <= objective(seed)[0]
 
 
+def _haar_isometry(rng, db):
+    """A Haar-random isometry V: C^2 -> C^db, shape (db, 2)."""
+    q, r = np.linalg.qr(rng.standard_normal((db, 2)) + 1j * rng.standard_normal((db, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_qudit_discord_is_invariant_under_isometries_on_b():
+    """Total, classical correlation and discord do not change under
+    rho -> (I x V) rho (I x V)^dagger for an isometry V: C^2 -> C^d_B.
+
+    The (2, d_B) path (Pauli parts, ``_split``, eigvalsh of each outcome)
+    and the two-qubit path (Luo's closed form on the Bloch data) share no
+    objective code, so each checks the other, on states with nonzero
+    discord and on the off-axis X states, whose optima lie off every axis.
+    """
+    rng = np.random.default_rng(SEED + 21)
+    states = [random_two_qubit(rng) for _ in range(10)]
+    states += [_x_state(*params) for params in _OFF_AXIS_X_STATES]
+    for i, rho in enumerate(states):
+        ref = discord(rho)
+        assert ref.discord > 1e-3, i
+        for db in (3, 4, 6):
+            w = np.kron(np.eye(2), _haar_isometry(rng, db))
+            rep = discord(DensityMatrix(w @ rho.matrix @ w.conj().T, (2, db)))
+            for field in ("total", "classical", "discord"):
+                assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-10, (i, db, field)
+
+
+_YY = np.kron(_SIGMA[1], _SIGMA[1])
+
+
+def _formation_entropy(m):
+    """Entanglement of formation of a two-qubit matrix, in bits (Wootters, PRL 80, 2245, 1998).
+
+    C = max(0, l_1 - l_2 - l_3 - l_4), the l_i the square roots of the
+    eigenvalues of m (Y x Y) m* (Y x Y) in decreasing order, and
+    E_F = h((1 + sqrt(1 - C^2)) / 2).
+    """
+    lam = np.linalg.eigvals(m @ _YY @ m.conj() @ _YY).real
+    root = np.sort(np.sqrt(np.clip(lam, 0.0, None)))[::-1]
+    c = max(0.0, root[0] - root[1:].sum())
+    p = (1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0
+    return -sum(q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+
+
+def test_classical_correlation_within_the_koashi_winter_bound():
+    """Koashi & Winter (PRA 69, 022309, 2004): purify a rank-2 rho_AB with a
+    qubit E; the classical correlation over POVMs on A is S(B) - E_F(rho_BE).
+
+    The projective optimum can only be lower, and on rank-2 states the
+    POVM advantage is small (Galve, Giorgi & Zambrini, EPL 96, 40005,
+    2011), so a search that misses the optimum basin falls well below
+    the bound.  No grid or search is shared with the package.
+    """
+    rng = np.random.default_rng(SEED + 22)
+    for i in range(200):
+        rho = random_density(rng, 4, (2, 2), rank=2)
+        lam, vec = np.linalg.eigh(rho.matrix)
+        psi = (vec[:, 2:] * np.sqrt(lam[2:])).reshape(2, 2, 2)  # psi[a, b, e]
+        rho_be = np.einsum("abe,acf->becf", psi, psi.conj()).reshape(4, 4)
+        bound = entropy(partial_trace(rho, (0,))) - _formation_entropy(rho_be)
+        classical, _ = classical_correlation(rho)
+        assert bound - 1e-6 <= classical <= bound + 1e-12, (i, bound - classical)
+
+
 def test_pure_outcomes_give_exact_answers():
     """Optima where a conditional state is pure: exact classical correlation and discord."""
     rep = discord(cc_state(np.diag([0.5, 0.5])))

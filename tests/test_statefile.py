@@ -11,7 +11,6 @@ from qdissonance import (
     cc_pairs,
     dumps_state,
     load_state,
-    loads_state,
     save_state,
     werner,
 )
@@ -25,7 +24,31 @@ SEED = 7500
 _ENTRY = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,}[+-]\d\.\d{16}e[+-]\d{2,}j$")
 
 
-def test_roundtrip_exact():
+def _write(path, text):
+    """``path``, holding the UTF-8 bytes of ``text``."""
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _peak(path, message):
+    """Peak traced memory of load_state(path), which must fail with ``message``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError, match=message):
+            load_state(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture
+def load_text(tmp_path):
+    """``load_state`` on a file that holds the UTF-8 bytes of a text."""
+    return lambda text: load_state(_write(tmp_path / "text.qs", text))
+
+
+def test_roundtrip_exact(load_text):
     rng = np.random.default_rng(SEED)
     states = [werner(0.0), werner(1.0 / 3.0), werner(1.0)]
     states += [rho for _, rho, _ in build_zoo()[40:46]]
@@ -54,7 +77,7 @@ def test_roundtrip_exact():
         diag = np.diag(np.diag(base))
         states.append(DensityMatrix(diag + (base - diag) * 2.0 ** -int(rng.integers(0, 1101))))
     for rho in states:
-        back = loads_state(dumps_state(rho))
+        back = load_text(dumps_state(rho))
         assert back.legs == rho.legs
         # bit patterns, because == treats -0.0 and 0.0 as equal
         assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
@@ -102,73 +125,56 @@ def test_save_and_load_path(tmp_path):
     assert back.legs == (2, 2)
 
 
-def test_blank_lines_ignored():
+def test_blank_lines_ignored(load_text):
     text = dumps_state(werner(0.2))
     padded = "\n" + text.replace("\n", "\n\n")
-    back = loads_state(padded)
+    back = load_text(padded)
     assert np.abs(back.matrix - werner(0.2).matrix).max() == 0.0
 
 
-def test_bad_header():
+def test_bad_header(load_text):
     good = dumps_state(werner(0.2)).splitlines()
     with pytest.raises(StateFileError):
-        loads_state("\n".join(["qstate v2"] + good[1:]))
+        load_text("\n".join(["qstate v2"] + good[1:]))
     with pytest.raises(StateFileError):
-        loads_state("")
+        load_text("")
 
 
-def test_bad_dims_line():
+def test_bad_dims_line(load_text):
     good = dumps_state(werner(0.2)).splitlines()
     with pytest.raises(StateFileError):
-        loads_state("\n".join([good[0]] + good[2:]))  # dims line missing
+        load_text("\n".join([good[0]] + good[2:]))  # dims line missing
     with pytest.raises(StateFileError):
-        loads_state("\n".join([good[0], "dims: two two"] + good[2:]))
+        load_text("\n".join([good[0], "dims: two two"] + good[2:]))
     with pytest.raises(StateFileError):
-        loads_state("\n".join([good[0], "dims:"] + good[2:]))
+        load_text("\n".join([good[0], "dims:"] + good[2:]))
     with pytest.raises(StateFileError):
-        loads_state("\n".join([good[0], "dims: 2 0"] + good[2:]))
+        load_text("\n".join([good[0], "dims: 2 0"] + good[2:]))
     # the dims product is taken exactly: int64 would wrap it to 1
     with pytest.raises(StateFileError, match="expected 85070591730234615847396907784232501249 "):
-        loads_state(f"{good[0]}\ndims: {2**63 - 1} {2**63 - 1}\n1+0j\n")
+        load_text(f"{good[0]}\ndims: {2**63 - 1} {2**63 - 1}\n1+0j\n")
     with pytest.raises(StateFileError, match="expected 18446744078004518912 matrix rows"):
-        loads_state(f"{good[0]}\ndims: 4294967296 4294967297\n1+0j\n")
+        load_text(f"{good[0]}\ndims: 4294967296 4294967297\n1+0j\n")
 
 
-def test_over_cap_dims_refused_before_any_row():
+def test_over_cap_dims_refused_before_any_row(tmp_path, load_text):
     """A dims line above MAX_STATE_DIM is refused before the d x d matrix is allocated."""
     header_only = f"{FORMAT_VERSION}\ndims: 30000\n"
     # a 90 KB file whose 30000 rows match the dims: 13.4 GiB once allocated
     rows = header_only + "0j\n" * 30000
-    for text in (header_only, rows, f"{FORMAT_VERSION}\ndims: 2 {MAX_STATE_DIM}\n"):
-        tracemalloc.start()
-        try:
-            with pytest.raises(StateFileError, match=r"more than MAX_STATE_DIM = 1024$"):
-                loads_state(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the split lines of the 90 KB file take ~2 MB; the matrix would take 13.4 GiB
+    for i, text in enumerate((header_only, rows, f"{FORMAT_VERSION}\ndims: 2 {MAX_STATE_DIM}\n")):
+        path = _write(tmp_path / f"cap{i}.qs", text)
+        peak = _peak(path, r"more than MAX_STATE_DIM = 1024$")
+        # each file peaks at ~7 KB, its header read and no row; the matrix would take 13.4 GiB
         assert peak < (2**16 if text is not rows else 2**22)
     # the cap itself is admitted: the row count is what is wrong here
     with pytest.raises(StateFileError, match="expected 1024 matrix rows, found 0"):
-        loads_state(f"{FORMAT_VERSION}\ndims: 2 512\n")
+        load_text(f"{FORMAT_VERSION}\ndims: 2 512\n")
     # the `qdiss state cc-pairs --k 3` state still round-trips
     rho = cc_pairs(3)
-    back = loads_state(dumps_state(rho))
+    back = load_text(dumps_state(rho))
     assert back.legs == (2,) * 6
     assert np.array_equal(back.matrix.view(np.uint64), rho.matrix.view(np.uint64))
-
-
-def _peak(load, source, message):
-    """Peak traced memory of load(source), which must fail with ``message``."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(StateFileError, match=message):
-            load(source)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 def test_load_memory_follows_dims_not_file_size(tmp_path):
@@ -178,17 +184,12 @@ def test_load_memory_follows_dims_not_file_size(tmp_path):
     path.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j 0j\n" * 700_002)
     message = "^expected 2 matrix rows, found 700002$"
     # the whole text split into lines took ~50 MB
-    assert _peak(load_state, path, message) < 2**20
-    with pytest.raises(StateFileError, match=message):
-        loads_state(path.read_text())
+    assert _peak(path, message) < 2**20
     wide = tmp_path / "wide.qs"
     wide.write_text(f"{FORMAT_VERSION}\ndims: 2\n" + "0j " * 1_400_000 + "\n0j 0j\n")
     message = "^row 0: expected 2 entries, found 1400000$"
     # the row is read whole; splitting it into 1.4 M tokens took ~84 MB
-    assert _peak(load_state, wide, message) <= 3 * wide.stat().st_size
-    # the text is sliced line by line; a StringIO copy of it took ~6x its size
-    text = wide.read_text()
-    assert _peak(loads_state, text, message) <= 3 * len(text)
+    assert _peak(wide, message) <= 3 * wide.stat().st_size
 
 
 def test_non_ascii_byte_named_by_file_offset(tmp_path):
@@ -204,10 +205,10 @@ def test_non_ascii_byte_named_by_file_offset(tmp_path):
         load_state(path)
 
 
-def test_non_ascii_text_refused_like_the_file(tmp_path):
-    """`int` and `complex` accept Unicode digits, so a text must be ASCII before it is
-    parsed; `loads_state` names the character as `load_state` names its first UTF-8
-    byte in the file, ahead of any format error."""
+def test_non_ascii_text_refused_like_the_file(load_text):
+    """`int` and `complex` accept Unicode digits, so a file must be ASCII before it is
+    parsed: the first UTF-8 byte of a non-ASCII character is named by its offset in
+    the file, ahead of any format error."""
     arabic = str.maketrans("0123456789", "".join(chr(0x660 + i) for i in range(10)))
     good = dumps_state(werner(0.2))
     rows = good.splitlines()
@@ -219,48 +220,43 @@ def test_non_ascii_text_refused_like_the_file(tmp_path):
         "\n".join(rows[:3] + [rows[3] + " \u00e9"] + rows[4:]): "0xc3",
         "qstate v0\ndims: 2\n\u00e90j 0j\n0j 0j\n": "0xc3 in position 18",
     }
-    for i, (text, where) in enumerate(texts.items()):
-        path = tmp_path / f"text{i}.qs"
-        path.write_bytes(text.encode("utf-8"))
-        with pytest.raises(StateFileError, match="^not an ASCII state file") as from_file:
-            load_state(path)
-        with pytest.raises(StateFileError) as from_text:
-            loads_state(text)
-        assert str(from_text.value) == str(from_file.value)
-        assert where in str(from_text.value)
+    for text, where in texts.items():
+        with pytest.raises(StateFileError, match="^not an ASCII state file") as refused:
+            load_text(text)
+        assert where in str(refused.value)
 
 
-def test_wrong_row_count():
+def test_wrong_row_count(load_text):
     good = dumps_state(werner(0.2)).splitlines()
     with pytest.raises(StateFileError):
-        loads_state("\n".join(good[:-1]))
+        load_text("\n".join(good[:-1]))
     with pytest.raises(StateFileError):
-        loads_state("\n".join(good + [good[-1]]))
+        load_text("\n".join(good + [good[-1]]))
 
 
-def test_wrong_entry_count():
+def test_wrong_entry_count(load_text):
     good = dumps_state(werner(0.2)).splitlines()
     bad = good[:2] + [" ".join(good[2].split()[:3])] + good[3:]
     with pytest.raises(StateFileError):
-        loads_state("\n".join(bad))
+        load_text("\n".join(bad))
 
 
-def test_unparseable_entry():
+def test_unparseable_entry(load_text):
     good = dumps_state(werner(0.2)).splitlines()
     toks = good[2].split()
     toks[1] = "not-a-number"
     bad = good[:2] + [" ".join(toks)] + good[3:]
     with pytest.raises(StateFileError):
-        loads_state("\n".join(bad))
+        load_text("\n".join(bad))
 
 
-def test_well_formed_but_invalid_state():
+def test_well_formed_but_invalid_state(load_text):
     mat = 2 * werner(0.2).matrix  # trace 2
     lines = [FORMAT_VERSION, "dims: 2 2"]
     for row in mat:
         lines.append(" ".join(f"{v.real:.16e}{v.imag:+.16e}j" for v in row))
     with pytest.raises(StateFileError):
-        loads_state("\n".join(lines))
+        load_text("\n".join(lines))
     # non-Hermitian content is also rejected
     mat = werner(0.2).matrix.copy()
     mat[0, 1] = 0.5
@@ -268,7 +264,7 @@ def test_well_formed_but_invalid_state():
     for row in mat:
         lines.append(" ".join(f"{v.real:.16e}{v.imag:+.16e}j" for v in row))
     with pytest.raises(StateFileError):
-        loads_state("\n".join(lines))
+        load_text("\n".join(lines))
 
 
 def test_load_missing_file(tmp_path):
