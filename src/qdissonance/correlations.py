@@ -18,15 +18,18 @@ central differences on an 8-point stencil, so repeated runs give
 identical results.  Each Newton iteration makes one objective call: the
 seeds' trial points, each with its own stencil, so an accepted point's
 stencil is already known.  The same refinement serves the two-qubit and qubit-qudit
-objectives and the brute-force geometric discord.  Two rules find
-an objective on which every measurement is optimal, and report the
-pole theta = phi = 0 without refining.  The sphere rule comes first
-and needs no scan: a two-qubit state whose Bloch data has x = T y = 0
-and T T^T prop. to I, to ``qla.SPHERE_TOL`` (Werner states, the
-protocols' outputs and their local rotations), gets the objective at
-the pole.  The flat rule reads the scan: when its spread max - min is
+objectives and the brute-force geometric discord.  Three rules decide
+a state without refining.  Two read the two-qubit Bloch data
+2 r = [[1, y], [x, T]] before any scan, with w = T y and M = T T^T,
+each equality to ``qla.SPHERE_TOL`` (``_classify``).  The sphere rule:
+x = w = 0 and M prop. to I (Werner states, the protocols' outputs and
+their local rotations) make every measurement optimal, and the pole
+theta = phi = 0 is reported.  The axis rule: x = w = 0 alone makes the
+objective a decreasing function of n^T M n, so M's top eigenvector is
+measured (rotated Bell-diagonal states), a fixed point of its plane
+on a circle of optima.  The flat rule reads the scan: when its spread max - min is
 at most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
-minimum is returned (product and pure states, which are flat but not
+minimum is returned at the pole (product and pure states, which are flat but not
 spheres, and flat qubit-qudit states).
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
@@ -34,7 +37,7 @@ entropy is the entropy of their spectra.  For a qubit B the spectrum
 is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
 coefficients of the G_i, so no matrices are formed; otherwise it is
 eigvalsh.  One kernel, ``_bloch_values``, evaluates the two-qubit form
-for the scan, the refinement's stencils and the sphere rule's pole.  It
+for the scan, the refinement's stencils and both rules' directions.  It
 works in place in buffers that a scan allocates once: per direction a
 4 x 3 matrix product, a norm and six logarithms, 40-55 ns on the
 640 x 1280 grid (2-core Xeon VM, one BLAS thread).
@@ -44,13 +47,14 @@ of N states (N, d, d) with their spectra: ``discord`` is its N = 1
 case, and ``cli.sweep_rows`` calls it on each block of Werner states.
 Its kernels take the stack: the measured parts
 (``_measured_parts``, the correlation matrices for two qubits),
-``_marginal_entropies`` and ``_entropies``, ``_is_sphere`` and the
-objective at the pole for every sphere row (``_pole_values``),
-``_closed_form_geometric_discord`` (a batched 3 x 3 eigvalsh),
-``_concurrences`` (batched eigh and svd) and ``_negativities``
-(batched eigvalsh); the sign checks and clamps of ``discord`` are
-applied elementwise.  A row that is not a sphere is scanned and
-refined on its own by ``_minimize_over_directions``.  The witness is a
+``_marginal_entropies`` and ``_entropies``, ``_classify``, the
+objective at the pole for every sphere row (``_pole_values``) and
+along M's top eigenvector for every axis row (``_axis_values``, a
+batched 3 x 3 eigh), ``_closed_form_geometric_discord`` (a batched
+3 x 3 eigvalsh), ``_concurrences`` (batched eigh and svd) and
+``_negativities`` (batched eigvalsh); the sign checks and clamps of
+``discord`` are applied elementwise.  A row that neither rule decides
+is scanned and refined on its own by ``_minimize_over_directions``.  The witness is a
 separate pass, in ``witness``.
 """
 
@@ -138,8 +142,22 @@ def _angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical angles theta in [0, pi], phi in [0, 2 pi) of unit vectors n, shape (3, ...)."""
     nx, ny, nz = n
     pole = np.abs(n[:2]).max(axis=0) < POLE_CUTOFF
-    phi = np.where(pole, 0.0, np.arctan2(ny, nx) % (2.0 * np.pi))
+    phi = np.arctan2(ny, nx) % (2.0 * np.pi)
+    # a tiny negative n_y with n_x > 0 gives an angle just below 0, whose
+    # remainder rounds up to 2 pi: that direction is phi = 0
+    phi = np.where(pole | (phi == 2.0 * np.pi), 0.0, phi)
     return np.arccos(np.clip(nz, -1.0, 1.0)), phi
+
+
+def _measurement_angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_angles`` of the measurements along unit directions n (3, k).
+
+    n and -n are one measurement: each is taken as the one whose first
+    nonzero of (n_z, n_y, n_x) is positive, so n_z >= 0, and phi is in
+    [0, pi) on the equator.
+    """
+    n = [[-u for u in v] if (v[2] or v[1] or v[0]) < 0 else v for v in n.T.tolist()]
+    return _angles(np.array(list(zip(*n))))
 
 
 def _xlog2(x: np.ndarray, log: np.ndarray | None = None, mask: np.ndarray | None = None):
@@ -320,16 +338,20 @@ def _conditional_entropy_objective(parts: np.ndarray):
     return objective
 
 
-def _is_sphere(bloch: np.ndarray) -> np.ndarray:
-    """Whether the conditional entropy is constant on the sphere, for each 2 r of a stack.
+def _classify(bloch: np.ndarray):
+    """The rule that decides each 2 r of a stack (N, 4, 4): (sphere, axis, M, |T|^2).
 
     With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli
     coefficients (1 +/- x.n, y +/- T^T n)/2, so the objective is
-    g(x.n, w.n, n^T M n) with w = T y and M = T T^T.  It is constant
-    when x = w = 0 and M = |T|^2 I / 3 (Girolami & Adesso, PRA 83,
-    052108, 2011): Werner states and their local rotations.  Each
-    equality holds to SPHERE_TOL, |x| absolutely and |w|, |M - |T|^2 I / 3|
-    relative to |T| (Frobenius), the sizes their rounding takes.
+    g(x.n, w.n, n^T M n) with w = T y and M = T T^T.  When x = w = 0 both
+    outcomes have p = 1/2 and |y +/- T^T n|^2 = |y|^2 + n^T M n, so the
+    objective decreases with n^T M n alone: an axis row is measured along
+    M's top eigenvector (Luo, PRA 77, 042303, 2008).  It is constant when
+    also M = |T|^2 I / 3 (Girolami & Adesso, PRA 83, 052108, 2011): a
+    sphere row (Werner states and their local rotations), which is not an
+    axis row.  Each equality holds to SPHERE_TOL, |x| absolutely and |w|,
+    |M - |T|^2 I / 3| relative to |T| (Frobenius), the sizes their
+    rounding takes.
     """
     x = bloch[:, 1:, 0]
     t = bloch[:, 1:, 1:]
@@ -337,11 +359,9 @@ def _is_sphere(bloch: np.ndarray) -> np.ndarray:
     tt = np.trace(m, axis1=1, axis2=2)  # |T|^2
     w = (t @ bloch[:, 0, 1:, None])[..., 0]
     dev = m - tt[:, None, None] / 3.0 * np.eye(3)
-    return (
-        (_dots(x) <= SPHERE_TOL**2)
-        & (_dots(w) <= SPHERE_TOL**2 * tt)
-        & ((dev * dev).sum(axis=(1, 2)) <= SPHERE_TOL**2 * tt)
-    )
+    centred = (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * tt)
+    round_ = (dev * dev).sum(axis=(1, 2)) <= SPHERE_TOL**2 * tt
+    return centred & round_, centred & ~round_, m, tt
 
 
 def _dots(v: np.ndarray) -> np.ndarray:
@@ -357,6 +377,34 @@ def _pole_values(bloch: np.ndarray) -> np.ndarray:
     w = np.empty((2, 7, len(bloch)))
     w[0, :4] = bloch[:, 3].T  # B^T n at n = (0, 0, 1) is row 3 of 2 r, exactly
     return _bloch_values(bloch[:, 0].T, w)
+
+
+def _axis_values(bloch: np.ndarray, m: np.ndarray, tt: np.ndarray):
+    """Value, theta and phi of each axis row 2 r of a stack (k, 4, 4), with its M and |T|^2.
+
+    The direction is M's top eigenvector.  On a circle, where the top two
+    eigenvalues agree to SPHERE_TOL |T|, every direction in their plane is
+    optimal and the one reported is the normalized projection of e_z onto
+    the plane, or e_x when the plane is the equator: when the normal u's
+    tilt from e_z, times the gap below the circle, is at most SPHERE_TOL |T|
+    (the rounding that tilt takes).  The canonical angles of
+    ``_measurement_angles`` are reported, with the objective at
+    ``_direction(theta, phi)``.
+    """
+    mu, vec = np.linalg.eigh(m)
+    n = vec[:, :, 2]
+    scale = SPHERE_TOL * np.sqrt(tt)
+    for i in np.flatnonzero(mu[:, 2] - mu[:, 1] <= scale):
+        ux, uy, uz = vec[i, :, 0].tolist()
+        tilt = math.hypot(ux, uy)
+        if tilt * (mu[i, 1] - mu[i, 0]) <= scale[i]:
+            n[i] = (1.0, 0.0, 0.0)
+        else:  # e_z - u_z u, whose norm is the tilt
+            n[i] = (-uz * ux / tilt, -uz * uy / tilt, tilt)
+    theta, phi = _measurement_angles(n.T)
+    w = np.empty((2, 7, len(bloch)))
+    w[0, :4] = (_direction(theta, phi).T[:, None, :] @ bloch[:, 1:])[:, 0].T  # B^T n
+    return _bloch_values(bloch[:, 0].T, w), theta, phi
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -457,12 +505,11 @@ def _minimize_over_directions(
     canonical pole theta = phi = 0, and nothing is refined.  It serves
     flat objectives that are not spheres (product and pure states),
     qubit-qudit states and the brute-force geometric discord;
-    ``classical_correlation`` takes two-qubit spheres out before the
-    scan (``_is_sphere``).  Otherwise
+    ``classical_correlation`` takes two-qubit sphere and axis rows out
+    before the scan (``_classify``).  Otherwise
     ``_refine`` moves the three seeds, and the value reported is
-    ``objective`` at the canonical angles of the best of them: each
-    refined n is first mapped to n_z >= 0 (phi in [0, pi) on the
-    equator), so theta is at most pi/2.
+    ``objective`` at the canonical angles (``_measurement_angles``) of
+    the best of them, so theta is at most pi/2.
     Returns (value, theta, phi); deterministic (ties broken by grid
     and seed order).
     """
@@ -473,11 +520,7 @@ def _minimize_over_directions(
     if thetas.size > 1 and phis.size > 4 and hi - lo <= FLAT_SPREAD_TOL:
         return lo, 0.0, 0.0
     row, col = np.divmod(seeds, phis.size)
-    n = _refine(objective, _direction(thetas[row], phis[col]), values)
-    # n and -n are one measurement: report the one whose first nonzero of
-    # (n_z, n_y, n_x) is positive, so n_z >= 0, and phi in [0, pi) on the equator
-    n = [[-u for u in v] if (v[2] or v[1] or v[0]) < 0 else v for v in n.T.tolist()]
-    theta, phi = _angles(np.array(list(zip(*n))))
+    theta, phi = _measurement_angles(_refine(objective, _direction(thetas[row], phis[col]), values))
     val = objective(_direction(theta, phi))
     k = int(np.argmin(val))
     return float(val[k]), float(theta[k]), float(phi[k])
@@ -603,14 +646,17 @@ def classical_correlation(
     """Maximal classical mutual information over projective qubit measurements on A.
 
     Returns S(B) minus the minimized conditional entropy, together with
-    the minimizing measurement.  Two rules decide a constant objective,
-    where every measurement is optimal and the pole theta = phi = 0 is
-    reported.  The sphere rule (``_is_sphere``) reads it from the Bloch
-    data of a two-qubit state before any scan, and returns S(B) minus
-    the objective at the pole: Werner states, the protocols' outputs and
-    their local rotations.  The flat rule of ``_minimize_over_directions``
-    reads it from the scan: product and pure states, and the qubit-qudit
-    states.  Otherwise the reported value is accurate to about 1e-6 bits
+    the minimizing measurement.  Three rules decide a state without
+    refining.  Two read the Bloch data x, w = T y and M = T T^T of a
+    two-qubit state before any scan (``_classify``).  The sphere rule:
+    x = w = 0 and M prop. to I make the objective constant, and S(B)
+    minus its value at the pole theta = phi = 0 is returned (Werner
+    states, the protocols' outputs and their local rotations).  The axis
+    rule: x = w = 0 alone puts the optimum on M's top eigenvector, which
+    is measured (``_axis_values``; rotated Bell-diagonal states).  The
+    flat rule of ``_minimize_over_directions`` reads a constant objective
+    from the scan and reports the pole: product and pure states, and the
+    qubit-qudit states.  Otherwise the reported value is accurate to about 1e-6 bits
     at the default grid.  The grid is checked on every path.  A (2, d_B > 2)
     state over MAX_QUDIT_SCAN_WORK (``_scan_tables``) is refused before the scan.
     """
@@ -641,16 +687,21 @@ def _classical_correlations(parts: np.ndarray, sb: np.ndarray, db: int, tables: 
     """``classical_correlation`` of each (2, d_B) state in a stack, from its
     ``_measured_parts`` and S(B) and the grid's ``_scan_tables``.
 
-    The sphere rows get the objective at the pole in one call; every
+    The sphere rows get the objective at the pole in one call, and the
+    axis rows the objective along M's top eigenvector in another; every
     other row is scanned and refined on its own.
     """
     vals = np.empty(len(parts))
     angles = np.zeros((len(parts), 2))
-    sphere = _is_sphere(parts) if parts.ndim == 3 else np.zeros(len(parts), dtype=bool)
+    sphere = axis = np.zeros(len(parts), dtype=bool)
+    if parts.ndim == 3:
+        sphere, axis, m, tt = _classify(parts)
     if sphere.any():
         vals[sphere] = _pole_values(parts[sphere])
+    if axis.any():
+        vals[axis], angles[axis, 0], angles[axis, 1] = _axis_values(parts[axis], m[axis], tt[axis])
     tile = max(_SCAN_TILE * 4 // db**2, 1)
-    for i in np.flatnonzero(~sphere):
+    for i in np.flatnonzero(~(sphere | axis)):
         vals[i], angles[i, 0], angles[i, 1] = _minimize_over_directions(
             _conditional_entropy_objective(parts[i]), *tables, tile
         )

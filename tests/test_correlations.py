@@ -305,32 +305,44 @@ def _random_unitary(rng):
     return np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
 
 
-def test_discord_matches_luo_on_rotated_bell_diagonal():
-    """Luo's closed form (PRA 77, 042303, 2008) for Bell-diagonal states.
+def _rotated_bell_diagonal(rng):
+    """A Bell-diagonal state under random local unitaries: (rho, c, discord).
 
-    With rho = (I + sum_i c_i s_i x s_i) / 4 and c = max |c_i|, the
-    discord is I(A:B) - [(1 - c) log2(1 - c) + (1 + c) log2(1 + c)] / 2
-    and the geometric discord (sum c_i^2 - max c_i^2) / 4.  Both are
-    invariant under local unitaries, which move the optimal measurement
-    off the grid axes.
+    With rho = (I + sum_i c_i s_i x s_i) / 4 and c = max |c_i|, Luo's
+    closed form (PRA 77, 042303, 2008) gives the classical correlation
+    [(1 - c) log2(1 - c) + (1 + c) log2(1 + c)] / 2, and the discord is
+    I(A:B) minus it.  Both are invariant under local unitaries, which
+    move the optimal measurement off the grid axes.
     """
     bells = [bell(name).vector for name in ("phi+", "phi-", "psi+", "psi-")]
+    lam = rng.dirichlet(np.ones(4))
+    m = sum(p * np.outer(v, v.conj()) for p, v in zip(lam, bells))
+    c = np.diag(_bloch_by_trace(DensityMatrix(m, (2, 2)))[1])
+    cmax = np.abs(c).max()
+    classical = sum((1 + sgn * cmax) / 2 * np.log2(1 + sgn * cmax) for sgn in (-1, 1))
+    luo = 2.0 + float(np.sum(lam * np.log2(lam))) - classical
+    u = np.kron(_random_unitary(rng), _random_unitary(rng))
+    return DensityMatrix(u @ m @ u.conj().T, (2, 2)), c, luo
+
+
+def test_discord_matches_luo_on_rotated_bell_diagonal():
+    """Luo's closed form for the discord, and the geometric discord
+    (sum c_i^2 - max c_i^2) / 4, on rotated Bell-diagonal states."""
     rng = np.random.default_rng(SEED + 10)
     for _ in range(40):
-        lam = rng.dirichlet(np.ones(4))
-        m = sum(p * np.outer(v, v.conj()) for p, v in zip(lam, bells))
-        c = np.diag(_bloch_by_trace(DensityMatrix(m, (2, 2)))[1])
-        cmax = np.abs(c).max()
-        classical = sum((1 + sgn * cmax) / 2 * np.log2(1 + sgn * cmax) for sgn in (-1, 1))
-        luo = 2.0 + float(np.sum(lam * np.log2(lam))) - classical
+        rho, c, luo = _rotated_bell_diagonal(rng)
         dg = (np.sum(c * c) - np.max(c * c)) / 4
-        u = np.kron(_random_unitary(rng), _random_unitary(rng))
-        rho = DensityMatrix(u @ m @ u.conj().T, (2, 2))
         assert abs(discord(rho).discord - luo) <= 1e-9
         assert abs(geometric_discord(rho, method="brute-force") - dg) <= 1e-12
 
 
 _SIGMA = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def _bell_diagonal(c):
+    """The Bell-diagonal state (I + sum_i c_i s_i x s_i) / 4."""
+    m = np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, _SIGMA))
+    return DensityMatrix(m / 4, (2, 2))
 
 
 def _explicit_conditional_entropy(rho, n):
@@ -522,18 +534,22 @@ def test_qudit_scan_work_is_capped(monkeypatch):
             classical_correlation(random_density(rng, 2 * db, (2, db)), grid)
 
 
+def _searched(rho, grid=DEFAULT_GRID):
+    """S(B) minus the search's minimum, and its angles: the scan and refinement alone."""
+    objective = _conditional_entropy_objective(_parts(rho))
+    val, theta, phi = _minimize_over_directions(objective, *_grid_directions(grid))
+    return entropy(partial_trace(rho, (0,))) - val, theta, phi
+
+
 def test_odd_and_tiny_grids_agree_with_luo_and_default():
-    bells = [bell(name).vector for name in ("phi+", "phi-", "psi+", "psi-")]
+    """Rotated Bell-diagonal states are decided by the axis rule on every grid, so the
+    search is run on them directly; (2, 3) states against the default grid."""
     rng = np.random.default_rng(SEED + 13)
     for _ in range(10):
-        lam = rng.dirichlet(np.ones(4))
-        m = sum(p * np.outer(v, v.conj()) for p, v in zip(lam, bells))
-        cmax = np.abs(np.diag(_bloch_by_trace(DensityMatrix(m, (2, 2)))[1])).max()
-        classical = sum((1 + sgn * cmax) / 2 * np.log2(1 + sgn * cmax) for sgn in (-1, 1))
-        luo = 2.0 + float(np.sum(lam * np.log2(lam))) - classical
-        u = np.kron(_random_unitary(rng), _random_unitary(rng))
-        rho = DensityMatrix(u @ m @ u.conj().T, (2, 2))
+        rho, _, luo = _rotated_bell_diagonal(rng)
+        total = total_correlation(rho)
         for grid in ((2, 2), (3, 5), (15, 31)):
+            assert abs(total - _searched(rho, grid)[0] - luo) <= 1e-9
             assert abs(discord(rho, grid=grid).discord - luo) <= 1e-9
     for _ in range(10):
         rho = random_density(rng, 6, (2, 3))
@@ -629,6 +645,122 @@ def test_states_just_off_the_sphere_reach_the_scan(monkeypatch):
     for grid in ((1, 1), (2, correlations.MAX_GRID_POINTS)):
         with pytest.raises(DomainError):
             classical_correlation(werner(0.3), grid=grid)
+
+
+def _binary_entropy(p):
+    return -sum(q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+
+
+def _kernel_field_state(rng):
+    """A state with x = 0 and y != 0 in ker T, and its discord from Luo's closed form.
+
+    (I + s I x sz + t1 sx x sx + t2 sy x sy) / 4 is an X state with
+    eigenvalues (1 +/- sqrt(s^2 + (t1 -/+ t2)^2)) / 4, so it is a state when
+    s^2 + (|t1| + |t2|)^2 <= 1; y = s e_z spans ker T, so w = T y = 0.
+    Measuring n leaves B with Bloch vectors of norm sqrt(s^2 + |T^T n|^2),
+    so the classical correlation is h((1 + |s|) / 2) minus
+    h((1 + sqrt(s^2 + max(t1^2, t2^2))) / 2).  Local unitaries keep all of it.
+    """
+    r, a, f = np.sqrt(rng.uniform(0.0, 0.98)), rng.uniform(0.05, 1.5), rng.uniform(0.0, 1.0)
+    s, t = r * np.cos(a), r * np.sin(a)
+    t1, t2 = rng.choice((-1.0, 1.0), 2) * (f * t, (1.0 - f) * t)
+    sx, sy, sz = _SIGMA
+    m = (np.eye(4) + s * np.kron(np.eye(2), sz) + t1 * np.kron(sx, sx) + t2 * np.kron(sy, sy)) / 4
+    lam = np.array([
+        (1.0 + sgn * np.hypot(s, t1 + pm * t2)) / 4
+        for sgn in (-1, 1) for pm in (-1, 1)
+    ])
+    sb = _binary_entropy((1.0 + abs(s)) / 2)
+    classical = sb - _binary_entropy((1.0 + np.sqrt(s * s + max(t1 * t1, t2 * t2))) / 2)
+    total = 1.0 + sb + float(np.sum(lam * np.log2(lam)))
+    u = np.kron(_random_unitary(rng), _random_unitary(rng))
+    return DensityMatrix(u @ m @ u.conj().T, (2, 2)), total - classical
+
+
+def test_axis_rule_decides_x_and_w_free_states_without_a_scan(monkeypatch):
+    """x = w = 0 states (rotated Bell-diagonal ones, and ones with y != 0 in ker T) are
+    measured along M's top eigenvector, with no scan, to Luo's closed form.  The rule's
+    classical correlation is never below the search's: on every state at the default
+    grid, and on every fourth at 640 x 1280."""
+    rng = np.random.default_rng(SEED + 21)
+    cases = [_rotated_bell_diagonal(rng)[::2] for _ in range(200)]
+    cases += [_kernel_field_state(rng) for _ in range(40)]
+    searched = [
+        _searched(rho, (640, 1280) if i % 4 == 0 else DEFAULT_GRID)[0]
+        for i, (rho, _) in enumerate(cases)
+    ]
+    _no_scan(monkeypatch)
+    for i, ((rho, luo), search) in enumerate(zip(cases, searched)):
+        rep = discord(rho)
+        assert abs(rep.discord - luo) <= 1e-12, i
+        assert rep.classical >= search - 1e-15, i
+        # the value reported is the objective at the reported measurement
+        at = conditional_entropy_after(rho, rep.argmin_measurement)
+        assert abs(rep.classical - (entropy(partial_trace(rho, (0,))) - at)) <= 1e-15, i
+
+
+def test_states_just_off_the_axis_reach_the_scan(monkeypatch):
+    """A planted eps sz x I / 4 gives x != 0, and eps I x sz / 4 gives w = T y != 0, on a
+    rotated Bell-diagonal state and on a circle; both then reach the scan."""
+    rng = np.random.default_rng(SEED + 22)
+    bases = [_rotated_bell_diagonal(rng)[0].matrix, _bell_diagonal((0.4, 0.4, 0.1)).matrix]
+    _no_scan(monkeypatch)
+    sz, i2 = np.diag([1.0, -1.0]), np.eye(2)
+    for base in bases:
+        classical_correlation(DensityMatrix(base, (2, 2)))  # an axis row: no scan
+        for field in (np.kron(sz, i2), np.kron(i2, sz)):
+            for eps in (1e-13, 1e-9):
+                with pytest.raises(_ReachedScan):
+                    classical_correlation(DensityMatrix(base + eps * field / 4, (2, 2)))
+
+
+def _perturbed(rng, m):
+    """m plus a seeded traceless Hermitian matrix of Frobenius norm 1e-15, as a two-qubit state."""
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = a + a.conj().T
+    h -= np.trace(h) / 4 * np.eye(4)
+    return DensityMatrix(m + h * (1e-15 / np.linalg.norm(h)), (2, 2))
+
+
+def test_axis_rule_reports_one_point_of_a_circle():
+    """c = (0.4, 0.4, 0.1): every equator direction is optimal.  Under 40 traceless
+    Hermitian perturbations of Frobenius norm 1e-15 the rule reports e_x every time;
+    a circle in a meridian plane reports the pole, and a rotated circle the projection
+    of e_z onto its plane, to the rounding of that plane."""
+    rng = np.random.default_rng(SEED + 23)
+    base = _bell_diagonal((0.4, 0.4, 0.1)).matrix
+    reported = set()
+    for _ in range(40):
+        m = discord(_perturbed(rng, base)).argmin_measurement
+        reported.add((m.theta, m.phi))
+    assert reported == {(np.pi / 2, 0.0)}
+    for c in ((0.1, 0.4, 0.4), (0.4, 0.1, 0.4)):
+        assert _at_pole(discord(_bell_diagonal(c)).argmin_measurement), c
+    # rotated by U_A x U_B, the circle's plane has normal R_A e_z, and the point of it nearest
+    # e_z is e_z - (R_A)_zz R_A e_z, normalized, with R_A = Tr(s_i U_A s_j U_A^dagger) / 2
+    ua, ub = _random_unitary(rng), _random_unitary(rng)
+    normal = np.real([np.trace(s @ ua @ _SIGMA[2] @ ua.conj().T) / 2 for s in _SIGMA])
+    nearest = np.array([0.0, 0.0, 1.0]) - normal[2] * normal
+    nearest /= np.linalg.norm(nearest)
+    u = np.kron(ua, ub)
+    base = u @ base @ u.conj().T
+    for _ in range(40):
+        m = discord(_perturbed(rng, base)).argmin_measurement
+        assert np.abs(_direction(m.theta, m.phi) - nearest).max() <= 1e-12
+
+
+def test_generic_states_reach_the_search():
+    """Neither rule takes a generic state: among 5000 seeded states of rank 1 to 4 the
+    classifier finds no sphere and no axis row, so each is scanned and refined; on 50
+    of them the report is bitwise the search run directly."""
+    rng = np.random.default_rng(SEED + 24)
+    states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(5000)]
+    bloch = _measured_parts(np.stack([rho.matrix for rho in states]), (2, 2))
+    sphere, axis, _, _ = correlations._classify(bloch)
+    assert not sphere.any() and not axis.any()
+    for i, rho in enumerate(states[:50]):
+        classical, m = classical_correlation(rho)
+        assert (classical, m.theta, m.phi) == _searched(rho), i
 
 
 def _golden_min(fn, lo, hi, tol=1e-10):
@@ -812,14 +944,13 @@ def test_newton_converges_on_a_circle_of_optima():
     The Riemannian Hessian is singular along the circle; the refinement
     still ends within its cap, at Luo's value.
     """
-    sig = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     c = np.array([0.4, 0.4, 0.1])
-    rho = DensityMatrix((np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, sig))) / 4, (2, 2))
     cmax = np.abs(c).max()
     classical = sum((1 + sgn * cmax) / 2 * np.log2(1 + sgn * cmax) for sgn in (-1, 1))
-    rep = discord(rho)
-    assert abs(rep.classical - classical) <= 1e-9
-    assert abs(rep.argmin_measurement.theta - np.pi / 2) <= 1e-6
+    # the axis rule decides this state, so the search is run on it directly
+    searched, theta, _ = _searched(_bell_diagonal(c))
+    assert abs(searched - classical) <= 1e-9
+    assert abs(theta - np.pi / 2) <= 1e-6
 
 
 def test_reported_measurement_has_nonnegative_n_z():
@@ -845,6 +976,26 @@ def test_reported_measurement_has_nonnegative_n_z():
     assert abs(classical - 0.3883480520779692) <= 1e-15
     before = _direction(1.5904803451615288, 1.7267311156287515)
     assert np.abs(_direction(m.theta, m.phi) + before).max() <= 1e-6
+
+
+def test_angles_keep_phi_below_two_pi():
+    """A tiny negative n_y with n_x > 0 gives arctan2 just below 0, whose remainder
+    mod 2 pi rounds up to 2 pi; that phi is 0.  No other angle moves."""
+    theta, phi = _angles(np.array([[0.6], [-1e-17], [0.8]]))
+    assert phi.tolist() == [0.0] and theta.tolist() == [np.arccos(0.8)]
+    crafted = np.array([
+        [0.6, 0.6, -0.6, 1.0, 1e-16],
+        [-1e-17, -1e-10, -1e-17, -0.0, -1e-16],
+        [0.8, 0.8, 0.8, 0.0, 1.0],
+    ])
+    n = np.concatenate([_spread_directions(400), -_spread_directions(400), crafted], axis=1)
+    theta, phi = _angles(n)
+    pole = np.abs(n[:2]).max(axis=0) < correlations.POLE_CUTOFF
+    before = np.where(pole, 0.0, np.arctan2(n[1], n[0]) % (2.0 * np.pi))
+    assert (before == 2.0 * np.pi).sum() == 1
+    assert np.array_equal(phi, np.where(before == 2.0 * np.pi, 0.0, before))
+    assert ((0.0 <= phi) & (phi < 2.0 * np.pi)).all()
+    assert np.array_equal(theta, np.arccos(np.clip(n[2], -1.0, 1.0)))
 
 
 REFINE_TOL = 1e-7  # final compass-search step, radians
