@@ -18,26 +18,26 @@ central differences on an 8-point stencil, so repeated runs give
 identical results.  Each Newton iteration makes one objective call: the
 seeds' trial points, each with its own stencil, so an accepted point's
 stencil is already known.  The same refinement serves the two-qubit and qubit-qudit
-objectives and the brute-force geometric discord.  Three rules decide
-a state without refining.  Two read the two-qubit Bloch data
-2 r = [[1, y], [x, T]] before any scan, with w = T y and M = T T^T,
-each equality to ``qla.SPHERE_TOL`` (``_classify``).  The sphere rule:
-x = w = 0 and M prop. to I (Werner states, the protocols' outputs and
-their local rotations) make every measurement optimal, and the pole
-theta = phi = 0 is reported.  The axis rule: x = w = 0 alone makes the
-objective a decreasing function of n^T M n, so M's top eigenvector is
-measured (rotated Bell-diagonal states), a fixed point of its plane
-on a circle of optima.  The flat rule reads the scan: when its spread max - min is
-at most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
-minimum is returned at the pole (product and pure states, which are flat but not
-spheres, and flat qubit-qudit states).
+objectives and the brute-force geometric discord.  Two rules decide
+a state without refining.  The axis rule reads the two-qubit Bloch data
+2 r = [[1, y], [x, T]] before any scan, with w = T y and M = T T^T
+(``_classify``): x = w = 0, each to ``qla.SPHERE_TOL``, makes the
+objective a decreasing function of n^T M n.  It measures the pole
+theta = phi = 0 whenever the pole is optimal to SPHERE_TOL |T|, as on
+every sphere M prop. to I (Werner states, the protocols' outputs and
+their local rotations); otherwise M's top eigenvector (rotated
+Bell-diagonal states), or a fixed point of its plane on a circle of
+optima.  The flat rule reads the scan: when its spread max - min is at
+most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
+minimum is returned at the pole (product and pure states, which are flat
+but not spheres, and flat qubit-qudit states).
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
 entropy is the entropy of their spectra.  For a qubit B the spectrum
 is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
 coefficients of the G_i, so no matrices are formed; otherwise it is
 eigvalsh.  One kernel, ``_bloch_values``, evaluates the two-qubit form
-for the scan, the refinement's stencils and both rules' directions.  It
+for the scan, the refinement's stencils and the axis rule's directions.  It
 works in place in buffers that a scan allocates once: per direction a
 4 x 3 matrix product, a norm and six logarithms, 40-55 ns on the
 640 x 1280 grid (2-core Xeon VM, one BLAS thread).
@@ -48,19 +48,20 @@ case, and ``cli.sweep_rows`` calls it on each block of Werner states.
 Its kernels take the stack: the measured parts
 (``_measured_parts``, the correlation matrices for two qubits),
 ``_marginal_entropies`` and ``_entropies``, ``_classify``, the
-objective at the pole for every sphere row (``_pole_values``) and
-along M's top eigenvector for every axis row (``_axis_values``, a
-batched 3 x 3 eigh), ``_closed_form_geometric_discord`` (a batched
-3 x 3 eigvalsh), ``_concurrences`` (batched eigh and svd) and
-``_negativities`` (batched eigvalsh); the sign checks and clamps of
-``discord`` are applied elementwise.  A row that neither rule decides
-is scanned and refined on its own by ``_minimize_over_directions``.  The witness is a
-separate pass, in ``witness``.
+objective of every axis row at the pole or along M's top eigenvector
+(``_axis_values``, a batched 3 x 3 eigh),
+``_closed_form_geometric_discord`` (a batched 3 x 3 eigvalsh),
+``_concurrences`` (batched eigh and svd) and ``_negativities`` (batched
+eigvalsh); the sign checks and clamps of ``discord`` are applied
+elementwise.  Every other row is scanned and refined on its own by
+``_minimize_over_directions``.  The witness is a separate pass, in
+``witness``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,14 @@ class Measurement:
     phi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise DomainError(f"measurement angles must be finite, got ({self.theta}, {self.phi})")
+        t, p = self.theta, self.phi
+        real = (float, numbers.Real)  # checked first: math.isfinite warns on a numpy complex
+        try:
+            ok = isinstance(t, real) and isinstance(p, real) and math.isfinite(t) and math.isfinite(p)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
+            raise DomainError(f"measurement angles must be finite real numbers, got ({t}, {p})")
 
 
 def qubit_measurement(theta: float, phi: float) -> Measurement:
@@ -339,18 +346,15 @@ def _conditional_entropy_objective(parts: np.ndarray):
 
 
 def _classify(bloch: np.ndarray):
-    """The rule that decides each 2 r of a stack (N, 4, 4): (sphere, axis, M, |T|^2).
+    """The rows of a stack of 2 r (N, 4, 4) that the axis rule decides, with M and |T|^2.
 
     With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli
     coefficients (1 +/- x.n, y +/- T^T n)/2, so the objective is
     g(x.n, w.n, n^T M n) with w = T y and M = T T^T.  When x = w = 0 both
     outcomes have p = 1/2 and |y +/- T^T n|^2 = |y|^2 + n^T M n, so the
-    objective decreases with n^T M n alone: an axis row is measured along
-    M's top eigenvector (Luo, PRA 77, 042303, 2008).  It is constant when
-    also M = |T|^2 I / 3 (Girolami & Adesso, PRA 83, 052108, 2011): a
-    sphere row (Werner states and their local rotations), which is not an
-    axis row.  Each equality holds to SPHERE_TOL, |x| absolutely and |w|,
-    |M - |T|^2 I / 3| relative to |T| (Frobenius), the sizes their
+    objective decreases with n^T M n alone (Luo, PRA 77, 042303, 2008): an
+    axis row, measured by ``_axis_values``.  Each equality holds to
+    SPHERE_TOL, |x| absolutely and |w| relative to |T|, the sizes their
     rounding takes.
     """
     x = bloch[:, 1:, 0]
@@ -358,10 +362,7 @@ def _classify(bloch: np.ndarray):
     m = t @ np.swapaxes(t, 1, 2)
     tt = np.trace(m, axis1=1, axis2=2)  # |T|^2
     w = (t @ bloch[:, 0, 1:, None])[..., 0]
-    dev = m - tt[:, None, None] / 3.0 * np.eye(3)
-    centred = (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * tt)
-    round_ = (dev * dev).sum(axis=(1, 2)) <= SPHERE_TOL**2 * tt
-    return centred & round_, centred & ~round_, m, tt
+    return (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * tt), m, tt
 
 
 def _dots(v: np.ndarray) -> np.ndarray:
@@ -372,36 +373,37 @@ def _dots(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _pole_values(bloch: np.ndarray) -> np.ndarray:
-    """The two-qubit objective at the pole theta = phi = 0 of each 2 r in a stack (N, 4, 4)."""
-    w = np.empty((2, 7, len(bloch)))
-    w[0, :4] = bloch[:, 3].T  # B^T n at n = (0, 0, 1) is row 3 of 2 r, exactly
-    return _bloch_values(bloch[:, 0].T, w)
-
-
 def _axis_values(bloch: np.ndarray, m: np.ndarray, tt: np.ndarray):
     """Value, theta and phi of each axis row 2 r of a stack (k, 4, 4), with its M and |T|^2.
 
-    The direction is M's top eigenvector.  On a circle, where the top two
+    The pole theta = phi = 0 is reported whenever it is optimal to
+    tolerance, e_z^T M e_z >= mu - SPHERE_TOL |T| with mu M's top
+    eigenvalue: on every sphere, M prop. to I (Girolami & Adesso, PRA 83,
+    052108, 2011), and every circle of optima through the pole.  Otherwise
+    M's top eigenvector is measured.  On a circle, where the top two
     eigenvalues agree to SPHERE_TOL |T|, every direction in their plane is
     optimal and the one reported is the normalized projection of e_z onto
     the plane, or e_x when the plane is the equator: when the normal u's
     tilt from e_z, times the gap below the circle, is at most SPHERE_TOL |T|
-    (the rounding that tilt takes).  The canonical angles of
-    ``_measurement_angles`` are reported, with the objective at
-    ``_direction(theta, phi)``.
+    (the rounding that tilt takes).  These get the canonical angles of
+    ``_measurement_angles``.  Every row's objective is evaluated at
+    ``_direction(theta, phi)``, which is exactly e_z at the pole.
     """
     mu, vec = np.linalg.eigh(m)
-    n = vec[:, :, 2]
     scale = SPHERE_TOL * np.sqrt(tt)
-    for i in np.flatnonzero(mu[:, 2] - mu[:, 1] <= scale):
-        ux, uy, uz = vec[i, :, 0].tolist()
-        tilt = math.hypot(ux, uy)
-        if tilt * (mu[i, 1] - mu[i, 0]) <= scale[i]:
-            n[i] = (1.0, 0.0, 0.0)
-        else:  # e_z - u_z u, whose norm is the tilt
-            n[i] = (-uz * ux / tilt, -uz * uy / tilt, tilt)
-    theta, phi = _measurement_angles(n.T)
+    theta, phi = np.zeros((2, len(bloch)))
+    off = m[:, 2, 2] < mu[:, 2] - scale  # the rows whose pole is not optimal
+    if off.any():
+        mu, vec, scale = mu[off], vec[off], scale[off]
+        n = vec[:, :, 2]
+        for i in np.flatnonzero(mu[:, 2] - mu[:, 1] <= scale):
+            ux, uy, uz = vec[i, :, 0].tolist()
+            tilt = math.hypot(ux, uy)
+            if tilt * (mu[i, 1] - mu[i, 0]) <= scale[i]:
+                n[i] = (1.0, 0.0, 0.0)
+            else:  # e_z - u_z u, whose norm is the tilt
+                n[i] = (-uz * ux / tilt, -uz * uy / tilt, tilt)
+        theta[off], phi[off] = _measurement_angles(n.T)
     w = np.empty((2, 7, len(bloch)))
     w[0, :4] = (_direction(theta, phi).T[:, None, :] @ bloch[:, 1:])[:, 0].T  # B^T n
     return _bloch_values(bloch[:, 0].T, w), theta, phi
@@ -505,8 +507,8 @@ def _minimize_over_directions(
     canonical pole theta = phi = 0, and nothing is refined.  It serves
     flat objectives that are not spheres (product and pure states),
     qubit-qudit states and the brute-force geometric discord;
-    ``classical_correlation`` takes two-qubit sphere and axis rows out
-    before the scan (``_classify``).  Otherwise
+    ``classical_correlation`` takes the two-qubit axis rows, spheres
+    among them, out before the scan (``_classify``).  Otherwise
     ``_refine`` moves the three seeds, and the value reported is
     ``objective`` at the canonical angles (``_measurement_angles``) of
     the best of them, so theta is at most pi/2.
@@ -646,17 +648,17 @@ def classical_correlation(
     """Maximal classical mutual information over projective qubit measurements on A.
 
     Returns S(B) minus the minimized conditional entropy, together with
-    the minimizing measurement.  Three rules decide a state without
-    refining.  Two read the Bloch data x, w = T y and M = T T^T of a
-    two-qubit state before any scan (``_classify``).  The sphere rule:
-    x = w = 0 and M prop. to I make the objective constant, and S(B)
-    minus its value at the pole theta = phi = 0 is returned (Werner
-    states, the protocols' outputs and their local rotations).  The axis
-    rule: x = w = 0 alone puts the optimum on M's top eigenvector, which
-    is measured (``_axis_values``; rotated Bell-diagonal states).  The
-    flat rule of ``_minimize_over_directions`` reads a constant objective
-    from the scan and reports the pole: product and pure states, and the
-    qubit-qudit states.  Otherwise the reported value is accurate to about 1e-6 bits
+    the minimizing measurement.  Two rules decide a state without
+    refining.  The axis rule reads the Bloch data x, w = T y and
+    M = T T^T of a two-qubit state before any scan (``_classify``):
+    x = w = 0 puts the optimum on M's top eigenvector (``_axis_values``).
+    It reports the pole theta = phi = 0 whenever the pole is optimal to
+    SPHERE_TOL |T|, as on every sphere, M prop. to I (Werner states, the
+    protocols' outputs and their local rotations); otherwise the top
+    eigenvector (rotated Bell-diagonal states).  The flat rule of
+    ``_minimize_over_directions`` reads a constant objective from the scan
+    and reports the pole: product and pure states, and the qubit-qudit
+    states.  Otherwise the reported value is accurate to about 1e-6 bits
     at the default grid.  The grid is checked on every path.  A (2, d_B > 2)
     state over MAX_QUDIT_SCAN_WORK (``_scan_tables``) is refused before the scan.
     """
@@ -687,21 +689,18 @@ def _classical_correlations(parts: np.ndarray, sb: np.ndarray, db: int, tables: 
     """``classical_correlation`` of each (2, d_B) state in a stack, from its
     ``_measured_parts`` and S(B) and the grid's ``_scan_tables``.
 
-    The sphere rows get the objective at the pole in one call, and the
-    axis rows the objective along M's top eigenvector in another; every
-    other row is scanned and refined on its own.
+    The axis rows get their values in one call of ``_axis_values``;
+    every other row is scanned and refined on its own.
     """
     vals = np.empty(len(parts))
     angles = np.zeros((len(parts), 2))
-    sphere = axis = np.zeros(len(parts), dtype=bool)
+    axis = np.zeros(len(parts), dtype=bool)
     if parts.ndim == 3:
-        sphere, axis, m, tt = _classify(parts)
-    if sphere.any():
-        vals[sphere] = _pole_values(parts[sphere])
+        axis, m, tt = _classify(parts)
     if axis.any():
         vals[axis], angles[axis, 0], angles[axis, 1] = _axis_values(parts[axis], m[axis], tt[axis])
     tile = max(_SCAN_TILE * 4 // db**2, 1)
-    for i in np.flatnonzero(~(sphere | axis)):
+    for i in np.flatnonzero(~axis):
         vals[i], angles[i, 0], angles[i, 1] = _minimize_over_directions(
             _conditional_entropy_objective(parts[i]), *tables, tile
         )
@@ -713,10 +712,10 @@ class CorrelationReport:
     """Bundle of every correlation measure for one bipartite state.
 
     ``geometric_discord`` and ``concurrence`` are None when the B side
-    is not a qubit (they are two-qubit quantities).  An
-    ``argmin_measurement`` at the pole theta = phi = 0 on a flat
-    objective means every measurement is optimal (see
-    ``_minimize_over_directions``).
+    is not a qubit (they are two-qubit quantities).  The pole theta =
+    phi = 0 is the ``argmin_measurement`` whenever it is optimal on a flat
+    objective (``_minimize_over_directions``) or on an axis row
+    (``_axis_values``), so on every sphere.
     """
 
     total: float

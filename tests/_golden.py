@@ -28,8 +28,8 @@ import numpy as np
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Files the shell writes before the first run: the README's two qubit
-# projectors, |00>, a generic rank-4 two-qubit state (neither a Bloch
-# sphere nor flat, so `measures` scans and refines it), a `dims:` line whose
+# projectors, |00>, a generic rank-4 two-qubit state (neither an axis
+# state nor flat, so `measures` scans and refines it), a `dims:` line whose
 # int64 product wraps to 1, and one above statefile.MAX_STATE_DIM.
 SETUP_FILES = {
     "b0.qs": "qstate v1\ndims: 2\n1+0j 0j\n0j 0j\n",

@@ -35,12 +35,12 @@ from qdissonance.correlations import (
     Measurement,
     _STENCIL,
     _angles,
+    _axis_values,
     _conditional_entropy_objective,
     _direction,
     _grid_directions,
     _measured_parts,
     _minimize_over_directions,
-    _pole_values,
     _refine,
     _scan,
 )
@@ -111,6 +111,13 @@ def test_qubit_measurement():
     for bad in ((float("nan"), 0.0), (0.0, float("nan")), (np.inf, 0), (0.0, -np.inf)):
         with pytest.raises(DomainError, match="finite"):
             qubit_measurement(*bad)
+    # real scalars only: np.isfinite passes a complex, which failed later inside the entropy
+    complex_ = np.complex128(0.5 + 0.1j)
+    for bad in ((1j, 0.0), (complex_, 0.0), (0.0, np.array([0.1, 0.2])), ("0", 0.0), (10**400, 0)):
+        with pytest.raises(DomainError, match="finite real numbers"):
+            Measurement(*bad)
+    for theta, phi in ((np.float64(0.5), 0), (1, np.float32(0.25)), (np.int64(1), 2.0)):
+        assert Measurement(theta, phi) == Measurement(float(theta), float(phi))
 
 
 def test_conditional_entropy_product_state():
@@ -543,7 +550,8 @@ def _searched(rho, grid=DEFAULT_GRID):
 
 def test_odd_and_tiny_grids_agree_with_luo_and_default():
     """Rotated Bell-diagonal states are decided by the axis rule on every grid, so the
-    search is run on them directly; (2, 3) states against the default grid."""
+    search is run on them directly; (2, 3) states and X states whose optimum only the
+    second or third scan seed reaches at a coarse grid against the default grid."""
     rng = np.random.default_rng(SEED + 13)
     for _ in range(10):
         rho, _, luo = _rotated_bell_diagonal(rng)
@@ -556,6 +564,11 @@ def test_odd_and_tiny_grids_agree_with_luo_and_default():
         ref = discord(rho).discord
         for grid in ((2, 2), (3, 5), (15, 31)):
             assert discord(rho, grid=grid).discord == pytest.approx(ref, abs=1e-7)
+    for params in _SEED_X_STATES:
+        rho = _x_state(*params)
+        ref = classical_correlation(rho)[0]
+        for grid in ((3, 5), (4, 8)):
+            assert abs(classical_correlation(rho, grid=grid)[0] - ref) <= 1e-9, (params, grid)
 
 
 def _at_pole(m):
@@ -749,15 +762,38 @@ def test_axis_rule_reports_one_point_of_a_circle():
         assert np.abs(_direction(m.theta, m.phi) - nearest).max() <= 1e-12
 
 
+def test_axis_rule_reports_the_pole_whenever_it_is_optimal():
+    """Near a sphere the pole is reported exactly when it is optimal to SPHERE_TOL |T|.
+
+    rho_14 = rho_41 = 1.25e-15 adds 2.5e-15 (sx x sx - sy x sy) / 4 to werner(z): the top
+    of M moves to e_y and its bottom to e_x, while e_z^T M e_z stays ~0.8 SPHERE_TOL |T|
+    below the top, so the pole is reported and not the weakest axis e_x.  A planted
+    3.4e-15 sz x sz / 4 puts e_z^T M e_z ~1.1 SPHERE_TOL |T| below the equator's circle,
+    whose fixed point e_x is reported, with a higher classical correlation than the pole's.
+    """
+    zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])) / 4
+    pole, equator = (0.0, 0.0), (np.pi / 2, 0.0)
+    for z in (0.2, 0.5):
+        m = werner(z).matrix.copy()
+        m[0, 3] = m[3, 0] = 1.25e-15
+        off_pole = werner(z).matrix + 3.4e-15 * zz
+        for matrix, want, other in ((m, pole, equator), (off_pole, equator, pole)):
+            rho = DensityMatrix(matrix, (2, 2))
+            classical, got = classical_correlation(rho)
+            assert (got.theta, got.phi) == want, z
+            sb = entropy(partial_trace(rho, (0,)))
+            assert classical > sb - conditional_entropy_after(rho, qubit_measurement(*other)), z
+
+
 def test_generic_states_reach_the_search():
-    """Neither rule takes a generic state: among 5000 seeded states of rank 1 to 4 the
-    classifier finds no sphere and no axis row, so each is scanned and refined; on 50
-    of them the report is bitwise the search run directly."""
+    """The axis rule takes no generic state: among 5000 seeded states of rank 1 to 4 the
+    classifier finds no axis row, so each is scanned and refined; on 50 of them the
+    report is bitwise the search run directly."""
     rng = np.random.default_rng(SEED + 24)
     states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(5000)]
     bloch = _measured_parts(np.stack([rho.matrix for rho in states]), (2, 2))
-    sphere, axis, _, _ = correlations._classify(bloch)
-    assert not sphere.any() and not axis.any()
+    axis, _, _ = correlations._classify(bloch)
+    assert not axis.any()
     for i, rho in enumerate(states[:50]):
         classical, m = classical_correlation(rho)
         assert (classical, m.theta, m.phi) == _searched(rho), i
@@ -799,6 +835,12 @@ _OFF_AXIS_X_STATES = (
 _COMPETING_X_STATES = (
     (0.32775, 0.59344, 0.01235, 0.06646, -0.03508, 0.03009),
     (0.51984, 0.45124, 0.00154, 0.02738, -0.00563, -0.01314),
+)
+# X states where the best cell of a 3 x 5 or 4 x 8 scan refines into a basin whose
+# classical correlation is 1.0e-3 to 2.8e-3 bits low; the second or third seed is not.
+_SEED_X_STATES = (
+    (0.2848, 0.4771, 0.0025, 0.2356, -0.1731, -0.0193),
+    (0.4771, 0.4026, 0.1187, 0.0016, -0.0096, -0.1574),
 )
 
 
@@ -1124,8 +1166,8 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     """The in-place two-qubit kernel gives the reference's bits on every call shape.
 
     Directions (3, N), the refinement's calls (3, k, 8) and (3, k, 9),
-    the pole of a whole stack, and every value the grid scan folds, at a
-    64-direction tile and at the default tile.
+    the pole of a whole stack through the axis rule's value path, and every
+    value the grid scan folds, at a 64-direction tile and at the default tile.
     """
     rng = np.random.default_rng(SEED + 71)
     states = _kernel_states()
@@ -1135,7 +1177,10 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     n = _spread_directions(257)
     bloch = np.stack([_parts(rho) for rho in states])
     pole = np.array([_reference_objective(b, _direction(0.0, 0.0)) for b in bloch])
-    assert np.array_equal(_pole_values(bloch), pole)
+    # M = I makes the pole optimal, so every row takes it
+    eye = np.broadcast_to(np.eye(3), (len(bloch), 3, 3))
+    vals, theta, phi = _axis_values(bloch, eye, np.full(len(bloch), 3.0))
+    assert np.array_equal(vals, pole) and not theta.any() and not phi.any()
     for i in range(len(states)):
         objective = _conditional_entropy_objective(bloch[i])
         stencil = rng.standard_normal((3, 3, 9))
@@ -1336,7 +1381,7 @@ def _same_witness(a, b):
 
 
 def test_a_mixed_stack_equals_the_per_state_reports():
-    """Werner rows (sphere rule) and the zoo (scans among them) in one two-qubit
+    """Werner rows (the axis rule's pole) and the zoo (scans among them) in one two-qubit
     stack, and three (2, 3) states in another: every field of every row is
     bitwise the per-state discord and witness_report."""
     rng = np.random.default_rng(SEED + 62)
