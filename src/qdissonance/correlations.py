@@ -20,17 +20,17 @@ seeds' trial points, each with its own stencil, so an accepted point's
 stencil is already known.  The same refinement serves the two-qubit and qubit-qudit
 objectives and the brute-force geometric discord.  Two rules decide
 a state without refining.  The axis rule reads the two-qubit Bloch data
-2 r = [[1, y], [x, T]] before any scan, with w = T y and M = T T^T
-(``_classify``): x = w = 0, each to ``qla.SPHERE_TOL``, makes the
-objective a decreasing function of n^T M n.  It measures the pole
-theta = phi = 0 whenever the pole is optimal to SPHERE_TOL |T|, as on
-every sphere M prop. to I (Werner states, the protocols' outputs and
-their local rotations); otherwise M's top eigenvector (rotated
-Bell-diagonal states), or a fixed point of its plane on a circle of
-optima.  The flat rule reads the scan: when its spread max - min is at
-most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
-minimum is returned at the pole (product and pure states, which are flat
-but not spheres, and flat qubit-qudit states).
+2 r = [[1, y], [x, T]] before any scan, with w = T y, M = T T^T and
+B = [x | T] (``_classify``, one SVD of B): x = w = 0, each to
+``qla.SPHERE_TOL``, makes the objective a decreasing function of
+n^T M n.  It measures the pole theta = phi = 0 whenever the pole is
+optimal to SPHERE_TOL |B|, as on every sphere M prop. to I (Werner
+states, the protocols' outputs and their local rotations); otherwise
+B's top left singular vector (rotated Bell-diagonal states), or a fixed
+point of its plane on a circle of optima.  The flat rule reads the scan:
+when its spread max - min is at most ``qla.FLAT_SPREAD_TOL`` (on a grid
+of at least 3 x 5) the grid minimum is returned at the pole (product and
+pure states, which are flat but not spheres, and flat qubit-qudit states).
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
 entropy is the entropy of their spectra.  For a qubit B the spectrum
@@ -45,17 +45,16 @@ works in place in buffers that a scan allocates once: per direction a
 Every state goes through one pass, ``_reports``, which takes a stack
 of N states (N, d, d) with their spectra: ``discord`` is its N = 1
 case, and ``cli.sweep_rows`` calls it on each block of Werner states.
-Its kernels take the stack: the measured parts
-(``_measured_parts``, the correlation matrices for two qubits),
-``_marginal_entropies`` and ``_entropies``, ``_classify``, the
-objective of every axis row at the pole or along M's top eigenvector
-(``_axis_values``, a batched 3 x 3 eigh),
-``_closed_form_geometric_discord`` (a batched 3 x 3 eigvalsh),
-``_concurrences`` (batched eigh and svd) and ``_negativities`` (batched
-eigvalsh); the sign checks and clamps of ``discord`` are applied
-elementwise.  Every other row is scanned and refined on its own by
-``_minimize_over_directions``.  The witness is a separate pass, in
-``witness``.
+Its kernels take the stack: the measured parts (``_measured_parts``, the
+correlation matrices for two qubits), ``_marginal_entropies`` and
+``_entropies``, ``_classify`` (a batched 3 x 4 svd, the one decomposition
+of B), the objective of every axis row at the pole or along B's top left
+singular vector (``_axis_values``), ``_geometric_discords`` (from the same
+singular values), ``_concurrences`` (batched eigh and svd) and
+``_negativities`` (batched eigvalsh); the sign checks and clamps of
+``discord`` are applied elementwise.  Every other row is scanned and
+refined on its own by ``_minimize_over_directions``.  The witness is a
+separate pass, in ``witness``.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ _REFINE_DIRECTIONS = 3 * (8 + 9 * NEWTON_ITER_CAP + 1)
 def _direction(theta, phi) -> np.ndarray:
     """Bloch unit vector n(theta, phi) along the first axis; broadcasts over arrays."""
     sin_t = np.sin(theta)
-    n = np.empty((3,) + np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+    n = np.empty((3,) + np.broadcast(theta, phi).shape)
     np.multiply(sin_t, np.cos(phi), out=n[0, ...])
     np.multiply(sin_t, np.sin(phi), out=n[1, ...])
     n[2] = np.cos(theta)
@@ -345,24 +344,25 @@ def _conditional_entropy_objective(parts: np.ndarray):
     return objective
 
 
-def _classify(bloch: np.ndarray):
-    """The rows of a stack of 2 r (N, 4, 4) that the axis rule decides, with M and |T|^2.
+def _classify(parts: np.ndarray):
+    """The axis rows of a stack of ``_measured_parts``, and U and sigma of each B = [x | T].
 
-    With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli
-    coefficients (1 +/- x.n, y +/- T^T n)/2, so the objective is
-    g(x.n, w.n, n^T M n) with w = T y and M = T T^T.  When x = w = 0 both
-    outcomes have p = 1/2 and |y +/- T^T n|^2 = |y|^2 + n^T M n, so the
-    objective decreases with n^T M n alone (Luo, PRA 77, 042303, 2008): an
-    axis row, measured by ``_axis_values``.  Each equality holds to
-    SPHERE_TOL, |x| absolutely and |w| relative to |T|, the sizes their
-    rounding takes.
+    With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli coefficients
+    (1 +/- x.n, y +/- T^T n)/2, so the objective is g(x.n, w.n, n^T M n) with
+    w = T y and M = T T^T.  When x = w = 0 both outcomes have p = 1/2 and
+    |y +/- T^T n|^2 = |y|^2 + n^T M n, so the objective decreases with n^T M n
+    alone (Luo, PRA 77, 042303, 2008): an axis row, measured by ``_axis_values``.
+    Each equality holds to SPHERE_TOL, |x| absolutely and |w| relative to |B|,
+    the sizes their rounding takes; B B^T = M + x x^T then gives M's eigenframe
+    U and spectrum sigma^2.  The geometric discord reads this one SVD of B too.
+    (2, d_B > 2) parts have no axis row and no SVD.
     """
-    x = bloch[:, 1:, 0]
-    t = bloch[:, 1:, 1:]
-    m = t @ np.swapaxes(t, 1, 2)
-    tt = np.trace(m, axis1=1, axis2=2)  # |T|^2
-    w = (t @ bloch[:, 0, 1:, None])[..., 0]
-    return (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * tt), m, tt
+    if parts.ndim == 4:
+        return np.zeros(len(parts), dtype=bool), None, None
+    u, s, _ = np.linalg.svd(parts[:, 1:], full_matrices=False)
+    x = parts[:, 1:, 0]
+    w = (parts[:, 1:, 1:] @ parts[:, 0, 1:, None])[..., 0]
+    return (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * _dots(s)), u, s
 
 
 def _dots(v: np.ndarray) -> np.ndarray:
@@ -373,33 +373,33 @@ def _dots(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _axis_values(bloch: np.ndarray, m: np.ndarray, tt: np.ndarray):
-    """Value, theta and phi of each axis row 2 r of a stack (k, 4, 4), with its M and |T|^2.
+def _axis_values(bloch: np.ndarray, u: np.ndarray, s: np.ndarray):
+    """Value, theta and phi of each axis row 2 r of a stack (k, 4, 4), with B's U and sigma.
 
     The pole theta = phi = 0 is reported whenever it is optimal to
-    tolerance, e_z^T M e_z >= mu - SPHERE_TOL |T| with mu M's top
-    eigenvalue: on every sphere, M prop. to I (Girolami & Adesso, PRA 83,
-    052108, 2011), and every circle of optima through the pole.  Otherwise
-    M's top eigenvector is measured.  On a circle, where the top two
-    eigenvalues agree to SPHERE_TOL |T|, every direction in their plane is
-    optimal and the one reported is the normalized projection of e_z onto
-    the plane, or e_x when the plane is the equator: when the normal u's
-    tilt from e_z, times the gap below the circle, is at most SPHERE_TOL |T|
-    (the rounding that tilt takes).  These get the canonical angles of
-    ``_measurement_angles``.  Every row's objective is evaluated at
-    ``_direction(theta, phi)``, which is exactly e_z at the pole.
+    tolerance, |e_z^T B|^2 >= sigma_1^2 - SPHERE_TOL |B|: on every sphere,
+    M prop. to I (Girolami & Adesso, PRA 83, 052108, 2011), and every
+    circle of optima through the pole.  Otherwise B's top left singular
+    vector is measured.  On a circle, where sigma_1^2 = sigma_2^2 to SPHERE_TOL |B|,
+    every direction in their plane is optimal and the one reported is the
+    normalized projection of e_z onto the plane, or e_x when the plane is
+    the equator: when the tilt of its normal u (the bottom left singular
+    vector) from e_z, times the gap sigma_2^2 - sigma_3^2, is at most
+    SPHERE_TOL |B|.  These get the canonical angles of ``_measurement_angles``.
+    Every row's objective is evaluated at ``_direction(theta, phi)``, which
+    is exactly e_z at the pole.
     """
-    mu, vec = np.linalg.eigh(m)
-    scale = SPHERE_TOL * np.sqrt(tt)
+    s2 = s * s
+    scale = SPHERE_TOL * np.sqrt(_dots(s))
     theta, phi = np.zeros((2, len(bloch)))
-    off = m[:, 2, 2] < mu[:, 2] - scale  # the rows whose pole is not optimal
+    off = _dots(u[:, 2] * s) < s2[:, 0] - scale  # |e_z^T B|^2: the rows whose pole is not optimal
     if off.any():
-        mu, vec, scale = mu[off], vec[off], scale[off]
-        n = vec[:, :, 2]
-        for i in np.flatnonzero(mu[:, 2] - mu[:, 1] <= scale):
-            ux, uy, uz = vec[i, :, 0].tolist()
+        s2, u, scale = s2[off], u[off], scale[off]
+        n = u[:, :, 0]
+        for i in np.flatnonzero(s2[:, 0] - s2[:, 1] <= scale):
+            ux, uy, uz = u[i, :, 2].tolist()
             tilt = math.hypot(ux, uy)
-            if tilt * (mu[i, 1] - mu[i, 0]) <= scale[i]:
+            if tilt * (s2[i, 1] - s2[i, 2]) <= scale[i]:
                 n[i] = (1.0, 0.0, 0.0)
             else:  # e_z - u_z u, whose norm is the tilt
                 n[i] = (-uz * ux / tilt, -uz * uy / tilt, tilt)
@@ -649,13 +649,13 @@ def classical_correlation(
 
     Returns S(B) minus the minimized conditional entropy, together with
     the minimizing measurement.  Two rules decide a state without
-    refining.  The axis rule reads the Bloch data x, w = T y and
-    M = T T^T of a two-qubit state before any scan (``_classify``):
-    x = w = 0 puts the optimum on M's top eigenvector (``_axis_values``).
+    refining.  The axis rule reads the Bloch data x, w = T y and the SVD of
+    B = [x | T] of a two-qubit state before any scan (``_classify``):
+    x = w = 0 puts the optimum on B's top left singular vector (``_axis_values``).
     It reports the pole theta = phi = 0 whenever the pole is optimal to
-    SPHERE_TOL |T|, as on every sphere, M prop. to I (Werner states, the
-    protocols' outputs and their local rotations); otherwise the top
-    eigenvector (rotated Bell-diagonal states).  The flat rule of
+    SPHERE_TOL |B|, as on every sphere, M = T T^T prop. to I (Werner states, the
+    protocols' outputs and their local rotations); otherwise that vector
+    (rotated Bell-diagonal states).  The flat rule of
     ``_minimize_over_directions`` reads a constant objective from the scan
     and reports the pole: product and pure states, and the qubit-qudit
     states.  Otherwise the reported value is accurate to about 1e-6 bits
@@ -666,7 +666,8 @@ def classical_correlation(
     parts = _measured_parts(m, rho.legs)
     tables = _scan_tables(grid, rho.legs[1])
     sb = _marginal_entropies(m, rho.legs, 1)
-    classical, measurements = _classical_correlations(parts, sb, rho.legs[1], tables)
+    axis, u, s = _classify(parts)
+    classical, measurements = _classical_correlations(parts, axis, u, s, sb, rho.legs[1], tables)
     return float(classical[0]), measurements[0]
 
 
@@ -685,20 +686,17 @@ def _scan_tables(grid: tuple[int, int], db: int) -> tuple[np.ndarray, np.ndarray
     return thetas, phis
 
 
-def _classical_correlations(parts: np.ndarray, sb: np.ndarray, db: int, tables: tuple):
+def _classical_correlations(parts: np.ndarray, axis, u, s, sb: np.ndarray, db: int, tables: tuple):
     """``classical_correlation`` of each (2, d_B) state in a stack, from its
-    ``_measured_parts`` and S(B) and the grid's ``_scan_tables``.
+    ``_measured_parts``, their ``_classify``, S(B) and the grid's ``_scan_tables``.
 
     The axis rows get their values in one call of ``_axis_values``;
     every other row is scanned and refined on its own.
     """
     vals = np.empty(len(parts))
     angles = np.zeros((len(parts), 2))
-    axis = np.zeros(len(parts), dtype=bool)
-    if parts.ndim == 3:
-        axis, m, tt = _classify(parts)
     if axis.any():
-        vals[axis], angles[axis, 0], angles[axis, 1] = _axis_values(parts[axis], m[axis], tt[axis])
+        vals[axis], angles[axis, 0], angles[axis, 1] = _axis_values(parts[axis], u[axis], s[axis])
     tile = max(_SCAN_TILE * 4 // db**2, 1)
     for i in np.flatnonzero(~axis):
         vals[i], angles[i, 0], angles[i, 1] = _minimize_over_directions(
@@ -745,7 +743,8 @@ def _reports(
     tables = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
     sb = _marginal_entropies(m, legs, 1)
     total = _mutual_information(m, lam, legs, sb)
-    classical, measurements = _classical_correlations(parts, sb, legs[1], tables)
+    axis, u, s = _classify(parts)
+    classical, measurements = _classical_correlations(parts, axis, u, s, sb, legs[1], tables)
     disc = total - classical
     sign_tol = -CORRELATION_SIGN_TOL
     bad = (disc < sign_tol) | (classical < sign_tol) | (total < -TOTAL_SIGN_TOL)
@@ -760,7 +759,7 @@ def _reports(
     classical = np.minimum(np.maximum(classical, 0.0), total)
     disc = total - classical
     if legs == (2, 2):
-        geometric = _closed_form_geometric_discord(parts).tolist()
+        geometric = _geometric_discords(s).tolist()
         conc = _concurrences(m).tolist()
     else:
         geometric = conc = [None] * len(m)
@@ -779,9 +778,9 @@ def _reports(
 def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     """Squared Hilbert-Schmidt distance to the nearest zero-discord state.
 
-    The default is the two-qubit closed form
-    ``(|x|^2 + |T|^2 - k_max) / 4`` with k_max the largest eigenvalue
-    of ``x x^T + T T^T``.  ``method="brute-force"`` instead minimizes
+    The default is the two-qubit closed form (sigma_2^2 + sigma_3^2) / 4
+    (``_geometric_discords``) with sigma the singular values of
+    B = [x | T] that ``_classify`` takes.  ``method="brute-force"`` instead minimizes
     the distance over the zero-discord set directly (exactly over the
     B-side outcome states for each measurement basis, numerically over the
     basis direction on the default grid) and serves as the validation oracle.
@@ -789,8 +788,8 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     if rho.legs != (2, 2):
         raise DomainError(f"geometric_discord requires legs (2, 2), got {rho.legs}")
     if method == "closed-form":
-        bloch = _measured_parts(rho.matrix[None], rho.legs)
-        return float(_closed_form_geometric_discord(bloch)[0])
+        _, _, s = _classify(_measured_parts(rho.matrix[None], rho.legs))
+        return float(_geometric_discords(s)[0])
     if method == "brute-force":
         parts = _pauli_parts(rho.matrix[None], 2)[0]
         pur = rho.purity()
@@ -809,13 +808,14 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     raise DomainError(f"unknown geometric_discord method {method!r}")
 
 
-def _closed_form_geometric_discord(bloch: np.ndarray) -> np.ndarray:
-    """(|x|^2 + |T|^2 - k_max) / 4 of each 2 r = [[1, y], [x, T]] in a stack (N, 4, 4)."""
-    x = bloch[:, 1:, 0]
-    t = bloch[:, 1:, 1:]
-    k = x[:, :, None] * x[:, None, :] + t @ np.swapaxes(t, 1, 2)
-    kmax = np.linalg.eigvalsh(k)[:, -1]
-    return np.maximum((_dots(x) + (t * t).sum(axis=(1, 2)) - kmax) / 4.0, 0.0)
+def _geometric_discords(s: np.ndarray) -> np.ndarray:
+    """(sigma_2^2 + sigma_3^2) / 4 from the singular values (N, 3) of each B = [x | T].
+
+    Dakic, Vedral & Brukner's (|x|^2 + |T|^2 - k_max) / 4 (PRL 105, 190502, 2010),
+    k_max = sigma_1^2, with no cancelling difference.  It is 0 when sigma_2 <= SPHERE_TOL |B|.
+    """
+    gd = (s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2]) / 4.0
+    return np.where(s[:, 1] <= SPHERE_TOL * np.sqrt(_dots(s)), 0.0, gd)
 
 
 # sigma_y x sigma_y, the spin flip of Wootters' concurrence

@@ -56,7 +56,7 @@ CURVATURE_CUTOFF = 1e-6  # least |curvature| (bits/rad^2) a Newton step divides 
 NEWTON_ITER_CAP = 30  # iterations (a trial step with its stencil) of one Newton refinement
 DIFFERENCE_STEP = 1e-4  # tangent offset, radians, of the refinement's central differences
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
-SPHERE_TOL = 16 * np.finfo(float).eps  # |x|, |Ty|/|T| read as 0, TT^T's eigenvalue gaps/|T| as ties
+SPHERE_TOL = 16 * np.finfo(float).eps  # |x|, |Ty|/|B|, sigma_2(B)/|B| read as 0, sigma^2 gaps/|B| ties
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
 RANK_TOL = 1e-10  # singular value of R counted towards the rank L
 COMMUTATOR_TOL = 1e-9  # Frobenius norm of a commutator verdicting zero discord

@@ -49,8 +49,8 @@ from qdissonance.qla import (
 )
 
 from _zoo import (
-    build_zoo, near_pure_rotated, random_cq, random_density, random_product, random_qubit_basis,
-    random_two_qubit, werner_with_imaginary_residual,
+    build_zoo, haar_unitary, near_pure_rotated, random_cq, random_density, random_product,
+    random_qubit_basis, random_two_qubit, werner_with_imaginary_residual,
 )
 
 SEED = 7200
@@ -191,7 +191,8 @@ def test_discord_zero_for_cc_and_cq():
         cq = random_cq(rng)
         rep = discord(cq)
         assert rep.discord <= 1e-6
-        assert geometric_discord(cq) <= 1e-8
+        assert geometric_discord(cq) == 0.0
+        assert rep.geometric_discord == 0.0
 
 
 def test_discord_qubit_qutrit_side():
@@ -225,6 +226,16 @@ def test_geometric_discord_closed_form():
     assert geometric_discord(werner(1.0)) == pytest.approx(0.5, abs=1e-12)
     assert geometric_discord(werner(1.0 / 3.0)) == pytest.approx(1.0 / 18.0, abs=1e-12)
     assert geometric_discord(cc_state(np.diag([0.5, 0.5]))) == pytest.approx(0.0, abs=1e-12)
+    # c = (0.9, delta, -delta / 2) under Haar-random U_A x U_B: (c_2^2 + c_3^2) / 4 is
+    # far below the rounding of |x|^2 + |T|^2 - k_max, so it must not be taken as that difference
+    rng = np.random.default_rng(SEED + 8)
+    for delta in (1e-4, 1e-5, 1e-6, 1e-7):
+        want = (delta**2 + (delta / 2) ** 2) / 4
+        for _ in range(10):
+            u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            m = _bell_diagonal((0.9, delta, -delta / 2)).matrix
+            rho = DensityMatrix(u @ m @ u.conj().T, (2, 2))
+            assert abs(geometric_discord(rho) - want) <= 1e-7 * want, delta
     with pytest.raises(DomainError):
         geometric_discord(DensityMatrix(np.eye(6) / 6, (2, 3)))
     with pytest.raises(DomainError):
@@ -1177,9 +1188,9 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     n = _spread_directions(257)
     bloch = np.stack([_parts(rho) for rho in states])
     pole = np.array([_reference_objective(b, _direction(0.0, 0.0)) for b in bloch])
-    # M = I makes the pole optimal, so every row takes it
+    # U = I with equal singular values makes the pole optimal, so every row takes it
     eye = np.broadcast_to(np.eye(3), (len(bloch), 3, 3))
-    vals, theta, phi = _axis_values(bloch, eye, np.full(len(bloch), 3.0))
+    vals, theta, phi = _axis_values(bloch, eye, np.ones((len(bloch), 3)))
     assert np.array_equal(vals, pole) and not theta.any() and not phi.any()
     for i in range(len(states)):
         objective = _conditional_entropy_objective(bloch[i])
@@ -1321,8 +1332,11 @@ def test_discord_builds_each_piece_once(monkeypatch):
     parts once.  Discord and the witness are two passes, each with its own
     correlation matrix: ``certify`` makes one stack per pass, and a 21-row
     sweep makes each stack once per pass, 21 rows deep.  Every module that
-    builds correlation matrices is counted.  The shared pass returns
-    bitwise what the public functions return.
+    builds correlation matrices is counted.  Each two-qubit B = 2 r[1:]
+    (3 x 4) is decomposed once, by one SVD of its stack that the axis rule
+    and the geometric discord share, and no 3 x 3 eigensolve of M or
+    B B^T is left.  The shared pass returns bitwise what the public
+    functions return.
     """
     rng = np.random.default_rng(SEED + 61)
     names = ("_correlation_matrices", "_pauli_parts", "_marginal_entropies")
@@ -1342,18 +1356,37 @@ def test_discord_builds_each_piece_once(monkeypatch):
     for module in (witness, cli):
         monkeypatch.setattr(module, "_correlation_matrices", counting(module, "_correlation_matrices"))
 
+    decompositions = []  # (solver, states in the stack) of each 3 x 4 or 3 x 3 stack
+
+    def counting_solver(name):
+        f = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a)[-2:] in ((3, 4), (3, 3)):
+                decompositions.append((name, len(a)))
+            return f(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting_solver(name))
+
     def counts(call, *args):
         for name in names:
             calls[name].clear()
+        decompositions.clear()
         call(*args)
-        return tuple(calls[name] for name in names)
+        return tuple(calls[name] for name in names) + (list(decompositions),)
 
-    assert counts(discord, random_two_qubit(rng)) == ([1], [], [1, 1])
-    assert counts(discord, werner(0.3)) == ([1], [], [1, 1])
+    one = [("svd", 1)]
+    assert counts(discord, random_two_qubit(rng)) == ([1], [], [1, 1], one)
+    assert counts(discord, werner(0.3)) == ([1], [], [1, 1], one)
+    assert counts(geometric_discord, random_two_qubit(rng)) == ([1], [], [], one)
     assert counts(discord, random_density(rng, 6, (2, 3)))[1] == [1]
-    assert counts(witness_report, werner(0.3)) == ([1], [], [])
-    assert counts(certify, run_kraus_protocol(0.2)) == ([1, 1], [], [1, 1])
-    assert counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21) == ([21, 21], [], [21, 21])
+    assert counts(witness_report, werner(0.3)) == ([1], [], [], [])
+    assert counts(certify, run_kraus_protocol(0.2)) == ([1, 1], [], [1, 1], one)
+    sweep = counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21)
+    assert sweep == ([21, 21], [], [21, 21], [("svd", 21)])
 
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]
