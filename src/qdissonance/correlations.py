@@ -18,26 +18,35 @@ central differences on an 8-point stencil, so repeated runs give
 identical results.  Each Newton iteration makes one objective call: the
 seeds' trial points, each with its own stencil, so an accepted point's
 stencil is already known.  The same refinement serves the two-qubit and qubit-qudit
-objectives and the brute-force geometric discord.  Two rules decide
-a state without refining.  The axis rule reads the two-qubit Bloch data
-2 r = [[1, y], [x, T]] before any scan, with w = T y, M = T T^T and
-B = [x | T] (``_classify``, one SVD of B): x = w = 0, each to
-``qla.SPHERE_TOL``, makes the objective a decreasing function of
-n^T M n.  It measures the pole theta = phi = 0 whenever the pole is
-optimal to SPHERE_TOL |B|, as on every sphere M prop. to I (Werner
-states, the protocols' outputs and their local rotations); otherwise
-B's top left singular vector (rotated Bell-diagonal states), or a fixed
-point of its plane on a circle of optima.  The flat rule reads the scan:
-when its spread max - min is at most ``qla.FLAT_SPREAD_TOL`` (on a grid
-of at least 3 x 5) the grid minimum is returned at the pole (product and
-pure states, which are flat but not spheres, and flat qubit-qudit states).
+objectives and the brute-force geometric discord.  Three rules decide
+a state without refining.  Two of them read, before any scan, the
+singular values sigma and left singular vectors U of B, the 3 x 4 block
+[x | T] of the two-qubit Bloch data 2 r = [[1, y], [x, T]], or the real
+3 x 2 d_B^2 matrix of G_1..G_3 for a qudit B (``_classify``, one SVD of
+B).  The zero-discord rule: sigma_2 <= ``qla.ZERO_DISCORD_TOL`` |2 r|
+(the size of B's rounding, as 2 r_00 = 1) makes B rank 1 at most, so the
+state is classical-quantum and has zero discord (Dakic, Vedral &
+Brukner, PRL 105, 190502, 2010).  It measures
+the classical basis, B's top left singular vector, or the pole theta =
+phi = 0 on a product, where every measurement is optimal; ``discord``
+reports 0 with classical equal to total.  The axis rule takes the other
+two-qubit rows with x = w = 0, each to ``qla.SPHERE_TOL``, w = T y,
+where the objective is a decreasing function of n^T M n, M = T T^T.  It
+measures the pole whenever the pole is optimal to SPHERE_TOL |B|, as on
+every sphere M prop. to I (Werner states, the protocols' outputs and
+their local rotations); otherwise B's top left singular vector (rotated
+Bell-diagonal states), or a fixed point of its plane on a circle of
+optima.  The flat rule reads the scan: when its spread max - min is at
+most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
+minimum is returned at the pole (pure entangled states, which are flat
+but not spheres, and flat qubit-qudit states).
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
 entropy is the entropy of their spectra.  For a qubit B the spectrum
 is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
 coefficients of the G_i, so no matrices are formed; otherwise it is
 eigvalsh.  One kernel, ``_bloch_values``, evaluates the two-qubit form
-for the scan, the refinement's stencils and the axis rule's directions.  It
+for the scan, the refinement's stencils and the rules' directions.  It
 works in place in buffers that a scan allocates once: per direction a
 4 x 3 matrix product, a norm and six logarithms, 40-55 ns on the
 640 x 1280 grid (2-core Xeon VM, one BLAS thread).
@@ -47,14 +56,15 @@ of N states (N, d, d) with their spectra: ``discord`` is its N = 1
 case, and ``cli.sweep_rows`` calls it on each block of Werner states.
 Its kernels take the stack: the measured parts (``_measured_parts``, the
 correlation matrices for two qubits), ``_marginal_entropies`` and
-``_entropies``, ``_classify`` (a batched 3 x 4 svd, the one decomposition
-of B), the objective of every axis row at the pole or along B's top left
-singular vector (``_axis_values``), ``_geometric_discords`` (from the same
-singular values), ``_concurrences`` (batched eigh and svd) and
-``_negativities`` (batched eigvalsh); the sign checks and clamps of
-``discord`` are applied elementwise.  Every other row is scanned and
-refined on its own by ``_minimize_over_directions``.  The witness is a
-separate pass, in ``witness``.
+``_entropies``, ``_classify`` (a batched svd, the one decomposition
+of B), the objective of every rule row at its direction in one call
+(``_rule_values``), ``_geometric_discords`` (from the same singular
+values and zero-discord rows), ``_concurrences`` (batched eigh and svd)
+and ``_negativities`` (batched eigvalsh); the sign checks and clamps of
+``discord`` are applied elementwise, and a zero-discord row is set to
+discord 0 after them.  Every other row is scanned and refined on its own
+by ``_minimize_over_directions``, on grid tables built only then.  The
+witness is a separate pass, in ``witness``.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ import numpy as np
 from .qla import (
     CORRELATION_SIGN_TOL, CURVATURE_CUTOFF, DIFFERENCE_STEP, ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL,
     NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF, SPHERE_TOL, TOTAL_SIGN_TOL,
+    ZERO_DISCORD_TOL,
     DensityMatrix, DomainError, _as_index, _hermitian,
 )
 from .witness import PAULI_MATRICES, _correlation_matrices
@@ -145,14 +156,18 @@ def qubit_measurement(theta: float, phi: float) -> Measurement:
 
 
 def _angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical angles theta in [0, pi], phi in [0, 2 pi) of unit vectors n, shape (3, ...)."""
+    """Canonical angles theta in [0, pi], phi in [0, 2 pi) of unit vectors n, shape (3, ...).
+
+    A pole, |n_x| and |n_y| below POLE_CUTOFF, is theta = 0 or pi and phi = 0
+    exactly, whatever the rounding of its n_z (arccos(1 - 2^-53) is 1.5e-8).
+    """
     nx, ny, nz = n
     pole = np.abs(n[:2]).max(axis=0) < POLE_CUTOFF
     phi = np.arctan2(ny, nx) % (2.0 * np.pi)
     # a tiny negative n_y with n_x > 0 gives an angle just below 0, whose
     # remainder rounds up to 2 pi: that direction is phi = 0
     phi = np.where(pole | (phi == 2.0 * np.pi), 0.0, phi)
-    return np.arccos(np.clip(nz, -1.0, 1.0)), phi
+    return np.arccos(np.where(pole, np.sign(nz), np.clip(nz, -1.0, 1.0))), phi
 
 
 def _measurement_angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,24 +360,51 @@ def _conditional_entropy_objective(parts: np.ndarray):
 
 
 def _classify(parts: np.ndarray):
-    """The axis rows of a stack of ``_measured_parts``, and U and sigma of each B = [x | T].
+    """The rule rows of a stack of ``_measured_parts``, and U and sigma of each B.
 
-    With 2 r = [[1, y], [x, T]], measuring +/-n leaves B with Pauli coefficients
+    B is the 3 x 4 block [x | T] of 2 r = [[1, y], [x, T]] for two qubits,
+    and the real 3 x 2 d_B^2 matrix of G_1..G_3 otherwise; one SVD of the
+    stack gives every U and sigma, which the rules and the geometric discord read.
+    The zero-discord rows: sigma_2 is at most ``_zero_discord_scale``, so B
+    has rank at most 1, G_i = n_i H, and the state is classical-quantum,
+    sum_a p_a |a><a| x rho_a, which is zero discord for measurements on A
+    (Dakic, Vedral & Brukner, PRL 105, 190502, 2010); ``_zero_discord_angles``
+    measures them.  The axis rows, two-qubit rows that are not zero-discord
+    rows: measuring +/-n leaves B with Pauli coefficients
     (1 +/- x.n, y +/- T^T n)/2, so the objective is g(x.n, w.n, n^T M n) with
     w = T y and M = T T^T.  When x = w = 0 both outcomes have p = 1/2 and
     |y +/- T^T n|^2 = |y|^2 + n^T M n, so the objective decreases with n^T M n
-    alone (Luo, PRA 77, 042303, 2008): an axis row, measured by ``_axis_values``.
+    alone (Luo, PRA 77, 042303, 2008), measured by ``_axis_angles``.
     Each equality holds to SPHERE_TOL, |x| absolutely and |w| relative to |B|,
     the sizes their rounding takes; B B^T = M + x x^T then gives M's eigenframe
-    U and spectrum sigma^2.  The geometric discord reads this one SVD of B too.
-    (2, d_B > 2) parts have no axis row and no SVD.
+    U and spectrum sigma^2.  Returns (axis, zero, u, s).
     """
+    b = parts[:, 1:]
     if parts.ndim == 4:
-        return np.zeros(len(parts), dtype=bool), None, None
-    u, s, _ = np.linalg.svd(parts[:, 1:], full_matrices=False)
+        b = b.view(float).reshape(len(parts), 3, -1)
+    u, s, _ = np.linalg.svd(b, full_matrices=False)
+    zero = s[:, 1] <= _zero_discord_scale(parts)
+    if parts.ndim == 4:
+        return np.zeros(len(parts), dtype=bool), zero, u, s
     x = parts[:, 1:, 0]
     w = (parts[:, 1:, 1:] @ parts[:, 0, 1:, None])[..., 0]
-    return (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * _dots(s)), u, s
+    axis = (_dots(x) <= SPHERE_TOL**2) & (_dots(w) <= SPHERE_TOL**2 * _dots(s)) & ~zero
+    return axis, zero, u, s
+
+
+def _zero_discord_scale(parts: np.ndarray) -> np.ndarray:
+    """ZERO_DISCORD_TOL times the norm of each row of a stack of ``_measured_parts``.
+
+    That norm is |2 r| = 2 sqrt(Tr rho^2) for two qubits, at least 1 as
+    2 r_00 = 1, and sqrt(2 Tr rho^2) for the G_i of a qudit B: the size of
+    the rounding of B's entries, which does not shrink with |B|.
+    """
+    return ZERO_DISCORD_TOL * np.sqrt(_squared_norms(parts))
+
+
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """|a_k|^2 of each entry a_k of a real or complex stack, as ``_dots`` of its real view."""
+    return _dots(a.reshape(len(a), -1).view(float))
 
 
 def _dots(v: np.ndarray) -> np.ndarray:
@@ -373,8 +415,8 @@ def _dots(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _axis_values(bloch: np.ndarray, u: np.ndarray, s: np.ndarray):
-    """Value, theta and phi of each axis row 2 r of a stack (k, 4, 4), with B's U and sigma.
+def _axis_angles(u: np.ndarray, s: np.ndarray):
+    """Theta and phi of each axis row of a stack, from its B's U (k, 3, 3) and sigma (k, 3).
 
     The pole theta = phi = 0 is reported whenever it is optimal to
     tolerance, |e_z^T B|^2 >= sigma_1^2 - SPHERE_TOL |B|: on every sphere,
@@ -386,12 +428,10 @@ def _axis_values(bloch: np.ndarray, u: np.ndarray, s: np.ndarray):
     the equator: when the tilt of its normal u (the bottom left singular
     vector) from e_z, times the gap sigma_2^2 - sigma_3^2, is at most
     SPHERE_TOL |B|.  These get the canonical angles of ``_measurement_angles``.
-    Every row's objective is evaluated at ``_direction(theta, phi)``, which
-    is exactly e_z at the pole.
     """
     s2 = s * s
     scale = SPHERE_TOL * np.sqrt(_dots(s))
-    theta, phi = np.zeros((2, len(bloch)))
+    theta, phi = np.zeros((2, len(u)))
     off = _dots(u[:, 2] * s) < s2[:, 0] - scale  # |e_z^T B|^2: the rows whose pole is not optimal
     if off.any():
         s2, u, scale = s2[off], u[off], scale[off]
@@ -404,9 +444,44 @@ def _axis_values(bloch: np.ndarray, u: np.ndarray, s: np.ndarray):
             else:  # e_z - u_z u, whose norm is the tilt
                 n[i] = (-uz * ux / tilt, -uz * uy / tilt, tilt)
         theta[off], phi[off] = _measurement_angles(n.T)
-    w = np.empty((2, 7, len(bloch)))
-    w[0, :4] = (_direction(theta, phi).T[:, None, :] @ bloch[:, 1:])[:, 0].T  # B^T n
-    return _bloch_values(bloch[:, 0].T, w), theta, phi
+    return theta, phi
+
+
+def _zero_discord_angles(parts: np.ndarray, u: np.ndarray):
+    """Theta and phi of each zero-discord row of a stack of ``_measured_parts``, with B's U.
+
+    A product rho_A x rho_B, G_i = x_i G_0 with x_i = Tr G_i (T = x y^T for
+    two qubits) to ``_zero_discord_scale``, B = 0 among them, leaves B's state
+    unchanged by every measurement, so every one is optimal and the pole
+    theta = phi = 0 is reported.  Only these rows pay for the test.  Every
+    other row is measured in its classical basis, B's top left singular
+    vector, at the canonical angles of ``_measurement_angles``.
+    """
+    if parts.ndim == 3:
+        off = parts[:, 1:, 1:] - parts[:, 1:, :1] * parts[:, :1, 1:]  # T - x y^T
+    else:
+        g = parts[:, 1:]
+        off = g - np.trace(g, axis1=2, axis2=3).real[:, :, None, None] * parts[:, :1]
+    basis = _squared_norms(off) > _zero_discord_scale(parts) ** 2
+    theta, phi = np.zeros((2, len(parts)))
+    if basis.any():
+        theta[basis], phi[basis] = _measurement_angles(u[basis, :, 0].T)
+    return theta, phi
+
+
+def _rule_values(parts: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The objective of each row of a stack of ``_measured_parts`` at its own (theta, phi).
+
+    Two-qubit rows take one ``_bloch_values`` call at ``_direction(theta, phi)``,
+    which is exactly e_z at the pole; (2, d_B > 2) rows, which only the
+    zero-discord rule decides, their own objective each.
+    """
+    n = _direction(theta, phi)
+    if parts.ndim == 4:
+        return np.array([_conditional_entropy_objective(p)(d) for p, d in zip(parts, n.T)])
+    w = np.empty((2, 7, len(parts)))
+    w[0, :4] = (n.T[:, None, :] @ parts[:, 1:])[:, 0].T  # B^T n
+    return _bloch_values(parts[:, 0].T, w)
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -418,13 +493,8 @@ def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
     return float(objective(_direction(m.theta, m.phi)))
 
 
-def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """1-D theta and phi tables of the hemisphere scan of a T x P grid.
-
-    theta_k = (k + 1/2) pi / T for k < ceil(T/2) and all P values of
-    phi; for even T and P this grid is closed under n -> -n, so it
-    holds every measurement of the full T x P sphere grid.
-    """
+def _checked_grid(grid: tuple[int, int]) -> tuple[int, int]:
+    """A T x P grid as two ints, refused unless both are at least 2 and T P <= MAX_GRID_POINTS."""
     if len(grid) != 2:
         raise DomainError(f"grid must have two entries, got {grid!r}")
     gt, gp = (_as_index(g, "grid entry") for g in grid)
@@ -432,6 +502,17 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"grid must be at least 2x2, got {grid}")
     if gt * gp > MAX_GRID_POINTS:
         raise DomainError(f"grid {gt}x{gp} has more than {MAX_GRID_POINTS} directions")
+    return gt, gp
+
+
+def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """1-D theta and phi tables of the hemisphere scan of a ``_checked_grid`` T x P.
+
+    theta_k = (k + 1/2) pi / T for k < ceil(T/2) and all P values of
+    phi; for even T and P this grid is closed under n -> -n, so it
+    holds every measurement of the full T x P sphere grid.
+    """
+    gt, gp = _checked_grid(grid)
     thetas = (np.arange((gt + 1) // 2) + 0.5) * np.pi / gt
     phis = np.arange(gp) * 2.0 * np.pi / gp
     return thetas, phis
@@ -505,10 +586,10 @@ def _minimize_over_directions(
     two theta rows and five phi columns) the objective is flat: every
     measurement is optimal, the grid minimum is returned with the
     canonical pole theta = phi = 0, and nothing is refined.  It serves
-    flat objectives that are not spheres (product and pure states),
-    qubit-qudit states and the brute-force geometric discord;
-    ``classical_correlation`` takes the two-qubit axis rows, spheres
-    among them, out before the scan (``_classify``).  Otherwise
+    pure entangled states (flat, but not spheres), flat qubit-qudit states
+    and the brute-force geometric discord; ``classical_correlation`` takes
+    the zero-discord rows (products among them) and the two-qubit axis
+    rows (spheres among them) out before the scan (``_classify``).  Otherwise
     ``_refine`` moves the three seeds, and the value reported is
     ``objective`` at the canonical angles (``_measurement_angles``) of
     the best of them, so theta is at most pi/2.
@@ -648,33 +729,42 @@ def classical_correlation(
     """Maximal classical mutual information over projective qubit measurements on A.
 
     Returns S(B) minus the minimized conditional entropy, together with
-    the minimizing measurement.  Two rules decide a state without
-    refining.  The axis rule reads the Bloch data x, w = T y and the SVD of
-    B = [x | T] of a two-qubit state before any scan (``_classify``):
-    x = w = 0 puts the optimum on B's top left singular vector (``_axis_values``).
-    It reports the pole theta = phi = 0 whenever the pole is optimal to
-    SPHERE_TOL |B|, as on every sphere, M = T T^T prop. to I (Werner states, the
-    protocols' outputs and their local rotations); otherwise that vector
-    (rotated Bell-diagonal states).  The flat rule of
+    the minimizing measurement.  Three rules decide a state without
+    refining; the first two read the SVD of B (``_classify``) before any
+    scan.  The zero-discord rule takes every classical-quantum state, B of
+    rank 1 at most to ZERO_DISCORD_TOL |2 r| (B = [x | T], or G_1..G_3 for a
+    qudit B): it measures the state's classical basis, B's top left singular
+    vector, or the pole theta = phi = 0 on a product, where every
+    measurement is optimal (``_zero_discord_angles``).  The axis rule reads
+    the Bloch data x and w = T y of the other two-qubit states: x = w = 0
+    puts the optimum on B's top left singular vector (``_axis_angles``).
+    It reports the pole whenever the pole is optimal to SPHERE_TOL |B|, as
+    on every sphere, M = T T^T prop. to I (Werner states, the protocols'
+    outputs and their local rotations); otherwise that vector (rotated
+    Bell-diagonal states).  On the rows of both rules the value returned
+    is the one measured at the rule's direction.  The flat rule of
     ``_minimize_over_directions`` reads a constant objective from the scan
-    and reports the pole: product and pure states, and the qubit-qudit
+    and reports the pole: pure entangled states and flat qubit-qudit
     states.  Otherwise the reported value is accurate to about 1e-6 bits
     at the default grid.  The grid is checked on every path.  A (2, d_B > 2)
     state over MAX_QUDIT_SCAN_WORK (``_scan_tables``) is refused before the scan.
     """
     m = rho.matrix[None]
     parts = _measured_parts(m, rho.legs)
-    tables = _scan_tables(grid, rho.legs[1])
+    grid = _scan_tables(grid, rho.legs[1])
     sb = _marginal_entropies(m, rho.legs, 1)
-    axis, u, s = _classify(parts)
-    classical, measurements = _classical_correlations(parts, axis, u, s, sb, rho.legs[1], tables)
+    axis, zero, u, s = _classify(parts)
+    classical, measurements = _classical_correlations(parts, axis, zero, u, s, sb, rho.legs[1], grid)
     return float(classical[0]), measurements[0]
 
 
-def _scan_tables(grid: tuple[int, int], db: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's ``_grid_directions`` tables, refused when a (2, d_B) search costs too much."""
-    thetas, phis = _grid_directions(grid)
-    dirs = thetas.size * phis.size
+def _scan_tables(grid: tuple[int, int], db: int) -> tuple[int, int]:
+    """The ``_checked_grid``, refused when a (2, d_B) search on it costs too much.
+
+    Its ``_grid_directions`` tables are built only when a row is searched.
+    """
+    gt, gp = _checked_grid(grid)
+    dirs = (gt + 1) // 2 * gp
     work = (dirs + _REFINE_DIRECTIONS) * db**3
     if work > MAX_QUDIT_SCAN_WORK:
         fits = (2 + _REFINE_DIRECTIONS) * db**3 <= MAX_QUDIT_SCAN_WORK  # 2x2 scans the fewest, 2
@@ -683,26 +773,36 @@ def _scan_tables(grid: tuple[int, int], db: int) -> tuple[np.ndarray, np.ndarray
             f" refinement directions x {db}^3 = {work} > {MAX_QUDIT_SCAN_WORK};"
             f" {'a coarser grid' if fits else 'no grid'} admits it"
         )
-    return thetas, phis
+    return gt, gp
 
 
-def _classical_correlations(parts: np.ndarray, axis, u, s, sb: np.ndarray, db: int, tables: tuple):
+def _classical_correlations(parts: np.ndarray, axis, zero, u, s, sb: np.ndarray, db: int, grid):
     """``classical_correlation`` of each (2, d_B) state in a stack, from its
-    ``_measured_parts``, their ``_classify``, S(B) and the grid's ``_scan_tables``.
+    ``_measured_parts``, their ``_classify``, S(B) and the grid of ``_scan_tables``.
 
-    The axis rows get their values in one call of ``_axis_values``;
-    every other row is scanned and refined on its own.
+    The rows of the axis and zero-discord rules take their directions from
+    U and sigma, and their values from one ``_rule_values`` call; every
+    other row is scanned and refined on its own, on the grid's tables,
+    built when the first such row comes.
     """
     vals = np.empty(len(parts))
-    angles = np.zeros((len(parts), 2))
+    theta, phi = np.zeros((2, len(parts)))
     if axis.any():
-        vals[axis], angles[axis, 0], angles[axis, 1] = _axis_values(parts[axis], u[axis], s[axis])
-    tile = max(_SCAN_TILE * 4 // db**2, 1)
-    for i in np.flatnonzero(~axis):
-        vals[i], angles[i, 0], angles[i, 1] = _minimize_over_directions(
-            _conditional_entropy_objective(parts[i]), *tables, tile
-        )
-    return sb - vals, [qubit_measurement(theta, phi) for theta, phi in angles.tolist()]
+        theta[axis], phi[axis] = _axis_angles(u[axis], s[axis])
+    if zero.any():
+        theta[zero], phi[zero] = _zero_discord_angles(parts[zero], u[zero])
+    ruled = axis | zero
+    if ruled.any():
+        vals[ruled] = _rule_values(parts[ruled], theta[ruled], phi[ruled])
+    searched = np.flatnonzero(~ruled)
+    if searched.size:
+        tables = _grid_directions(grid)
+        tile = max(_SCAN_TILE * 4 // db**2, 1)
+        for i in searched:
+            vals[i], theta[i], phi[i] = _minimize_over_directions(
+                _conditional_entropy_objective(parts[i]), *tables, tile
+            )
+    return sb - vals, [qubit_measurement(t, p) for t, p in zip(theta.tolist(), phi.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -710,10 +810,12 @@ class CorrelationReport:
     """Bundle of every correlation measure for one bipartite state.
 
     ``geometric_discord`` and ``concurrence`` are None when the B side
-    is not a qubit (they are two-qubit quantities).  The pole theta =
-    phi = 0 is the ``argmin_measurement`` whenever it is optimal on a flat
-    objective (``_minimize_over_directions``) or on an axis row
-    (``_axis_values``), so on every sphere.
+    is not a qubit (they are two-qubit quantities).  On a classical-quantum
+    state (the zero-discord rule of ``_classify``) ``discord`` is exactly 0
+    and ``classical`` equals ``total``; ``argmin_measurement`` is its
+    classical basis.  The pole theta = phi = 0 is the ``argmin_measurement``
+    whenever it is optimal on a flat objective (``_minimize_over_directions``),
+    on a product or on an axis row (``_axis_angles``), so on every sphere.
     """
 
     total: float
@@ -726,7 +828,12 @@ class CorrelationReport:
 
 
 def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> CorrelationReport:
-    """Quantum discord (total minus classical correlation) with full report, in one pass."""
+    """Quantum discord (total minus classical correlation) with full report, in one pass.
+
+    A classical-quantum state is reported with discord exactly 0 and
+    classical equal to total, once the value measured at the rule's
+    direction has passed the sign checks.
+    """
     _require_bipartite(rho.legs, "discord")
     return _reports(rho.matrix[None], rho.eigenvalues[None], rho.legs, grid)[0]
 
@@ -740,11 +847,11 @@ def _reports(
     first failing row raises.
     """
     parts = _measured_parts(m, legs)
-    tables = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
+    grid = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
     sb = _marginal_entropies(m, legs, 1)
     total = _mutual_information(m, lam, legs, sb)
-    axis, u, s = _classify(parts)
-    classical, measurements = _classical_correlations(parts, axis, u, s, sb, legs[1], tables)
+    axis, zero, u, s = _classify(parts)
+    classical, measurements = _classical_correlations(parts, axis, zero, u, s, sb, legs[1], grid)
     disc = total - classical
     sign_tol = -CORRELATION_SIGN_TOL
     bad = (disc < sign_tol) | (classical < sign_tol) | (total < -TOTAL_SIGN_TOL)
@@ -757,9 +864,11 @@ def _reports(
     # rounding may break 0 <= classical <= total by a few ulps; report inside it
     total = np.maximum(total, 0.0)
     classical = np.minimum(np.maximum(classical, 0.0), total)
+    # a zero-discord row is reported exactly so, once its measured value passed the checks
+    classical[zero] = total[zero]
     disc = total - classical
     if legs == (2, 2):
-        geometric = _geometric_discords(s).tolist()
+        geometric = _geometric_discords(s, zero).tolist()
         conc = _concurrences(m).tolist()
     else:
         geometric = conc = [None] * len(m)
@@ -788,8 +897,8 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     if rho.legs != (2, 2):
         raise DomainError(f"geometric_discord requires legs (2, 2), got {rho.legs}")
     if method == "closed-form":
-        _, _, s = _classify(_measured_parts(rho.matrix[None], rho.legs))
-        return float(_geometric_discords(s)[0])
+        _, zero, _, s = _classify(_measured_parts(rho.matrix[None], rho.legs))
+        return float(_geometric_discords(s, zero)[0])
     if method == "brute-force":
         parts = _pauli_parts(rho.matrix[None], 2)[0]
         pur = rho.purity()
@@ -808,14 +917,15 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
     raise DomainError(f"unknown geometric_discord method {method!r}")
 
 
-def _geometric_discords(s: np.ndarray) -> np.ndarray:
+def _geometric_discords(s: np.ndarray, zero: np.ndarray) -> np.ndarray:
     """(sigma_2^2 + sigma_3^2) / 4 from the singular values (N, 3) of each B = [x | T].
 
     Dakic, Vedral & Brukner's (|x|^2 + |T|^2 - k_max) / 4 (PRL 105, 190502, 2010),
-    k_max = sigma_1^2, with no cancelling difference.  It is 0 when sigma_2 <= SPHERE_TOL |B|.
+    k_max = sigma_1^2, with no cancelling difference.  It is exactly 0 on the
+    zero-discord rows of ``_classify``, where ``discord`` reports 0 too.
     """
     gd = (s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2]) / 4.0
-    return np.where(s[:, 1] <= SPHERE_TOL * np.sqrt(_dots(s)), 0.0, gd)
+    return np.where(zero, 0.0, gd)
 
 
 # sigma_y x sigma_y, the spin flip of Wootters' concurrence

@@ -56,7 +56,11 @@ CURVATURE_CUTOFF = 1e-6  # least |curvature| (bits/rad^2) a Newton step divides 
 NEWTON_ITER_CAP = 30  # iterations (a trial step with its stencil) of one Newton refinement
 DIFFERENCE_STEP = 1e-4  # tangent offset, radians, of the refinement's central differences
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
-SPHERE_TOL = 16 * np.finfo(float).eps  # |x|, |Ty|/|B|, sigma_2(B)/|B| read as 0, sigma^2 gaps/|B| ties
+SPHERE_TOL = 16 * np.finfo(float).eps  # |x|, |Ty|/|B| read as 0, sigma^2 gaps/|B| ties
+# sigma_2 of B = [x | T] at or below which a state is classical-quantum, and |T - x y^T| at
+# or below which it is a product, each over |2 r| = 2 sqrt(Tr rho^2) (for a qudit B: the real
+# 3 x 2 d_B^2 matrix of G_1..G_3, |G_i - x_i G_0|, and the norm of G_0..G_3)
+ZERO_DISCORD_TOL = 16 * np.finfo(float).eps
 POLE_CUTOFF = 1e-15  # |n_x|, |n_y| below which a direction is a pole (phi = 0)
 RANK_TOL = 1e-10  # singular value of R counted towards the rank L
 COMMUTATOR_TOL = 1e-9  # Frobenius norm of a commutator verdicting zero discord

@@ -75,6 +75,20 @@ class WitnessReport:
     the verdict, is not.  On the Bell states and werner(1) (all four
     singular values 0.5) it reads sqrt(2), but a 1e-9 perturbation of the
     state moves it down to about 1.28.
+
+    ``verdicts["commutator_zero_discord"]`` and the zero-discord rule of
+    ``correlations`` decide one property, zero discord for measurements on
+    A, two ways; they agree on the zoo, on CC, CQ and product states, and on
+    those mixed with a random state at weight 1e-6 or 1e-3.  Their
+    tolerances differ, so there is a band where they do not.  The rule
+    takes a state when sigma_2 of B = [x | T] is at most ZERO_DISCORD_TOL
+    |2 r|, 16 ulps relative to the Bloch data's norm 2 sqrt(Tr rho^2).  The
+    verdict drops singular values of R at most RANK_TOL (1e-10) and accepts
+    commutators up to COMMUTATOR_TOL (1e-9), both absolute.  A mixture
+    (1 - eps) rho_CQ + eps rho with a random rho and eps from about 1e-14 to
+    1e-10 is in the band: the verdict reads zero discord, while ``discord``
+    searches the state and reports a discord of rounding size (at most
+    about 1e-15 bits on 60 seeded CC, CQ and product states per eps).
     """
 
     singular_values: np.ndarray

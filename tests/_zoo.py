@@ -50,6 +50,36 @@ def random_product(rng):
     return tensor(random_density(rng, 2), random_density(rng, 2))
 
 
+def qubit_bloch_vector(a):
+    """Bloch vector <a|sigma|a> of a unit qubit vector a."""
+    c = np.conj(a[0]) * a[1]
+    return np.array([2.0 * c.real, 2.0 * c.imag, abs(a[0]) ** 2 - abs(a[1]) ** 2])
+
+
+def classical_quantum_states(rng, count, db=2):
+    """``count`` seeded zero-discord states, each with the Bloch vector of its A basis.
+
+    Two-qubit ones cycle through CC (``cc_state``), CQ (``cq_state``) and
+    product states; a product has every basis classical, so its vector is
+    None.  (2, d_B > 2) ones are all CQ.
+    """
+    cases = []
+    for i in range(count):
+        kind = i % 3 if db == 2 else 1
+        if kind == 2:
+            cases.append((random_product(rng), None))
+            continue
+        basis = random_qubit_basis(rng)
+        if kind == 0:
+            p = rng.uniform(0.1, 0.9, size=(2, 2))
+            rho = cc_state(p / p.sum(), basis, random_qubit_basis(rng))
+        else:
+            p0 = rng.uniform(0.2, 0.8)
+            rho = cq_state([p0, 1.0 - p0], basis, [random_density(rng, db), random_density(rng, db)])
+        cases.append((rho, qubit_bloch_vector(basis[0])))
+    return cases
+
+
 def build_zoo():
     """50 tagged two-qubit states: 21 Werner, 4 Bell, 15 zero-discord, 10 random."""
     rng = np.random.default_rng(ZOO_SEED)

@@ -35,22 +35,25 @@ from qdissonance.correlations import (
     Measurement,
     _STENCIL,
     _angles,
-    _axis_values,
+    _axis_angles,
     _conditional_entropy_objective,
     _direction,
     _grid_directions,
     _measured_parts,
     _minimize_over_directions,
     _refine,
+    _rule_values,
     _scan,
 )
 from qdissonance.qla import (
     CURVATURE_CUTOFF, DIFFERENCE_STEP, FLAT_SPREAD_TOL, NEWTON_ITER_CAP, NEWTON_TOL, PROB_CUTOFF,
+    ZERO_DISCORD_TOL,
 )
 
 from _zoo import (
-    build_zoo, haar_unitary, near_pure_rotated, random_cq, random_density, random_product,
-    random_qubit_basis, random_two_qubit, werner_with_imaginary_residual,
+    build_zoo, classical_quantum_states, haar_unitary, near_pure_rotated, random_cc, random_cq,
+    random_density, random_product, random_qubit_basis, random_two_qubit,
+    werner_with_imaginary_residual,
 )
 
 SEED = 7200
@@ -598,10 +601,11 @@ def test_flat_shortcut_fires_only_at_or_below_the_spread_tolerance():
         assert abs(val - ref) <= 1e-9, eps
     _, m = classical_correlation(DensityMatrix(base + 1e-15 * zz, (2, 2)))
     assert _at_pole(m)
-    # a scan too coarse to resolve every quadratic never reads as flat
+    # a scan too coarse to resolve every quadratic never reads as flat; the zero-discord
+    # rule decides this state, so the search is run on it directly
     cc = cc_state(np.diag([0.5, 0.5]))
     for grid in ((2, 4), (2, 64), (4, 4), (64, 4)):
-        assert classical_correlation(cc, grid=grid)[0] == pytest.approx(1.0, abs=1e-9), grid
+        assert _searched(cc, grid)[0] == pytest.approx(1.0, abs=1e-9), grid
 
 
 def test_flat_objectives_match_closed_forms_at_the_pole():
@@ -797,17 +801,122 @@ def test_axis_rule_reports_the_pole_whenever_it_is_optimal():
 
 
 def test_generic_states_reach_the_search():
-    """The axis rule takes no generic state: among 5000 seeded states of rank 1 to 4 the
-    classifier finds no axis row, so each is scanned and refined; on 50 of them the
-    report is bitwise the search run directly."""
+    """Neither the axis rule nor the zero-discord rule takes a generic state: among 5000
+    seeded states of rank 1 to 4 the classifier finds no rule row, so each is scanned
+    and refined; on 50 of them the report is bitwise the search run directly."""
     rng = np.random.default_rng(SEED + 24)
     states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(5000)]
     bloch = _measured_parts(np.stack([rho.matrix for rho in states]), (2, 2))
-    axis, _, _ = correlations._classify(bloch)
-    assert not axis.any()
+    axis, zero, _, _ = correlations._classify(bloch)
+    assert not axis.any() and not zero.any()
     for i, rho in enumerate(states[:50]):
         classical, m = classical_correlation(rho)
         assert (classical, m.theta, m.phi) == _searched(rho), i
+
+
+def test_zero_discord_rule_decides_classical_quantum_states(monkeypatch):
+    """300 CC, CQ and product two-qubit states and 40 (2, 3) CQ states and 5 (2, 3)
+    products are decided with no scan: discord exactly 0 with classical bitwise total,
+    measured along the A basis the state is classical in (to 1e-12, up to sign), or at the
+    pole on a product.  classical_correlation returns that measurement and the value
+    measured there, which is the search's optimum to rounding."""
+    rng = np.random.default_rng(SEED + 25)
+    cases = classical_quantum_states(rng, 300) + classical_quantum_states(rng, 40, db=3)
+    cases += [(tensor(random_density(rng, 2), random_density(rng, 3)), None) for _ in range(5)]
+    searched = [_searched(rho)[0] for rho, _ in cases[:300]]
+    _no_scan(monkeypatch)
+    for i, (rho, basis) in enumerate(cases):
+        rep = discord(rho)
+        assert rep.discord == 0.0 and rep.classical == rep.total, i
+        m = rep.argmin_measurement
+        if basis is None:
+            assert _at_pole(m), i
+        else:
+            n = _direction(m.theta, m.phi)
+            assert min(np.abs(n - basis).max(), np.abs(n + basis).max()) <= 1e-12, i
+        classical, at = classical_correlation(rho)
+        assert at == m, i
+        sb = entropy(partial_trace(rho, (0,)))
+        assert abs(classical - (sb - conditional_entropy_after(rho, m))) <= 1e-15, i
+        if i < len(searched):
+            assert abs(classical - searched[i]) <= 2e-15, i
+    # a pole whose n_z rounds below 1 is still theta = 0 exactly
+    qutrits = [DensityMatrix(np.diag([1.0, 0.0, 0.0])), DensityMatrix(np.eye(3) / 3)]
+    rep = discord(cq_state([0.5, 0.5], None, qutrits))
+    assert _at_pole(rep.argmin_measurement) and rep.discord == 0.0
+
+
+def _off_rank_one(rho, k):
+    """rho plus k ZERO_DISCORD_TOL |2 r| u_2 v_2^T on B = 2 r[1:], in B's singular frame.
+
+    u_2 v_2^T is orthogonal to the rank-1 B of a CQ state, so sigma_2 is k times the
+    rule's bound before rounding; Tr[(s_i x s_j)(s_k x s_l)] = 4 d_ik d_jl gives rho.
+    """
+    bloch = _parts(rho)
+    u, _, vh = np.linalg.svd(bloch[1:])
+    delta = k * ZERO_DISCORD_TOL * np.linalg.norm(bloch) * np.outer(u[:, 1], vh[1])
+    paulis = [np.eye(2)] + _SIGMA
+    m = rho.matrix + sum(
+        delta[i, j] * np.kron(paulis[i + 1], paulis[j]) for i in range(3) for j in range(4)
+    ) / 4
+    return DensityMatrix(m, (2, 2))
+
+
+def test_zero_discord_rule_takes_states_within_its_tolerance(monkeypatch):
+    """CC and CQ states with sigma_2(B) set to k ZERO_DISCORD_TOL |2 r|: at k = 0.5 the rule
+    takes all of them, at k = 10 none, and each then reaches the search; at k = 1 rounding
+    decides.  The search's own discord on each state the rule takes is rounding noise, at
+    most 2e-15, as on the unperturbed states."""
+    rng = np.random.default_rng(SEED + 26)
+    bases = [make(rng) for make in (random_cc, random_cq) for _ in range(50)]
+    for k in (0.5, 1.0, 10.0):
+        states = [_off_rank_one(rho, k) for rho in bases]
+        _, zero, _, _ = correlations._classify(
+            _measured_parts(np.stack([rho.matrix for rho in states]), (2, 2))
+        )
+        if k == 0.5:
+            assert zero.all()
+        for rho, taken in zip(states, zero.tolist()):
+            if taken:
+                assert total_correlation(rho) - _searched(rho)[0] <= 2e-15, k
+                assert discord(rho).discord == 0.0, k
+    # the states at k = 10
+    assert not zero.any()
+    _no_scan(monkeypatch)
+    for rho in states:
+        with pytest.raises(_ReachedScan):
+            discord(rho)
+
+
+def test_scan_tables_are_built_only_for_searched_rows(monkeypatch):
+    """Rows the rules decide build no grid tables, yet a bad grid, or a (2, d_B) search over
+    MAX_QUDIT_SCAN_WORK, is refused on every path, before any rule."""
+    rng = np.random.default_rng(SEED + 27)
+    built = []
+    make_tables = correlations._grid_directions
+
+    def counted(grid):
+        built.append(grid)
+        return make_tables(grid)
+
+    monkeypatch.setattr(correlations, "_grid_directions", counted)
+    ruled = [werner(0.3), cc_state(np.diag([0.5, 0.5])), random_product(rng), random_cq(rng)]
+    ruled.append(cq_state([0.5, 0.5], None, [random_density(rng, 3), random_density(rng, 3)]))
+    for rho in ruled:
+        discord(rho)
+        classical_correlation(rho)
+    list(sweep_rows(0.0, 1.0, 21))
+    assert built == []
+    discord(random_two_qubit(rng))
+    assert built == [DEFAULT_GRID]
+    for rho in ruled:
+        with pytest.raises(DomainError, match="grid must be at least 2x2"):
+            discord(rho, grid=(1, 1))
+        with pytest.raises(DomainError, match="grid must be at least 2x2"):
+            classical_correlation(rho, grid=(1, 1))
+    mixed = DensityMatrix(np.eye(48) / 48, (2, 24))  # a product
+    with pytest.raises(DomainError, match=r"needs 4096 scan \+ 837 refinement"):
+        discord(mixed)
 
 
 def _golden_min(fn, lo, hi, tol=1e-10):
@@ -980,15 +1089,21 @@ def test_classical_correlation_within_the_koashi_winter_bound():
 
 
 def test_pure_outcomes_give_exact_answers():
-    """Optima where a conditional state is pure: exact classical correlation and discord."""
-    rep = discord(cc_state(np.diag([0.5, 0.5])))
+    """Optima where a conditional state is pure: exact classical correlation and discord.
+
+    The zero-discord rule decides these states; the search, run on them
+    directly, reaches the same optima."""
+    cc = cc_state(np.diag([0.5, 0.5]))
+    rep = discord(cc)
     assert rep.classical == 1.0 and rep.discord == 0.0
+    assert _searched(cc)[0] == 1.0
     rng = np.random.default_rng(SEED + 17)
     for _ in range(10):
         p0 = rng.uniform(0.2, 0.8)
         pure_b = [random_density(rng, 2, rank=1) for _ in range(2)]
         cq = cq_state([p0, 1.0 - p0], random_qubit_basis(rng), pure_b)
-        assert discord(cq).discord <= 1e-15
+        assert discord(cq).discord == 0.0
+        assert total_correlation(cq) - _searched(cq)[0] <= 1e-15
 
 
 def test_newton_converges_on_a_circle_of_optima():
@@ -1190,7 +1305,8 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     pole = np.array([_reference_objective(b, _direction(0.0, 0.0)) for b in bloch])
     # U = I with equal singular values makes the pole optimal, so every row takes it
     eye = np.broadcast_to(np.eye(3), (len(bloch), 3, 3))
-    vals, theta, phi = _axis_values(bloch, eye, np.ones((len(bloch), 3)))
+    theta, phi = _axis_angles(eye, np.ones((len(bloch), 3)))
+    vals = _rule_values(bloch, theta, phi)
     assert np.array_equal(vals, pole) and not theta.any() and not phi.any()
     for i in range(len(states)):
         objective = _conditional_entropy_objective(bloch[i])

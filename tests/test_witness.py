@@ -13,10 +13,12 @@ from qdissonance import (
     werner,
     witness_report,
 )
+from qdissonance import correlations
 from qdissonance.witness import _PAULI_BASIS
 
 from _zoo import (
     build_zoo,
+    classical_quantum_states,
     random_cc,
     random_cq,
     random_density,
@@ -231,3 +233,23 @@ def test_commutator_verdict_near_zero_discord_boundary():
                 assert discord(rho).discord <= 1e-9, (make.__name__, eps)
     assert any(verdicts) and not all(verdicts)
     assert max(passing_norms) > 1e-10  # the threshold itself is exercised
+
+
+def test_commutator_verdict_agrees_with_the_zero_discord_rule():
+    """The commutator verdict and the zero-discord rule of the discord pass (sigma_2 of
+    B = [x | T] within ZERO_DISCORD_TOL |2 r|) agree on the zoo, on 300 CC, CQ and
+    product states, and on those mixed with a random state at eps = 1e-6 and 1e-3."""
+    rng = np.random.default_rng(SEED + 6)
+    zoo = build_zoo()
+    family = [rho for rho, _ in classical_quantum_states(rng, 300)]
+    states = [rho for _, rho, _ in zoo] + family
+    for eps in (1e-6, 1e-3):
+        states += [
+            DensityMatrix((1 - eps) * rho.matrix + eps * random_two_qubit(rng).matrix, (2, 2))
+            for rho in family
+        ]
+    parts = correlations._measured_parts(np.stack([rho.matrix for rho in states]), (2, 2))
+    _, zero, _, _ = correlations._classify(parts)
+    assert zero.tolist() == [tag == "zero" for _, _, tag in zoo] + [True] * 300 + [False] * 600
+    verdicts = [witness_report(rho).verdicts["commutator_zero_discord"] for rho in states]
+    assert verdicts == zero.tolist()
