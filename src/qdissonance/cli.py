@@ -17,9 +17,11 @@ from .qla import TARGET_DISTANCE_TOL, DomainError, _as_index, projector
 from .states import (
     _BELL_NAMES, _werner_stack, bell, cc_pairs, cc_state, cq_state, product_decomposition, werner,
 )
-from .correlations import DEFAULT_GRID, _reports, discord
-from .witness import WitnessReport, _correlation_matrices, _witness_reports, witness_report
-from .protocols import ProtocolUnavailableError, certify, run_kraus_protocol, run_unitary_protocol
+from .correlations import DEFAULT_GRID, discord
+from .witness import WitnessReport, witness_report
+from .protocols import (
+    ProtocolUnavailableError, _certifications, certify, run_kraus_protocol, run_unitary_protocol,
+)
 from .statefile import StateFileError, check_dims, load_state, save_state
 from . import __version__
 
@@ -176,8 +178,8 @@ def sweep_rows(zmin: float, zmax: float, steps: int):
     """Measure werner(z) on an even grid: an iterator of one row dict per z.
 
     The arguments are checked at the call.  The rows are then streamed in
-    blocks of ``_SWEEP_BLOCK`` z values, each block one stacked discord
-    pass and one stacked witness pass.
+    blocks of ``_SWEEP_BLOCK`` z values, each block one stacked
+    ``certify`` pass (``protocols._certifications``).
     """
     if not (0.0 <= zmin < zmax <= 1.0):
         raise DomainError(f"need 0 <= zmin < zmax <= 1, got [{zmin}, {zmax}]")
@@ -193,10 +195,8 @@ def _sweep(zs: np.ndarray):
     """The rows of ``sweep_rows`` for the z values ``zs``, one block at a time."""
     for start in range(0, zs.size, _SWEEP_BLOCK):
         block = zs[start:start + _SWEEP_BLOCK]
-        m, lam = _werner_stack(block)
-        reports = _reports(m, lam, (2, 2), DEFAULT_GRID)
-        witnesses = _witness_reports(_correlation_matrices(m), m)
-        for z, rep, wit in zip(block.tolist(), reports, witnesses):
+        for z, bundle in zip(block.tolist(), _certifications(*_werner_stack(block))):
+            rep, wit = bundle.correlations, bundle.witness
             yield {"z": z, **{key: getattr(rep, key) for key in _MEASURES}, "rank_L": wit.l_rank}
 
 

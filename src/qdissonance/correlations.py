@@ -52,10 +52,12 @@ works in place in buffers that a scan allocates once: per direction a
 640 x 1280 grid (2-core Xeon VM, one BLAS thread).
 
 Every state goes through one pass, ``_reports``, which takes a stack
-of N states (N, d, d) with their spectra: ``discord`` is its N = 1
-case, and ``cli.sweep_rows`` calls it on each block of Werner states.
-Its kernels take the stack: the measured parts (``_measured_parts``, the
-correlation matrices for two qubits), ``_marginal_entropies`` and
+of N states (N, d, d) with their spectra and ``_measured_parts``, for two
+qubits 2 R with R the Pauli coefficient matrices of
+``_correlation_matrices`` (``witness`` imports it).  ``discord`` is its
+N = 1 case; ``protocols._certifications`` runs it and the witness pass
+on one R stack, for ``certify`` and each block of ``cli.sweep_rows``.
+The kernels take the stack: ``_marginal_entropies`` and
 ``_entropies``, ``_classify`` (a batched svd, the one decomposition
 of B), the objective of every rule row at its direction in one call
 (``_rule_values``), ``_geometric_discords`` (from the same singular
@@ -63,8 +65,7 @@ values and zero-discord rows), ``_concurrences`` (batched eigh and svd)
 and ``_negativities`` (batched eigvalsh); the sign checks and clamps of
 ``discord`` are applied elementwise, and a zero-discord row is set to
 discord 0 after them.  Every other row is scanned and refined on its own
-by ``_minimize_over_directions``, on grid tables built only then.  The
-witness is a separate pass, in ``witness``.
+by ``_minimize_over_directions``, on grid tables built only then.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ from .qla import (
     ZERO_DISCORD_TOL,
     DensityMatrix, DomainError, _as_index, _hermitian,
 )
-from .witness import PAULI_MATRICES, _correlation_matrices
 
 __all__ = [
     "Measurement",
@@ -120,6 +120,12 @@ _SCAN_TILE = 2**13
 # (2, 3) at the largest grid.
 MAX_QUDIT_SCAN_WORK = 2**26
 _REFINE_DIRECTIONS = 3 * (8 + 9 * NEWTON_ITER_CAP + 1)
+
+# I, sigma_x, sigma_y, sigma_z stacked along the first axis.
+PAULI_MATRICES = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
 
 def _direction(theta, phi) -> np.ndarray:
@@ -327,12 +333,23 @@ def _bloch_objective(bloch: np.ndarray):
     return objective
 
 
+def _correlation_matrices(m: np.ndarray) -> np.ndarray:
+    """``witness.correlation_matrix``, r_nm = Tr[rho (P_n x P_m)] in the normalized Pauli
+    basis, of each two-qubit density matrix in a stack (N, 4, 4)."""
+    # the Paulis halved, not the rounded basis: exact for dyadic entries
+    r = np.einsum(
+        "xabce,nca,meb->xnm", m.reshape(-1, 2, 2, 2, 2), PAULI_MATRICES, PAULI_MATRICES
+    ) / 2.0
+    return r.real
+
+
 def _measured_parts(m: np.ndarray, legs: tuple[int, ...]) -> np.ndarray:
     """The Pauli parts that measuring A splits into its two outcomes, for a stack (N, d, d).
 
     For two qubits, Luo's Bloch data 2 r = [[1, y], [x, T]] (r the
-    correlation matrix), the Pauli coefficients of 2 G_i, shape (N, 4, 4);
-    otherwise the G_i, shape (N, 4, d_B, d_B).
+    ``_correlation_matrices``), the Pauli coefficients of 2 G_i, shape
+    (N, 4, 4); halved, it is r bit for bit, which the witness pass reads.
+    Otherwise the G_i, shape (N, 4, d_B, d_B).
     """
     if legs == (2, 2):
         return 2.0 * _correlation_matrices(m)
@@ -834,19 +851,21 @@ def discord(rho: DensityMatrix, grid: tuple[int, int] = DEFAULT_GRID) -> Correla
     classical equal to total, once the value measured at the rule's
     direction has passed the sign checks.
     """
-    _require_bipartite(rho.legs, "discord")
-    return _reports(rho.matrix[None], rho.eigenvalues[None], rho.legs, grid)[0]
+    legs = _require_bipartite(rho.legs, "discord")
+    m = rho.matrix[None]
+    return _reports(m, rho.eigenvalues[None], _measured_parts(m, legs), legs, grid)[0]
 
 
 def _reports(
-    m: np.ndarray, lam: np.ndarray, legs: tuple[int, int], grid: tuple[int, int]
+    m: np.ndarray, lam: np.ndarray, parts: np.ndarray, legs: tuple[int, int],
+    grid: tuple[int, int],
 ) -> list[CorrelationReport]:
-    """``discord`` of each state in a stack (N, d, d) with spectra lam (N, d), in one pass.
+    """``discord`` of each state in a stack (N, d, d) with spectra lam (N, d) and its
+    ``_measured_parts``, in one pass.
 
     Every check of the single-state path runs on every row, and the
     first failing row raises.
     """
-    parts = _measured_parts(m, legs)
     grid = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
     sb = _marginal_entropies(m, legs, 1)
     total = _mutual_information(m, lam, legs, sb)

@@ -25,8 +25,8 @@ from .qla import (
     _isometry_error, partial_trace, trace_distance,
 )
 from .states import cc_pairs, product_decomposition, werner
-from .correlations import CorrelationReport, discord
-from .witness import WitnessReport, witness_report
+from .correlations import DEFAULT_GRID, CorrelationReport, _measured_parts, _reports
+from .witness import WitnessReport, _witness_reports
 
 __all__ = [
     "ProtocolUnavailableError",
@@ -249,4 +249,19 @@ def conditional_block(state: DensityMatrix, m: int, n: int) -> np.ndarray:
 def certify(result: ProtocolResult) -> CertificationBundle:
     """Measure the protocol output with ``discord`` and witness it with ``witness_report``."""
     rho = result.final
-    return CertificationBundle(correlations=discord(rho), witness=witness_report(rho))
+    if rho.legs != (2, 2):
+        raise DomainError(f"certify needs a two-qubit output, got legs {rho.legs}")
+    return _certifications(rho.matrix[None], rho.eigenvalues[None])[0]
+
+
+def _certifications(m: np.ndarray, lam: np.ndarray) -> list[CertificationBundle]:
+    """``certify`` of each two-qubit state in a stack (N, 4, 4) with spectra lam (N, 4).
+
+    The correlation matrices R are built once: the discord pass reads
+    them as the Bloch data 2 R of ``_measured_parts``, and the witness
+    pass as those parts halved, which is R bit for bit.
+    """
+    parts = _measured_parts(m, (2, 2))
+    reports = _reports(m, lam, parts, (2, 2), DEFAULT_GRID)
+    witnesses = _witness_reports(parts / 2.0, m)
+    return [CertificationBundle(correlations=c, witness=w) for c, w in zip(reports, witnesses)]

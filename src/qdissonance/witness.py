@@ -10,12 +10,13 @@ share an eigenbasis, so the commutators alone decide.  Other
 Hilbert-Schmidt-orthonormal bases only turn R into O_A R O_B^T with
 orthogonal O_A, O_B, so neither L nor the verdict depends on the basis.
 
-The kernels take stacks of N states: ``_correlation_matrices`` builds
-R with a batch index, and ``_witness_reports`` takes one batched SVD
-and checks the Schmidt reconstruction and the commutator norms of the
-whole stack.  ``correlation_matrix`` and ``witness_report`` are their
-N = 1 case.  ``protocols.certify`` and ``cli.sweep_rows`` run this pass
-beside the discord pass of ``correlations``, which builds its own R.
+The kernels take stacks of N states: ``correlations._correlation_matrices``
+builds R with a batch index, and ``_witness_reports`` takes one batched
+SVD and checks the Schmidt reconstruction and the commutator norms of
+the whole stack.  ``correlation_matrix`` and ``witness_report`` are their
+N = 1 case.  In ``certify`` and ``cli.sweep_rows`` this pass reads the R
+that the discord pass reads: ``protocols._certifications`` builds its
+Bloch data 2 R once and hands this pass the halves, R bit for bit.
 """
 
 from __future__ import annotations
@@ -29,14 +30,9 @@ import numpy as np
 from .qla import (
     COMMUTATOR_TOL, RANK_TOL, SCHMIDT_RECONSTRUCTION_TOL, DensityMatrix, DomainError,
 )
+from .correlations import PAULI_MATRICES, _correlation_matrices
 
 __all__ = ["WitnessReport", "correlation_matrix", "decompose_sf", "witness_report"]
-
-# I, sigma_x, sigma_y, sigma_z stacked along the first axis.
-PAULI_MATRICES = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-    dtype=complex,
-)
 
 # {I, sx, sy, sz} / sqrt(2): Hermitian and orthonormal under Tr(X Y).
 _PAULI_BASIS = PAULI_MATRICES / np.sqrt(2.0)
@@ -50,15 +46,6 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     if rho.legs != (2, 2):
         raise DomainError(f"correlation_matrix needs legs (2, 2), got {rho.legs}")
     return _correlation_matrices(rho.matrix[None])[0]
-
-
-def _correlation_matrices(m: np.ndarray) -> np.ndarray:
-    """``correlation_matrix`` of each two-qubit density matrix in a stack (N, 4, 4)."""
-    # the Paulis halved, not the rounded basis: exact for dyadic entries
-    r = np.einsum(
-        "xabce,nca,meb->xnm", m.reshape(-1, 2, 2, 2, 2), PAULI_MATRICES, PAULI_MATRICES
-    ) / 2.0
-    return r.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +76,15 @@ class WitnessReport:
     1e-10 is in the band: the verdict reads zero discord, while ``discord``
     searches the state and reports a discord of rounding size (at most
     about 1e-15 bits on 60 seeded CC, CQ and product states per eps).
+
+    Which tolerance moves the verdict depends on the family.  On those
+    near-CQ mixtures it flips, between eps = 1e-10 and 1e-9, mostly where
+    a singular value of R crosses RANK_TOL: its S_k then enters the
+    commutators at full size, norms up to sqrt(2), whatever COMMUTATOR_TOL
+    is.  On a family of fixed rank it flips at COMMUTATOR_TOL:
+    rho_eps = (I x I + eps sx x I + sz x sz / 2) / 4 has L = 2 and norm
+    sqrt(2) eps, so it reads nonzero discord at eps = 1e-9 and zero discord
+    at eps = 5e-10.
     """
 
     singular_values: np.ndarray

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import qdissonance
-from qdissonance import cli, statefile, witness
+from qdissonance import cli, protocols, statefile
 from qdissonance import (
     DensityMatrix, DomainError, correlations, discord, load_state, save_state, werner, witness_report,
 )
 from qdissonance.cli import MAX_SWEEP_STEPS, SWEEP_HEADER, main, sweep_rows
-from qdissonance.correlations import DEFAULT_GRID
 from qdissonance.states import _werner_stack
 
 from _zoo import werner_with_imaginary_residual
@@ -351,8 +350,8 @@ def test_sweep_rows_equal_the_per_state_reports():
 
 def test_sweep_rows_stream_in_blocks(monkeypatch):
     """A sweep stacks _SWEEP_BLOCK rows at a time, and the blocks change no row: sweeps
-    around the block edges equal one unblocked discord pass and one unblocked witness
-    pass over all their states, and the per-state reports at the rows beside each edge."""
+    around the block edges equal one unblocked certify pass over all their states, and
+    the per-state reports at the rows beside each edge."""
     seen = []
     matrices = correlations._correlation_matrices
 
@@ -368,13 +367,14 @@ def test_sweep_rows_stream_in_blocks(monkeypatch):
     block = cli._SWEEP_BLOCK
     for steps in (block - 1, block, block + 1, 2 * block + 1):
         zs = np.linspace(0.0, 1.0, steps)
-        m, lam = _werner_stack(zs)
-        reps = correlations._reports(m, lam, (2, 2), DEFAULT_GRID)
-        wits = witness._witness_reports(witness._correlation_matrices(m), m)
-        assert len(reps) == len(wits) == steps
+        bundles = protocols._certifications(*_werner_stack(zs))
+        assert len(bundles) == steps
         want = [
-            {"z": z, **{key: getattr(rep, key) for key in cli._MEASURES}, "rank_L": wit.l_rank}
-            for z, rep, wit in zip(zs.tolist(), reps, wits)
+            {
+                "z": z, **{key: getattr(b.correlations, key) for key in cli._MEASURES},
+                "rank_L": b.witness.l_rank,
+            }
+            for z, b in zip(zs.tolist(), bundles)
         ]
         rows = list(sweep_rows(0.0, 1.0, steps))
         assert rows == want, steps

@@ -28,7 +28,7 @@ from qdissonance import (
     werner,
     witness_report,
 )
-from qdissonance import cli, correlations, witness
+from qdissonance import cli, correlations, protocols, witness
 from qdissonance.cli import sweep_rows
 from qdissonance.correlations import (
     DEFAULT_GRID,
@@ -272,6 +272,10 @@ def test_concurrence():
     assert concurrence(run_unitary_protocol(z13).final) == 0.0
     z = z13 + 1e-6
     assert concurrence(werner(z)) == pytest.approx((3 * z - 1) / 2, abs=1e-12)
+    # just above the boundary the value is reported, not floored at ENTANGLEMENT_FLOOR
+    for delta in (1e-9, 1e-12):
+        z = z13 + delta
+        assert concurrence(werner(z)) == pytest.approx((3 * z - 1) / 2, abs=1e-14), delta
     rng = np.random.default_rng(SEED + 9)
     for _ in range(50):
         k = int(rng.integers(2, 6))
@@ -295,6 +299,10 @@ def test_negativity():
         assert negativity(werner(z)) == pytest.approx(0.0, abs=1e-12)
     for z in (1.0 / 3.0 + 1e-6, 0.5, 1.0):
         assert negativity(werner(z)) == pytest.approx((3 * z - 1) / 4, abs=1e-12)
+    # just above the boundary the value is reported, not floored at ENTANGLEMENT_FLOOR
+    for delta in (1e-9, 1e-12):
+        z = 1.0 / 3.0 + delta
+        assert negativity(werner(z)) == pytest.approx((3 * z - 1) / 4, abs=1e-14), delta
     rng = np.random.default_rng(SEED + 7)
     prod = tensor(random_density(rng, 2), random_density(rng, 2))
     assert negativity(prod) == pytest.approx(0.0, abs=1e-12)
@@ -590,17 +598,25 @@ def _at_pole(m):
 
 
 def test_flat_shortcut_fires_only_at_or_below_the_spread_tolerance():
-    """A planted eps * sz x sz / 4 on werner(0.2) spreads the scan by ~0.3 eps."""
+    """A planted eps * sz x sz / 4 on werner(0.2) spreads the scan by ~0.3 eps, so the
+    search alone reads it as flat, at the pole, only once that is below FLAT_SPREAD_TOL
+    (~1.4e-14): at eps = 1e-15, not at 1e-13.  These states are axis rows, so the
+    public path gives the same verdict from the axis rule, with no scan."""
     base = werner(0.2).matrix
     zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])) / 4
     ref, m = classical_correlation(werner(0.2))
     assert _at_pole(m)
     for eps in (1e-9, 1e-11, 1e-12, 1e-13):
-        val, m = classical_correlation(DensityMatrix(base + eps * zz, (2, 2)))
+        rho = DensityMatrix(base + eps * zz, (2, 2))
+        val, theta, phi = _searched(rho)
+        assert (theta, phi) != (0.0, 0.0), eps
+        assert abs(val - ref) <= 1e-9, eps
+        val, m = classical_correlation(rho)
         assert not _at_pole(m), eps
         assert abs(val - ref) <= 1e-9, eps
-    _, m = classical_correlation(DensityMatrix(base + 1e-15 * zz, (2, 2)))
-    assert _at_pole(m)
+    rho = DensityMatrix(base + 1e-15 * zz, (2, 2))
+    assert _searched(rho)[1:] == (0.0, 0.0)
+    assert _at_pole(classical_correlation(rho)[1])
     # a scan too coarse to resolve every quadratic never reads as flat; the zero-discord
     # rule decides this state, so the search is run on it directly
     cc = cc_state(np.diag([0.5, 0.5]))
@@ -1445,10 +1461,10 @@ def test_discord_builds_each_piece_once(monkeypatch):
     The pieces are stacked: one call covers every state of the pass.  A
     two-qubit discord call makes 1 correlation-matrix stack, 0 Pauli-part
     stacks and 2 marginal-entropy stacks; a (2, 3) call makes its Pauli
-    parts once.  Discord and the witness are two passes, each with its own
-    correlation matrix: ``certify`` makes one stack per pass, and a 21-row
-    sweep makes each stack once per pass, 21 rows deep.  Every module that
-    builds correlation matrices is counted.  Each two-qubit B = 2 r[1:]
+    parts once.  Discord and the witness are two passes over one correlation
+    matrix stack: ``certify`` makes one stack, and a 21-row sweep one stack
+    21 rows deep.  Every module that builds correlation matrices is
+    counted.  Each two-qubit B = 2 r[1:]
     (3 x 4) is decomposed once, by one SVD of its stack that the axis rule
     and the geometric discord share, and no 3 x 3 eigensolve of M or
     B B^T is left.  The shared pass returns bitwise what the public
@@ -1469,8 +1485,8 @@ def test_discord_builds_each_piece_once(monkeypatch):
 
     for name in names:
         monkeypatch.setattr(correlations, name, counting(correlations, name))
-    for module in (witness, cli):
-        monkeypatch.setattr(module, "_correlation_matrices", counting(module, "_correlation_matrices"))
+    monkeypatch.setattr(witness, "_correlation_matrices", counting(witness, "_correlation_matrices"))
+    assert not hasattr(cli, "_correlation_matrices") and not hasattr(protocols, "_correlation_matrices")
 
     decompositions = []  # (solver, states in the stack) of each 3 x 4 or 3 x 3 stack
 
@@ -1500,9 +1516,9 @@ def test_discord_builds_each_piece_once(monkeypatch):
     assert counts(geometric_discord, random_two_qubit(rng)) == ([1], [], [], one)
     assert counts(discord, random_density(rng, 6, (2, 3)))[1] == [1]
     assert counts(witness_report, werner(0.3)) == ([1], [], [], [])
-    assert counts(certify, run_kraus_protocol(0.2)) == ([1, 1], [], [1, 1], one)
+    assert counts(certify, run_kraus_protocol(0.2)) == ([1], [], [1, 1], one)
     sweep = counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21)
-    assert sweep == ([21, 21], [], [21, 21], [("svd", 21)])
+    assert sweep == ([21], [], [21, 21], [("svd", 21)])
 
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]
@@ -1532,24 +1548,33 @@ def _same_witness(a, b):
 def test_a_mixed_stack_equals_the_per_state_reports():
     """Werner rows (the axis rule's pole) and the zoo (scans among them) in one two-qubit
     stack, and three (2, 3) states in another: every field of every row is
-    bitwise the per-state discord and witness_report."""
+    bitwise the per-state discord and witness_report, from the stacked passes and
+    from the one certify pass over the two-qubit stack."""
     rng = np.random.default_rng(SEED + 62)
     two_qubit = [werner(float(z)) for z in rng.uniform(0.0, 1.0, 7)]
     two_qubit += [rho for _, rho, _ in build_zoo()]
     qutrit = [random_density(rng, 6, (2, 3), rank=1 + i) for i in range(3)]
     m, lam = _stack(two_qubit)
-    wits = witness._witness_reports(witness._correlation_matrices(m), m)
+    parts = _measured_parts(m, (2, 2))
+    wits = witness._witness_reports(correlations._correlation_matrices(m), m)
     assert len(wits) == len(two_qubit)
     for i, (rho, wit) in enumerate(zip(two_qubit, wits)):
         assert _same_witness(wit, witness_report(rho)), i
+    # the certify pass: its witness reads the discord pass's parts halved
+    bundles = protocols._certifications(m, lam)
+    assert len(bundles) == len(two_qubit)
+    for i, (rho, bundle) in enumerate(zip(two_qubit, bundles)):
+        assert _same_witness(bundle.witness, witness_report(rho)), i
+        assert dataclasses.astuple(bundle.correlations) == dataclasses.astuple(discord(rho)), i
     for grid in (DEFAULT_GRID, (16, 32)):
-        rows = correlations._reports(m, lam, (2, 2), grid)
+        rows = correlations._reports(m, lam, parts, (2, 2), grid)
         assert len(rows) == len(two_qubit)
         # some rows were scanned and refined
         assert not all(_at_pole(rep.argmin_measurement) for rep in rows)
         for i, (rho, rep) in enumerate(zip(two_qubit, rows)):
             assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
-        rows = correlations._reports(*_stack(qutrit), (2, 3), grid)
+        m3, lam3 = _stack(qutrit)
+        rows = correlations._reports(m3, lam3, _measured_parts(m3, (2, 3)), (2, 3), grid)
         assert len(rows) == len(qutrit)
         for i, (rho, rep) in enumerate(zip(qutrit, rows)):
             assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
@@ -1563,9 +1588,9 @@ def test_every_row_of_a_stack_is_checked():
     m, lam = _stack(states)
     lam[2] = 0.25  # S(AB) = 2 bits with 1 bit per marginal: total 0 below classical 1
     with pytest.raises(ArithmeticError, match=r"total=0\.0, classical=1\.0, discord=-1\.0"):
-        correlations._reports(m, lam, (2, 2), DEFAULT_GRID)
+        correlations._reports(m, lam, _measured_parts(m, (2, 2)), (2, 2), DEFAULT_GRID)
     m, lam = _stack(states)
-    r = witness._correlation_matrices(m)
+    r = correlations._correlation_matrices(m)
     r[1, 3, 3] += 1e-6  # row 1's r no longer reconstructs row 1's matrix
     with pytest.raises(ArithmeticError, match="operator Schmidt reconstruction error"):
         witness._witness_reports(r, m)

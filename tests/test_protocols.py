@@ -272,6 +272,9 @@ def test_certify_z13_outputs():
         assert wit.l_rank == 4
         assert wit.verdicts["rank_witness"]
         assert not wit.verdicts["commutator_zero_discord"]
+    # a result whose final state is not two qubits is refused, not read as a stack
+    with pytest.raises(DomainError):
+        certify(dataclasses.replace(res, final=res.post_operation))
 
 
 def test_protocol_result_is_frozen():

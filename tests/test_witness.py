@@ -232,7 +232,16 @@ def test_commutator_verdict_near_zero_discord_boundary():
                 passing_norms.append(rep.max_commutator_norm)
                 assert discord(rho).discord <= 1e-9, (make.__name__, eps)
     assert any(verdicts) and not all(verdicts)
-    assert max(passing_norms) > 1e-10  # the threshold itself is exercised
+    assert max(passing_norms) > 1e-10
+    # the threshold itself: rho_eps = (I x I + eps sx x I + sz x sz / 2) / 4 has L = 2, so
+    # RANK_TOL drops nothing, and commutator norm sqrt(2) eps, read against COMMUTATOR_TOL
+    sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    for eps, zero in ((1e-9, False), (5e-10, True)):
+        m = (np.eye(4) + eps * np.kron(sx, np.eye(2)) + np.kron(sz, sz) / 2) / 4
+        rep = witness_report(DensityMatrix(m, (2, 2)))
+        assert rep.l_rank == 2 and not rep.verdicts["rank_witness"], eps
+        assert rep.max_commutator_norm == pytest.approx(np.sqrt(2.0) * eps, rel=1e-6), eps
+        assert rep.verdicts["commutator_zero_discord"] == zero, eps
 
 
 def test_commutator_verdict_agrees_with_the_zero_discord_rule():
