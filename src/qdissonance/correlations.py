@@ -19,27 +19,15 @@ identical results.  Each Newton iteration makes one objective call: the
 seeds' trial points, each with its own stencil, so an accepted point's
 stencil is already known.  The same refinement serves the two-qubit and qubit-qudit
 objectives and the brute-force geometric discord.  Three rules decide
-a state without refining.  Two of them read, before any scan, the
-singular values sigma and left singular vectors U of B, the 3 x 4 block
-[x | T] of the two-qubit Bloch data 2 r = [[1, y], [x, T]], or the real
-3 x 2 d_B^2 matrix of G_1..G_3 for a qudit B (``_classify``, one SVD of
-B).  The zero-discord rule: sigma_2 <= ``qla.ZERO_DISCORD_TOL`` |2 r|
-(the size of B's rounding, as 2 r_00 = 1) makes B rank 1 at most, so the
-state is classical-quantum and has zero discord (Dakic, Vedral &
-Brukner, PRL 105, 190502, 2010).  It measures
-the classical basis, B's top left singular vector, or the pole theta =
-phi = 0 on a product, where every measurement is optimal; ``discord``
-reports 0 with classical equal to total.  The axis rule takes the other
-two-qubit rows with x = w = 0, each to ``qla.SPHERE_TOL``, w = T y,
-where the objective is a decreasing function of n^T M n, M = T T^T.  It
-measures the pole whenever the pole is optimal to SPHERE_TOL |B|, as on
-every sphere M prop. to I (Werner states, the protocols' outputs and
-their local rotations); otherwise B's top left singular vector (rotated
-Bell-diagonal states), or a fixed point of its plane on a circle of
-optima.  The flat rule reads the scan: when its spread max - min is at
-most ``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid
-minimum is returned at the pole (pure entangled states, which are flat
-but not spheres, and flat qubit-qudit states).
+a state without refining.  Before any scan, ``_classify`` finds from one
+SVD of B ([x | T] for two qubits) the rows of the zero-discord rule
+(classical-quantum states) and of the axis rule (two-qubit x = T y = 0),
+and ``_rule_measurements`` states and measures both in one step;
+``discord`` reports 0 with classical equal to total on a zero-discord
+row.  The flat rule reads the scan: when its spread max - min is at most
+``qla.FLAT_SPREAD_TOL`` (on a grid of at least 3 x 5) the grid minimum
+is returned at the pole (pure entangled states, which are flat but not
+spheres, and flat qubit-qudit states).
 Measuring +/-n on A leaves B in the unnormalized states
 (G_0 +/- n.G)/2 with G_i = Tr_A[(sigma_i x I) rho]; the conditional
 entropy is the entropy of their spectra.  For a qubit B the spectrum
@@ -59,8 +47,8 @@ N = 1 case; ``protocols._certifications`` runs it and the witness pass
 on one R stack, for ``certify`` and each block of ``cli.sweep_rows``.
 The kernels take the stack: ``_marginal_entropies`` and
 ``_entropies``, ``_classify`` (a batched svd, the one decomposition
-of B), the objective of every rule row at its direction in one call
-(``_rule_values``), ``_geometric_discords`` (from the same singular
+of B), every rule row's direction and objective in one step
+(``_rule_measurements``), ``_geometric_discords`` (from the same singular
 values and zero-discord rows), ``_concurrences`` (batched eigh and svd)
 and ``_negativities`` (batched eigvalsh); the sign checks and clamps of
 ``discord`` are applied elementwise, and a zero-discord row is set to
@@ -185,6 +173,15 @@ def _measurement_angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = [[-u for u in v] if (v[2] or v[1] or v[0]) < 0 else v for v in n.T.tolist()]
     return _angles(np.array(list(zip(*n))))
+
+
+def _aligned(n: int, dtype=float) -> np.ndarray:
+    """n uninitialized entries from a 64-byte boundary, for the buffers that the scan streams:
+    a 640 x 1280 discord took ~22 ms with them there and ~26-27 ms at 16, 32 or 48 mod 64, as
+    malloc may place them (2-core Xeon VM with AVX-512, one BLAS thread)."""
+    raw = np.empty(n * np.dtype(dtype).itemsize + 63, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + n * np.dtype(dtype).itemsize].view(dtype)
 
 
 def _xlog2(x: np.ndarray, log: np.ndarray | None = None, mask: np.ndarray | None = None):
@@ -324,7 +321,7 @@ def _bloch_objective(bloch: np.ndarray):
         nonlocal work, mask
         size = n[0].size
         if mask.size < 6 * size:
-            work, mask = np.empty(14 * size), np.empty(6 * size, dtype=bool)
+            work, mask = _aligned(14 * size), _aligned(6 * size, bool)
         w = work[: 14 * size].reshape(2, 7, size)
         np.matmul(bt, n.reshape(3, size), out=w[0, :4])
         vals = _bloch_values(x0, w, mask[: 6 * size].reshape(2, 3, size), out)
@@ -381,20 +378,12 @@ def _classify(parts: np.ndarray):
 
     B is the 3 x 4 block [x | T] of 2 r = [[1, y], [x, T]] for two qubits,
     and the real 3 x 2 d_B^2 matrix of G_1..G_3 otherwise; one SVD of the
-    stack gives every U and sigma, which the rules and the geometric discord read.
-    The zero-discord rows: sigma_2 is at most ``_zero_discord_scale``, so B
-    has rank at most 1, G_i = n_i H, and the state is classical-quantum,
-    sum_a p_a |a><a| x rho_a, which is zero discord for measurements on A
-    (Dakic, Vedral & Brukner, PRL 105, 190502, 2010); ``_zero_discord_angles``
-    measures them.  The axis rows, two-qubit rows that are not zero-discord
-    rows: measuring +/-n leaves B with Pauli coefficients
-    (1 +/- x.n, y +/- T^T n)/2, so the objective is g(x.n, w.n, n^T M n) with
-    w = T y and M = T T^T.  When x = w = 0 both outcomes have p = 1/2 and
-    |y +/- T^T n|^2 = |y|^2 + n^T M n, so the objective decreases with n^T M n
-    alone (Luo, PRA 77, 042303, 2008), measured by ``_axis_angles``.
-    Each equality holds to SPHERE_TOL, |x| absolutely and |w| relative to |B|,
-    the sizes their rounding takes; B B^T = M + x x^T then gives M's eigenframe
-    U and spectrum sigma^2.  Returns (axis, zero, u, s).
+    stack gives every U and sigma, which the rules and the geometric discord
+    read.  The zero-discord rows have sigma_2 at most ``_zero_discord_scale``,
+    so B has rank 1 at most.  The axis rows are the other two-qubit rows with
+    x = w = T y = 0, each to SPHERE_TOL, |x| absolutely and |w| relative to
+    |B|, the sizes their rounding takes.  ``_rule_measurements`` states and
+    measures both rules.  Returns (axis, zero, u, s).
     """
     b = parts[:, 1:]
     if parts.ndim == 4:
@@ -432,73 +421,73 @@ def _dots(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _axis_angles(u: np.ndarray, s: np.ndarray):
-    """Theta and phi of each axis row of a stack, from its B's U (k, 3, 3) and sigma (k, 3).
+def _rule_measurements(parts: np.ndarray, u: np.ndarray, s: np.ndarray, zero: np.ndarray):
+    """The objective, theta and phi of each rule row of a stack of ``_measured_parts``.
 
-    The pole theta = phi = 0 is reported whenever it is optimal to
-    tolerance, |e_z^T B|^2 >= sigma_1^2 - SPHERE_TOL |B|: on every sphere,
-    M prop. to I (Girolami & Adesso, PRA 83, 052108, 2011), and every
-    circle of optima through the pole.  Otherwise B's top left singular
-    vector is measured.  On a circle, where sigma_1^2 = sigma_2^2 to SPHERE_TOL |B|,
-    every direction in their plane is optimal and the one reported is the
-    normalized projection of e_z onto the plane, or e_x when the plane is
-    the equator: when the tilt of its normal u (the bottom left singular
-    vector) from e_z, times the gap sigma_2^2 - sigma_3^2, is at most
-    SPHERE_TOL |B|.  These get the canonical angles of ``_measurement_angles``.
+    The rows are those that ``_classify`` gives a rule, with B's U and sigma
+    and its zero-discord mask.  Each is measured along n, B's top left
+    singular vector or a fixed point of a circle of optima, or at the pole
+    theta = phi = 0 when the pole is optimal.
+
+    The zero-discord rule: B of rank 1 at most makes G_i = n_i H, so the
+    state is classical-quantum, sum_a p_a |a><a| x rho_a, which has zero
+    discord for measurements on A (Dakic, Vedral & Brukner, PRL 105, 190502,
+    2010), and n is its classical basis.  A product rho_A x rho_B,
+    G_i = x_i G_0 with x_i = Tr G_i (T = x y^T for two qubits) to
+    ``_zero_discord_scale``, B = 0 among them, leaves B's state unchanged by
+    every measurement, so it reports the pole; only zero rows pay for that test.
+
+    The axis rule, two-qubit rows with x = w = 0: measuring +/-n leaves B with
+    Pauli coefficients (1 +/- x.n, y +/- T^T n)/2, so the objective is
+    g(x.n, w.n, n^T M n) with w = T y and M = T T^T.  With x = w = 0 both
+    outcomes have p = 1/2 and |y +/- T^T n|^2 = |y|^2 + n^T M n, so the
+    objective decreases with n^T M n alone (Luo, PRA 77, 042303, 2008), and
+    B B^T = M + x x^T = M gives M's eigenframe U and spectrum sigma^2.  It
+    reports the pole whenever the pole is optimal to tolerance,
+    |e_z^T B|^2 >= sigma_1^2 - SPHERE_TOL |B|: on every sphere, M prop. to I
+    (Werner states, the protocols' outputs and their local rotations;
+    Girolami & Adesso, PRA 83, 052108, 2011), and every circle of optima
+    through the pole.  On a circle, sigma_1^2 = sigma_2^2 to SPHERE_TOL |B|,
+    every direction in their plane is optimal and n is the normalized
+    projection of e_z onto the plane, or e_x when the plane is the equator:
+    when the tilt of its normal (the bottom left singular vector) from e_z,
+    times the gap sigma_2^2 - sigma_3^2, is at most SPHERE_TOL |B|.
+
+    Every n gets the canonical angles of one ``_measurement_angles`` call.
+    Two-qubit rows take their values from one ``_bloch_values`` call at
+    ``_direction(theta, phi)``, which is exactly e_z at the pole; (2, d_B > 2)
+    rows, all zero rows, their own objective each.
     """
-    s2 = s * s
-    scale = SPHERE_TOL * np.sqrt(_dots(s))
-    theta, phi = np.zeros((2, len(u)))
-    off = _dots(u[:, 2] * s) < s2[:, 0] - scale  # |e_z^T B|^2: the rows whose pole is not optimal
-    if off.any():
-        s2, u, scale = s2[off], u[off], scale[off]
-        n = u[:, :, 0]
-        for i in np.flatnonzero(s2[:, 0] - s2[:, 1] <= scale):
+    n = u[:, :, 0].copy()
+    measured = ~zero  # the axis rows, then those whose pole is not optimal
+    if measured.any():
+        s2 = s * s
+        scale = SPHERE_TOL * np.sqrt(_dots(s))
+        measured &= _dots(u[:, 2] * s) < s2[:, 0] - scale  # |e_z^T B|^2 below sigma_1^2
+        for i in np.flatnonzero(measured & (s2[:, 0] - s2[:, 1] <= scale)):
             ux, uy, uz = u[i, :, 2].tolist()
             tilt = math.hypot(ux, uy)
             if tilt * (s2[i, 1] - s2[i, 2]) <= scale[i]:
                 n[i] = (1.0, 0.0, 0.0)
             else:  # e_z - u_z u, whose norm is the tilt
                 n[i] = (-uz * ux / tilt, -uz * uy / tilt, tilt)
-        theta[off], phi[off] = _measurement_angles(n.T)
-    return theta, phi
-
-
-def _zero_discord_angles(parts: np.ndarray, u: np.ndarray):
-    """Theta and phi of each zero-discord row of a stack of ``_measured_parts``, with B's U.
-
-    A product rho_A x rho_B, G_i = x_i G_0 with x_i = Tr G_i (T = x y^T for
-    two qubits) to ``_zero_discord_scale``, B = 0 among them, leaves B's state
-    unchanged by every measurement, so every one is optimal and the pole
-    theta = phi = 0 is reported.  Only these rows pay for the test.  Every
-    other row is measured in its classical basis, B's top left singular
-    vector, at the canonical angles of ``_measurement_angles``.
-    """
-    if parts.ndim == 3:
-        off = parts[:, 1:, 1:] - parts[:, 1:, :1] * parts[:, :1, 1:]  # T - x y^T
-    else:
-        g = parts[:, 1:]
-        off = g - np.trace(g, axis1=2, axis2=3).real[:, :, None, None] * parts[:, :1]
-    basis = _squared_norms(off) > _zero_discord_scale(parts) ** 2
+    if zero.any():
+        g = parts[zero]
+        if parts.ndim == 3:
+            off = g[:, 1:, 1:] - g[:, 1:, :1] * g[:, :1, 1:]  # T - x y^T
+        else:
+            off = g[:, 1:] - np.trace(g[:, 1:], axis1=2, axis2=3).real[:, :, None, None] * g[:, :1]
+        measured[zero] = _squared_norms(off) > _zero_discord_scale(g) ** 2
     theta, phi = np.zeros((2, len(parts)))
-    if basis.any():
-        theta[basis], phi[basis] = _measurement_angles(u[basis, :, 0].T)
-    return theta, phi
-
-
-def _rule_values(parts: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The objective of each row of a stack of ``_measured_parts`` at its own (theta, phi).
-
-    Two-qubit rows take one ``_bloch_values`` call at ``_direction(theta, phi)``,
-    which is exactly e_z at the pole; (2, d_B > 2) rows, which only the
-    zero-discord rule decides, their own objective each.
-    """
-    n = _direction(theta, phi)
+    if measured.any():
+        theta[measured], phi[measured] = _measurement_angles(n[measured].T)
+    d = _direction(theta, phi)
     if parts.ndim == 4:
-        return np.array([_conditional_entropy_objective(p)(d) for p, d in zip(parts, n.T)])
+        vals = [_conditional_entropy_objective(p)(v) for p, v in zip(parts, d.T)]
+        return np.array(vals), theta, phi
     w = np.empty((2, 7, len(parts)))
-    w[0, :4] = (n.T[:, None, :] @ parts[:, 1:])[:, 0].T  # B^T n
-    return _bloch_values(parts[:, 0].T, w)
+    w[0, :4] = (d.T[:, None, :] @ parts[:, 1:])[:, 0].T  # B^T n
+    return _bloch_values(parts[:, 0].T, w), theta, phi
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -551,8 +540,8 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
     """
     st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
     rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
-    buf = np.empty(3 * rows * cols)
-    out = np.empty(rows * cols)
+    buf = _aligned(3 * rows * cols)
+    out = _aligned(rows * cols)
     lo, hi = np.inf, -np.inf
     best, seeds = np.empty(0), np.empty(0, dtype=np.intp)
     for r in range(0, thetas.size, rows):
@@ -604,9 +593,8 @@ def _minimize_over_directions(
     measurement is optimal, the grid minimum is returned with the
     canonical pole theta = phi = 0, and nothing is refined.  It serves
     pure entangled states (flat, but not spheres), flat qubit-qudit states
-    and the brute-force geometric discord; ``classical_correlation`` takes
-    the zero-discord rows (products among them) and the two-qubit axis
-    rows (spheres among them) out before the scan (``_classify``).  Otherwise
+    and the brute-force geometric discord; the rows of ``_rule_measurements``,
+    products and spheres among them, never reach the scan.  Otherwise
     ``_refine`` moves the three seeds, and the value reported is
     ``objective`` at the canonical angles (``_measurement_angles``) of
     the best of them, so theta is at most pi/2.
@@ -747,24 +735,17 @@ def classical_correlation(
 
     Returns S(B) minus the minimized conditional entropy, together with
     the minimizing measurement.  Three rules decide a state without
-    refining; the first two read the SVD of B (``_classify``) before any
-    scan.  The zero-discord rule takes every classical-quantum state, B of
-    rank 1 at most to ZERO_DISCORD_TOL |2 r| (B = [x | T], or G_1..G_3 for a
-    qudit B): it measures the state's classical basis, B's top left singular
-    vector, or the pole theta = phi = 0 on a product, where every
-    measurement is optimal (``_zero_discord_angles``).  The axis rule reads
-    the Bloch data x and w = T y of the other two-qubit states: x = w = 0
-    puts the optimum on B's top left singular vector (``_axis_angles``).
-    It reports the pole whenever the pole is optimal to SPHERE_TOL |B|, as
-    on every sphere, M = T T^T prop. to I (Werner states, the protocols'
-    outputs and their local rotations); otherwise that vector (rotated
-    Bell-diagonal states).  On the rows of both rules the value returned
-    is the one measured at the rule's direction.  The flat rule of
-    ``_minimize_over_directions`` reads a constant objective from the scan
-    and reports the pole: pure entangled states and flat qubit-qudit
-    states.  Otherwise the reported value is accurate to about 1e-6 bits
-    at the default grid.  The grid is checked on every path.  A (2, d_B > 2)
-    state over MAX_QUDIT_SCAN_WORK (``_scan_tables``) is refused before the scan.
+    refining.  The zero-discord rule (classical-quantum states) and the
+    axis rule (two-qubit x = T y = 0) are found by ``_classify`` before any
+    scan and measured by ``_rule_measurements``, which states them; the
+    value returned is the one measured at the rule's direction.  The flat
+    rule of ``_minimize_over_directions`` reads a constant objective from
+    the scan and reports the pole.  Otherwise the reported value is
+    accurate to about 1e-6 bits at the default grid.  The grid is checked
+    on every path.  The work bound MAX_QUDIT_SCAN_WORK (``_scan_tables``)
+    is checked before any rule, and depends only on d_B and the grid: a
+    (2, d_B > 2) state over it is refused even when a rule would decide it
+    with no scan, such as I/48 with legs (2, 24) at the default grid.
     """
     m = rho.matrix[None]
     parts = _measured_parts(m, rho.legs)
@@ -797,20 +778,17 @@ def _classical_correlations(parts: np.ndarray, axis, zero, u, s, sb: np.ndarray,
     """``classical_correlation`` of each (2, d_B) state in a stack, from its
     ``_measured_parts``, their ``_classify``, S(B) and the grid of ``_scan_tables``.
 
-    The rows of the axis and zero-discord rules take their directions from
-    U and sigma, and their values from one ``_rule_values`` call; every
-    other row is scanned and refined on its own, on the grid's tables,
-    built when the first such row comes.
+    The rows of the axis and zero-discord rules are measured together by
+    ``_rule_measurements``; every other row is scanned and refined on its
+    own, on the grid's tables, built when the first such row comes.
     """
     vals = np.empty(len(parts))
     theta, phi = np.zeros((2, len(parts)))
-    if axis.any():
-        theta[axis], phi[axis] = _axis_angles(u[axis], s[axis])
-    if zero.any():
-        theta[zero], phi[zero] = _zero_discord_angles(parts[zero], u[zero])
     ruled = axis | zero
     if ruled.any():
-        vals[ruled] = _rule_values(parts[ruled], theta[ruled], phi[ruled])
+        vals[ruled], theta[ruled], phi[ruled] = _rule_measurements(
+            parts[ruled], u[ruled], s[ruled], zero[ruled]
+        )
     searched = np.flatnonzero(~ruled)
     if searched.size:
         tables = _grid_directions(grid)
@@ -828,11 +806,11 @@ class CorrelationReport:
 
     ``geometric_discord`` and ``concurrence`` are None when the B side
     is not a qubit (they are two-qubit quantities).  On a classical-quantum
-    state (the zero-discord rule of ``_classify``) ``discord`` is exactly 0
-    and ``classical`` equals ``total``; ``argmin_measurement`` is its
-    classical basis.  The pole theta = phi = 0 is the ``argmin_measurement``
-    whenever it is optimal on a flat objective (``_minimize_over_directions``),
-    on a product or on an axis row (``_axis_angles``), so on every sphere.
+    state ``discord`` is exactly 0 and ``classical`` equals ``total``;
+    ``argmin_measurement`` is its classical basis.  The pole theta = phi = 0
+    is the ``argmin_measurement`` whenever it is optimal on a flat objective
+    (``_minimize_over_directions``) or on a rule row (``_rule_measurements``,
+    which states both rules), so on every product and every sphere.
     """
 
     total: float

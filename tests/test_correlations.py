@@ -35,14 +35,13 @@ from qdissonance.correlations import (
     Measurement,
     _STENCIL,
     _angles,
-    _axis_angles,
     _conditional_entropy_objective,
     _direction,
     _grid_directions,
     _measured_parts,
     _minimize_over_directions,
     _refine,
-    _rule_values,
+    _rule_measurements,
     _scan,
 )
 from qdissonance.qla import (
@@ -1308,7 +1307,7 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     """The in-place two-qubit kernel gives the reference's bits on every call shape.
 
     Directions (3, N), the refinement's calls (3, k, 8) and (3, k, 9),
-    the pole of a whole stack through the axis rule's value path, and every
+    the pole of a whole stack through the rules' one step, and every
     value the grid scan folds, at a 64-direction tile and at the default tile.
     """
     rng = np.random.default_rng(SEED + 71)
@@ -1321,8 +1320,9 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
     pole = np.array([_reference_objective(b, _direction(0.0, 0.0)) for b in bloch])
     # U = I with equal singular values makes the pole optimal, so every row takes it
     eye = np.broadcast_to(np.eye(3), (len(bloch), 3, 3))
-    theta, phi = _axis_angles(eye, np.ones((len(bloch), 3)))
-    vals = _rule_values(bloch, theta, phi)
+    vals, theta, phi = _rule_measurements(
+        bloch, eye, np.ones((len(bloch), 3)), np.zeros(len(bloch), dtype=bool)
+    )
     assert np.array_equal(vals, pole) and not theta.any() and not phi.any()
     for i in range(len(states)):
         objective = _conditional_entropy_objective(bloch[i])
@@ -1333,6 +1333,15 @@ def test_bloch_kernel_is_bitwise_the_reference_chain():
         want = _reference_objective(bloch[i], grid).reshape(-1)
         for tile in (64, correlations._SCAN_TILE):
             assert np.array_equal(_scanned(objective, thetas, phis, tile)[1], want), (i, tile)
+
+
+def test_scan_buffers_start_on_a_64_byte_boundary():
+    """The buffers that the scan streams through start on a 64-byte boundary, where the
+    kernel runs fastest, whatever offset malloc returns."""
+    for n in (1, 7, 8192, 14 * 8192):
+        for dtype in (float, bool):
+            a = correlations._aligned(n, dtype)
+            assert a.shape == (n,) and a.dtype == dtype and a.ctypes.data % 64 == 0
 
 
 def _reference_refine(objective, seeds, values):
@@ -1467,8 +1476,10 @@ def test_discord_builds_each_piece_once(monkeypatch):
     counted.  Each two-qubit B = 2 r[1:]
     (3 x 4) is decomposed once, by one SVD of its stack that the axis rule
     and the geometric discord share, and no 3 x 3 eigensolve of M or
-    B B^T is left.  The shared pass returns bitwise what the public
-    functions return.
+    B B^T is left.  The two rules measure every off-pole row of a stack,
+    a rotated Bell-diagonal (axis) row and a rotated CQ (zero-discord) row,
+    in one ``_measurement_angles`` call.  The shared pass returns bitwise
+    what the public functions return.
     """
     rng = np.random.default_rng(SEED + 61)
     names = ("_correlation_matrices", "_pauli_parts", "_marginal_entropies")
@@ -1531,6 +1542,19 @@ def test_discord_builds_each_piece_once(monkeypatch):
         assert rep.total == max(total_correlation(rho), 0.0)
         assert rep.negativity == negativity(rho)
 
+    # the axis and zero-discord rules measure their rows off the pole in one call
+    angle_calls = []
+    measurement_angles = correlations._measurement_angles
+
+    def counted_angles(n):
+        angle_calls.append(n.shape[1])
+        return measurement_angles(n)
+
+    monkeypatch.setattr(correlations, "_measurement_angles", counted_angles)
+    m, lam = _stack([_rotated_bell_diagonal(rng)[0], random_cq(rng)])
+    correlations._reports(m, lam, _measured_parts(m, (2, 2)), (2, 2), DEFAULT_GRID)
+    assert angle_calls == [2]
+
 
 def _stack(states):
     return np.stack([rho.matrix for rho in states]), np.stack([rho.eigenvalues for rho in states])
@@ -1546,14 +1570,34 @@ def _same_witness(a, b):
 
 
 def test_a_mixed_stack_equals_the_per_state_reports():
-    """Werner rows (the axis rule's pole) and the zoo (scans among them) in one two-qubit
-    stack, and three (2, 3) states in another: every field of every row is
-    bitwise the per-state discord and witness_report, from the stacked passes and
-    from the one certify pass over the two-qubit stack."""
+    """Every rule branch and the search in one two-qubit stack, and scanned and
+    zero-discord (2, 3) states in another: every field of every row is bitwise the
+    per-state discord and witness_report, from the stacked passes and from the one
+    certify pass over the two-qubit stack.
+
+    The two-qubit rows: Werner states (the axis rule's pole), the zoo (CC, CQ and
+    product rows of the zero-discord rule, scans among the rest), a rotated
+    Bell-diagonal state (M's top eigenvector), the circle c = (0.4, 0.4, 0.1) plain
+    (its equator's point e_x) and rotated (the projection of e_z), werner(0.5) with
+    rho_14 = rho_41 = 1.25e-15 (the pole by tolerance) and I/4 (B = 0).
+    """
     rng = np.random.default_rng(SEED + 62)
     two_qubit = [werner(float(z)) for z in rng.uniform(0.0, 1.0, 7)]
     two_qubit += [rho for _, rho, _ in build_zoo()]
     qutrit = [random_density(rng, 6, (2, 3), rank=1 + i) for i in range(3)]
+    circle = _bell_diagonal((0.4, 0.4, 0.1)).matrix
+    u = np.kron(_random_unitary(rng), _random_unitary(rng))
+    near_sphere = werner(0.5).matrix.copy()
+    near_sphere[0, 3] = near_sphere[3, 0] = 1.25e-15
+    two_qubit += [
+        _rotated_bell_diagonal(rng)[0], DensityMatrix(circle, (2, 2)),
+        DensityMatrix(u @ circle @ u.conj().T, (2, 2)), DensityMatrix(near_sphere, (2, 2)),
+        DensityMatrix(np.eye(4) / 4, (2, 2)),
+    ]
+    qutrit += [
+        classical_quantum_states(rng, 1, db=3)[0][0],
+        tensor(random_density(rng, 2), random_density(rng, 3)),
+    ]
     m, lam = _stack(two_qubit)
     parts = _measured_parts(m, (2, 2))
     wits = witness._witness_reports(correlations._correlation_matrices(m), m)
@@ -1571,6 +1615,10 @@ def test_a_mixed_stack_equals_the_per_state_reports():
         assert len(rows) == len(two_qubit)
         # some rows were scanned and refined
         assert not all(_at_pole(rep.argmin_measurement) for rep in rows)
+        # the plain circle reports e_x, the near-sphere and I/4 the pole
+        circle_m = rows[-4].argmin_measurement
+        assert (circle_m.theta, circle_m.phi) == (np.pi / 2, 0.0)
+        assert _at_pole(rows[-2].argmin_measurement) and _at_pole(rows[-1].argmin_measurement)
         for i, (rho, rep) in enumerate(zip(two_qubit, rows)):
             assert dataclasses.astuple(rep) == dataclasses.astuple(discord(rho, grid)), i
         m3, lam3 = _stack(qutrit)
