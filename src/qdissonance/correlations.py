@@ -11,8 +11,12 @@ upper Bloch hemisphere (n and -n are the same projective measurement,
 with the outcomes swapped) tile by tile: each tile's directions are
 built from the 1-D trig tables into one reused buffer, its values go
 into another, and the tile is folded into the running min, max and
-three best cells, so no grid-sized array is made.  It refines those
-three cells together with one safeguarded
+three best cells, so no grid-sized array is made.  A two-qubit scan of
+more than ``_SCREEN_TILES`` tiles is screened first (``_screen``): the
+same kernel in float32, within ``qla.SCAN_SCREEN_TOL`` of float64, marks
+the tiles that can hold the three best cells, and only those are scanned
+in float64, so the seeds are bit for bit those of the whole grid.  It
+refines those three cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
 identical results.  Each Newton iteration makes one objective call: the
@@ -34,10 +38,12 @@ entropy is the entropy of their spectra.  For a qubit B the spectrum
 is Luo's closed form (PRA 77, 042303, 2008) from the Pauli
 coefficients of the G_i, so no matrices are formed; otherwise it is
 eigvalsh.  One kernel, ``_bloch_values``, evaluates the two-qubit form
-for the scan, the refinement's stencils and the rules' directions.  It
-works in place in buffers that a scan allocates once: per direction a
-4 x 3 matrix product, a norm and six logarithms, 40-55 ns on the
-640 x 1280 grid (2-core Xeon VM, one BLAS thread).
+for the scan, its screen, the refinement's stencils and the rules'
+directions.  It works in place in buffers that a scan allocates once,
+each quantity of both outcomes one contiguous block: per direction a
+4 x 3 matrix product, a norm and six logarithms, ~33 ns in float64 and
+~17 ns in float32 on a 7680-direction tile, and ~25 us for a (3, 3, 9)
+refinement call (2-core Xeon VM, one BLAS thread).
 
 Every state goes through one pass, ``_reports``, which takes a stack
 of N states (N, d, d) with their spectra and ``_measured_parts``, for two
@@ -66,8 +72,8 @@ import numpy as np
 
 from .qla import (
     CORRELATION_SIGN_TOL, CURVATURE_CUTOFF, DIFFERENCE_STEP, ENTANGLEMENT_FLOOR, FLAT_SPREAD_TOL,
-    NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF, SPHERE_TOL, TOTAL_SIGN_TOL,
-    ZERO_DISCORD_TOL,
+    NEWTON_ITER_CAP, NEWTON_TOL, POLE_CUTOFF, PROB_CUTOFF, SCAN_SCREEN_TOL, SPHERE_TOL,
+    TOTAL_SIGN_TOL, ZERO_DISCORD_TOL,
     DensityMatrix, DomainError, _as_index, _hermitian,
 )
 
@@ -87,19 +93,26 @@ __all__ = [
 
 DEFAULT_GRID = (64, 128)
 # The scan holds one tile, not the grid, so this cap bounds time: a two-qubit
-# discord takes ~20 ms on the 640x1280 oracle grid and ~50 ms at this cap,
-# ~2.5x that grid (2-core Xeon VM, one BLAS thread); a (2, d_B) state is
-# bounded by MAX_QUDIT_SCAN_WORK too.  Larger grids are rejected before the scan.
+# discord that the screen serves takes ~9-13 ms on the 640x1280 oracle grid and
+# ~27 ms at this cap (2048x1024, ~2.5x that grid); one whose screen falls back
+# to the exact scan (a flat objective) ~13-18 ms and ~32-42 ms (2-core Xeon VM,
+# one BLAS thread).  A (2, d_B) state is bounded by MAX_QUDIT_SCAN_WORK too.  Larger
+# grids are rejected before the scan.
 MAX_GRID_POINTS = 2**21
-# Two-qubit directions per objective call in the grid scan, rounded down to
-# whole theta rows: bounds the kernel's buffers (14 floats per direction,
-# 0.9 MB at 2**13).  On the 640x1280 grid the streamed scan's medians over
-# three runs were 17-26 ms at 2**13, 17-24 ms at 2**14, 20-26 ms at 2**15
-# and 22-33 ms at 2**12 (2-core Xeon VM, one BLAS thread); 2**14 was 2-6%
-# faster than 2**13 in each run, within its spread, at twice the buffers: a
-# 640x1280 discord peaks at 2.4 MiB under tracemalloc against 1.3 MiB.
+# Two-qubit directions per objective call in the grid scan and its screen,
+# rounded down to whole theta rows: bounds the kernel's buffers (14 floats per
+# direction, 0.9 MB at 2**13).  With the screen, the medians of a 640x1280
+# discord over 12 random states in three runs were 8.7-9.2 ms at 2**13,
+# 8.2-9.5 ms at 2**14, 9.5-10.1 ms at 2**15 and 10.0-12.6 ms at 2**12 (2-core
+# Xeon VM, one BLAS thread); 2**14 is within that spread at twice the buffers:
+# a 640x1280 discord peaks at 2.4 MiB under tracemalloc against 1.3 MiB.
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**13
+# A two-qubit scan of more than this many tiles is screened in float32 first
+# (``_screen``).  Median discord over 12 random states, 15 alternating rounds:
+# at 24x1280 (2 tiles) 1.90 ms exact, 2.02 ms screened, which won 4 rounds; at
+# 36x1280 (3 tiles) 1.88 ms against 1.78 ms, 12 rounds (same VM).
+_SCREEN_TILES = 2
 # Directions x d_B**3 a (2, d_B) search may cost (one d_B x d_B eigvalsh per
 # outcome per direction), counting the hemisphere scan and the worst-case
 # refinement: per seed, 8 for its stencil, NEWTON_ITER_CAP x (1 trial + 8
@@ -276,56 +289,77 @@ def _cond_entropy_terms(lam: np.ndarray) -> np.ndarray:
     return _xlog2(p) - _xlog2(lam).sum(axis=0)
 
 
-def _bloch_values(x0: np.ndarray, w: np.ndarray, mask: np.ndarray | None = None, out=None):
-    """The two-qubit objective, in place in ``w`` (2, 7, N), from B^T n in ``w[0, :4]``.
+def _bloch_views(work: np.ndarray, mask: np.ndarray, size: int) -> tuple:
+    """The views of ``_bloch_values`` on ``size`` directions, from flat buffers of at least
+    14 ``size`` (work, in the kernel's dtype) and 6 ``size`` (mask, bool) entries.
+
+    The work is laid out (7, 2, size), a quantity's two outcomes one
+    contiguous block, so each step of the kernel is one contiguous ufunc
+    call.  Its first view is (4, size), where the caller writes B^T n.
+    """
+    w = work[: 14 * size].reshape(7, 2, size)
+    a = w[:4]  # x0 + B^T n, then x0 - B^T n, along the outcome axis
+    # in the order that _bloch_values unpacks and names them
+    return (
+        w[4:6].reshape(4, size), a[:, 0], a[:, 1], a[0], a[1:], a[1], a[2], a[3], a[2:],
+        w[4:], mask[: 6 * size].reshape(3, 2, size), a[1, 0], a[1, 1],
+    )
+
+
+def _bloch_values(x0: np.ndarray, views: tuple, out=None):
+    """The two-qubit objective, in place in the ``_bloch_views`` ``views`` whose first holds B^T n.
 
     With x0 = 2 r[0] (broadcast to (4, N)) and B = 2 r[1:] the rows of
     2 r = [[1, y], [x, T]], measuring +/-n leaves B with the Pauli coefficients
     a = x0 +/- B^T n of twice its unnormalized state, whose eigenvalues
     are (a_0 -/+ |a_1..3|) / 4 (Luo, PRA 77, 042303, 2008).  The two
     halvings of the Bloch form fold into that one exact x 0.25, so the
-    values are bit for bit those of halving first.  ``w[:, 4:]`` and
-    ``mask`` (bool, (2, 3, N)) are scratch for ``_xlog2``.  Returns
-    sum over outcomes of p log2 p - sum(lam log2 lam), into ``out``.
+    values are bit for bit those of halving first.  The last rows of the
+    work and the mask are scratch for ``_xlog2``.  Works in the views'
+    dtype.  Returns sum over outcomes of p log2 p - sum(lam log2 lam), into ``out``.
     """
-    a = w[:, :4]
-    np.subtract(x0, a[0], out=a[1])
-    np.add(x0, a[0], out=a[0])
-    np.multiply(a[:, 1:], a[:, 1:], out=a[:, 1:])
-    np.add(a[:, 1], a[:, 2], out=a[:, 1])
-    rad = np.add(a[:, 1], a[:, 3], out=a[:, 1])
+    bn, plus, minus, a0, sq, rad, lam0, lam1, lam, log, mask, ent_plus, ent_minus = views
+    np.subtract(x0, bn, out=minus)
+    np.add(x0, bn, out=plus)
+    np.multiply(sq, sq, out=sq)
+    np.add(rad, lam0, out=rad)
+    np.add(rad, lam1, out=rad)
     np.sqrt(rad, out=rad)
-    lam = a[:, 2:]  # the two eigenvalues of each outcome
-    np.subtract(a[:, 0], rad, out=lam[:, 0])
-    np.add(a[:, 0], rad, out=lam[:, 1])
+    np.subtract(a0, rad, out=lam0)  # the two eigenvalues of each outcome
+    np.add(a0, rad, out=lam1)
     np.multiply(lam, 0.25, out=lam)
     np.maximum(lam, 0.0, out=lam)
-    np.add(lam[:, 0], lam[:, 1], out=a[:, 1])  # the outcome probabilities p
-    ent = _xlog2(a[:, 1:], w[:, 4:], mask)  # p log2 p, then lam log2 lam
-    np.add(ent[:, 1], ent[:, 2], out=ent[:, 1])
-    np.subtract(ent[:, 0], ent[:, 1], out=ent[:, 0])
-    return np.add(ent[0, 0], ent[1, 0], out=out)
+    p = np.add(lam0, lam1, out=rad)  # the outcome probabilities
+    _xlog2(sq, log, mask)  # p log2 p, then lam log2 lam
+    np.add(lam0, lam1, out=lam0)
+    np.subtract(p, lam0, out=p)
+    return np.add(ent_plus, ent_minus, out=out)
 
 
-def _bloch_objective(bloch: np.ndarray):
-    """The two-qubit objective of one 2 r (4, 4): ``_bloch_values`` of B^T n.
+def _bloch_objective(bloch: np.ndarray, dtype=float):
+    """The two-qubit objective of one 2 r (4, 4): ``_bloch_values`` of B^T n, in ``dtype``.
 
-    Its buffers are kept from call to call and grow to the largest
-    call, so a scan allocates them at its first tile and the refinement
-    reuses them; a call on its own allocates only its own size.
+    Directions must come in ``dtype``: float for every value the package
+    reports, float32 only for the scan's screen.  Its buffers are kept
+    from call to call and grow to the largest call, so a scan allocates
+    them at its first tile and the refinement reuses them; a call on its
+    own allocates only its own size.  The views of each call size are
+    built once per buffer.
     """
-    bt, x0 = bloch[1:].T, bloch[0][:, None]
-    work, mask = np.empty(0), np.empty(0, dtype=bool)
+    bt, x0 = bloch[1:].T.astype(dtype, copy=False), bloch[0][:, None].astype(dtype, copy=False)
+    work, mask, views = np.empty(0, dtype), np.empty(0, dtype=bool), {}
 
     def objective(n, out=None):
         nonlocal work, mask
         size = n[0].size
-        if mask.size < 6 * size:
-            work, mask = _aligned(14 * size), _aligned(6 * size, bool)
-        w = work[: 14 * size].reshape(2, 7, size)
-        np.matmul(bt, n.reshape(3, size), out=w[0, :4])
-        vals = _bloch_values(x0, w, mask[: 6 * size].reshape(2, 3, size), out)
-        return vals.reshape(n.shape[1:])
+        v = views.get(size)
+        if v is None:
+            if mask.size < 6 * size:
+                work, mask = _aligned(14 * size, dtype), _aligned(6 * size, bool)
+                views.clear()
+            v = views[size] = _bloch_views(work, mask, size)
+        np.matmul(bt, n.reshape(3, size), out=v[0])
+        return _bloch_values(x0, v, out).reshape(n.shape[1:])
 
     return objective
 
@@ -485,9 +519,10 @@ def _rule_measurements(parts: np.ndarray, u: np.ndarray, s: np.ndarray, zero: np
     if parts.ndim == 4:
         vals = [_conditional_entropy_objective(p)(v) for p, v in zip(parts, d.T)]
         return np.array(vals), theta, phi
-    w = np.empty((2, 7, len(parts)))
-    w[0, :4] = (d.T[:, None, :] @ parts[:, 1:])[:, 0].T  # B^T n
-    return _bloch_values(parts[:, 0].T, w), theta, phi
+    k = len(parts)
+    views = _bloch_views(np.empty(14 * k), np.empty(6 * k, dtype=bool), k)
+    views[0][...] = (d.T[:, None, :] @ parts[:, 1:])[:, 0].T  # B^T n
+    return _bloch_values(parts[:, 0].T, views), theta, phi
 
 
 def conditional_entropy_after(rho: DensityMatrix, m: Measurement) -> float:
@@ -524,47 +559,109 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE):
-    """Minimum, maximum and the three best cells of the objective on the (theta, phi) grid.
+def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int, dtype=float, keep=None):
+    """The scan's tiles in row-major order: ``rows`` theta rows of at most ``cols`` phi values.
 
-    The grid is visited in row-major order, at most ``tile`` directions
-    at a time: whole theta rows, or a piece of one row when a row holds
-    more than ``tile`` directions.  Each tile's directions are built from
-    the 1-D trig tables into one reused buffer, ``objective(n, out)``
-    writes its values into one reused tile-sized array, and the tile is
-    folded into the running min and max (a NaN propagates, as in
-    ``values.min()``) and the three best (value, grid index) pairs.
-    Returns (min, max, seeds, seed values), seeds equal to
-    ``argsort(values, kind="stable")[:3]`` of the whole grid, with no
-    grid-sized array made.
+    Each tile's directions are built in ``dtype`` from the 1-D trig tables
+    into one reused buffer.  Yields (grid index of its first cell,
+    directions (3, cells)) for each tile, or for the tiles that ``keep``
+    marks when it is given.
     """
-    st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
-    rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
-    buf = _aligned(3 * rows * cols)
-    out = _aligned(rows * cols)
-    lo, hi = np.inf, -np.inf
-    best, seeds = np.empty(0), np.empty(0, dtype=np.intp)
+    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+    st, ct, cp, sp = (t.astype(dtype, copy=False) for t in trig)
+    buf = _aligned(3 * rows * cols, dtype)
+    k = -1
     for r in range(0, thetas.size, rows):
         sin_t, cos_t = st[r : r + rows, None], ct[r : r + rows, None]
         for c in range(0, phis.size, cols):
+            k += 1
+            if keep is not None and not keep[k]:
+                continue
             cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
             n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, sin_t.size, cos_p.size)
             np.multiply(sin_t, cos_p, out=n[0])
             np.multiply(sin_t, sin_p, out=n[1])
             n[2] = cos_t
-            vals = objective(n.reshape(3, -1), out=out[: n[0].size])
-            tile_lo = vals.min()
-            lo, hi = np.minimum(lo, tile_lo), np.maximum(hi, vals.max())
-            # Earlier cells have lower grid indices, so a tile whose minimum only
-            # ties the third best adds nothing.  A NaN on either side compares
-            # False, so that tile is searched (NaN sorts after every number).
-            if best.size == 3 and tile_lo >= best[2]:
-                continue
-            top = _three_smallest(vals)  # merged after the earlier cells, so ties keep grid order
-            best = np.concatenate([best, vals[top]])
-            seeds = np.concatenate([seeds, r * phis.size + c + top])
-            keep = np.argsort(best, kind="stable")[:3]
-            best, seeds = best[keep], seeds[keep]
+            yield r * phis.size + c, n.reshape(3, -1)
+
+
+def _screen(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int):
+    """The tiles that can hold the scan's three best cells, from the float32 objective of 2 r.
+
+    One float32 call per tile of the exact scan's geometry records each
+    tile's minimum, and over the grid the third-smallest value T and the
+    maximum.  With E = SCAN_SCREEN_TOL bounding |f32 - f64| at every
+    direction, a cell of the exact three best has a float32 value at most
+    T + 2 E, and a tile whose float32 minimum is above that holds only
+    float64 values above the exact third best.  Returns (keep, max), keep
+    marking the tiles with minimum at most T + 2 E, or None when the first
+    tile's spread is at most FLAT_SPREAD_TOL + 2 E (the flat rule may fire,
+    so the scan must be exact) or a value is NaN.  Its buffers are freed
+    on return, before the exact pass allocates its own.
+    """
+    objective = _bloch_objective(bloch, np.float32)
+    out = _aligned(rows * cols, np.float32)
+    mins, best, hi = [], np.full(3, np.inf, dtype=np.float32), -np.inf
+    for _, n in _tiles(thetas, phis, rows, cols, np.float32):
+        vals = objective(n, out=out[: n.shape[1]])
+        tile_lo, tile_hi = float(vals.min()), float(vals.max())
+        first_flat = not mins and tile_hi - tile_lo <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL
+        if math.isnan(tile_lo) or first_flat:
+            return None
+        mins.append(tile_lo)
+        hi = max(hi, tile_hi)
+        if tile_lo < best[2]:
+            least = vals if vals.size <= 3 else np.partition(vals, 2)[:3]
+            best = np.sort(np.concatenate([best, least]))[:3]
+    return np.array(mins) <= float(best[2]) + 2 * SCAN_SCREEN_TOL, hi
+
+
+def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE, bloch=None):
+    """Minimum, maximum and the three best cells of the objective on the (theta, phi) grid.
+
+    The grid is visited in row-major order, at most ``tile`` directions
+    at a time (``_tiles``): whole theta rows, or a piece of one row when a
+    row holds more than ``tile`` directions.  ``objective(n, out)``
+    writes each tile's values into one reused tile-sized array, and the
+    tile is folded into the running min and max (a NaN propagates, as in
+    ``values.min()``) and the three best (value, grid index) pairs.
+    Returns (min, max, seeds, seed values), seeds equal to
+    ``argsort(values, kind="stable")[:3]`` of the whole grid, with no
+    grid-sized array made.
+
+    Given a two-qubit 2 r ``bloch`` and more than ``_SCREEN_TILES`` tiles,
+    ``_screen`` runs first, and the exact fold visits only the tiles it
+    keeps: the seeds, their values and the minimum are those of the whole
+    grid.  The maximum is then the screen's, more than FLAT_SPREAD_TOL +
+    SCAN_SCREEN_TOL above the minimum, as the grid's spread is more than
+    FLAT_SPREAD_TOL: the flat rule cannot fire.  When the screen declines,
+    the scan is exact throughout.
+    """
+    rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
+    tiles = -(-thetas.size // rows) * -(-phis.size // cols)
+    screened = None
+    if bloch is not None and tiles > _SCREEN_TILES:
+        screened = _screen(bloch, thetas, phis, rows, cols)
+    keep, hi = screened or (None, -np.inf)
+    out = _aligned(rows * cols)
+    lo = np.inf
+    best, seeds = np.empty(0), np.empty(0, dtype=np.intp)
+    for start, n in _tiles(thetas, phis, rows, cols, keep=keep):
+        vals = objective(n, out=out[: n.shape[1]])
+        tile_lo = vals.min()
+        lo = np.minimum(lo, tile_lo)
+        if keep is None:
+            hi = np.maximum(hi, vals.max())
+        # Earlier cells have lower grid indices, so a tile whose minimum only
+        # ties the third best adds nothing.  A NaN on either side compares
+        # False, so that tile is searched (NaN sorts after every number).
+        if best.size == 3 and tile_lo >= best[2]:
+            continue
+        top = _three_smallest(vals)  # merged after the earlier cells, so ties keep grid order
+        best = np.concatenate([best, vals[top]])
+        seeds = np.concatenate([seeds, start + top])
+        keep3 = np.argsort(best, kind="stable")[:3]
+        best, seeds = best[keep3], seeds[keep3]
     return float(lo), float(hi), seeds, best
 
 
@@ -579,7 +676,7 @@ def _three_smallest(vals: np.ndarray) -> np.ndarray:
 
 
 def _minimize_over_directions(
-    objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE
+    objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE, bloch=None
 ):
     """Scan of the hemisphere grid whose ``_grid_directions`` tables are given, then
     refinement of the best 3 cells.
@@ -587,7 +684,9 @@ def _minimize_over_directions(
     ``objective(n, out=None)`` must map directions of shape (3, ...) to
     values of shape (...), into ``out`` when given, with f(n) = f(-n).
     ``_scan`` returns the grid's min and max and its three best cells
-    (ties by grid index) with their values.  The flat rule: when the
+    (ties by grid index) with their values; given a two-qubit 2 r
+    ``bloch``, it may screen a fine grid in float32 first, with the same
+    seeds, values and minimum.  The flat rule: when the
     spread max - min is at most FLAT_SPREAD_TOL (on a grid of at least
     two theta rows and five phi columns) the objective is flat: every
     measurement is optimal, the grid minimum is returned with the
@@ -601,7 +700,7 @@ def _minimize_over_directions(
     Returns (value, theta, phi); deterministic (ties broken by grid
     and seed order).
     """
-    lo, hi, seeds, values = _scan(objective, thetas, phis, tile)
+    lo, hi, seeds, values = _scan(objective, thetas, phis, tile, bloch)
     # Two theta rows and five phi columns are the fewest that tell every
     # quadratic n^T M n apart from a constant, so a coarser scan cannot
     # vouch for flatness: on one row, cc_state(diag(.5, .5)) looks flat.
@@ -795,7 +894,8 @@ def _classical_correlations(parts: np.ndarray, axis, zero, u, s, sb: np.ndarray,
         tile = max(_SCAN_TILE * 4 // db**2, 1)
         for i in searched:
             vals[i], theta[i], phi[i] = _minimize_over_directions(
-                _conditional_entropy_objective(parts[i]), *tables, tile
+                _conditional_entropy_objective(parts[i]), *tables, tile,
+                parts[i] if db == 2 else None,
             )
     return sb - vals, [qubit_measurement(t, p) for t, p in zip(theta.tolist(), phi.tolist())]
 

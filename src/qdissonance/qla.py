@@ -57,6 +57,10 @@ NEWTON_ITER_CAP = 30  # iterations (a trial step with its stencil) of one Newton
 DIFFERENCE_STEP = 1e-4  # tangent offset, radians, of the refinement's central differences
 FLAT_SPREAD_TOL = 64 * np.finfo(float).eps  # scan spread max - min at which the objective is flat
 SPHERE_TOL = 16 * np.finfo(float).eps  # |x|, |Ty|/|B| read as 0, sigma^2 gaps/|B| ties
+# |f32 - f64| of the two-qubit objective at any direction, bits, that the scan's float32 screen
+# allows: each x log2 x term moves by at most delta (|log2 delta| + 1/ln 2), ~1e-6 for an
+# eigenvalue error delta of a few float32 ulps (3e-8)
+SCAN_SCREEN_TOL = 1e-4
 # sigma_2 of B = [x | T] at or below which a state is classical-quantum, and |T - x y^T| at
 # or below which it is a product, each over |2 r| = 2 sqrt(Tr rho^2) (for a qudit B: the real
 # 3 x 2 d_B^2 matrix of G_1..G_3, |G_i - x_i G_0|, and the norm of G_0..G_3)

@@ -46,7 +46,7 @@ from qdissonance.correlations import (
 )
 from qdissonance.qla import (
     CURVATURE_CUTOFF, DIFFERENCE_STEP, FLAT_SPREAD_TOL, NEWTON_ITER_CAP, NEWTON_TOL, PROB_CUTOFF,
-    ZERO_DISCORD_TOL,
+    SCAN_SCREEN_TOL, ZERO_DISCORD_TOL,
 )
 
 from _zoo import (
@@ -1339,7 +1339,7 @@ def test_scan_buffers_start_on_a_64_byte_boundary():
     """The buffers that the scan streams through start on a 64-byte boundary, where the
     kernel runs fastest, whatever offset malloc returns."""
     for n in (1, 7, 8192, 14 * 8192):
-        for dtype in (float, bool):
+        for dtype in (float, np.float32, bool):
             a = correlations._aligned(n, dtype)
             assert a.shape == (n,) and a.dtype == dtype and a.ctypes.data % 64 == 0
 
@@ -1436,7 +1436,9 @@ def test_fine_scan_memory_is_bounded():
 
     The hemisphere's 409600 values took 3.1 MiB, and their copy for the
     seed selection another 3.1 MiB (7.1 MiB peak); building the grid's
-    (3, 409600) directions at once took another 9.4 MiB.
+    (3, 409600) directions at once took another 9.4 MiB.  The float32
+    screen frees its buffers before the exact pass allocates its own:
+    kept alive, they took the peak from 1.26 to 1.75 MiB.
     """
     rho = random_two_qubit(np.random.default_rng(SEED + 72))
     tracemalloc.start()
@@ -1446,6 +1448,131 @@ def test_fine_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20, peak
+
+
+def _scan_calls(monkeypatch):
+    """Counts of the two-qubit objective's float32 calls and of the exact scan's tile calls."""
+    counts = {"float32": 0, "exact": 0}
+    bloch_objective, scan = correlations._bloch_objective, correlations._scan
+
+    def counted_objective(bloch, dtype=float):
+        objective = bloch_objective(bloch, dtype)
+
+        def call(n, out=None):
+            counts["float32"] += n.dtype == np.float32
+            return objective(n, out)
+
+        return call
+
+    def counted_scan(objective, *args):
+        def call(n, out=None):
+            counts["exact"] += 1
+            return objective(n, out)
+
+        return scan(call, *args)
+
+    monkeypatch.setattr(correlations, "_bloch_objective", counted_objective)
+    monkeypatch.setattr(correlations, "_scan", counted_scan)
+    return counts
+
+
+def test_fine_scans_are_screened_in_float32(monkeypatch):
+    """The default grid's one tile is scanned exactly, with no float32 call.  On the
+    640 x 1280 grid's 54 tiles the screen makes one float32 call per tile and the exact
+    pass visits fewer tiles.  The pure 0.8|00> + 0.6|11>, flat but no rule row, makes
+    the screen fall back after one tile to the exact scan, whose flat rule reports the
+    pole, bit for bit the unscreened report."""
+    rho = random_two_qubit(np.random.default_rng(SEED + 74))
+    counts = _scan_calls(monkeypatch)
+    discord(rho)
+    assert counts == {"float32": 0, "exact": 1}
+    discord(rho, grid=(640, 1280))
+    assert counts["float32"] == 54 and 1 + 1 <= counts["exact"] < 1 + 54, counts
+    v = np.zeros(4)
+    v[0], v[3] = 0.8, 0.6
+    flat = DensityMatrix(np.outer(v, v), (2, 2))
+    assert not correlations._classify(_parts(flat)[None])[0].any()
+    counts.update(float32=0, exact=0)
+    rep = discord(flat, grid=(640, 1280))
+    assert counts == {"float32": 1, "exact": 54}
+    assert rep.argmin_measurement == Measurement(0.0, 0.0)
+    monkeypatch.setattr(correlations, "_SCREEN_TILES", 10**9)
+    assert dataclasses.astuple(rep) == dataclasses.astuple(discord(flat, grid=(640, 1280)))
+
+
+def _near_circles(rng):
+    """The Bell-diagonal circle c = (0.4, 0.4, 0.1) mixed with eps of a random state and
+    locally rotated: its near-tied optima run along a great circle across many scan tiles."""
+    circle = DensityMatrix(
+        [[0.275, 0, 0, 0], [0, 0.225, 0.2, 0], [0, 0.2, 0.225, 0], [0, 0, 0, 0.275]], (2, 2)
+    ).matrix
+    states = []
+    for eps in (1e-7, 1e-6, 1e-5, 1e-4):
+        u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        m = (1.0 - eps) * circle + eps * random_density(rng, 4).matrix
+        states.append(DensityMatrix(u @ m @ u.conj().T, (2, 2)))
+    return states
+
+
+def test_screened_scan_equals_the_exhaustive_scan():
+    """The float32 screen changes no bit of the scan: its minimum, seeds and seed values are
+    the exhaustive scan's, and its maximum keeps the spread above FLAT_SPREAD_TOL.
+
+    On rotated near-circles, whose near-tied cells straddle tiles within float32
+    rounding of each other, random states of rank 2 to 4, near-CQ mixtures and X
+    states, at grids whose tiles are whole theta rows or pieces of one row.
+    """
+    rng = np.random.default_rng(SEED + 75)
+    states = _near_circles(rng) + [random_density(rng, 4, (2, 2), rank=2 + i % 3) for i in range(3)]
+    states += [
+        DensityMatrix((1 - eps) * random_cq(rng).matrix + eps * random_density(rng, 4).matrix, (2, 2))
+        for eps in (1e-9, 1e-5)
+    ]
+    states += [_x_state(*params) for params in _COMPETING_X_STATES]
+    screened = 0
+    for grid in ((640, 1280), (100, 1000), (8, 16384)):
+        thetas, phis = _grid_directions(grid)
+        for i, rho in enumerate(states):
+            parts = _parts(rho)
+            objective = _conditional_entropy_objective(parts)
+            lo, hi, seeds, values = _scan(objective, thetas, phis, correlations._SCAN_TILE, parts)
+            want_lo, want_hi, want_seeds, want_values = _scan(objective, thetas, phis)
+            assert lo == want_lo and np.array_equal(seeds, want_seeds), (grid, i)
+            assert np.array_equal(values, want_values), (grid, i)
+            assert hi == want_hi or hi - lo > FLAT_SPREAD_TOL + SCAN_SCREEN_TOL, (grid, i)
+            screened += hi != want_hi
+    assert screened >= 2 * len(states), screened
+
+
+def test_float32_objective_is_within_a_tenth_of_the_screen_tolerance():
+    """|f32 - f64| of the two-qubit objective, each at its own rounding of the direction, is at
+    most SCAN_SCREEN_TOL / 10 on states where float32 rounding is worst: pure states (pure
+    conditional states), pure-A products and |00> (outcomes of tiny p near the pole), CQ
+    states with pure and mixed B states, products, X states and near-pure states."""
+    rng = np.random.default_rng(SEED + 76)
+    states = [random_density(rng, 4, (2, 2), rank=1) for _ in range(10)]
+    states += [
+        tensor(random_density(rng, 2, rank=1), random_density(rng, 2, rank=1 + i % 2))
+        for i in range(10)
+    ]
+    states += [DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))]
+    pure_b = [random_density(rng, 2, rank=1) for _ in range(2)]
+    states += [cq_state([0.3, 0.7], random_qubit_basis(rng), pure_b) for _ in range(5)]
+    states += [random_cq(rng) for _ in range(5)] + [random_product(rng) for _ in range(5)]
+    x_states = _OFF_AXIS_X_STATES + _COMPETING_X_STATES + _SEED_X_STATES
+    states += [_x_state(*params) for params in x_states]
+    states += [near_pure_rotated(rng, (2, 2)) for _ in range(10)]
+    thetas, phis = _grid_directions((128, 256))
+    grid = _direction(thetas[:, None], phis).reshape(3, -1)
+    pole = _direction(10.0 ** -np.linspace(1, 9, 40)[:, None], np.linspace(0, 2 * np.pi, 16))
+    pole = pole.reshape(3, -1)
+    n = np.concatenate([grid, -grid, _spread_directions(2000), pole, -pole], axis=1)
+    for i, rho in enumerate(states):
+        parts = _parts(rho)
+        exact = correlations._bloch_objective(parts)(n)
+        screen = correlations._bloch_objective(parts, np.float32)(n.astype(np.float32))
+        assert screen.dtype == np.float32
+        assert np.abs(screen - exact).max() <= SCAN_SCREEN_TOL / 10, i
 
 
 def test_discord_of_near_pure_states_stays_in_bounds():

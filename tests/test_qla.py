@@ -199,6 +199,7 @@ PINNED_TOLERANCES = {
     "DIFFERENCE_STEP": 1e-4,
     "FLAT_SPREAD_TOL": 64 * 2.0**-52,
     "SPHERE_TOL": 16 * 2.0**-52,
+    "SCAN_SCREEN_TOL": 1e-4,
     "ZERO_DISCORD_TOL": 16 * 2.0**-52,
     "POLE_CUTOFF": 1e-15,
     "RANK_TOL": 1e-10,
