@@ -15,8 +15,12 @@ three best cells, so no grid-sized array is made.  A two-qubit scan of
 more than ``_SCREEN_TILES`` tiles is screened first (``_screen``): the
 same kernel in float32, within ``qla.SCAN_SCREEN_TOL`` of float64, marks
 the tiles that can hold the three best cells, and only those are scanned
-in float64, so the seeds are bit for bit those of the whole grid.  It
-refines those three cells together with one safeguarded
+in float64, so the seeds are bit for bit those of the whole grid.  The
+screen evaluates one cell per patch of a few cells, and a lower bound of
+the objective on each patch (``_patch_bounds``, from Luo's closed form)
+drops the patches that cannot hold the three best, so float32 runs only
+on the cells of the others.  The search
+refines the three best cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
 identical results.  Each Newton iteration makes one objective call: the
@@ -93,26 +97,34 @@ __all__ = [
 
 DEFAULT_GRID = (64, 128)
 # The scan holds one tile, not the grid, so this cap bounds time: a two-qubit
-# discord that the screen serves takes ~9-13 ms on the 640x1280 oracle grid and
-# ~27 ms at this cap (2048x1024, ~2.5x that grid); one whose screen falls back
-# to the exact scan (a flat objective) ~13-18 ms and ~32-42 ms (2-core Xeon VM,
-# one BLAS thread).  A (2, d_B) state is bounded by MAX_QUDIT_SCAN_WORK too.  Larger
-# grids are rejected before the scan.
+# discord that the screen serves takes ~4-7 ms on the 640x1280 oracle grid and
+# ~9-14 ms at this cap (2048x1024, ~2.5x that grid); one whose screen falls back
+# to the exact scan (a flat objective) ~18-19 ms and ~45-46 ms (2-core Xeon VM,
+# one BLAS thread, whose speed varies by up to 40%).  A (2, d_B) state is bounded
+# by MAX_QUDIT_SCAN_WORK too.  Larger grids are rejected before the scan.
 MAX_GRID_POINTS = 2**21
 # Two-qubit directions per objective call in the grid scan and its screen,
 # rounded down to whole theta rows: bounds the kernel's buffers (14 floats per
-# direction, 0.9 MB at 2**13).  With the screen, the medians of a 640x1280
-# discord over 12 random states in three runs were 8.7-9.2 ms at 2**13,
-# 8.2-9.5 ms at 2**14, 9.5-10.1 ms at 2**15 and 10.0-12.6 ms at 2**12 (2-core
-# Xeon VM, one BLAS thread); 2**14 is within that spread at twice the buffers:
-# a 640x1280 discord peaks at 2.4 MiB under tracemalloc against 1.3 MiB.
+# direction, 0.9 MB at 2**13).  With the screen, the median of the per-round
+# medians of a 640x1280 discord over 12 random states, 9 alternating rounds, was
+# 5.4 ms at 2**13, 5.7 ms at 2**14, 6.1 ms at 2**12 and 9.0 ms at 2**15 (2-core
+# Xeon VM, one BLAS thread); such a discord peaks under tracemalloc at 1.3 MiB
+# at 2**13, 1.1 MiB at 2**12, 2.4 MiB at 2**14 and 4.9 MiB at 2**15.
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**13
 # A two-qubit scan of more than this many tiles is screened in float32 first
 # (``_screen``).  Median discord over 12 random states, 15 alternating rounds:
-# at 24x1280 (2 tiles) 1.90 ms exact, 2.02 ms screened, which won 4 rounds; at
-# 36x1280 (3 tiles) 1.88 ms against 1.78 ms, 12 rounds (same VM).
-_SCREEN_TILES = 2
+# at 48x1280 (4 tiles) 3.20 ms exact, 3.63 ms screened, which won no round; at
+# 60x1280 (5 tiles) 3.46 ms against 3.49 ms, 5 rounds; at 72x1280 (6 tiles)
+# 3.67 ms against 3.28 ms, 15 rounds (same VM).  The screen's patches span a
+# tile's theta rows, which are far apart on these coarse grids.
+_SCREEN_TILES = 5
+# Cells of a screen patch (``_patch_columns``): a tile's theta rows by
+# _PATCH_CELLS // rows phi columns, 6 x 8 on the 640 x 1280 grid.  Median of the
+# per-round medians of a 640x1280 discord over 12 random states, 15 alternating
+# rounds: 7.1 ms at 24 cells, 5.5 ms at 48 and 5.8 ms at 96, which 48 beat in 14
+# rounds (same VM).
+_PATCH_CELLS = 48
 # Directions x d_B**3 a (2, d_B) search may cost (one d_B x d_B eigvalsh per
 # outcome per direction), counting the hemisphere scan and the worst-case
 # refinement: per seed, 8 for its stencil, NEWTON_ITER_CAP x (1 trial + 8
@@ -572,48 +584,185 @@ def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int, dtype=flo
     buf = _aligned(3 * rows * cols, dtype)
     k = -1
     for r in range(0, thetas.size, rows):
-        sin_t, cos_t = st[r : r + rows, None], ct[r : r + rows, None]
+        sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
         for c in range(0, phis.size, cols):
             k += 1
             if keep is not None and not keep[k]:
                 continue
             cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
-            n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, sin_t.size, cos_p.size)
-            np.multiply(sin_t, cos_p, out=n[0])
-            np.multiply(sin_t, sin_p, out=n[1])
-            n[2] = cos_t
-            yield r * phis.size + c, n.reshape(3, -1)
+            n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, -1)
+            yield r * phis.size + c, _fill(n, sin_t, cos_t, cos_p, sin_p)
+
+
+def _fill(buf: np.ndarray, sin_t, cos_t, cos_p, sin_p) -> np.ndarray:
+    """The directions of theta rows (sin_t, cos_t) by phi columns (cos_p, sin_p), row-major,
+    written into the first columns of ``buf`` (3, k): a view (3, rows x columns)."""
+    n = buf[:, : sin_t.size * cos_p.size].reshape(3, sin_t.size, cos_p.size)
+    np.multiply(sin_t[:, None], cos_p, out=n[0])
+    np.multiply(sin_t[:, None], sin_p, out=n[1])
+    n[2] = cos_t[:, None]
+    return n.reshape(3, -1)
+
+
+def _patch_columns(phis: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """First phi column of each screen patch of a ``_tiles`` geometry: every
+    max(_PATCH_CELLS // rows, 1)-th column from each tile's first, so no patch spans two tiles.
+
+    A patch is one tile's theta rows by the columns up to the next start.
+    """
+    width = max(_PATCH_CELLS // rows, 1)
+    tiles = range(0, phis.size, cols)
+    return np.concatenate([np.arange(c, min(c + cols, phis.size), width) for c in tiles])
+
+
+def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, starts):
+    """Lower bounds of the two-qubit objective of 2 r on each screen patch, (blocks, patches).
+
+    Patch (i, j) holds the cells of the theta rows from i * rows up to (i + 1) * rows
+    and of the phi columns from starts[j] up to the next start.  With 2 r =
+    [[1, y], [x, T]] and w = T y, measuring +/-n gives p = (1 +/- a) / 2 with
+    a = x.n, and leaves B with a Bloch vector of length z = r / (1 +/- a), where
+    r = |y +/- T^T n| = sqrt(|y|^2 +/- 2 w.n + |T^T n|^2); the objective is the sum
+    over +/- of p h(z), h(z) = 1 - [(1 + z) log2(1 + z) + (1 - z) log2(1 - z)] / 2
+    (Luo, PRA 77, 042303, 2008), which grows with p at fixed r and falls with r.  Every cell
+    n = n_c + d of a patch is within chord distance |d| <= delta of the patch's
+    centre n_c, and d = d_t - |d|^2 n_c / 2 with d_t tangent at n_c, so
+    |x.d| <= |x_t| delta + |a_c| delta^2 / 2, x_t the tangent part of x, and
+    |T^T d| <= s delta + |T^T n_c| delta^2 / 2, s = min(|T|_2, sqrt(|T|_F^2 -
+    |T^T n_c|^2)) bounding |T^T u| for unit tangent u.  So the least p and the
+    largest r over the patch, z at most 1, bound each outcome's term from below.
+    The centres' linear and quadratic forms are separable in theta and phi.
+    """
+    first = np.arange(0, thetas.size, rows)
+    t_lo, t_hi = thetas[first], thetas[np.minimum(first + rows, thetas.size) - 1]
+    p_lo, p_hi = phis[starts], phis[np.append(starts[1:], phis.size) - 1]
+    t_c, p_c = (t_lo + t_hi) / 2.0, (p_lo + p_hi) / 2.0
+    st, ct, cp, sp = np.sin(t_c), np.cos(t_c), np.cos(p_c), np.sin(p_c)
+    # |n - n_c|^2 = 4 sin^2(dt / 2) + 4 sin t sin t_c sin^2(dp / 2) for the cell at
+    # (t_c + dt, p_c + dp): |dt| and |dp| are at most half the patch's spans, and
+    # sin t <= sin t_hi on the upper hemisphere
+    ht, hp = np.sin((t_hi - t_lo) / 4.0), np.sin((p_hi - p_lo) / 4.0)
+    delta = np.multiply.outer(4.0 * st * np.sin(t_hi), hp * hp)
+    delta += (4.0 * ht * ht)[:, None]
+    np.sqrt(delta, out=delta)
+
+    def linear(v):  # v.n_c
+        out = np.multiply.outer(st, v[0] * cp + v[1] * sp)
+        out += (v[2] * ct)[:, None]
+        return out
+
+    x, y, t = bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:]
+    m = t @ t.T
+    c = np.multiply.outer(st * st, m[0, 0] * cp * cp + 2.0 * m[0, 1] * cp * sp + m[1, 1] * sp * sp)
+    c += np.multiply.outer(2.0 * st * ct, m[0, 2] * cp + m[1, 2] * sp)
+    c += (m[2, 2] * ct * ct)[:, None]  # |T^T n_c|^2 = n_c^T T T^T n_c
+    a, w2 = linear(x), linear(2.0 * (t @ y))
+    # the largest |x.d| and |T^T d| over each patch, in place so that few arrays of one value
+    # a patch are alive at once: a 640x1280 screen peaks at 1.3 MiB under tracemalloc, as
+    # the float64 pass does, and at 1.7 MiB with these bounds built from expressions
+    half = delta * delta / 2.0
+    da = np.sqrt(np.maximum(x @ x - a * a, 0.0))
+    da *= delta
+    da += np.abs(a) * half
+    dr = np.sqrt(np.maximum(m.trace() - c, 0.0))
+    np.minimum(dr, np.linalg.norm(t, 2), out=dr)
+    dr *= delta
+    dr += np.sqrt(c) * half
+    del delta, half
+    c += y @ y  # |y|^2 + |T^T n_c|^2
+    base = np.subtract(1.0, da, out=da)  # 1 - da, in da's array
+    bound = np.zeros_like(a)
+    for op in (np.add, np.subtract):  # the outcomes of +n and of -n
+        den = np.maximum(op(base, a), 0.0)  # twice the least p
+        z = np.sqrt(np.maximum(op(c, w2), 0.0))
+        z += dr  # the largest |y +/- T^T n|
+        np.minimum(z, den, out=z)
+        z /= np.maximum(den, np.finfo(float).tiny)  # 0 where p is 0
+        h = _xlog2(1.0 - z)
+        z += 1.0
+        h += z * np.log2(z)
+        bound += den * (1.0 - h / 2.0)
+    return bound / 2.0
 
 
 def _screen(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int):
     """The tiles that can hold the scan's three best cells, from the float32 objective of 2 r.
 
-    One float32 call per tile of the exact scan's geometry records each
-    tile's minimum, and over the grid the third-smallest value T and the
-    maximum.  With E = SCAN_SCREEN_TOL bounding |f32 - f64| at every
-    direction, a cell of the exact three best has a float32 value at most
-    T + 2 E, and a tile whose float32 minimum is above that holds only
-    float64 values above the exact third best.  Returns (keep, max), keep
-    marking the tiles with minimum at most T + 2 E, or None when the first
-    tile's spread is at most FLAT_SPREAD_TOL + 2 E (the flat rule may fire,
-    so the scan must be exact) or a value is NaN.  Its buffers are freed
-    on return, before the exact pass allocates its own.
+    E = SCAN_SCREEN_TOL bounds |f32 - f64| at every direction.  The grid is
+    split into ``_patch_columns`` patches, and the cell nearest each
+    patch's centre is evaluated in float32.  The third-smallest of these
+    values plus E, U, is at least the grid's exact third best, so a patch
+    whose ``_patch_bounds`` bound is above U + E (E absorbing the bound's
+    rounding) holds only float64 values above it and is dropped.  The cells
+    of the other patches are packed, theta block by theta block, into one
+    tile-sized buffer and evaluated in float32, which gives each tile's
+    minimum over them and their third-smallest value T.  A cell of the
+    exact three best has a float32 value at most T + 2 E, so a tile whose
+    minimum is above that holds only float64 values above the exact third
+    best.  Returns (keep, max), keep marking the tiles with minimum at most
+    T + 2 E and max the sample's, or None when the sample spreads by at
+    most FLAT_SPREAD_TOL + 2 E (the flat rule may fire, so the scan must be
+    exact) or a value is NaN.  Its buffers are freed on return, before the
+    exact pass allocates its own.
     """
     objective = _bloch_objective(bloch, np.float32)
-    out = _aligned(rows * cols, np.float32)
-    mins, best, hi = [], np.full(3, np.inf, dtype=np.float32), -np.inf
-    for _, n in _tiles(thetas, phis, rows, cols, np.float32):
-        vals = objective(n, out=out[: n.shape[1]])
-        tile_lo, tile_hi = float(vals.min()), float(vals.max())
-        first_flat = not mins and tile_hi - tile_lo <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL
-        if math.isnan(tile_lo) or first_flat:
-            return None
-        mins.append(tile_lo)
-        hi = max(hi, tile_hi)
-        if tile_lo < best[2]:
+    size = rows * cols
+    starts = _patch_columns(phis, rows, cols)
+    widths = np.diff(starts, append=phis.size)
+    first = np.arange(0, thetas.size, rows)
+    mid_t = thetas[first + (np.minimum(rows, thetas.size - first) - 1) // 2]
+    mid_p = phis[starts + (widths - 1) // 2]
+    sample = np.empty(mid_t.size * mid_p.size, dtype=np.float32)
+    sample_rows, sample_cols = max(size // mid_p.size, 1), min(mid_p.size, size)
+    for start, n in _tiles(mid_t, mid_p, sample_rows, sample_cols, np.float32):
+        objective(n, out=sample[start : start + n.shape[1]])
+    lo, hi = float(sample.min()), float(sample.max())
+    if math.isnan(lo) or hi - lo <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL:
+        return None
+    limit = float(np.partition(sample, 2)[2]) + 2 * SCAN_SCREEN_TOL  # U + E
+    # the cells of the patches kept, (blocks, columns); a NaN bound keeps its patch
+    cells = np.repeat(~(_patch_bounds(bloch, thetas, phis, rows, starts) > limit), widths, axis=1)
+
+    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+    st, ct, cp, sp = (t.astype(np.float32) for t in trig)
+    buf, out = _aligned(3 * size, np.float32).reshape(3, size), _aligned(size, np.float32)
+    per_row = -(-phis.size // cols)
+    mins = np.full(first.size * per_row, np.inf, dtype=np.float32)
+    best = np.full(3, np.inf, dtype=np.float32)
+    packed, offsets, end = [], [], 0  # the tiles in the buffer, and where each starts
+
+    def fold():
+        nonlocal best
+        vals = objective(buf[:, :end], out=out[:end])
+        lows = mins[packed] = np.minimum.reduceat(vals, offsets)
+        if lows.min() < best[2]:  # False on a NaN, which the check below catches
             least = vals if vals.size <= 3 else np.partition(vals, 2)[:3]
             best = np.sort(np.concatenate([best, least]))[:3]
-    return np.array(mins) <= float(best[2]) + 2 * SCAN_SCREEN_TOL, hi
+        packed.clear()
+        offsets.clear()
+
+    for i in np.flatnonzero(cells.any(axis=1)).tolist():
+        r = first[i]
+        sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
+        for c in range(0, phis.size, cols):
+            kept = cells[i, c : c + cols]
+            cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
+            if not kept.all():
+                cos_p, sin_p = cos_p[kept], sin_p[kept]
+            if not cos_p.size:
+                continue
+            if end + sin_t.size * cos_p.size > size:
+                fold()
+                end = 0
+            n = _fill(buf[:, end:], sin_t, cos_t, cos_p, sin_p)
+            packed.append(i * per_row + c // cols)
+            offsets.append(end)
+            end += n.shape[1]
+    if end:
+        fold()
+    if np.isnan(mins).any():
+        return None
+    return mins <= float(best[2]) + 2 * SCAN_SCREEN_TOL, hi
 
 
 def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE, bloch=None):
@@ -632,10 +781,10 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
     Given a two-qubit 2 r ``bloch`` and more than ``_SCREEN_TILES`` tiles,
     ``_screen`` runs first, and the exact fold visits only the tiles it
     keeps: the seeds, their values and the minimum are those of the whole
-    grid.  The maximum is then the screen's, more than FLAT_SPREAD_TOL +
-    SCAN_SCREEN_TOL above the minimum, as the grid's spread is more than
-    FLAT_SPREAD_TOL: the flat rule cannot fire.  When the screen declines,
-    the scan is exact throughout.
+    grid.  The maximum is then the largest float32 value of the screen's
+    sample, more than FLAT_SPREAD_TOL + SCAN_SCREEN_TOL above the minimum,
+    as the grid's spread is more than FLAT_SPREAD_TOL: the flat rule cannot
+    fire.  When the screen declines, the scan is exact throughout.
     """
     rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
     tiles = -(-thetas.size // rows) * -(-phis.size // cols)

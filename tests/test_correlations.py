@@ -1437,8 +1437,9 @@ def test_fine_scan_memory_is_bounded():
     The hemisphere's 409600 values took 3.1 MiB, and their copy for the
     seed selection another 3.1 MiB (7.1 MiB peak); building the grid's
     (3, 409600) directions at once took another 9.4 MiB.  The float32
-    screen frees its buffers before the exact pass allocates its own:
-    kept alive, they took the peak from 1.26 to 1.75 MiB.
+    screen holds tile-sized buffers and builds its patch bounds in place, and
+    frees them before the exact pass allocates its own: each peaks at ~1.3 MiB
+    (the bounds, built from expressions, took the screen's peak to 1.7 MiB).
     """
     rho = random_two_qubit(np.random.default_rng(SEED + 72))
     tracemalloc.start()
@@ -1451,7 +1452,8 @@ def test_fine_scan_memory_is_bounded():
 
 
 def _scan_calls(monkeypatch):
-    """Counts of the two-qubit objective's float32 calls and of the exact scan's tile calls."""
+    """Counts of the directions that the two-qubit objective evaluates in float32 and of the
+    exact scan's tile calls."""
     counts = {"float32": 0, "exact": 0}
     bloch_objective, scan = correlations._bloch_objective, correlations._scan
 
@@ -1459,7 +1461,7 @@ def _scan_calls(monkeypatch):
         objective = bloch_objective(bloch, dtype)
 
         def call(n, out=None):
-            counts["float32"] += n.dtype == np.float32
+            counts["float32"] += n[0].size if n.dtype == np.float32 else 0
             return objective(n, out)
 
         return call
@@ -1478,26 +1480,40 @@ def _scan_calls(monkeypatch):
 
 def test_fine_scans_are_screened_in_float32(monkeypatch):
     """The default grid's one tile is scanned exactly, with no float32 call.  On the
-    640 x 1280 grid's 54 tiles the screen makes one float32 call per tile and the exact
+    640 x 1280 grid's 54 tiles the screen evaluates its one-cell-per-patch sample and
+    the cells of the patches that its bound keeps, a fraction of the grid, and the exact
     pass visits fewer tiles.  The pure 0.8|00> + 0.6|11>, flat but no rule row, makes
-    the screen fall back after one tile to the exact scan, whose flat rule reports the
+    the screen fall back after its sample to the exact scan, whose flat rule reports the
     pole, bit for bit the unscreened report."""
     rho = random_two_qubit(np.random.default_rng(SEED + 74))
     counts = _scan_calls(monkeypatch)
     discord(rho)
     assert counts == {"float32": 0, "exact": 1}
+    thetas, phis = _grid_directions((640, 1280))
+    patches = correlations._patch_columns(phis, 6, 1280).size * -(-thetas.size // 6)
     discord(rho, grid=(640, 1280))
-    assert counts["float32"] == 54 and 1 + 1 <= counts["exact"] < 1 + 54, counts
+    assert patches < counts["float32"] < thetas.size * phis.size // 4, counts
+    assert 1 + 1 <= counts["exact"] < 1 + 54, counts
     v = np.zeros(4)
     v[0], v[3] = 0.8, 0.6
     flat = DensityMatrix(np.outer(v, v), (2, 2))
     assert not correlations._classify(_parts(flat)[None])[0].any()
     counts.update(float32=0, exact=0)
     rep = discord(flat, grid=(640, 1280))
-    assert counts == {"float32": 1, "exact": 54}
+    assert counts == {"float32": patches, "exact": 54}
     assert rep.argmin_measurement == Measurement(0.0, 0.0)
     monkeypatch.setattr(correlations, "_SCREEN_TILES", 10**9)
     assert dataclasses.astuple(rep) == dataclasses.astuple(discord(flat, grid=(640, 1280)))
+
+
+def test_screen_evaluates_few_cells_of_random_states(monkeypatch):
+    """On seeded random rank-4 states at 640 x 1280 the screen evaluates fewer than 10%
+    of the grid's cells in float32, its sample included."""
+    rng = np.random.default_rng(SEED + 78)
+    counts = _scan_calls(monkeypatch)
+    for _ in range(10):
+        discord(random_density(rng, 4, (2, 2), rank=4), grid=(640, 1280))
+    assert counts["float32"] < 0.1 * 10 * 320 * 1280, counts
 
 
 def _near_circles(rng):
@@ -1520,7 +1536,9 @@ def test_screened_scan_equals_the_exhaustive_scan():
 
     On rotated near-circles, whose near-tied cells straddle tiles within float32
     rounding of each other, random states of rank 2 to 4, near-CQ mixtures and X
-    states, at grids whose tiles are whole theta rows or pieces of one row.
+    states, at grids whose tiles are whole theta rows or pieces of one row.  Every X
+    state is screened, its pole a stationary point: the screen reads flatness from
+    its sample over the whole hemisphere, not from the polar cap of the first tile.
     """
     rng = np.random.default_rng(SEED + 75)
     states = _near_circles(rng) + [random_density(rng, 4, (2, 2), rank=2 + i % 3) for i in range(3)]
@@ -1528,7 +1546,8 @@ def test_screened_scan_equals_the_exhaustive_scan():
         DensityMatrix((1 - eps) * random_cq(rng).matrix + eps * random_density(rng, 4).matrix, (2, 2))
         for eps in (1e-9, 1e-5)
     ]
-    states += [_x_state(*params) for params in _COMPETING_X_STATES]
+    x_states = _OFF_AXIS_X_STATES + _COMPETING_X_STATES + _SEED_X_STATES
+    states += [_x_state(*params) for params in x_states]
     screened = 0
     for grid in ((640, 1280), (100, 1000), (8, 16384)):
         thetas, phis = _grid_directions(grid)
@@ -1541,6 +1560,7 @@ def test_screened_scan_equals_the_exhaustive_scan():
             assert np.array_equal(values, want_values), (grid, i)
             assert hi == want_hi or hi - lo > FLAT_SPREAD_TOL + SCAN_SCREEN_TOL, (grid, i)
             screened += hi != want_hi
+            assert hi != want_hi or i < len(states) - len(x_states), (grid, i)
     assert screened >= 2 * len(states), screened
 
 
@@ -1573,6 +1593,43 @@ def test_float32_objective_is_within_a_tenth_of_the_screen_tolerance():
         screen = correlations._bloch_objective(parts, np.float32)(n.astype(np.float32))
         assert screen.dtype == np.float32
         assert np.abs(screen - exact).max() <= SCAN_SCREEN_TOL / 10, i
+
+
+def test_patch_bounds_are_below_every_cell_of_their_patch():
+    """``_patch_bounds`` is at most the float64 objective at every cell of its screen patch,
+    to 1e-12 bits, far below the SCAN_SCREEN_TOL margin that the screen prunes with.
+
+    On pure and near-pure states (eps 1e-3 to 1e-9, pure conditional states and
+    outcomes of tiny p), CQ states with pure and mixed B, products, the X states,
+    near-circles and random states of rank 1 to 4, with the patches of the 640 x 1280,
+    100 x 1000 and 64 x 128 tile geometries (6 x 8, 8 x 6 and 32 x 1 cells).
+    """
+    rng = np.random.default_rng(SEED + 77)
+    states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(8)]
+    for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+        pure = random_density(rng, 4, rank=1).matrix
+        states.append(DensityMatrix((1 - eps) * pure + eps * random_density(rng, 4).matrix, (2, 2)))
+    pure_b = [random_density(rng, 2, rank=1) for _ in range(2)]
+    states += [cq_state([0.3, 0.7], random_qubit_basis(rng), pure_b) for _ in range(2)]
+    states += [random_cq(rng) for _ in range(2)] + [random_product(rng) for _ in range(2)]
+    states += [DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))]
+    x_states = _OFF_AXIS_X_STATES + _COMPETING_X_STATES + _SEED_X_STATES
+    states += [_x_state(*params) for params in x_states] + _near_circles(rng)
+    for grid in ((640, 1280), (100, 1000), (64, 128)):
+        thetas, phis = _grid_directions(grid)
+        tile = correlations._SCAN_TILE
+        rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
+        starts = correlations._patch_columns(phis, rows, cols)
+        for i, rho in enumerate(states):
+            parts = _parts(rho)
+            objective = _conditional_entropy_objective(parts)
+            least = np.stack([
+                np.minimum.reduceat(objective(n).reshape(-1, phis.size).min(axis=0), starts)
+                for _, n in correlations._tiles(thetas, phis, rows, phis.size)
+            ])
+            bound = correlations._patch_bounds(parts, thetas, phis, rows, starts)
+            assert bound.shape == least.shape, (grid, i)
+            assert (bound <= least + 1e-12).all(), (grid, i, (bound - least).max())
 
 
 def test_discord_of_near_pure_states_stays_in_bounds():
