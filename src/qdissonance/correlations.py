@@ -12,14 +12,14 @@ with the outcomes swapped) tile by tile: each tile's directions are
 built from the 1-D trig tables into one reused buffer, its values go
 into another, and the tile is folded into the running min, max and
 three best cells, so no grid-sized array is made.  A two-qubit scan of
-more than ``_SCREEN_TILES`` tiles is screened first (``_screen``): the
-same kernel in float32, within ``qla.SCAN_SCREEN_TOL`` of float64, marks
-the tiles that can hold the three best cells, and only those are scanned
-in float64, so the seeds are bit for bit those of the whole grid.  The
-screen evaluates one cell per patch of a few cells, and a lower bound of
-the objective on each patch (``_patch_bounds``, from Luo's closed form)
-drops the patches that cannot hold the three best, so float32 runs only
-on the cells of the others.  The search
+more than ``_SCREEN_TILES`` tiles is screened first (``_screen``): one
+pass of Luo's closed form (``_patch_bounds``) bounds the objective from
+below on each patch of a few cells and values it at the patch's middle
+cell, which drops the patches that cannot hold the three best cells; the
+same kernel in float32, within ``qla.SCAN_SCREEN_TOL`` of float64, runs
+on the cells of the others and marks the tiles that can hold them, and
+only those are scanned in float64, so the seeds are bit for bit those of
+the whole grid.  The search
 refines the three best cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
@@ -571,17 +571,16 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int, dtype=float, keep=None):
+def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int, keep=None):
     """The scan's tiles in row-major order: ``rows`` theta rows of at most ``cols`` phi values.
 
-    Each tile's directions are built in ``dtype`` from the 1-D trig tables
-    into one reused buffer.  Yields (grid index of its first cell,
-    directions (3, cells)) for each tile, or for the tiles that ``keep``
-    marks when it is given.
+    Each tile's directions are built from the 1-D trig tables into one
+    reused buffer.  Yields (grid index of its first cell, directions
+    (3, cells)) for each tile, or for the tiles that ``keep`` marks when
+    it is given.
     """
-    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
-    st, ct, cp, sp = (t.astype(dtype, copy=False) for t in trig)
-    buf = _aligned(3 * rows * cols, dtype)
+    st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
+    buf = _aligned(3 * rows * cols)
     k = -1
     for r in range(0, thetas.size, rows):
         sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
@@ -616,7 +615,8 @@ def _patch_columns(phis: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, starts):
-    """Lower bounds of the two-qubit objective of 2 r on each screen patch, (blocks, patches).
+    """Lower bounds of the two-qubit objective of 2 r on each screen patch, and its value at each
+    patch's middle cell (middle row and column, the first of two): two arrays (blocks, patches).
 
     Patch (i, j) holds the cells of the theta rows from i * rows up to (i + 1) * rows
     and of the phi columns from starts[j] up to the next start.  With 2 r =
@@ -630,36 +630,53 @@ def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows:
     |x.d| <= |x_t| delta + |a_c| delta^2 / 2, x_t the tangent part of x, and
     |T^T d| <= s delta + |T^T n_c| delta^2 / 2, s = min(|T|_2, sqrt(|T|_F^2 -
     |T^T n_c|^2)) bounding |T^T u| for unit tangent u.  So the least p and the
-    largest r over the patch, z at most 1, bound each outcome's term from below.
-    The centres' linear and quadratic forms are separable in theta and phi.
+    largest r over the patch, z at most 1, bound each outcome's term from below;
+    with delta = 0 the same terms give the middle cells' values.  x.n, w.n and |T^T n|^2
+    are separable in theta and phi: one matrix product for the centres or the middle cells.
     """
+    x, y, t = bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:]
+    m, v = t @ t.T, np.stack([x, 2.0 * (t @ y)])
+
+    def forms(theta, phi):  # x.n, 2 w.n and |T^T n|^2 = n^T M n on theta rows x phi columns,
+        # one product of (sin t, cos t, sin^2 t, sin t cos t, cos^2 t) with rows in phi
+        cs, right = np.stack([np.cos(phi), np.sin(phi)]), np.zeros((3, 5, phi.size))
+        right[:2, 0], right[:2, 1], right[2, 4] = v[:, :2] @ cs, v[:, 2:], m[2, 2]
+        right[2, 2], right[2, 3] = (cs * (m[:2, :2] @ cs)).sum(axis=0), 2.0 * m[2, :2] @ cs
+        st, ct = np.sin(theta), np.cos(theta)
+        return np.stack([st, ct, st * st, st * ct, ct * ct], axis=1) @ right
+
+    def terms(base, a, w2, c, dr):  # sum of p h(z), 2 p = base +/- a, r = |y +/- T^T n| + dr
+        out, den, z, h, log = np.zeros_like(a), *(np.empty_like(a) for _ in range(4))
+        c += y @ y  # |y|^2 + |T^T n|^2, in the caller's array
+        for op in (np.add, np.subtract):  # the outcomes of +n and of -n, in place in the scratch
+            np.maximum(op(base, a, out=den), 0.0, out=den)  # twice p
+            np.sqrt(np.maximum(op(c, w2, out=z), 0.0, out=z), out=z)
+            z += dr  # r
+            np.minimum(z, den, out=z)
+            z /= np.maximum(den, np.finfo(float).tiny, out=h)  # 0 where p is 0
+            _xlog2(np.subtract(1.0, z, out=h), log)
+            z += 1.0
+            h += np.multiply(z, np.log2(z, out=log), out=log)
+            np.subtract(1.0, np.divide(h, 2.0, out=h), out=h)
+            out += np.multiply(den, h, out=h)
+        return np.divide(out, 2.0, out=out)
+
     first = np.arange(0, thetas.size, rows)
-    t_lo, t_hi = thetas[first], thetas[np.minimum(first + rows, thetas.size) - 1]
-    p_lo, p_hi = phis[starts], phis[np.append(starts[1:], phis.size) - 1]
+    last, ends = np.minimum(first + rows, thetas.size) - 1, np.append(starts[1:], phis.size) - 1
+    middle = terms(1.0, *forms(thetas[(first + last) // 2], phis[(starts + ends) // 2]), 0.0)
+    t_lo, t_hi, p_lo, p_hi = thetas[first], thetas[last], phis[starts], phis[ends]
     t_c, p_c = (t_lo + t_hi) / 2.0, (p_lo + p_hi) / 2.0
-    st, ct, cp, sp = np.sin(t_c), np.cos(t_c), np.cos(p_c), np.sin(p_c)
     # |n - n_c|^2 = 4 sin^2(dt / 2) + 4 sin t sin t_c sin^2(dp / 2) for the cell at
     # (t_c + dt, p_c + dp): |dt| and |dp| are at most half the patch's spans, and
     # sin t <= sin t_hi on the upper hemisphere
     ht, hp = np.sin((t_hi - t_lo) / 4.0), np.sin((p_hi - p_lo) / 4.0)
-    delta = np.multiply.outer(4.0 * st * np.sin(t_hi), hp * hp)
+    delta = np.outer(4.0 * np.sin(t_c) * np.sin(t_hi), hp * hp)
     delta += (4.0 * ht * ht)[:, None]
     np.sqrt(delta, out=delta)
-
-    def linear(v):  # v.n_c
-        out = np.multiply.outer(st, v[0] * cp + v[1] * sp)
-        out += (v[2] * ct)[:, None]
-        return out
-
-    x, y, t = bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:]
-    m = t @ t.T
-    c = np.multiply.outer(st * st, m[0, 0] * cp * cp + 2.0 * m[0, 1] * cp * sp + m[1, 1] * sp * sp)
-    c += np.multiply.outer(2.0 * st * ct, m[0, 2] * cp + m[1, 2] * sp)
-    c += (m[2, 2] * ct * ct)[:, None]  # |T^T n_c|^2 = n_c^T T T^T n_c
-    a, w2 = linear(x), linear(2.0 * (t @ y))
+    a, w2, c = forms(t_c, p_c)
     # the largest |x.d| and |T^T d| over each patch, in place so that few arrays of one value
-    # a patch are alive at once: a 640x1280 screen peaks at 1.3 MiB under tracemalloc, as
-    # the float64 pass does, and at 1.7 MiB with these bounds built from expressions
+    # a patch are alive at once: on 640x1280 this function peaks at 0.75 MiB under
+    # tracemalloc and the screen at 0.9 MiB, below the float64 pass's 1.3 MiB
     half = delta * delta / 2.0
     da = np.sqrt(np.maximum(x @ x - a * a, 0.0))
     da *= delta
@@ -669,60 +686,41 @@ def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows:
     dr *= delta
     dr += np.sqrt(c) * half
     del delta, half
-    c += y @ y  # |y|^2 + |T^T n_c|^2
-    base = np.subtract(1.0, da, out=da)  # 1 - da, in da's array
-    bound = np.zeros_like(a)
-    for op in (np.add, np.subtract):  # the outcomes of +n and of -n
-        den = np.maximum(op(base, a), 0.0)  # twice the least p
-        z = np.sqrt(np.maximum(op(c, w2), 0.0))
-        z += dr  # the largest |y +/- T^T n|
-        np.minimum(z, den, out=z)
-        z /= np.maximum(den, np.finfo(float).tiny)  # 0 where p is 0
-        h = _xlog2(1.0 - z)
-        z += 1.0
-        h += z * np.log2(z)
-        bound += den * (1.0 - h / 2.0)
-    return bound / 2.0
+    return terms(np.subtract(1.0, da, out=da), a, w2, c, dr), middle
 
 
 def _screen(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int):
-    """The tiles that can hold the scan's three best cells, from the float32 objective of 2 r.
+    """The tiles that can hold the scan's three best cells, from the patch bounds of 2 r and the
+    float32 objective on the cells of the patches they keep.
 
     E = SCAN_SCREEN_TOL bounds |f32 - f64| at every direction.  The grid is
-    split into ``_patch_columns`` patches, and the cell nearest each
-    patch's centre is evaluated in float32.  The third-smallest of these
-    values plus E, U, is at least the grid's exact third best, so a patch
-    whose ``_patch_bounds`` bound is above U + E (E absorbing the bound's
-    rounding) holds only float64 values above it and is dropped.  The cells
-    of the other patches are packed, theta block by theta block, into one
-    tile-sized buffer and evaluated in float32, which gives each tile's
-    minimum over them and their third-smallest value T.  A cell of the
-    exact three best has a float32 value at most T + 2 E, so a tile whose
-    minimum is above that holds only float64 values above the exact third
-    best.  Returns (keep, max), keep marking the tiles with minimum at most
-    T + 2 E and max the sample's, or None when the sample spreads by at
-    most FLAT_SPREAD_TOL + 2 E (the flat rule may fire, so the scan must be
-    exact) or a value is NaN.  Its buffers are freed on return, before the
-    exact pass allocates its own.
+    split into ``_patch_columns`` patches, and ``_patch_bounds`` gives each
+    patch's lower bound and the objective at its middle cell, within 1e-10 of
+    the float64 kernel.  The third-smallest middle value plus E, U, is at
+    least the grid's exact third best, so a patch whose bound is above U + E
+    (E absorbing the bound's rounding) holds only float64 values above it and
+    is dropped.  The cells of the other patches are packed, theta block by
+    theta block, into one tile-sized buffer and evaluated in float32, which
+    gives each tile's minimum over them and their third-smallest value T.  A
+    cell of the exact three best has a float32 value at most T + 2 E, so a
+    tile whose minimum is above that holds only float64 values above the
+    exact third best.  Returns (keep, max), keep marking the tiles with
+    minimum at most T + 2 E and max the middle values', or None, with no
+    float32 call, when those spread by at most FLAT_SPREAD_TOL + 2 E (the flat
+    rule may fire, so the scan must be exact) or a value is NaN.  Its buffers
+    are freed on return, before the exact pass allocates its own.
     """
-    objective = _bloch_objective(bloch, np.float32)
     size = rows * cols
     starts = _patch_columns(phis, rows, cols)
-    widths = np.diff(starts, append=phis.size)
-    first = np.arange(0, thetas.size, rows)
-    mid_t = thetas[first + (np.minimum(rows, thetas.size - first) - 1) // 2]
-    mid_p = phis[starts + (widths - 1) // 2]
-    sample = np.empty(mid_t.size * mid_p.size, dtype=np.float32)
-    sample_rows, sample_cols = max(size // mid_p.size, 1), min(mid_p.size, size)
-    for start, n in _tiles(mid_t, mid_p, sample_rows, sample_cols, np.float32):
-        objective(n, out=sample[start : start + n.shape[1]])
-    lo, hi = float(sample.min()), float(sample.max())
+    bounds, middle = _patch_bounds(bloch, thetas, phis, rows, starts)
+    lo, hi = float(middle.min()), float(middle.max())
     if math.isnan(lo) or hi - lo <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL:
         return None
-    limit = float(np.partition(sample, 2)[2]) + 2 * SCAN_SCREEN_TOL  # U + E
+    limit = float(np.partition(middle, 2, axis=None)[2]) + 2 * SCAN_SCREEN_TOL  # U + E
     # the cells of the patches kept, (blocks, columns); a NaN bound keeps its patch
-    cells = np.repeat(~(_patch_bounds(bloch, thetas, phis, rows, starts) > limit), widths, axis=1)
-
+    cells = np.repeat(~(bounds > limit), np.diff(starts, append=phis.size), axis=1)
+    objective = _bloch_objective(bloch, np.float32)
+    first = np.arange(0, thetas.size, rows)
     trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
     st, ct, cp, sp = (t.astype(np.float32) for t in trig)
     buf, out = _aligned(3 * size, np.float32).reshape(3, size), _aligned(size, np.float32)
@@ -781,8 +779,8 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
     Given a two-qubit 2 r ``bloch`` and more than ``_SCREEN_TILES`` tiles,
     ``_screen`` runs first, and the exact fold visits only the tiles it
     keeps: the seeds, their values and the minimum are those of the whole
-    grid.  The maximum is then the largest float32 value of the screen's
-    sample, more than FLAT_SPREAD_TOL + SCAN_SCREEN_TOL above the minimum,
+    grid.  The maximum is then the largest of the screen's closed-form
+    middle-cell values, more than FLAT_SPREAD_TOL + SCAN_SCREEN_TOL above the minimum,
     as the grid's spread is more than FLAT_SPREAD_TOL: the flat rule cannot
     fire.  When the screen declines, the scan is exact throughout.
     """

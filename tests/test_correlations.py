@@ -1436,10 +1436,10 @@ def test_fine_scan_memory_is_bounded():
 
     The hemisphere's 409600 values took 3.1 MiB, and their copy for the
     seed selection another 3.1 MiB (7.1 MiB peak); building the grid's
-    (3, 409600) directions at once took another 9.4 MiB.  The float32
-    screen holds tile-sized buffers and builds its patch bounds in place, and
-    frees them before the exact pass allocates its own: each peaks at ~1.3 MiB
-    (the bounds, built from expressions, took the screen's peak to 1.7 MiB).
+    (3, 409600) directions at once took another 9.4 MiB.  The screen holds
+    tile-sized buffers and arrays of one value a patch, and frees them before
+    the exact pass allocates its own: the screen peaks at ~0.9 MiB and the
+    exact pass at ~1.3 MiB.
     """
     rho = random_two_qubit(np.random.default_rng(SEED + 72))
     tracemalloc.start()
@@ -1480,19 +1480,18 @@ def _scan_calls(monkeypatch):
 
 def test_fine_scans_are_screened_in_float32(monkeypatch):
     """The default grid's one tile is scanned exactly, with no float32 call.  On the
-    640 x 1280 grid's 54 tiles the screen evaluates its one-cell-per-patch sample and
-    the cells of the patches that its bound keeps, a fraction of the grid, and the exact
-    pass visits fewer tiles.  The pure 0.8|00> + 0.6|11>, flat but no rule row, makes
-    the screen fall back after its sample to the exact scan, whose flat rule reports the
-    pole, bit for bit the unscreened report."""
+    640 x 1280 grid's 54 tiles the screen evaluates in float32 only the cells of the
+    patches that its bound keeps, a fraction of the grid, and the exact pass visits fewer
+    tiles.  The pure 0.8|00> + 0.6|11>, flat but no rule row, makes the screen fall back
+    from its closed-form middle-cell values, with no float32 call, to the exact scan,
+    whose flat rule reports the pole, bit for bit the unscreened report."""
     rho = random_two_qubit(np.random.default_rng(SEED + 74))
     counts = _scan_calls(monkeypatch)
     discord(rho)
     assert counts == {"float32": 0, "exact": 1}
     thetas, phis = _grid_directions((640, 1280))
-    patches = correlations._patch_columns(phis, 6, 1280).size * -(-thetas.size // 6)
     discord(rho, grid=(640, 1280))
-    assert patches < counts["float32"] < thetas.size * phis.size // 4, counts
+    assert 0 < counts["float32"] < thetas.size * phis.size // 4, counts
     assert 1 + 1 <= counts["exact"] < 1 + 54, counts
     v = np.zeros(4)
     v[0], v[3] = 0.8, 0.6
@@ -1500,7 +1499,7 @@ def test_fine_scans_are_screened_in_float32(monkeypatch):
     assert not correlations._classify(_parts(flat)[None])[0].any()
     counts.update(float32=0, exact=0)
     rep = discord(flat, grid=(640, 1280))
-    assert counts == {"float32": patches, "exact": 54}
+    assert counts == {"float32": 0, "exact": 54}
     assert rep.argmin_measurement == Measurement(0.0, 0.0)
     monkeypatch.setattr(correlations, "_SCREEN_TILES", 10**9)
     assert dataclasses.astuple(rep) == dataclasses.astuple(discord(flat, grid=(640, 1280)))
@@ -1508,7 +1507,7 @@ def test_fine_scans_are_screened_in_float32(monkeypatch):
 
 def test_screen_evaluates_few_cells_of_random_states(monkeypatch):
     """On seeded random rank-4 states at 640 x 1280 the screen evaluates fewer than 10%
-    of the grid's cells in float32, its sample included."""
+    of the grid's cells in float32."""
     rng = np.random.default_rng(SEED + 78)
     counts = _scan_calls(monkeypatch)
     for _ in range(10):
@@ -1538,7 +1537,7 @@ def test_screened_scan_equals_the_exhaustive_scan():
     rounding of each other, random states of rank 2 to 4, near-CQ mixtures and X
     states, at grids whose tiles are whole theta rows or pieces of one row.  Every X
     state is screened, its pole a stationary point: the screen reads flatness from
-    its sample over the whole hemisphere, not from the polar cap of the first tile.
+    its middle cells over the whole hemisphere, not from the polar cap of the first tile.
     """
     rng = np.random.default_rng(SEED + 75)
     states = _near_circles(rng) + [random_density(rng, 4, (2, 2), rank=2 + i % 3) for i in range(3)]
@@ -1597,7 +1596,11 @@ def test_float32_objective_is_within_a_tenth_of_the_screen_tolerance():
 
 def test_patch_bounds_are_below_every_cell_of_their_patch():
     """``_patch_bounds`` is at most the float64 objective at every cell of its screen patch,
-    to 1e-12 bits, far below the SCAN_SCREEN_TOL margin that the screen prunes with.
+    to 1e-12 bits, far below the SCAN_SCREEN_TOL margin that the screen prunes with, and
+    its value at each patch's middle cell is the kernel's to 1e-10 bits, so the third best
+    of those values plus SCAN_SCREEN_TOL is at least the grid's third best.  The two forms
+    differ most on pure conditional states and outcomes of tiny p, where ``_xlog2``'s
+    cutoff acts on 1 - z in the closed form and on the eigenvalues in the kernel.
 
     On pure and near-pure states (eps 1e-3 to 1e-9, pure conditional states and
     outcomes of tiny p), CQ states with pure and mixed B, products, the X states,
@@ -1620,6 +1623,9 @@ def test_patch_bounds_are_below_every_cell_of_their_patch():
         tile = correlations._SCAN_TILE
         rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
         starts = correlations._patch_columns(phis, rows, cols)
+        first = np.arange(0, thetas.size, rows)
+        mid_t = thetas[first + (np.minimum(rows, thetas.size - first) - 1) // 2]
+        mid_p = phis[starts + (np.diff(starts, append=phis.size) - 1) // 2]
         for i, rho in enumerate(states):
             parts = _parts(rho)
             objective = _conditional_entropy_objective(parts)
@@ -1627,9 +1633,11 @@ def test_patch_bounds_are_below_every_cell_of_their_patch():
                 np.minimum.reduceat(objective(n).reshape(-1, phis.size).min(axis=0), starts)
                 for _, n in correlations._tiles(thetas, phis, rows, phis.size)
             ])
-            bound = correlations._patch_bounds(parts, thetas, phis, rows, starts)
-            assert bound.shape == least.shape, (grid, i)
+            bound, middle = correlations._patch_bounds(parts, thetas, phis, rows, starts)
+            assert bound.shape == least.shape == middle.shape, (grid, i)
             assert (bound <= least + 1e-12).all(), (grid, i, (bound - least).max())
+            exact = correlations._bloch_objective(parts)(_direction(mid_t[:, None], mid_p))
+            assert np.abs(middle - exact).max() <= 1e-10, (grid, i)
 
 
 def test_discord_of_near_pure_states_stays_in_bounds():
