@@ -12,14 +12,15 @@ with the outcomes swapped) tile by tile: each tile's directions are
 built from the 1-D trig tables into one reused buffer, its values go
 into another, and the tile is folded into the running min, max and
 three best cells, so no grid-sized array is made.  A two-qubit scan of
-more than ``_SCREEN_TILES`` tiles is screened first (``_screen``): one
-pass of Luo's closed form (``_patch_bounds``) bounds the objective from
-below on each patch of a few cells and values it at the patch's middle
-cell, which drops the patches that cannot hold the three best cells; the
-same kernel in float32, within ``qla.SCAN_SCREEN_TOL`` of float64, runs
-on the cells of the others and marks the tiles that can hold them, and
-only those are scanned in float64, so the seeds are bit for bit those of
-the whole grid.  The search
+more than ``_SCREEN_TILES`` tiles is screened instead (``_screen``): Luo's
+closed form values the objective at the middle cell of each patch of a few
+cells (``_patch_middles``) and, unless those values are flat, bounds it from
+below on each patch (``_patch_bounds``), which drops the patches that cannot
+hold the three best cells; the same kernel in float32, within
+``qla.SCAN_SCREEN_TOL`` of float64, runs on the cells of the others, and only
+the cells within 2 SCAN_SCREEN_TOL of its running third best, a few hundred,
+are evaluated in float64, so the seeds are bit for bit those of the whole
+grid.  The search
 refines the three best cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
@@ -97,11 +98,11 @@ __all__ = [
 
 DEFAULT_GRID = (64, 128)
 # The scan holds one tile, not the grid, so this cap bounds time: a two-qubit
-# discord that the screen serves takes ~4-7 ms on the 640x1280 oracle grid and
-# ~9-14 ms at this cap (2048x1024, ~2.5x that grid); one whose screen falls back
-# to the exact scan (a flat objective) ~18-19 ms and ~45-46 ms (2-core Xeon VM,
-# one BLAS thread, whose speed varies by up to 40%).  A (2, d_B) state is bounded
-# by MAX_QUDIT_SCAN_WORK too.  Larger grids are rejected before the scan.
+# discord that the screen serves takes ~4-5 ms on the 640x1280 oracle grid and
+# ~5.5-6 ms at this cap (2048x1024, ~2.5x that grid); one whose screen falls back
+# to the exact scan (a flat objective) ~18 ms and ~31-35 ms (2-core Xeon VM, one
+# BLAS thread, whose speed varies by up to 40%).  A (2, d_B) state is bounded by
+# MAX_QUDIT_SCAN_WORK too.  Larger grids are rejected before the scan.
 MAX_GRID_POINTS = 2**21
 # Two-qubit directions per objective call in the grid scan and its screen,
 # rounded down to whole theta rows: bounds the kernel's buffers (14 floats per
@@ -366,9 +367,10 @@ def _bloch_objective(bloch: np.ndarray, dtype=float):
         size = n[0].size
         v = views.get(size)
         if v is None:
-            if mask.size < 6 * size:
-                work, mask = _aligned(14 * size, dtype), _aligned(6 * size, bool)
+            if mask.size < 6 * size:  # the old buffers and their views go first
                 views.clear()
+                work = mask = None
+                work, mask = _aligned(14 * size, dtype), _aligned(6 * size, bool)
             v = views[size] = _bloch_views(work, mask, size)
         np.matmul(bt, n.reshape(3, size), out=v[0])
         return _bloch_values(x0, v, out).reshape(n.shape[1:])
@@ -571,23 +573,18 @@ def _grid_directions(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int, keep=None):
+def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int):
     """The scan's tiles in row-major order: ``rows`` theta rows of at most ``cols`` phi values.
 
     Each tile's directions are built from the 1-D trig tables into one
     reused buffer.  Yields (grid index of its first cell, directions
-    (3, cells)) for each tile, or for the tiles that ``keep`` marks when
-    it is given.
+    (3, cells)) for each tile.
     """
     st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
     buf = _aligned(3 * rows * cols)
-    k = -1
     for r in range(0, thetas.size, rows):
         sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
         for c in range(0, phis.size, cols):
-            k += 1
-            if keep is not None and not keep[k]:
-                continue
             cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
             n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, -1)
             yield r * phis.size + c, _fill(n, sin_t, cos_t, cos_p, sin_p)
@@ -614,56 +611,69 @@ def _patch_columns(phis: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.concatenate([np.arange(c, min(c + cols, phis.size), width) for c in tiles])
 
 
+def _luo_forms(bloch: np.ndarray, theta: np.ndarray, phi: np.ndarray):
+    """x.n, 2 w.n and |T^T n|^2 = n^T M n of 2 r = [[1, y], [x, T]], w = T y and M = T T^T, on
+    theta rows x phi columns: one product of (sin t, cos t, sin^2 t, sin t cos t, cos^2 t) with
+    rows in phi, as the three forms are separable in theta and phi."""
+    x, y, t = bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:]
+    m, v = t @ t.T, np.stack([x, 2.0 * (t @ y)])
+    cs, right = np.stack([np.cos(phi), np.sin(phi)]), np.zeros((3, 5, phi.size))
+    right[:2, 0], right[:2, 1], right[2, 4] = v[:, :2] @ cs, v[:, 2:], m[2, 2]
+    right[2, 2], right[2, 3] = (cs * (m[:2, :2] @ cs)).sum(axis=0), 2.0 * m[2, :2] @ cs
+    st, ct = np.sin(theta), np.cos(theta)
+    return np.stack([st, ct, st * st, st * ct, ct * ct], axis=1) @ right
+
+
+def _luo_terms(bloch: np.ndarray, base, a: np.ndarray, w2: np.ndarray, c: np.ndarray, dr):
+    """Sum over +/- of p h(z) (Luo, PRA 77, 042303, 2008), 2 p = base +/- a and
+    r = |y +/- T^T n| + dr, from the ``_luo_forms`` a, w2, c of 2 r: with base = 1 and
+    dr = 0 the objective itself.  h(z) = 1 - [(1 + z) log2(1 + z) + (1 - z) log2(1 - z)] / 2
+    with z = r / (2 p) at most 1.  Adds |y|^2 to c in place."""
+    y = bloch[0, 1:]
+    out, den, z, h, log = np.zeros_like(a), *(np.empty_like(a) for _ in range(4))
+    c += y @ y  # |y|^2 + |T^T n|^2, in the caller's array
+    for op in (np.add, np.subtract):  # the outcomes of +n and of -n, in place in the scratch
+        np.maximum(op(base, a, out=den), 0.0, out=den)  # twice p
+        np.sqrt(np.maximum(op(c, w2, out=z), 0.0, out=z), out=z)
+        z += dr  # r
+        np.minimum(z, den, out=z)
+        z /= np.maximum(den, np.finfo(float).tiny, out=h)  # 0 where p is 0
+        _xlog2(np.subtract(1.0, z, out=h), log)
+        z += 1.0
+        h += np.multiply(z, np.log2(z, out=log), out=log)
+        np.subtract(1.0, np.divide(h, 2.0, out=h), out=h)
+        out += np.multiply(den, h, out=h)
+    return np.divide(out, 2.0, out=out)
+
+
+def _patch_middles(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, starts):
+    """The two-qubit objective of 2 r at each screen patch's middle cell (middle row and column,
+    the first of two), (blocks, patches): Luo's closed form, ``_luo_terms`` with no move."""
+    first = np.arange(0, thetas.size, rows)
+    last, ends = np.minimum(first + rows, thetas.size) - 1, np.append(starts[1:], phis.size) - 1
+    forms = _luo_forms(bloch, thetas[(first + last) // 2], phis[(starts + ends) // 2])
+    return _luo_terms(bloch, 1.0, *forms, 0.0)
+
+
 def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, starts):
-    """Lower bounds of the two-qubit objective of 2 r on each screen patch, and its value at each
-    patch's middle cell (middle row and column, the first of two): two arrays (blocks, patches).
+    """Lower bounds of the two-qubit objective of 2 r on each screen patch, (blocks, patches).
 
     Patch (i, j) holds the cells of the theta rows from i * rows up to (i + 1) * rows
     and of the phi columns from starts[j] up to the next start.  With 2 r =
     [[1, y], [x, T]] and w = T y, measuring +/-n gives p = (1 +/- a) / 2 with
     a = x.n, and leaves B with a Bloch vector of length z = r / (1 +/- a), where
     r = |y +/- T^T n| = sqrt(|y|^2 +/- 2 w.n + |T^T n|^2); the objective is the sum
-    over +/- of p h(z), h(z) = 1 - [(1 + z) log2(1 + z) + (1 - z) log2(1 - z)] / 2
-    (Luo, PRA 77, 042303, 2008), which grows with p at fixed r and falls with r.  Every cell
-    n = n_c + d of a patch is within chord distance |d| <= delta of the patch's
+    over +/- of p h(z) (``_luo_terms``), which grows with p at fixed r and falls with r.  Every
+    cell n = n_c + d of a patch is within chord distance |d| <= delta of the patch's
     centre n_c, and d = d_t - |d|^2 n_c / 2 with d_t tangent at n_c, so
     |x.d| <= |x_t| delta + |a_c| delta^2 / 2, x_t the tangent part of x, and
     |T^T d| <= s delta + |T^T n_c| delta^2 / 2, s = min(|T|_2, sqrt(|T|_F^2 -
     |T^T n_c|^2)) bounding |T^T u| for unit tangent u.  So the least p and the
-    largest r over the patch, z at most 1, bound each outcome's term from below;
-    with delta = 0 the same terms give the middle cells' values.  x.n, w.n and |T^T n|^2
-    are separable in theta and phi: one matrix product for the centres or the middle cells.
+    largest r over the patch, z at most 1, bound each outcome's term from below.
     """
-    x, y, t = bloch[1:, 0], bloch[0, 1:], bloch[1:, 1:]
-    m, v = t @ t.T, np.stack([x, 2.0 * (t @ y)])
-
-    def forms(theta, phi):  # x.n, 2 w.n and |T^T n|^2 = n^T M n on theta rows x phi columns,
-        # one product of (sin t, cos t, sin^2 t, sin t cos t, cos^2 t) with rows in phi
-        cs, right = np.stack([np.cos(phi), np.sin(phi)]), np.zeros((3, 5, phi.size))
-        right[:2, 0], right[:2, 1], right[2, 4] = v[:, :2] @ cs, v[:, 2:], m[2, 2]
-        right[2, 2], right[2, 3] = (cs * (m[:2, :2] @ cs)).sum(axis=0), 2.0 * m[2, :2] @ cs
-        st, ct = np.sin(theta), np.cos(theta)
-        return np.stack([st, ct, st * st, st * ct, ct * ct], axis=1) @ right
-
-    def terms(base, a, w2, c, dr):  # sum of p h(z), 2 p = base +/- a, r = |y +/- T^T n| + dr
-        out, den, z, h, log = np.zeros_like(a), *(np.empty_like(a) for _ in range(4))
-        c += y @ y  # |y|^2 + |T^T n|^2, in the caller's array
-        for op in (np.add, np.subtract):  # the outcomes of +n and of -n, in place in the scratch
-            np.maximum(op(base, a, out=den), 0.0, out=den)  # twice p
-            np.sqrt(np.maximum(op(c, w2, out=z), 0.0, out=z), out=z)
-            z += dr  # r
-            np.minimum(z, den, out=z)
-            z /= np.maximum(den, np.finfo(float).tiny, out=h)  # 0 where p is 0
-            _xlog2(np.subtract(1.0, z, out=h), log)
-            z += 1.0
-            h += np.multiply(z, np.log2(z, out=log), out=log)
-            np.subtract(1.0, np.divide(h, 2.0, out=h), out=h)
-            out += np.multiply(den, h, out=h)
-        return np.divide(out, 2.0, out=out)
-
+    x, t = bloch[1:, 0], bloch[1:, 1:]
     first = np.arange(0, thetas.size, rows)
     last, ends = np.minimum(first + rows, thetas.size) - 1, np.append(starts[1:], phis.size) - 1
-    middle = terms(1.0, *forms(thetas[(first + last) // 2], phis[(starts + ends) // 2]), 0.0)
     t_lo, t_hi, p_lo, p_hi = thetas[first], thetas[last], phis[starts], phis[ends]
     t_c, p_c = (t_lo + t_hi) / 2.0, (p_lo + p_hi) / 2.0
     # |n - n_c|^2 = 4 sin^2(dt / 2) + 4 sin t sin t_c sin^2(dp / 2) for the cell at
@@ -673,94 +683,154 @@ def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows:
     delta = np.outer(4.0 * np.sin(t_c) * np.sin(t_hi), hp * hp)
     delta += (4.0 * ht * ht)[:, None]
     np.sqrt(delta, out=delta)
-    a, w2, c = forms(t_c, p_c)
+    a, w2, c = _luo_forms(bloch, t_c, p_c)
     # the largest |x.d| and |T^T d| over each patch, in place so that few arrays of one value
-    # a patch are alive at once: on 640x1280 this function peaks at 0.75 MiB under
-    # tracemalloc and the screen at 0.9 MiB, below the float64 pass's 1.3 MiB
+    # a patch are alive at once
     half = delta * delta / 2.0
     da = np.sqrt(np.maximum(x @ x - a * a, 0.0))
     da *= delta
     da += np.abs(a) * half
-    dr = np.sqrt(np.maximum(m.trace() - c, 0.0))
+    dr = np.sqrt(np.maximum((t @ t.T).trace() - c, 0.0))
     np.minimum(dr, np.linalg.norm(t, 2), out=dr)
     dr *= delta
     dr += np.sqrt(c) * half
     del delta, half
-    return terms(np.subtract(1.0, da, out=da), a, w2, c, dr), middle
+    return _luo_terms(bloch, np.subtract(1.0, da, out=da), a, w2, c, dr)
 
 
-def _screen(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int):
-    """The tiles that can hold the scan's three best cells, from the patch bounds of 2 r and the
-    float32 objective on the cells of the patches they keep.
+def _packed(cells: np.ndarray, trig, rows: int, cols: int, size: int):
+    """The cells that ``cells`` (blocks, phi columns) marks, packed block by block and, within a
+    block, tile by tile into one reused buffer of ``size`` directions, built from the 1-D trig
+    tables ``trig`` (sin theta, cos theta, cos phi, sin phi) in their dtype.
+
+    Yields (directions (3, k), pieces) whenever the next tile's cells do not fit, and at the end;
+    each piece is one tile's cells in the buffer, rows x columns in grid order: (buffer offset,
+    first theta row, its phi columns).  So buffer order is grid order.
+    """
+    st, ct, cp, sp = trig
+    buf = _aligned(3 * size, st.dtype).reshape(3, size)
+    pieces, end = [], 0
+    for i in np.flatnonzero(cells.any(axis=1)).tolist():
+        r = i * rows
+        sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
+        for c in range(0, cp.size, cols):
+            col = np.flatnonzero(cells[i, c : c + cols]) + c
+            if end + sin_t.size * col.size > size:
+                yield buf[:, :end], pieces
+                pieces, end = [], 0
+            if col.size:
+                pieces.append((end, r, col))
+                end += _fill(buf[:, end:], sin_t, cos_t, cp[col], sp[col]).shape[1]
+    if end:
+        yield buf[:, :end], pieces
+
+
+def _candidates(bloch: np.ndarray, cells: np.ndarray, trig, rows: int, cols: int):
+    """The cells that ``cells`` (blocks, phi columns) marks whose float32 objective of 2 r is
+    at most the running float32 third best plus 2 SCAN_SCREEN_TOL, in grid order.
+
+    The cells are ``_packed`` from the trig tables in float32 and evaluated a
+    buffer at a time, and a buffer's cells at most the third best after it
+    plus 2 SCAN_SCREEN_TOL are kept.  They are yielded as (theta rows, phi
+    columns) in batches of at most half a buffer's cells, or one buffer's, so
+    that a batch's float64 buffers (14 floats and 6 flags a cell) take about
+    what the float32 buffer takes; a batch holds only the cells still at most
+    the third best then plus 2 SCAN_SCREEN_TOL, as that only falls.  Yields
+    None and stops at a NaN.
+    """
+    screen = _bloch_objective(bloch, np.float32)
+    size = rows * cols
+    out = _aligned(size, np.float32)
+    third = np.full(3, np.inf, dtype=np.float32)  # the running three best
+    found, count = [], 0  # (rows, columns, values) of the cells kept and not yet yielded
+
+    def batch(limit):
+        row, col, val = (np.concatenate(a) for a in zip(*found))
+        keep = val <= limit
+        return row[keep], col[keep]
+
+    for n, pieces in _packed(cells, [t.astype(np.float32) for t in trig], rows, cols, size):
+        vals = screen(n, out=out[: n.shape[1]])
+        least = vals.min()
+        if np.isnan(least):
+            yield None
+            return
+        if least < third[2]:
+            low = vals if vals.size <= 3 else np.partition(vals, 2)[:3]
+            third = np.sort(np.concatenate([third, low]))[:3]
+        limit = float(third[2]) + 2 * SCAN_SCREEN_TOL
+        if least > limit:
+            continue
+        pos = np.flatnonzero(vals <= limit)
+        if count and count + pos.size > size // 2:
+            yield batch(limit)
+            found, count = [], 0
+        # each cell's piece, then its theta row and phi column
+        offset, first, columns = zip(*pieces)
+        k = np.searchsorted(offset, pos, side="right") - 1
+        width = np.array([c.size for c in columns])
+        row, j = np.divmod(pos - np.array(offset)[k], width[k])
+        row += np.array(first)[k]
+        found.append((row, np.concatenate(columns)[np.cumsum(width)[k] - width[k] + j], vals[pos]))
+        count += pos.size
+    if count:
+        yield batch(limit)
+
+
+def _screen(
+    objective, bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int
+):
+    """``_scan`` of the float64 ``objective`` of 2 r, evaluated only at the cells that the patch
+    bounds and a float32 pass leave as candidates for the three best.
 
     E = SCAN_SCREEN_TOL bounds |f32 - f64| at every direction.  The grid is
-    split into ``_patch_columns`` patches, and ``_patch_bounds`` gives each
-    patch's lower bound and the objective at its middle cell, within 1e-10 of
-    the float64 kernel.  The third-smallest middle value plus E, U, is at
-    least the grid's exact third best, so a patch whose bound is above U + E
-    (E absorbing the bound's rounding) holds only float64 values above it and
-    is dropped.  The cells of the other patches are packed, theta block by
-    theta block, into one tile-sized buffer and evaluated in float32, which
-    gives each tile's minimum over them and their third-smallest value T.  A
-    cell of the exact three best has a float32 value at most T + 2 E, so a
-    tile whose minimum is above that holds only float64 values above the
-    exact third best.  Returns (keep, max), keep marking the tiles with
-    minimum at most T + 2 E and max the middle values', or None, with no
-    float32 call, when those spread by at most FLAT_SPREAD_TOL + 2 E (the flat
-    rule may fire, so the scan must be exact) or a value is NaN.  Its buffers
-    are freed on return, before the exact pass allocates its own.
+    split into ``_patch_columns`` patches, and ``_patch_middles`` values the
+    objective at each patch's middle cell, within 1e-10 of the float64 kernel.
+    When those values spread by at most FLAT_SPREAD_TOL + 2 E (the flat rule
+    may fire, so the scan must be exact) or one is NaN, the screen declines
+    before any other pass.  Else their third smallest plus E, U, is at least
+    the grid's exact third best, so a patch whose ``_patch_bounds`` is above
+    U + E (E absorbing the bound's rounding) holds only float64 values above
+    it and is dropped.  A cell of the exact three best has a float32 value at
+    most T + 2 E, T the float32 third best of the other patches' cells, and
+    the running third best of ``_candidates`` is never below T, so the cells
+    it yields hold every cell of the exact three best and every cell tied
+    with the third.  Only those are evaluated in float64, at the directions
+    that the exact scan builds, and folded in grid order into the minimum and
+    the three best (``_merged``).  Returns (min, max, seeds, seed values)
+    equal to the exhaustive scan's but for max, the largest middle value,
+    which is more than FLAT_SPREAD_TOL + E above min; or None when it
+    declines or a float32 or float64 value is NaN.
     """
-    size = rows * cols
     starts = _patch_columns(phis, rows, cols)
-    bounds, middle = _patch_bounds(bloch, thetas, phis, rows, starts)
-    lo, hi = float(middle.min()), float(middle.max())
-    if math.isnan(lo) or hi - lo <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL:
+    middle = _patch_middles(bloch, thetas, phis, rows, starts)
+    least, hi = float(middle.min()), float(middle.max())
+    if math.isnan(least) or hi - least <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL:
         return None
     limit = float(np.partition(middle, 2, axis=None)[2]) + 2 * SCAN_SCREEN_TOL  # U + E
     # the cells of the patches kept, (blocks, columns); a NaN bound keeps its patch
-    cells = np.repeat(~(bounds > limit), np.diff(starts, append=phis.size), axis=1)
-    objective = _bloch_objective(bloch, np.float32)
-    first = np.arange(0, thetas.size, rows)
-    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
-    st, ct, cp, sp = (t.astype(np.float32) for t in trig)
-    buf, out = _aligned(3 * size, np.float32).reshape(3, size), _aligned(size, np.float32)
-    per_row = -(-phis.size // cols)
-    mins = np.full(first.size * per_row, np.inf, dtype=np.float32)
-    best = np.full(3, np.inf, dtype=np.float32)
-    packed, offsets, end = [], [], 0  # the tiles in the buffer, and where each starts
-
-    def fold():
-        nonlocal best
-        vals = objective(buf[:, :end], out=out[:end])
-        lows = mins[packed] = np.minimum.reduceat(vals, offsets)
-        if lows.min() < best[2]:  # False on a NaN, which the check below catches
-            least = vals if vals.size <= 3 else np.partition(vals, 2)[:3]
-            best = np.sort(np.concatenate([best, least]))[:3]
-        packed.clear()
-        offsets.clear()
-
-    for i in np.flatnonzero(cells.any(axis=1)).tolist():
-        r = first[i]
-        sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
-        for c in range(0, phis.size, cols):
-            kept = cells[i, c : c + cols]
-            cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
-            if not kept.all():
-                cos_p, sin_p = cos_p[kept], sin_p[kept]
-            if not cos_p.size:
-                continue
-            if end + sin_t.size * cos_p.size > size:
-                fold()
-                end = 0
-            n = _fill(buf[:, end:], sin_t, cos_t, cos_p, sin_p)
-            packed.append(i * per_row + c // cols)
-            offsets.append(end)
-            end += n.shape[1]
-    if end:
-        fold()
-    if np.isnan(mins).any():
-        return None
-    return mins <= float(best[2]) + 2 * SCAN_SCREEN_TOL, hi
+    kept = ~(_patch_bounds(bloch, thetas, phis, rows, starts) > limit)
+    cells = np.repeat(kept, np.diff(starts, append=phis.size), axis=1)
+    st, ct, cp, sp = trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+    lo, best, seeds = np.inf, np.empty(0), np.empty(0, dtype=np.intp)
+    for batch in _candidates(bloch, cells, trig, rows, cols):
+        if batch is None:
+            return None
+        row, col = batch
+        if not row.size:
+            continue
+        d = np.empty((3, row.size))  # the products of ``_fill``
+        np.multiply(st[row], cp[col], out=d[0])
+        np.multiply(st[row], sp[col], out=d[1])
+        d[2] = ct[row]
+        vals = objective(d)
+        least = vals.min()
+        if np.isnan(least):
+            return None
+        lo = np.minimum(lo, least)
+        top = _three_smallest(vals)
+        best, seeds = _merged(best, seeds, vals[top], row[top] * phis.size + col[top])
+    return float(lo), hi, seeds, best
 
 
 def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TILE, bloch=None):
@@ -777,39 +847,43 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
     grid-sized array made.
 
     Given a two-qubit 2 r ``bloch`` and more than ``_SCREEN_TILES`` tiles,
-    ``_screen`` runs first, and the exact fold visits only the tiles it
-    keeps: the seeds, their values and the minimum are those of the whole
-    grid.  The maximum is then the largest of the screen's closed-form
-    middle-cell values, more than FLAT_SPREAD_TOL + SCAN_SCREEN_TOL above the minimum,
-    as the grid's spread is more than FLAT_SPREAD_TOL: the flat rule cannot
-    fire.  When the screen declines, the scan is exact throughout.
+    ``_screen`` runs first, and what it returns is returned: the seeds, their
+    values and the minimum are those of the whole grid, evaluated in float64
+    at a few hundred cells.  The maximum is then the largest of the screen's
+    closed-form middle-cell values, more than FLAT_SPREAD_TOL + SCAN_SCREEN_TOL
+    above the minimum, as the grid's spread is more than FLAT_SPREAD_TOL: the
+    flat rule cannot fire.  When the screen declines, the scan is exact.
     """
     rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
     tiles = -(-thetas.size // rows) * -(-phis.size // cols)
-    screened = None
     if bloch is not None and tiles > _SCREEN_TILES:
-        screened = _screen(bloch, thetas, phis, rows, cols)
-    keep, hi = screened or (None, -np.inf)
+        screened = _screen(objective, bloch, thetas, phis, rows, cols)
+        if screened is not None:
+            return screened
     out = _aligned(rows * cols)
-    lo = np.inf
+    lo, hi = np.inf, -np.inf
     best, seeds = np.empty(0), np.empty(0, dtype=np.intp)
-    for start, n in _tiles(thetas, phis, rows, cols, keep=keep):
+    for start, n in _tiles(thetas, phis, rows, cols):
         vals = objective(n, out=out[: n.shape[1]])
         tile_lo = vals.min()
         lo = np.minimum(lo, tile_lo)
-        if keep is None:
-            hi = np.maximum(hi, vals.max())
+        hi = np.maximum(hi, vals.max())
         # Earlier cells have lower grid indices, so a tile whose minimum only
         # ties the third best adds nothing.  A NaN on either side compares
         # False, so that tile is searched (NaN sorts after every number).
         if best.size == 3 and tile_lo >= best[2]:
             continue
-        top = _three_smallest(vals)  # merged after the earlier cells, so ties keep grid order
-        best = np.concatenate([best, vals[top]])
-        seeds = np.concatenate([seeds, start + top])
-        keep3 = np.argsort(best, kind="stable")[:3]
-        best, seeds = best[keep3], seeds[keep3]
+        top = _three_smallest(vals)
+        best, seeds = _merged(best, seeds, vals[top], start + top)
     return float(lo), float(hi), seeds, best
+
+
+def _merged(best: np.ndarray, seeds: np.ndarray, vals: np.ndarray, cells: np.ndarray):
+    """The three best of the (value, grid index) pairs (best, seeds) and (vals, cells), whose
+    cells come after the seeds in grid order: the stable sort keeps equal values in grid order."""
+    best, seeds = np.concatenate([best, vals]), np.concatenate([seeds, cells])
+    keep = np.argsort(best, kind="stable")[:3]
+    return best[keep], seeds[keep]
 
 
 def _three_smallest(vals: np.ndarray) -> np.ndarray:
@@ -832,7 +906,7 @@ def _minimize_over_directions(
     values of shape (...), into ``out`` when given, with f(n) = f(-n).
     ``_scan`` returns the grid's min and max and its three best cells
     (ties by grid index) with their values; given a two-qubit 2 r
-    ``bloch``, it may screen a fine grid in float32 first, with the same
+    ``bloch``, it may screen a fine grid in float32 instead, with the same
     seeds, values and minimum.  The flat rule: when the
     spread max - min is at most FLAT_SPREAD_TOL (on a grid of at least
     two theta rows and five phi columns) the objective is flat: every
@@ -1144,17 +1218,22 @@ def geometric_discord(rho: DensityMatrix, method: str = "closed-form") -> float:
         _, zero, _, s = _classify(_measured_parts(rho.matrix[None], rho.legs))
         return float(_geometric_discords(s, zero)[0])
     if method == "brute-force":
-        parts = _pauli_parts(rho.matrix[None], 2)[0]
+        # the real and imaginary parts of the entries of each G_i, (4, 8)
+        g = np.ascontiguousarray(_pauli_parts(rho.matrix[None], 2)[0]).view(float).reshape(4, 8)
         pur = rho.purity()
 
         def objective(n, out=None):
-            # sum |X|^2 as re^2 + im^2, squared in place in a float view of the
-            # fresh outcome stack; t holds each direction's two sums, interleaved
-            sq = _split(parts, n).view(float)
-            np.multiply(sq, sq, out=sq)
-            t = sq.reshape(8, -1).sum(axis=0)
-            t[0::2] += t[1::2]
-            return np.subtract(pur, t[0::2].reshape(n.shape[1:]), out=out)
+            # the entries of both outcomes' 2 X = G_0 +/- n.G as 16 real rows, one matrix product
+            # for n.G, squared and summed in place: sum |X|^2 = sum (2 X)^2 / 4
+            k = n[0].size
+            x = np.empty((2, 8, k))
+            np.matmul(g[1:].T, n.reshape(3, k), out=x[1])
+            np.add(g[0, :, None], x[1], out=x[0])
+            np.subtract(g[0, :, None], x[1], out=x[1])
+            np.multiply(x, x, out=x)
+            t = x.reshape(16, k).sum(axis=0)
+            t /= 4.0
+            return np.subtract(pur, t.reshape(n.shape[1:]), out=out)
 
         val, _, _ = _minimize_over_directions(objective, *_grid_directions(DEFAULT_GRID))
         return float(val)

@@ -256,6 +256,33 @@ def test_geometric_discord_brute_force():
         assert brute == pytest.approx(closed, abs=1e-4)
 
 
+def _split_brute_force(rho, n):
+    """The brute-force geometric discord objective by the complex split that it replaced:
+    Tr rho^2 minus sum |X|^2 over the entries of both outcomes X = (G_0 +/- n.G)/2."""
+    sq = correlations._split(correlations._pauli_parts(rho.matrix[None], 2)[0], n).view(float)
+    np.multiply(sq, sq, out=sq)
+    t = sq.reshape(8, -1).sum(axis=0)
+    t[0::2] += t[1::2]
+    return rho.purity() - t[0::2].reshape(n.shape[1:])
+
+
+def test_brute_force_objective_matches_the_complex_split(monkeypatch):
+    """The brute-force objective squares the outcome entries' real and imaginary parts from one
+    real matrix product; it equals the complex split to 1e-15 on seeded states of rank 1 to 4,
+    at the default grid's directions, their opposites, a refinement-shaped stack and one
+    direction."""
+    rng = np.random.default_rng(SEED + 79)
+    grid = _direction(*np.meshgrid(*_grid_directions(DEFAULT_GRID), indexing="ij")).reshape(3, -1)
+    stack = _spread_directions(27).reshape(3, 3, 9)
+    for i in range(20):
+        rho = random_density(rng, 4, (2, 2), rank=1 + i % 4)
+        objective = _brute_force_objective(monkeypatch, rho)
+        for n in (grid, -grid, stack, grid[:, 7]):
+            got, want = objective(n), _split_brute_force(rho, n)
+            assert got.shape == want.shape == n.shape[1:], i
+            assert np.abs(got - want).max() <= 1e-15, (i, np.abs(got - want).max())
+
+
 def _pure_product(rng):
     a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
     v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -1437,25 +1464,30 @@ def test_fine_scan_memory_is_bounded():
     The hemisphere's 409600 values took 3.1 MiB, and their copy for the
     seed selection another 3.1 MiB (7.1 MiB peak); building the grid's
     (3, 409600) directions at once took another 9.4 MiB.  The screen holds
-    tile-sized buffers and arrays of one value a patch, and frees them before
-    the exact pass allocates its own: the screen peaks at ~0.9 MiB and the
-    exact pass at ~1.3 MiB.
+    tile-sized buffers and arrays of one value a patch, and evaluates its
+    float64 candidates in batches of at most half a tile, not all at the end:
+    on the rotated near-circles, whose float32 values tie along a great
+    circle, 12k-16k cells are candidates, whose float64 buffers alone
+    (14 floats a cell) would take up to 1.8 MiB in one call.
     """
-    rho = random_two_qubit(np.random.default_rng(SEED + 72))
-    tracemalloc.start()
-    try:
-        discord(rho, grid=(640, 1280))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 2**20, peak
+    states = [random_two_qubit(np.random.default_rng(SEED + 72))]
+    states += _near_circles(np.random.default_rng(SEED + 75))
+    for i, rho in enumerate(states):
+        tracemalloc.start()
+        try:
+            discord(rho, grid=(640, 1280))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, (i, peak)
 
 
 def _scan_calls(monkeypatch):
-    """Counts of the directions that the two-qubit objective evaluates in float32 and of the
-    exact scan's tile calls."""
-    counts = {"float32": 0, "exact": 0}
+    """Counts of the directions that the two-qubit objective evaluates in float32, of the scan's
+    float64 calls and directions, and of the screen's patch-bound passes."""
+    counts = {"float32": 0, "exact": 0, "float64": 0, "bounds": 0}
     bloch_objective, scan = correlations._bloch_objective, correlations._scan
+    patch_bounds = correlations._patch_bounds
 
     def counted_objective(bloch, dtype=float):
         objective = bloch_objective(bloch, dtype)
@@ -1469,37 +1501,46 @@ def _scan_calls(monkeypatch):
     def counted_scan(objective, *args):
         def call(n, out=None):
             counts["exact"] += 1
+            counts["float64"] += n[0].size
             return objective(n, out)
 
         return scan(call, *args)
 
+    def counted_bounds(*args):
+        counts["bounds"] += 1
+        return patch_bounds(*args)
+
     monkeypatch.setattr(correlations, "_bloch_objective", counted_objective)
     monkeypatch.setattr(correlations, "_scan", counted_scan)
+    monkeypatch.setattr(correlations, "_patch_bounds", counted_bounds)
     return counts
 
 
 def test_fine_scans_are_screened_in_float32(monkeypatch):
     """The default grid's one tile is scanned exactly, with no float32 call.  On the
     640 x 1280 grid's 54 tiles the screen evaluates in float32 only the cells of the
-    patches that its bound keeps, a fraction of the grid, and the exact pass visits fewer
-    tiles.  The pure 0.8|00> + 0.6|11>, flat but no rule row, makes the screen fall back
-    from its closed-form middle-cell values, with no float32 call, to the exact scan,
-    whose flat rule reports the pole, bit for bit the unscreened report."""
+    patches that its bound keeps, a fraction of the grid, and in float64 only its
+    candidates for the three best, fewer than one tile's 7680 cells.  The pure
+    0.8|00> + 0.6|11>, flat but no rule row, makes the screen fall back from its
+    closed-form middle-cell values, with no patch bound and no float32 call, to the
+    exact scan, whose flat rule reports the pole, bit for bit the unscreened report."""
     rho = random_two_qubit(np.random.default_rng(SEED + 74))
     counts = _scan_calls(monkeypatch)
     discord(rho)
-    assert counts == {"float32": 0, "exact": 1}
+    assert counts == {"float32": 0, "exact": 1, "float64": 32 * 128, "bounds": 0}
     thetas, phis = _grid_directions((640, 1280))
+    counts.update(float32=0, exact=0, float64=0)
     discord(rho, grid=(640, 1280))
     assert 0 < counts["float32"] < thetas.size * phis.size // 4, counts
-    assert 1 + 1 <= counts["exact"] < 1 + 54, counts
+    assert 1 <= counts["exact"] < 54 and counts["bounds"] == 1, counts
+    assert 3 <= counts["float64"] < 6 * 1280, counts
     v = np.zeros(4)
     v[0], v[3] = 0.8, 0.6
     flat = DensityMatrix(np.outer(v, v), (2, 2))
     assert not correlations._classify(_parts(flat)[None])[0].any()
-    counts.update(float32=0, exact=0)
+    counts.update(float32=0, exact=0, float64=0, bounds=0)
     rep = discord(flat, grid=(640, 1280))
-    assert counts == {"float32": 0, "exact": 54}
+    assert counts == {"float32": 0, "exact": 54, "float64": thetas.size * phis.size, "bounds": 0}
     assert rep.argmin_measurement == Measurement(0.0, 0.0)
     monkeypatch.setattr(correlations, "_SCREEN_TILES", 10**9)
     assert dataclasses.astuple(rep) == dataclasses.astuple(discord(flat, grid=(640, 1280)))
@@ -1633,7 +1674,8 @@ def test_patch_bounds_are_below_every_cell_of_their_patch():
                 np.minimum.reduceat(objective(n).reshape(-1, phis.size).min(axis=0), starts)
                 for _, n in correlations._tiles(thetas, phis, rows, phis.size)
             ])
-            bound, middle = correlations._patch_bounds(parts, thetas, phis, rows, starts)
+            bound = correlations._patch_bounds(parts, thetas, phis, rows, starts)
+            middle = correlations._patch_middles(parts, thetas, phis, rows, starts)
             assert bound.shape == least.shape == middle.shape, (grid, i)
             assert (bound <= least + 1e-12).all(), (grid, i, (bound - least).max())
             exact = correlations._bloch_objective(parts)(_direction(mid_t[:, None], mid_p))
