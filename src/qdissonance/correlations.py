@@ -12,15 +12,15 @@ with the outcomes swapped) tile by tile: each tile's directions are
 built from the 1-D trig tables into one reused buffer, its values go
 into another, and the tile is folded into the running min, max and
 three best cells, so no grid-sized array is made.  A two-qubit scan of
-more than ``_SCREEN_TILES`` tiles is screened instead (``_screen``): Luo's
-closed form values the objective at the middle cell of each patch of a few
-cells (``_patch_middles``) and, unless those values are flat, bounds it from
-below on each patch (``_patch_bounds``), which drops the patches that cannot
-hold the three best cells; the same kernel in float32, within
-``qla.SCAN_SCREEN_TOL`` of float64, runs on the cells of the others, and only
-the cells within 2 SCAN_SCREEN_TOL of its running third best, a few hundred,
-are evaluated in float64, so the seeds are bit for bit those of the whole
-grid.  The search
+more than ``_SCREEN_TILES`` tiles is screened instead (``_screen``) by patches
+of a few cells (``_patch_edges``): Luo's closed form values the objective at
+each patch's middle cell (``_patch_middles``) and, unless those values are
+flat, bounds it on each patch (``_patch_bounds``), which drops the patches that
+cannot hold the three best cells; the same kernel in float32, within
+``qla.SCAN_SCREEN_TOL`` of float64, walks the kept ones (``_candidates``), and
+only the cells within 2 SCAN_SCREEN_TOL of its running third best, a few
+hundred, are evaluated in float64, so the seeds are bit for bit those of the
+whole grid.  The search
 refines the three best cells together with one safeguarded
 Riemannian Newton method on the sphere, whose gradient and Hessian are
 central differences on an 8-point stencil, so repeated runs give
@@ -114,13 +114,13 @@ MAX_GRID_POINTS = 2**21
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**13
 # A two-qubit scan of more than this many tiles is screened in float32 first
-# (``_screen``).  Median discord over 12 random states, 15 alternating rounds:
-# at 48x1280 (4 tiles) 3.20 ms exact, 3.63 ms screened, which won no round; at
-# 60x1280 (5 tiles) 3.46 ms against 3.49 ms, 5 rounds; at 72x1280 (6 tiles)
-# 3.67 ms against 3.28 ms, 15 rounds (same VM).  The screen's patches span a
-# tile's theta rows, which are far apart on these coarse grids.
+# (``_screen``).  Median discord over 12 random states, 15 alternating rounds: at
+# 48x1280 (4 tiles) 1.65 ms exact, 1.77 ms screened, which won 4 rounds; at 60x1280
+# (5 tiles) 1.93 against 1.86 ms, 14 rounds, within this VM's swing; at 72x1280
+# (6 tiles) 2.13 against 1.83 ms, 14 rounds (same VM).  The screen's patches span
+# a tile's theta rows, which are far apart on these coarse grids.
 _SCREEN_TILES = 5
-# Cells of a screen patch (``_patch_columns``): a tile's theta rows by
+# Cells of a screen patch (``_patch_edges``): a tile's theta rows by
 # _PATCH_CELLS // rows phi columns, 6 x 8 on the 640 x 1280 grid.  Median of the
 # per-round medians of a 640x1280 discord over 12 random states, 15 alternating
 # rounds: 7.1 ms at 24 cells, 5.5 ms at 48 and 5.8 ms at 96, which 48 beat in 14
@@ -583,32 +583,25 @@ def _tiles(thetas: np.ndarray, phis: np.ndarray, rows: int, cols: int):
     st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
     buf = _aligned(3 * rows * cols)
     for r in range(0, thetas.size, rows):
-        sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
+        sin_t, cos_t = st[r : r + rows, None], ct[r : r + rows, None]
         for c in range(0, phis.size, cols):
             cos_p, sin_p = cp[c : c + cols], sp[c : c + cols]
-            n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, -1)
-            yield r * phis.size + c, _fill(n, sin_t, cos_t, cos_p, sin_p)
+            n = buf[: 3 * sin_t.size * cos_p.size].reshape(3, sin_t.size, cos_p.size)
+            np.multiply(sin_t, cos_p, out=n[0])
+            np.multiply(sin_t, sin_p, out=n[1])
+            n[2] = cos_t
+            yield r * phis.size + c, n.reshape(3, -1)
 
 
-def _fill(buf: np.ndarray, sin_t, cos_t, cos_p, sin_p) -> np.ndarray:
-    """The directions of theta rows (sin_t, cos_t) by phi columns (cos_p, sin_p), row-major,
-    written into the first columns of ``buf`` (3, k): a view (3, rows x columns)."""
-    n = buf[:, : sin_t.size * cos_p.size].reshape(3, sin_t.size, cos_p.size)
-    np.multiply(sin_t[:, None], cos_p, out=n[0])
-    np.multiply(sin_t[:, None], sin_p, out=n[1])
-    n[2] = cos_t[:, None]
-    return n.reshape(3, -1)
-
-
-def _patch_columns(phis: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """First phi column of each screen patch of a ``_tiles`` geometry: every
-    max(_PATCH_CELLS // rows, 1)-th column from each tile's first, so no patch spans two tiles.
-
-    A patch is one tile's theta rows by the columns up to the next start.
-    """
+def _patch_edges(thetas: np.ndarray, phis: np.ndarray, rows: int):
+    """The screen's patches as (first, last, start, end): the first and last theta row of each
+    block of ``rows`` rows and the first and last phi column of each patch of
+    max(_PATCH_CELLS // rows, 1) columns.  Both start at 0, whatever the scan's tiles, and the
+    last of each may be short.  Screen patch (i, j) is block i by patch j."""
     width = max(_PATCH_CELLS // rows, 1)
-    tiles = range(0, phis.size, cols)
-    return np.concatenate([np.arange(c, min(c + cols, phis.size), width) for c in tiles])
+    first, start = np.arange(0, thetas.size, rows), np.arange(0, phis.size, width)
+    last, end = np.minimum(first + rows, thetas.size) - 1, np.minimum(start + width, phis.size) - 1
+    return first, last, start, end
 
 
 def _luo_forms(bloch: np.ndarray, theta: np.ndarray, phi: np.ndarray):
@@ -646,21 +639,19 @@ def _luo_terms(bloch: np.ndarray, base, a: np.ndarray, w2: np.ndarray, c: np.nda
     return np.divide(out, 2.0, out=out)
 
 
-def _patch_middles(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, starts):
-    """The two-qubit objective of 2 r at each screen patch's middle cell (middle row and column,
-    the first of two), (blocks, patches): Luo's closed form, ``_luo_terms`` with no move."""
-    first = np.arange(0, thetas.size, rows)
-    last, ends = np.minimum(first + rows, thetas.size) - 1, np.append(starts[1:], phis.size) - 1
-    forms = _luo_forms(bloch, thetas[(first + last) // 2], phis[(starts + ends) // 2])
+def _patch_middles(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int):
+    """The two-qubit objective of 2 r at each ``_patch_edges`` patch's middle cell (middle row and
+    column, the first of two), (blocks, patches): Luo's closed form, ``_luo_terms`` with no move."""
+    first, last, start, end = _patch_edges(thetas, phis, rows)
+    forms = _luo_forms(bloch, thetas[(first + last) // 2], phis[(start + end) // 2])
     return _luo_terms(bloch, 1.0, *forms, 0.0)
 
 
-def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int, starts):
-    """Lower bounds of the two-qubit objective of 2 r on each screen patch, (blocks, patches).
+def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows: int):
+    """Lower bounds of the two-qubit objective of 2 r on each ``_patch_edges`` patch, (blocks,
+    patches).
 
-    Patch (i, j) holds the cells of the theta rows from i * rows up to (i + 1) * rows
-    and of the phi columns from starts[j] up to the next start.  With 2 r =
-    [[1, y], [x, T]] and w = T y, measuring +/-n gives p = (1 +/- a) / 2 with
+    With 2 r = [[1, y], [x, T]] and w = T y, measuring +/-n gives p = (1 +/- a) / 2 with
     a = x.n, and leaves B with a Bloch vector of length z = r / (1 +/- a), where
     r = |y +/- T^T n| = sqrt(|y|^2 +/- 2 w.n + |T^T n|^2); the objective is the sum
     over +/- of p h(z) (``_luo_terms``), which grows with p at fixed r and falls with r.  Every
@@ -672,9 +663,8 @@ def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows:
     largest r over the patch, z at most 1, bound each outcome's term from below.
     """
     x, t = bloch[1:, 0], bloch[1:, 1:]
-    first = np.arange(0, thetas.size, rows)
-    last, ends = np.minimum(first + rows, thetas.size) - 1, np.append(starts[1:], phis.size) - 1
-    t_lo, t_hi, p_lo, p_hi = thetas[first], thetas[last], phis[starts], phis[ends]
+    first, last, start, end = _patch_edges(thetas, phis, rows)
+    t_lo, t_hi, p_lo, p_hi = thetas[first], thetas[last], phis[start], phis[end]
     t_c, p_c = (t_lo + t_hi) / 2.0, (p_lo + p_hi) / 2.0
     # |n - n_c|^2 = 4 sin^2(dt / 2) + 4 sin t sin t_c sin^2(dp / 2) for the cell at
     # (t_c + dt, p_c + dp): |dt| and |dp| are at most half the patch's spans, and
@@ -698,80 +688,72 @@ def _patch_bounds(bloch: np.ndarray, thetas: np.ndarray, phis: np.ndarray, rows:
     return _luo_terms(bloch, np.subtract(1.0, da, out=da), a, w2, c, dr)
 
 
-def _packed(cells: np.ndarray, trig, rows: int, cols: int, size: int):
-    """The cells that ``cells`` (blocks, phi columns) marks, packed block by block and, within a
-    block, tile by tile into one reused buffer of ``size`` directions, built from the 1-D trig
-    tables ``trig`` (sin theta, cos theta, cos phi, sin phi) in their dtype.
+def _candidates(bloch: np.ndarray, kept: np.ndarray, trig, rows: int, size: int):
+    """The cells of the ``_patch_edges`` patches that ``kept`` (blocks, patches) marks whose
+    float32 objective of 2 r is at most the running float32 third best plus 2 SCAN_SCREEN_TOL.
 
-    Yields (directions (3, k), pieces) whenever the next tile's cells do not fit, and at the end;
-    each piece is one tile's cells in the buffer, rows x columns in grid order: (buffer offset,
-    first theta row, its phi columns).  So buffer order is grid order.
-    """
-    st, ct, cp, sp = trig
-    buf = _aligned(3 * size, st.dtype).reshape(3, size)
-    pieces, end = [], 0
-    for i in np.flatnonzero(cells.any(axis=1)).tolist():
-        r = i * rows
-        sin_t, cos_t = st[r : r + rows], ct[r : r + rows]
-        for c in range(0, cp.size, cols):
-            col = np.flatnonzero(cells[i, c : c + cols]) + c
-            if end + sin_t.size * col.size > size:
-                yield buf[:, :end], pieces
-                pieces, end = [], 0
-            if col.size:
-                pieces.append((end, r, col))
-                end += _fill(buf[:, end:], sin_t, cos_t, cp[col], sp[col]).shape[1]
-    if end:
-        yield buf[:, :end], pieces
-
-
-def _candidates(bloch: np.ndarray, cells: np.ndarray, trig, rows: int, cols: int):
-    """The cells that ``cells`` (blocks, phi columns) marks whose float32 objective of 2 r is
-    at most the running float32 third best plus 2 SCAN_SCREEN_TOL, in grid order.
-
-    The cells are ``_packed`` from the trig tables in float32 and evaluated a
-    buffer at a time, and a buffer's cells at most the third best after it
-    plus 2 SCAN_SCREEN_TOL are kept.  They are yielded as (theta rows, phi
-    columns) in batches of at most half a buffer's cells, or one buffer's, so
-    that a batch's float64 buffers (14 floats and 6 flags a cell) take about
-    what the float32 buffer takes; a batch holds only the cells still at most
-    the third best then plus 2 SCAN_SCREEN_TOL, as that only falls.  Yields
-    None and stops at a NaN.
+    The kept patches are walked in ``np.nonzero`` order, as many as fill
+    ``size`` directions at a time, built in float32 from the trig tables
+    ``trig`` (sin theta, cos theta, cos phi, sin phi) cut by block and by
+    patch, a short one padded with its last entry.  A buffer is laid out
+    (rows, patches x width), so every product runs along a whole row, and
+    its padded cells are set to +inf after the kernel, so a duplicate never
+    lowers the running third best.  Its cells at most the third best after
+    it plus 2 SCAN_SCREEN_TOL are yielded as sorted grid indices, in batches
+    of at most half a buffer's cells, or one buffer's, so that a batch's
+    float64 buffers (14 floats and 6 flags a cell) take about what the
+    float32 buffer takes; a batch holds only the cells still within the
+    running limit, as that only falls.  Yields None and stops at a NaN.
     """
     screen = _bloch_objective(bloch, np.float32)
-    size = rows * cols
-    out = _aligned(size, np.float32)
+    first, last, start, end = _patch_edges(trig[0], trig[2], rows)
+    width = end[0] + 1 - start[0]  # of every patch but a short last one
+    short_rows, short_cols = last[-1] + 1 - first[-1], end[-1] + 1 - start[-1]
+    # sin and cos theta by (rows, blocks, width) and cos and sin phi by (patches, width), so a
+    # buffer's are one take each
+    row_of = np.minimum(first + np.arange(rows)[:, None], last)
+    col_of = np.minimum(start[:, None] + np.arange(width), end[:, None])
+    theta = np.repeat(np.array(trig[:2], np.float32)[:, row_of, None], width, axis=3)
+    phi = np.array(trig[2:], np.float32)[:, col_of]
+    per = max(size // (rows * width), 1)  # patches a buffer
+    cap = per * rows * width
+    buf, out = _aligned(3 * cap, np.float32), _aligned(cap, np.float32)
     third = np.full(3, np.inf, dtype=np.float32)  # the running three best
-    found, count = [], 0  # (rows, columns, values) of the cells kept and not yet yielded
+    found, count = [], 0  # (grid indices, values) of the cells kept and not yet yielded
 
     def batch(limit):
-        row, col, val = (np.concatenate(a) for a in zip(*found))
-        keep = val <= limit
-        return row[keep], col[keep]
+        cells, val = (np.concatenate(a) for a in zip(*found))
+        return np.sort(cells[val <= limit])
 
-    for n, pieces in _packed(cells, [t.astype(np.float32) for t in trig], rows, cols, size):
-        vals = screen(n, out=out[: n.shape[1]])
+    blocks, patches = np.nonzero(kept)
+    for i in range(0, blocks.size, per):
+        b, p = blocks[i : i + per], patches[i : i + per]
+        n = buf[: 3 * rows * b.size * width].reshape(3, rows, b.size, width)
+        np.take(theta, b, axis=2, out=n[1:], mode="clip")  # "raise" would buffer ``out``
+        cos_p, sin_p = np.take(phi, p, axis=1)
+        np.multiply(n[1], cos_p, out=n[0])
+        np.multiply(n[1], sin_p, out=n[1])
+        vals = screen(n, out=out[: n[0].size])
+        if b[-1] == first.size - 1:  # the padded cells of the last block and of each last patch
+            vals[short_rows:, b == b[-1]] = np.inf
+        if short_cols < width:
+            vals[:, p == start.size - 1, short_cols:] = np.inf
         least = vals.min()
         if np.isnan(least):
             yield None
             return
         if least < third[2]:
-            low = vals if vals.size <= 3 else np.partition(vals, 2)[:3]
+            low = vals.ravel() if vals.size <= 3 else np.partition(vals, 2, axis=None)[:3]
             third = np.sort(np.concatenate([third, low]))[:3]
         limit = float(third[2]) + 2 * SCAN_SCREEN_TOL
         if least > limit:
             continue
         pos = np.flatnonzero(vals <= limit)
-        if count and count + pos.size > size // 2:
+        if count and count + pos.size > cap // 2:
             yield batch(limit)
             found, count = [], 0
-        # each cell's piece, then its theta row and phi column
-        offset, first, columns = zip(*pieces)
-        k = np.searchsorted(offset, pos, side="right") - 1
-        width = np.array([c.size for c in columns])
-        row, j = np.divmod(pos - np.array(offset)[k], width[k])
-        row += np.array(first)[k]
-        found.append((row, np.concatenate(columns)[np.cumsum(width)[k] - width[k] + j], vals[pos]))
+        row, j, col = np.unravel_index(pos, vals.shape)
+        found.append(((first[b[j]] + row) * trig[2].size + start[p[j]] + col, out[pos]))
         count += pos.size
     if count:
         yield batch(limit)
@@ -784,7 +766,7 @@ def _screen(
     bounds and a float32 pass leave as candidates for the three best.
 
     E = SCAN_SCREEN_TOL bounds |f32 - f64| at every direction.  The grid is
-    split into ``_patch_columns`` patches, and ``_patch_middles`` values the
+    split into ``_patch_edges`` patches, and ``_patch_middles`` values the
     objective at each patch's middle cell, within 1e-10 of the float64 kernel.
     When those values spread by at most FLAT_SPREAD_TOL + 2 E (the flat rule
     may fire, so the scan must be exact) or one is NaN, the screen declines
@@ -795,31 +777,29 @@ def _screen(
     most T + 2 E, T the float32 third best of the other patches' cells, and
     the running third best of ``_candidates`` is never below T, so the cells
     it yields hold every cell of the exact three best and every cell tied
-    with the third.  Only those are evaluated in float64, at the directions
-    that the exact scan builds, and folded in grid order into the minimum and
-    the three best (``_merged``).  Returns (min, max, seeds, seed values)
-    equal to the exhaustive scan's but for max, the largest middle value,
-    which is more than FLAT_SPREAD_TOL + E above min; or None when it
-    declines or a float32 or float64 value is NaN.
+    with the third (its padded cells are +inf, so none counts twice).  Only
+    those are evaluated in float64, at the directions that the exact scan
+    builds, and folded into the minimum and the three best (``_merged``).
+    Returns (min, max, seeds, seed values) equal to the exhaustive scan's but
+    for max, the largest middle value, which is more than FLAT_SPREAD_TOL + E
+    above min; or None when it declines or a float32 or float64 value is NaN.
     """
-    starts = _patch_columns(phis, rows, cols)
-    middle = _patch_middles(bloch, thetas, phis, rows, starts)
+    middle = _patch_middles(bloch, thetas, phis, rows)
     least, hi = float(middle.min()), float(middle.max())
     if math.isnan(least) or hi - least <= FLAT_SPREAD_TOL + 2 * SCAN_SCREEN_TOL:
         return None
     limit = float(np.partition(middle, 2, axis=None)[2]) + 2 * SCAN_SCREEN_TOL  # U + E
-    # the cells of the patches kept, (blocks, columns); a NaN bound keeps its patch
-    kept = ~(_patch_bounds(bloch, thetas, phis, rows, starts) > limit)
-    cells = np.repeat(kept, np.diff(starts, append=phis.size), axis=1)
+    # the patches kept, (blocks, patches); a NaN bound keeps its patch
+    kept = ~(_patch_bounds(bloch, thetas, phis, rows) > limit)
     st, ct, cp, sp = trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
     lo, best, seeds = np.inf, np.empty(0), np.empty(0, dtype=np.intp)
-    for batch in _candidates(bloch, cells, trig, rows, cols):
-        if batch is None:
+    for cells in _candidates(bloch, kept, trig, rows, rows * cols):
+        if cells is None:
             return None
-        row, col = batch
-        if not row.size:
+        if not cells.size:
             continue
-        d = np.empty((3, row.size))  # the products of ``_fill``
+        row, col = np.divmod(cells, phis.size)
+        d = np.empty((3, cells.size))  # the products of ``_tiles``
         np.multiply(st[row], cp[col], out=d[0])
         np.multiply(st[row], sp[col], out=d[1])
         d[2] = ct[row]
@@ -829,7 +809,7 @@ def _screen(
             return None
         lo = np.minimum(lo, least)
         top = _three_smallest(vals)
-        best, seeds = _merged(best, seeds, vals[top], row[top] * phis.size + col[top])
+        best, seeds = _merged(best, seeds, vals[top], cells[top])
     return float(lo), hi, seeds, best
 
 
@@ -868,9 +848,10 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
         tile_lo = vals.min()
         lo = np.minimum(lo, tile_lo)
         hi = np.maximum(hi, vals.max())
-        # Earlier cells have lower grid indices, so a tile whose minimum only
-        # ties the third best adds nothing.  A NaN on either side compares
-        # False, so that tile is searched (NaN sorts after every number).
+        # The only fold that relies on grid order: earlier cells have lower
+        # grid indices, so a tile whose minimum only ties the third best adds
+        # nothing.  A NaN on either side compares False, so that tile is
+        # searched (NaN sorts after every number).
         if best.size == 3 and tile_lo >= best[2]:
             continue
         top = _three_smallest(vals)
@@ -879,10 +860,10 @@ def _scan(objective, thetas: np.ndarray, phis: np.ndarray, tile: int = _SCAN_TIL
 
 
 def _merged(best: np.ndarray, seeds: np.ndarray, vals: np.ndarray, cells: np.ndarray):
-    """The three best of the (value, grid index) pairs (best, seeds) and (vals, cells), whose
-    cells come after the seeds in grid order: the stable sort keeps equal values in grid order."""
+    """The three best of the (value, grid index) pairs (best, seeds) and (vals, cells), ties broken
+    by grid index and NaN last, so the cells may come in any grid order."""
     best, seeds = np.concatenate([best, vals]), np.concatenate([seeds, cells])
-    keep = np.argsort(best, kind="stable")[:3]
+    keep = np.lexsort((seeds, best))[:3]
     return best[keep], seeds[keep]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -1604,6 +1605,55 @@ def test_screened_scan_equals_the_exhaustive_scan():
     assert screened >= 2 * len(states), screened
 
 
+def test_screened_patch_padding_never_lowers_the_third_best():
+    """``_candidates`` pads a short block or patch with its last row or column, and sets the
+    padded cells to +inf, so a duplicate never counts toward the running third best.  On the
+    100 x 1000 grid the last patch holds 2 of its 8 rows by 4 of its 6 columns.  A state
+    classically correlated along that patch's last cell has its sharp minimum there, 0 bits,
+    and its next cells along the row ~2e-4 and ~6e-4 bits up; with its 20 duplicates counted,
+    the minimum would be the third best, and the third cell would be cut.  The cells yielded
+    are the patch's own and hold its three best.
+    """
+    thetas, phis = _grid_directions((100, 1000))
+    rows = max(correlations._SCAN_TILE // phis.size, 1)
+    first, last, start, end = correlations._patch_edges(thetas, phis, rows)
+    assert (last[-1] - first[-1], end[-1] - start[-1]) == (1, 3)
+    n = _direction(thetas[-1], phis[-1])
+    plus = (np.eye(2) + np.einsum("i,ijk->jk", n, correlations.PAULI_MATRICES[1:])) / 2.0
+    m = np.kron(plus, np.diag([1.0, 0.0])) + np.kron(np.eye(2) - plus, np.diag([0.0, 1.0]))
+    parts = _parts(DensityMatrix(m / 2.0, (2, 2)))
+    kept = np.zeros((first.size, start.size), dtype=bool)
+    kept[-1, -1] = True
+    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+    batches = correlations._candidates(parts, kept, trig, rows, rows * phis.size)
+    cells = np.concatenate(list(batches)).tolist()
+    row, col = np.meshgrid(np.arange(first[-1], last[-1] + 1), np.arange(start[-1], end[-1] + 1))
+    patch = (row * phis.size + col).ravel()
+    assert set(cells) <= set(patch.tolist()), cells
+    values = _conditional_entropy_objective(parts)(_direction(thetas[row], phis[col]).reshape(3, -1))
+    assert set(patch[np.argsort(values, kind="stable")[:3]].tolist()) <= set(cells), cells
+
+
+def test_merged_orders_ties_by_grid_index_whatever_the_batch_order():
+    """``_merged`` keeps the three best (value, grid index) pairs, ties broken by grid index,
+    whatever order its batches come in: the screen's float64 batches follow its walk over
+    the kept patches, not the grid.  Folding batches of tied values, each in grid order as
+    the screen yields them, in every order of the batches gives the stable argsort of their
+    union, NaN last."""
+    cells = np.array([3, 8, 11, 40, 41, 97, 130, 131, 500, 777])
+    values = np.array([0.25, 0.5, 0.25, np.nan, 0.125, 0.25, 0.125, 0.5, 0.125, 0.25])
+    ties = np.full(cells.size, 0.25)
+    for vals in (values, ties, np.where(np.isnan(values), np.nan, 0.5)):
+        want = np.argsort(vals, kind="stable")[:3]
+        batches = [slice(0, 3), slice(3, 5), slice(5, 8), slice(8, 10)]
+        for order in itertools.permutations(batches):
+            best, seeds = np.empty(0), np.empty(0, dtype=np.intp)
+            for part in order:
+                best, seeds = correlations._merged(best, seeds, vals[part], cells[part])
+            assert np.array_equal(seeds, cells[want]), order
+            assert np.array_equal(best, vals[want], equal_nan=True), order
+
+
 def test_float32_objective_is_within_a_tenth_of_the_screen_tolerance():
     """|f32 - f64| of the two-qubit objective, each at its own rounding of the direction, is at
     most SCAN_SCREEN_TOL / 10 on states where float32 rounding is worst: pure states (pure
@@ -1645,8 +1695,10 @@ def test_patch_bounds_are_below_every_cell_of_their_patch():
 
     On pure and near-pure states (eps 1e-3 to 1e-9, pure conditional states and
     outcomes of tiny p), CQ states with pure and mixed B, products, the X states,
-    near-circles and random states of rank 1 to 4, with the patches of the 640 x 1280,
-    100 x 1000 and 64 x 128 tile geometries (6 x 8, 8 x 6 and 32 x 1 cells).
+    near-circles and random states of rank 1 to 4, with the ``_patch_edges`` patches of
+    the 640 x 1280, 100 x 1000, 64 x 128 and 8 x 16384 scans (6 x 8, 8 x 6, 32 x 1 and
+    1 x 48 cells; on 8 x 16384 one patch crosses the column where a scan tile ends, and
+    the last patch of a row is short).
     """
     rng = np.random.default_rng(SEED + 77)
     states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(8)]
@@ -1659,23 +1711,22 @@ def test_patch_bounds_are_below_every_cell_of_their_patch():
     states += [DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))]
     x_states = _OFF_AXIS_X_STATES + _COMPETING_X_STATES + _SEED_X_STATES
     states += [_x_state(*params) for params in x_states] + _near_circles(rng)
-    for grid in ((640, 1280), (100, 1000), (64, 128)):
+    for grid in ((640, 1280), (100, 1000), (64, 128), (8, 16384)):
         thetas, phis = _grid_directions(grid)
-        tile = correlations._SCAN_TILE
-        rows, cols = max(tile // phis.size, 1), min(phis.size, tile)
-        starts = correlations._patch_columns(phis, rows, cols)
-        first = np.arange(0, thetas.size, rows)
-        mid_t = thetas[first + (np.minimum(rows, thetas.size - first) - 1) // 2]
-        mid_p = phis[starts + (np.diff(starts, append=phis.size) - 1) // 2]
+        rows = max(correlations._SCAN_TILE // phis.size, 1)
+        first, last, start, end = correlations._patch_edges(thetas, phis, rows)
+        mid_t, mid_p = thetas[(first + last) // 2], phis[(start + end) // 2]
+        if grid == (8, 16384):
+            assert ((start < 8192) & (end >= 8192)).any() and end[-1] - start[-1] < 47
         for i, rho in enumerate(states):
             parts = _parts(rho)
             objective = _conditional_entropy_objective(parts)
             least = np.stack([
-                np.minimum.reduceat(objective(n).reshape(-1, phis.size).min(axis=0), starts)
+                np.minimum.reduceat(objective(n).reshape(-1, phis.size).min(axis=0), start)
                 for _, n in correlations._tiles(thetas, phis, rows, phis.size)
             ])
-            bound = correlations._patch_bounds(parts, thetas, phis, rows, starts)
-            middle = correlations._patch_middles(parts, thetas, phis, rows, starts)
+            bound = correlations._patch_bounds(parts, thetas, phis, rows)
+            middle = correlations._patch_middles(parts, thetas, phis, rows)
             assert bound.shape == least.shape == middle.shape, (grid, i)
             assert (bound <= least + 1e-12).all(), (grid, i, (bound - least).max())
             exact = correlations._bloch_objective(parts)(_direction(mid_t[:, None], mid_p))
