@@ -56,14 +56,17 @@ qubits 2 R with R the Pauli coefficient matrices of
 ``_correlation_matrices`` (``witness`` imports it).  ``discord`` is its
 N = 1 case; ``protocols._certifications`` runs it and the witness pass
 on one R stack, for ``certify`` and each block of ``cli.sweep_rows``.
-The kernels take the stack: ``_marginal_entropies`` and
-``_entropies``, ``_classify`` (a batched svd, the one decomposition
-of B), every rule row's direction and objective in one step
-(``_rule_measurements``), ``_geometric_discords`` (from the same singular
-values and zero-discord rows), ``_concurrences`` (batched eigh and svd)
-and ``_negativities`` (batched eigvalsh); the sign checks and clamps of
-``discord`` are applied elementwise, and a zero-discord row is set to
-discord 0 after them.  Every other row is scanned and refined on its own
+The kernels take the stack: ``_local_entropies`` (S(A) and S(B), for two
+qubits from the spectra (1 -/+ |x|)/2 and (1 -/+ |y|)/2 of the Bloch vectors
+in 2 R, with no marginal matrix, otherwise by ``_marginal_entropies``'
+eigvalsh; ``total_correlation`` and ``classical_correlation`` call it too,
+so they return the pass's bits) and ``_entropies``, ``_classify`` (a
+batched svd, the one decomposition of B), every rule row's direction and
+objective in one step (``_rule_measurements``), ``_geometric_discords``
+(from the same singular values and zero-discord rows), ``_concurrences``
+(batched eigh and svd) and ``_negativities`` (batched eigvalsh); the sign
+checks and clamps of ``discord`` are applied elementwise, and a
+zero-discord row is set to discord 0 after them.  Every other row is scanned and refined on its own
 by ``_minimize_over_directions``, on grid tables built only then.
 """
 
@@ -114,12 +117,13 @@ MAX_GRID_POINTS = 2**21
 # A (2, d_B) scan takes 4/d_B**2 as many, so a tile holds as many entries.
 _SCAN_TILE = 2**13
 # A two-qubit scan of more than this many tiles is screened in float32 first
-# (``_screen``).  Median discord over 12 random states, 15 alternating rounds: at
-# 48x1280 (4 tiles) 1.65 ms exact, 1.77 ms screened, which won 4 rounds; at 60x1280
-# (5 tiles) 1.93 against 1.86 ms, 14 rounds, within this VM's swing; at 72x1280
-# (6 tiles) 2.13 against 1.83 ms, 14 rounds (same VM).  The screen's patches span
-# a tile's theta rows, which are far apart on these coarse grids.
-_SCREEN_TILES = 5
+# (``_screen``).  Median discord over 12 random states, 15 alternating rounds, one
+# session per line (2-core Xeon VM, one BLAS thread): at 60x1280 (5 tiles) 1.55 ms
+# exact against 1.38 ms screened, which won 15 rounds, and 1.59 against 1.46 ms,
+# 15 rounds; at 48x1280 (4 tiles) 1.40 against 1.38 ms, 8 rounds, and 1.37
+# against 1.45 ms, 4 rounds, so 4 tiles stay exact.  The screen's patches span a
+# tile's theta rows, which are far apart on these coarse grids.
+_SCREEN_TILES = 4
 # Cells of a screen patch (``_patch_edges``): a tile's theta rows by
 # _PATCH_CELLS // rows phi columns, 6 x 8 on the 640 x 1280 grid.  Median of the
 # per-round medians of a 640x1280 discord over 12 random states, 15 alternating
@@ -134,6 +138,11 @@ _PATCH_CELLS = 48
 # (2, 3) at the largest grid.
 MAX_QUDIT_SCAN_WORK = 2**26
 _REFINE_DIRECTIONS = 3 * (8 + 9 * NEWTON_ITER_CAP + 1)
+
+# x = 2r[1:, 0] and y = 2r[0, 1:] of the Bloch data 2r = [[1, y], [x, T]] as one
+# gather, 2r[_XY_ROWS, _XY_COLS] = [x, y].
+_XY_ROWS = np.array([[1, 2, 3], [0, 0, 0]])
+_XY_COLS = _XY_ROWS[::-1]
 
 # I, sigma_x, sigma_y, sigma_z stacked along the first axis.
 PAULI_MATRICES = np.array(
@@ -240,29 +249,43 @@ def _require_bipartite(legs: tuple[int, ...], op: str) -> tuple[int, int]:
 
 def total_correlation(rho: DensityMatrix) -> float:
     """Mutual information S(A) + S(B) - S(AB) in bits."""
-    _require_bipartite(rho.legs, "total_correlation")
-    m = rho.matrix[None]
-    sb = _marginal_entropies(m, rho.legs, 1)
-    return float(_mutual_information(m, rho.eigenvalues[None], rho.legs, sb)[0])
+    legs = _require_bipartite(rho.legs, "total_correlation")
+    sa, sb = _local_entropies(rho.matrix[None], legs)
+    return float((sa + sb - _entropies(rho.eigenvalues[None]))[0])
+
+
+def _local_entropies(
+    m: np.ndarray, legs: tuple[int, int], parts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """S(A) and S(B) of each state in a stack (N, d, d), legs (d_A, d_B).
+
+    For two qubits they come from the Bloch data 2 r = [[1, y], [x, T]] of
+    ``_measured_parts`` (``parts``, built here when not given): the marginals
+    (I + x.sigma)/2 and (I + y.sigma)/2 have the spectra (1 -/+ |x|)/2 and
+    (1 -/+ |y|)/2, so no matrix is formed.  Other legs take
+    ``_marginal_entropies``.
+    """
+    if legs != (2, 2):
+        return _marginal_entropies(m, legs, 0), _marginal_entropies(m, legs, 1)
+    if parts is None:
+        parts = _measured_parts(m, legs)
+    xy = parts[:, _XY_ROWS, _XY_COLS].reshape(-1, 3)  # x and y of each row in turn
+    length = np.sqrt(_dots(xy)).reshape(-1, 2, 1)
+    s = _entropies(np.concatenate((1.0 - length, 1.0 + length), axis=-1) / 2.0)
+    return s[:, 0], s[:, 1]
 
 
 def _marginal_entropies(m: np.ndarray, legs: tuple[int, int], keep: int) -> np.ndarray:
     """S(A) (keep = 0) or S(B) (keep = 1) of each state in a stack (N, d, d), legs (d_A, d_B).
 
-    Each marginal is made as ``partial_trace`` makes it: its Hermitian
-    part, then eigvalsh.
+    The path of ``_local_entropies`` for legs other than (2, 2), where the
+    marginals have no closed-form spectrum here.  Each marginal is made as
+    ``partial_trace`` makes it: its Hermitian part, then eigvalsh.
     """
     da, db = legs
     t = m.reshape(-1, da, db, da, db)
     marginal = np.einsum("xabcb->xac", t) if keep == 0 else np.einsum("xabae->xbe", t)
     return _entropies(np.linalg.eigvalsh(_hermitian(marginal)))
-
-
-def _mutual_information(
-    m: np.ndarray, lam: np.ndarray, legs: tuple[int, int], sb: np.ndarray
-) -> np.ndarray:
-    """S(A) + S(B) - S(AB) of each state in a stack, given its spectra lam and S(B)."""
-    return _marginal_entropies(m, legs, 0) + sb - _entropies(lam)
 
 
 def _pauli_parts(m: np.ndarray, db: int) -> np.ndarray:
@@ -1051,7 +1074,7 @@ def classical_correlation(
     m = rho.matrix[None]
     parts = _measured_parts(m, rho.legs)
     grid = _scan_tables(grid, rho.legs[1])
-    sb = _marginal_entropies(m, rho.legs, 1)
+    sb = _local_entropies(m, rho.legs, parts)[1]
     axis, zero, u, s = _classify(parts)
     classical, measurements = _classical_correlations(parts, axis, zero, u, s, sb, rho.legs[1], grid)
     return float(classical[0]), measurements[0]
@@ -1147,8 +1170,8 @@ def _reports(
     first failing row raises.
     """
     grid = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
-    sb = _marginal_entropies(m, legs, 1)
-    total = _mutual_information(m, lam, legs, sb)
+    sa, sb = _local_entropies(m, legs, parts)
+    total = sa + sb - _entropies(lam)
     axis, zero, u, s = _classify(parts)
     classical, measurements = _classical_correlations(parts, axis, zero, u, s, sb, legs[1], grid)
     disc = total - classical

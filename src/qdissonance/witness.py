@@ -10,6 +10,22 @@ share an eigenbasis, so the commutators alone decide.  Other
 Hilbert-Schmidt-orthonormal bases only turn R into O_A R O_B^T with
 orthogonal O_A, O_B, so neither L nor the verdict depends on the basis.
 
+The commutators are read from U, with no operator product.  With
+R = U Sigma V^T and u_k = U[1:, k], S_k = (U_0k I + u_k.sigma) / sqrt(2),
+so [S_k, S_l] = i (u_k x u_l).sigma, whose Frobenius norm is
+sqrt(2) |u_k x u_l|.  Two criteria of zero discord stand side by side:
+
+* the commutators of the kept S_k vanish, iff their u_k are parallel;
+* R's rows 1-3, [x | T] / 2, have rank at most 1 (Dakic, Vedral and
+  Brukner, PRL 105, 190502, 2010), as the zero-discord rule of
+  ``correlations`` reads B = [x | T].
+
+The two are equivalent: R[1:] = sum_k c_k u_k v_k^T has rank at most 1
+exactly when the kept u_k are parallel.  Each is decided with its own
+tolerance (``WitnessReport``): the verdict keeps singular values above
+RANK_TOL and accepts norms up to COMMUTATOR_TOL, both absolute; the rule
+takes sigma_2(B) up to ZERO_DISCORD_TOL |2 r|.
+
 The kernels take stacks of N states: ``correlations._correlation_matrices``
 builds R with a batch index, and ``_witness_reports`` takes one batched
 SVD and checks the Schmidt reconstruction and the commutator norms of
@@ -39,6 +55,16 @@ _PAULI_BASIS = PAULI_MATRICES / np.sqrt(2.0)
 _PAULI_BASIS.setflags(write=False)
 # The six index pairs k < l of four operators.
 _PAIRS = np.triu_indices(4, 1)
+# a x b = (a_2 b_3 - a_3 b_2, a_3 b_1 - a_1 b_3, a_1 b_2 - a_2 b_1) with a = u_k and
+# b = u_l, rows 1-3 of columns k and l of U, for every pair of ``_PAIRS``: one
+# gather U[:, _CROSS_ROWS, _CROSS_COLS] gives the four factors of each component
+# in that order, shape (N, 4, 3, 6).
+_CROSS_ROWS = np.array([[2, 3, 1], [3, 1, 2], [3, 1, 2], [2, 3, 1]])[:, :, None]
+_CROSS_COLS = np.array([_PAIRS[0], _PAIRS[1], _PAIRS[0], _PAIRS[1]])[:, None, :]
+# Row 4 n + m holds P_n x P_m / 2 flattened, the Paulis' products halved (exact):
+# a real r (N, 16) times it is sum_nm r_nm P_n x P_m, the matrix that r expands.
+_PAULI_PRODUCTS = np.einsum("nac,mbd->nmabcd", PAULI_MATRICES, PAULI_MATRICES).reshape(16, 16) / 2.0
+_PAULI_PRODUCTS.setflags(write=False)
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -57,25 +83,29 @@ class WitnessReport:
     a read-only mapping.
 
     ``max_commutator_norm`` is the largest Frobenius norm of a pairwise
-    commutator of the S_k.  With degenerate singular values its magnitude
-    is fixed by the basis the SVD picks for their subspace; its zero-ness,
-    the verdict, is not.  On the Bell states and werner(1) (all four
-    singular values 0.5) it reads sqrt(2), but a 1e-9 perturbation of the
-    state moves it down to about 1.28.
+    commutator of the S_k, sqrt(2) |u_k x u_l| (module docstring).  With
+    degenerate singular values its magnitude is fixed by the basis the SVD
+    picks for their subspace; its zero-ness, the verdict, is not.  On the
+    Bell states and werner(1) (all four singular values 0.5) it reads
+    sqrt(2), but a 1e-9 perturbation of the state moves it down to about
+    1.28.
 
     ``verdicts["commutator_zero_discord"]`` and the zero-discord rule of
     ``correlations`` decide one property, zero discord for measurements on
-    A, two ways; they agree on the zoo, on CC, CQ and product states, and on
-    those mixed with a random state at weight 1e-6 or 1e-3.  Their
-    tolerances differ, so there is a band where they do not.  The rule
-    takes a state when sigma_2 of B = [x | T] is at most ZERO_DISCORD_TOL
-    |2 r|, 16 ulps relative to the Bloch data's norm 2 sqrt(Tr rho^2).  The
-    verdict drops singular values of R at most RANK_TOL (1e-10) and accepts
-    commutators up to COMMUTATOR_TOL (1e-9), both absolute.  A mixture
-    (1 - eps) rho_CQ + eps rho with a random rho and eps from about 1e-14 to
-    1e-10 is in the band: the verdict reads zero discord, while ``discord``
-    searches the state and reports a discord of rounding size (at most
-    about 1e-15 bits on 60 seeded CC, CQ and product states per eps).
+    A, by two criteria that are equivalent in exact arithmetic: the
+    commutators of the kept S_k vanish, iff their u_k are parallel, iff
+    B = [x | T] has rank at most 1.  They agree on the zoo, on CC, CQ and
+    product states, and on those mixed with a random state at weight 1e-6
+    or 1e-3.  Each has its own tolerance, so there is a band where they do
+    not.  The verdict keeps the singular values of R above RANK_TOL (1e-10)
+    and accepts sqrt(2) |u_k x u_l| up to COMMUTATOR_TOL (1e-9) on every
+    kept pair, both absolute.  The rule takes a state when sigma_2 of B is
+    at most ZERO_DISCORD_TOL |2 r|, 16 ulps relative to the Bloch data's
+    norm 2 sqrt(Tr rho^2).  A mixture (1 - eps) rho_CQ + eps rho with a
+    random rho and eps from about 1e-14 to 1e-10 is in the band: the verdict
+    reads zero discord, while ``discord`` searches the state and reports a
+    discord of rounding size (at most about 1e-15 bits on 60 seeded CC, CQ
+    and product states per eps).
 
     Which tolerance moves the verdict depends on the family.  On those
     near-CQ mixtures it flips, between eps = 1e-10 and 1e-9, mostly where
@@ -111,25 +141,31 @@ def witness_report(rho: DensityMatrix) -> WitnessReport:
 def _witness_reports(r: np.ndarray, m: np.ndarray) -> list[WitnessReport]:
     """``witness_report`` of each state in a stack (N, 4, 4), from its correlation matrices r.
 
-    One batched SVD; all four S_k and F_k of every state are built, and
-    the ones beyond a state's rank L enter neither its reconstruction
-    (their coefficient is 0) nor its commutators (masked), nor its report.
+    One batched SVD r = U Sigma V^T.  The reconstruction is checked by one
+    product: sum_k c_k S_k x F_k is U Sigma_L V^T expanded in the Pauli
+    products (``_PAULI_PRODUCTS``), Sigma_L keeping a state's first L singular
+    values.  The commutator norms are sqrt(2) |u_k x u_l| (module docstring),
+    written out by components over the pairs of kept columns.  All four S_k
+    and F_k of every state are built, as report fields only; the ones beyond
+    a state's rank L are in neither its reconstruction nor its commutators
+    (masked) nor its report.
     """
     u, s, vh = np.linalg.svd(r)
     kept = s > RANK_TOL  # s descends, so the first L of each row
-    basis = _PAULI_BASIS.reshape(4, 4)
-    s_ops = (np.swapaxes(u, 1, 2) @ basis).reshape(-1, 4, 2, 2)
-    f_ops = (vh @ basis).reshape(-1, 4, 2, 2)
-    recon = np.einsum("xk,xkac,xkbd->xabcd", np.where(kept, s, 0.0), s_ops, f_ops)
+    recon = ((u * np.where(kept, s, 0.0)[:, None, :]) @ vh).reshape(-1, 16) @ _PAULI_PRODUCTS
     err = np.abs(recon.reshape(-1, 4, 4) - m).max(axis=(1, 2))
     bad = ~(err <= SCHMIDT_RECONSTRUCTION_TOL)
     if bad.any():
         raise ArithmeticError(f"operator Schmidt reconstruction error {err[np.argmax(bad)]:.3e}")
     # [S_l, S_k] = -[S_k, S_l] exactly, so the pairs k < l give every norm
-    k, l = _PAIRS
-    a, b = s_ops[:, k], s_ops[:, l]
-    norms = np.linalg.norm(a @ b - b @ a, axis=(2, 3))
-    max_norms = np.where(kept[:, k] & kept[:, l], norms, 0.0).max(axis=1)
+    factors = u[:, _CROSS_ROWS, _CROSS_COLS]
+    cross = factors[:, 0] * factors[:, 1] - factors[:, 2] * factors[:, 3]  # (N, 3, 6)
+    norms = np.sqrt(2.0 * (cross * cross).sum(axis=1))
+    # a pair is kept when its l is (l > k and kept is a prefix)
+    max_norms = np.where(kept[:, _PAIRS[1]], norms, 0.0).max(axis=1)
+    basis = _PAULI_BASIS.reshape(4, 4)
+    s_ops = (np.swapaxes(u, 1, 2) @ basis).reshape(-1, 4, 2, 2)
+    f_ops = (vh @ basis).reshape(-1, 4, 2, 2)
     for arr in (s, s_ops, f_ops):
         arr.setflags(write=False)
     reports = []

@@ -31,6 +31,7 @@ from qdissonance import (
 )
 from qdissonance import cli, correlations, protocols, witness
 from qdissonance.cli import sweep_rows
+from qdissonance.states import _werner_stack
 from qdissonance.correlations import (
     DEFAULT_GRID,
     Measurement,
@@ -103,6 +104,29 @@ def test_total_correlation():
     assert total_correlation(cc_state(np.diag([0.5, 0.5]))) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         total_correlation(DensityMatrix(np.eye(8) / 8, (2, 2, 2)))
+
+
+def test_marginal_closed_form_matches_eigvalsh():
+    """Two-qubit S(A) and S(B) from the Bloch vectors, (1 -/+ |x|)/2 and (1 -/+ |y|)/2, are
+    within 2.5e-15 bits of eigvalsh of the partial traces on 2000 seeded states of rank
+    1-4 and bitwise equal on Werner states; a row of a stack is bitwise that row alone.
+    Every entry point takes them from one function, so the public values agree exactly."""
+    rng = np.random.default_rng(SEED + 70)
+    m = np.stack([random_density(rng, 4, (2, 2), rank=1 + i % 4).matrix for i in range(2000)])
+    m = np.concatenate([m, _werner_stack(np.linspace(0.0, 1.0, 101))[0]])
+    closed = np.stack(correlations._local_entropies(m, (2, 2)))
+    ref = np.stack([correlations._marginal_entropies(m, (2, 2), keep) for keep in (0, 1)])
+    assert np.abs(closed - ref)[:, :2000].max() <= 2.5e-15
+    assert np.array_equal(closed[:, 2000:], ref[:, 2000:])
+    for i in range(0, len(m), 7):
+        assert np.array_equal(np.stack(correlations._local_entropies(m[i : i + 1], (2, 2)))[:, 0], closed[:, i])
+    for name, rho, tag in build_zoo():
+        rep = discord(rho)
+        # discord reports inside [0, total], so a product's -1e-16 reads 0 on some kernels,
+        # and a zero-discord row reports classical = total, not its measured value
+        assert max(total_correlation(rho), 0.0) == rep.total, name
+        if tag != "zero":
+            assert classical_correlation(rho)[0] == rep.classical, name
 
 
 def test_qubit_measurement():
@@ -590,11 +614,17 @@ def test_qudit_scan_work_is_capped(monkeypatch):
             classical_correlation(random_density(rng, 2 * db, (2, db)), grid)
 
 
+def _entropy_b(rho):
+    """S(B) as the entry points take it, from the Bloch vector y for two qubits
+    (``test_marginal_closed_form_matches_eigvalsh`` checks it against eigvalsh)."""
+    return correlations._local_entropies(rho.matrix[None], rho.legs)[1][0]
+
+
 def _searched(rho, grid=DEFAULT_GRID):
     """S(B) minus the search's minimum, and its angles: the scan and refinement alone."""
     objective = _conditional_entropy_objective(_parts(rho))
     val, theta, phi = _minimize_over_directions(objective, *_grid_directions(grid))
-    return entropy(partial_trace(rho, (0,))) - val, theta, phi
+    return _entropy_b(rho) - val, theta, phi
 
 
 def test_odd_and_tiny_grids_agree_with_luo_and_default():
@@ -879,8 +909,7 @@ def test_zero_discord_rule_decides_classical_quantum_states(monkeypatch):
             assert min(np.abs(n - basis).max(), np.abs(n + basis).max()) <= 1e-12, i
         classical, at = classical_correlation(rho)
         assert at == m, i
-        sb = entropy(partial_trace(rho, (0,)))
-        assert abs(classical - (sb - conditional_entropy_after(rho, m))) <= 1e-15, i
+        assert abs(classical - (_entropy_b(rho) - conditional_entropy_after(rho, m))) <= 1e-15, i
         if i < len(searched):
             assert abs(classical - searched[i]) <= 2e-15, i
     # a pole whose n_z rounds below 1 is still theta = 0 exactly
@@ -1750,14 +1779,15 @@ def test_discord_of_near_pure_states_stays_in_bounds():
 
 
 def test_discord_builds_each_piece_once(monkeypatch):
-    """One pass expands each state once and takes each marginal once.
+    """One pass expands each state once and takes its marginals once.
 
     The pieces are stacked: one call covers every state of the pass.  A
     two-qubit discord call makes 1 correlation-matrix stack, 0 Pauli-part
-    stacks and 2 marginal-entropy stacks; a (2, 3) call makes its Pauli
-    parts once.  Discord and the witness are two passes over one correlation
-    matrix stack: ``certify`` makes one stack, and a 21-row sweep one stack
-    21 rows deep.  Every module that builds correlation matrices is
+    stacks and 1 local-entropy stack, whose S(A) and S(B) come from the Bloch
+    data with no marginal matrix (0 ``_marginal_entropies`` stacks); a (2, 3)
+    call makes its Pauli parts once and its two marginals by eigvalsh.
+    Discord and the witness are two passes over one correlation matrix stack:
+    ``certify`` makes one stack, and a 21-row sweep one stack 21 rows deep.  Every module that builds correlation matrices is
     counted.  Each two-qubit B = 2 r[1:]
     (3 x 4) is decomposed once, by one SVD of its stack that the axis rule
     and the geometric discord share, and no 3 x 3 eigensolve of M or
@@ -1767,7 +1797,7 @@ def test_discord_builds_each_piece_once(monkeypatch):
     what the public functions return.
     """
     rng = np.random.default_rng(SEED + 61)
-    names = ("_correlation_matrices", "_pauli_parts", "_marginal_entropies")
+    names = ("_correlation_matrices", "_pauli_parts", "_local_entropies", "_marginal_entropies")
     calls = {name: [] for name in names}
 
     def counting(module, name):
@@ -1807,14 +1837,16 @@ def test_discord_builds_each_piece_once(monkeypatch):
         return tuple(calls[name] for name in names) + (list(decompositions),)
 
     one = [("svd", 1)]
-    assert counts(discord, random_two_qubit(rng)) == ([1], [], [1, 1], one)
-    assert counts(discord, werner(0.3)) == ([1], [], [1, 1], one)
-    assert counts(geometric_discord, random_two_qubit(rng)) == ([1], [], [], one)
-    assert counts(discord, random_density(rng, 6, (2, 3)))[1] == [1]
-    assert counts(witness_report, werner(0.3)) == ([1], [], [], [])
-    assert counts(certify, run_kraus_protocol(0.2)) == ([1], [], [1, 1], one)
+    assert counts(discord, random_two_qubit(rng)) == ([1], [], [1], [], one)
+    assert counts(discord, werner(0.3)) == ([1], [], [1], [], one)
+    assert counts(total_correlation, random_two_qubit(rng)) == ([1], [], [1], [], [])
+    assert counts(classical_correlation, werner(0.3)) == ([1], [], [1], [], one)
+    assert counts(geometric_discord, random_two_qubit(rng)) == ([1], [], [], [], one)
+    assert counts(discord, random_density(rng, 6, (2, 3)))[1:4] == ([1], [1], [1, 1])
+    assert counts(witness_report, werner(0.3)) == ([1], [], [], [], [])
+    assert counts(certify, run_kraus_protocol(0.2)) == ([1], [], [1], [], one)
     sweep = counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21)
-    assert sweep == ([21], [], [21, 21], [("svd", 21)])
+    assert sweep == ([21], [], [21], [], [("svd", 21)])
 
     states = [rho for _, rho, _ in build_zoo()]
     states += [random_density(rng, 6, (2, 3), rank=1 + i % 6) for i in range(3)]

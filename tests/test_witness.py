@@ -6,6 +6,7 @@ import pytest
 from qdissonance import (
     DensityMatrix,
     DomainError,
+    bell,
     cc_state,
     correlation_matrix,
     decompose_sf,
@@ -13,7 +14,10 @@ from qdissonance import (
     werner,
     witness_report,
 )
-from qdissonance import correlations
+from qdissonance import correlations, witness
+from qdissonance.cli import sweep_rows
+from qdissonance.qla import COMMUTATOR_TOL, RANK_TOL
+from qdissonance.states import _werner_stack
 from qdissonance.witness import _PAULI_BASIS
 
 from _zoo import (
@@ -139,6 +143,72 @@ def test_commutator_norm_matches_pairwise_loop():
     rep = witness_report(prod)
     assert rep.l_rank == 1  # single operator, vacuous
     assert rep.max_commutator_norm == 0.0 and rep.verdicts["commutator_zero_discord"]
+
+
+def _commutator_norms_by_products(r):
+    """Reference for ``max_commutator_norm`` of a stack of correlation matrices r: each
+    S_k of r's SVD built as a 2 x 2 complex matrix, and the largest Frobenius norm of
+    S_k S_l - S_l S_k over the pairs k < l of kept singular values.  Returns the norms
+    and the ranks L."""
+    u, s, _ = np.linalg.svd(r)
+    kept = s > RANK_TOL
+    s_ops = (np.swapaxes(u, 1, 2) @ _PAULI_BASIS.reshape(4, 4)).reshape(-1, 4, 2, 2)
+    k, l = np.triu_indices(4, 1)
+    a, b = s_ops[:, k], s_ops[:, l]
+    norms = np.linalg.norm(a @ b - b @ a, axis=(2, 3))
+    return np.where(kept[:, k] & kept[:, l], norms, 0.0).max(axis=1), kept.sum(axis=1)
+
+
+def _near_classical_quantum(rng):
+    """The near-CQ mixtures of the verdict tests: (1 - eps) rho + eps rho_random over CC, CQ
+    and product rho, eps log-uniform in [1e-14, 1e-6], and the 300 CQ-family states mixed
+    at eps = 1e-6 and 1e-3."""
+    states = []
+    for make in (random_cc, random_cq, random_product):
+        for _ in range(100):
+            eps = 10.0 ** rng.uniform(-14, -6)
+            states.append((1 - eps) * make(rng).matrix + eps * random_two_qubit(rng).matrix)
+    family = [rho.matrix for rho, _ in classical_quantum_states(rng, 300)]
+    for eps in (1e-6, 1e-3):
+        states += [(1 - eps) * m + eps * random_two_qubit(rng).matrix for m in family]
+    return family, [DensityMatrix(m, (2, 2)) for m in states]
+
+
+def test_commutator_closed_form_matches_matrix_products():
+    """max_commutator_norm = sqrt(2) max |u_k x u_l| agrees to 1e-15 with the 2 x 2 complex
+    products of the S_k, and l_rank and both verdicts with theirs, on the zoo, the Bell
+    states and werner(1) (four singular values 0.5), the CQ family and near-CQ mixtures."""
+    rng = np.random.default_rng(SEED + 8)
+    family, mixtures = _near_classical_quantum(rng)
+    states = [rho.matrix for _, rho, _ in build_zoo()]
+    states += [np.outer(bell(b).vector, bell(b).vector.conj()) for b in ("phi+", "phi-", "psi+", "psi-")]
+    states += [werner(1.0).matrix] + family + [rho.matrix for rho in mixtures]
+    m = np.stack(states)
+    ref, ranks = _commutator_norms_by_products(correlations._correlation_matrices(m))
+    assert ref.max() == pytest.approx(np.sqrt(2.0))  # the largest norm is on the set
+    for i, mi in enumerate(m):
+        rep = witness_report(DensityMatrix(mi, (2, 2)))
+        assert abs(rep.max_commutator_norm - ref[i]) <= 1e-15, i
+        assert rep.l_rank == ranks[i], i
+        assert dict(rep.verdicts) == {
+            "commutator_zero_discord": bool(ref[i] <= COMMUTATOR_TOL), "rank_witness": bool(ranks[i] > 2)
+        }, i
+
+
+def test_commutator_closed_form_keeps_sweep_verdicts():
+    """On every row of sweep_rows(0, 1, 10000) the rank L and both verdicts are those of
+    the 2 x 2 complex products, and the norms agree to 1e-15."""
+    zs = np.linspace(0.0, 1.0, 10000)
+    rows = list(sweep_rows(0.0, 1.0, 10000))
+    m, _ = _werner_stack(zs)
+    r = correlations._measured_parts(m, (2, 2)) / 2.0
+    ref, ranks = _commutator_norms_by_products(r)
+    reports = witness._witness_reports(r, m)
+    assert [row["rank_L"] for row in rows] == [rep.l_rank for rep in reports] == ranks.tolist()
+    norms = np.array([rep.max_commutator_norm for rep in reports])
+    assert np.abs(norms - ref).max() <= 1e-15
+    assert [rep.verdicts["commutator_zero_discord"] for rep in reports] == (ref <= COMMUTATOR_TOL).tolist()
+    assert [rep.verdicts["rank_witness"] for rep in reports] == (ranks > 2).tolist()
 
 
 def test_witness_report_is_read_only():
