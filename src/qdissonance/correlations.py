@@ -56,18 +56,19 @@ qubits 2 R with R the Pauli coefficient matrices of
 ``_correlation_matrices`` (``witness`` imports it).  ``discord`` is its
 N = 1 case; ``protocols._certifications`` runs it and the witness pass
 on one R stack, for ``certify`` and each block of ``cli.sweep_rows``.
-The kernels take the stack: ``_local_entropies`` (S(A) and S(B), for two
-qubits from the spectra (1 -/+ |x|)/2 and (1 -/+ |y|)/2 of the Bloch vectors
-in 2 R, with no marginal matrix, otherwise by ``_marginal_entropies``'
-eigvalsh; ``total_correlation`` and ``classical_correlation`` call it too,
-so they return the pass's bits) and ``_entropies``, ``_classify`` (a
-batched svd, the one decomposition of B), every rule row's direction and
-objective in one step (``_rule_measurements``), ``_geometric_discords``
-(from the same singular values and zero-discord rows), ``_concurrences``
-(batched eigh and svd) and ``_negativities`` (batched eigvalsh); the sign
-checks and clamps of ``discord`` are applied elementwise, and a
-zero-discord row is set to discord 0 after them.  Every other row is scanned and refined on its own
-by ``_minimize_over_directions``, on grid tables built only then.
+The kernels take the stack: ``_local_entropies`` (two-qubit S(A) and S(B)
+from the spectra (1 -/+ |x|)/2 and (1 -/+ |y|)/2 of the Bloch vectors in
+2 R, with no marginal matrix; ``total_correlation`` and
+``classical_correlation`` call it too, so they return the pass's bits;
+other legs take ``_marginal_entropies``' eigvalsh) and ``_entropies``,
+``_classify`` (a batched svd, the one decomposition of B), every rule
+row's direction and objective in one step (``_rule_measurements``),
+``_geometric_discords`` (from the same singular values and zero-discord
+rows), ``_concurrences`` (batched eigh and svd) and ``_negativities``
+(batched eigvalsh); the sign checks and clamps of ``discord`` are applied
+elementwise, and a zero-discord row is set to discord 0 after them.
+Every other row is scanned and refined on its own by
+``_minimize_over_directions``, on grid tables built only then.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ _PATCH_CELLS = 48
 # (2, 3) at the largest grid.
 MAX_QUDIT_SCAN_WORK = 2**26
 _REFINE_DIRECTIONS = 3 * (8 + 9 * NEWTON_ITER_CAP + 1)
-
-# x = 2r[1:, 0] and y = 2r[0, 1:] of the Bloch data 2r = [[1, y], [x, T]] as one
-# gather, 2r[_XY_ROWS, _XY_COLS] = [x, y].
-_XY_ROWS = np.array([[1, 2, 3], [0, 0, 0]])
-_XY_COLS = _XY_ROWS[::-1]
 
 # I, sigma_x, sigma_y, sigma_z stacked along the first axis.
 PAULI_MATRICES = np.array(
@@ -250,26 +246,23 @@ def _require_bipartite(legs: tuple[int, ...], op: str) -> tuple[int, int]:
 def total_correlation(rho: DensityMatrix) -> float:
     """Mutual information S(A) + S(B) - S(AB) in bits."""
     legs = _require_bipartite(rho.legs, "total_correlation")
-    sa, sb = _local_entropies(rho.matrix[None], legs)
+    m = rho.matrix[None]
+    if legs == (2, 2):
+        sa, sb = _local_entropies(_measured_parts(m, legs))
+    else:
+        sa, sb = _marginal_entropies(m, legs, 0), _marginal_entropies(m, legs, 1)
     return float((sa + sb - _entropies(rho.eigenvalues[None]))[0])
 
 
-def _local_entropies(
-    m: np.ndarray, legs: tuple[int, int], parts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """S(A) and S(B) of each state in a stack (N, d, d), legs (d_A, d_B).
+def _local_entropies(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(A) and S(B) of each two-qubit state in a stack, from its Bloch data (N, 4, 4).
 
-    For two qubits they come from the Bloch data 2 r = [[1, y], [x, T]] of
-    ``_measured_parts`` (``parts``, built here when not given): the marginals
-    (I + x.sigma)/2 and (I + y.sigma)/2 have the spectra (1 -/+ |x|)/2 and
-    (1 -/+ |y|)/2, so no matrix is formed.  Other legs take
-    ``_marginal_entropies``.
+    The Bloch data 2 r = [[1, y], [x, T]] are ``_measured_parts``: the
+    marginals (I + x.sigma)/2 and (I + y.sigma)/2 have the spectra
+    (1 -/+ |x|)/2 and (1 -/+ |y|)/2, so no matrix is formed.  Other legs
+    take ``_marginal_entropies``.
     """
-    if legs != (2, 2):
-        return _marginal_entropies(m, legs, 0), _marginal_entropies(m, legs, 1)
-    if parts is None:
-        parts = _measured_parts(m, legs)
-    xy = parts[:, _XY_ROWS, _XY_COLS].reshape(-1, 3)  # x and y of each row in turn
+    xy = np.concatenate((bloch[:, 1:, 0], bloch[:, 0, 1:]), axis=1).reshape(-1, 3)  # x, y of each row
     length = np.sqrt(_dots(xy)).reshape(-1, 2, 1)
     s = _entropies(np.concatenate((1.0 - length, 1.0 + length), axis=-1) / 2.0)
     return s[:, 0], s[:, 1]
@@ -278,9 +271,9 @@ def _local_entropies(
 def _marginal_entropies(m: np.ndarray, legs: tuple[int, int], keep: int) -> np.ndarray:
     """S(A) (keep = 0) or S(B) (keep = 1) of each state in a stack (N, d, d), legs (d_A, d_B).
 
-    The path of ``_local_entropies`` for legs other than (2, 2), where the
-    marginals have no closed-form spectrum here.  Each marginal is made as
-    ``partial_trace`` makes it: its Hermitian part, then eigvalsh.
+    The path for legs other than (2, 2); two qubits take the closed form of
+    ``_local_entropies``.  Each marginal is made as ``partial_trace`` makes
+    it: its Hermitian part, then eigvalsh.
     """
     da, db = legs
     t = m.reshape(-1, da, db, da, db)
@@ -1074,7 +1067,7 @@ def classical_correlation(
     m = rho.matrix[None]
     parts = _measured_parts(m, rho.legs)
     grid = _scan_tables(grid, rho.legs[1])
-    sb = _local_entropies(m, rho.legs, parts)[1]
+    sb = _local_entropies(parts)[1] if rho.legs == (2, 2) else _marginal_entropies(m, rho.legs, 1)
     axis, zero, u, s = _classify(parts)
     classical, measurements = _classical_correlations(parts, axis, zero, u, s, sb, rho.legs[1], grid)
     return float(classical[0]), measurements[0]
@@ -1170,7 +1163,10 @@ def _reports(
     first failing row raises.
     """
     grid = _scan_tables(grid, legs[1])  # a bad grid is refused on every path
-    sa, sb = _local_entropies(m, legs, parts)
+    if legs == (2, 2):
+        sa, sb = _local_entropies(parts)
+    else:
+        sa, sb = _marginal_entropies(m, legs, 0), _marginal_entropies(m, legs, 1)
     total = sa + sb - _entropies(lam)
     axis, zero, u, s = _classify(parts)
     classical, measurements = _classical_correlations(parts, axis, zero, u, s, sb, legs[1], grid)

@@ -144,11 +144,13 @@ def _witness_reports(r: np.ndarray, m: np.ndarray) -> list[WitnessReport]:
     One batched SVD r = U Sigma V^T.  The reconstruction is checked by one
     product: sum_k c_k S_k x F_k is U Sigma_L V^T expanded in the Pauli
     products (``_PAULI_PRODUCTS``), Sigma_L keeping a state's first L singular
-    values.  The commutator norms are sqrt(2) |u_k x u_l| (module docstring),
-    written out by components over the pairs of kept columns.  All four S_k
-    and F_k of every state are built, as report fields only; the ones beyond
-    a state's rank L are in neither its reconstruction nor its commutators
-    (masked) nor its report.
+    values; it checks the SVD, and the reported S_k and F_k follow from U and
+    V by the fixed products below (``test_decompose_sf_reconstruction_on_zoo``
+    checks their reconstruction).  The commutator norms are sqrt(2)
+    |u_k x u_l| (module docstring), written out by components over the pairs
+    of kept columns.  All four S_k and F_k of every state are built, as
+    report fields only; the ones beyond a state's rank L are in neither its
+    reconstruction nor its commutators (masked) nor its report.
     """
     u, s, vh = np.linalg.svd(r)
     kept = s > RANK_TOL  # s descends, so the first L of each row

@@ -109,17 +109,25 @@ def test_total_correlation():
 def test_marginal_closed_form_matches_eigvalsh():
     """Two-qubit S(A) and S(B) from the Bloch vectors, (1 -/+ |x|)/2 and (1 -/+ |y|)/2, are
     within 2.5e-15 bits of eigvalsh of the partial traces on 2000 seeded states of rank
-    1-4 and bitwise equal on Werner states; a row of a stack is bitwise that row alone.
-    Every entry point takes them from one function, so the public values agree exactly."""
+    1-4, the 300 CC, CQ and product states of the zero-discord family and 40 pure
+    products (10 of them on the z axes), and bitwise equal on Werner states; a row of a
+    stack is bitwise that row alone.  Every entry point takes them from one function, so
+    the public values agree exactly."""
     rng = np.random.default_rng(SEED + 70)
-    m = np.stack([random_density(rng, 4, (2, 2), rank=1 + i % 4).matrix for i in range(2000)])
-    m = np.concatenate([m, _werner_stack(np.linspace(0.0, 1.0, 101))[0]])
-    closed = np.stack(correlations._local_entropies(m, (2, 2)))
+    states = [random_density(rng, 4, (2, 2), rank=1 + i % 4) for i in range(2000)]
+    states += [rho for rho, _ in classical_quantum_states(rng, 300)]
+    states += [tensor(random_density(rng, 2, rank=1), random_density(rng, 2, rank=1)) for _ in range(30)]
+    ket = [DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0]))]
+    states += [tensor(ket[i % 2], ket[i // 2 % 2]) for i in range(10)]
+    m = np.stack([rho.matrix for rho in states] + list(_werner_stack(np.linspace(0.0, 1.0, 101))[0]))
+    closed = np.stack(correlations._local_entropies(_measured_parts(m, (2, 2))))
     ref = np.stack([correlations._marginal_entropies(m, (2, 2), keep) for keep in (0, 1)])
-    assert np.abs(closed - ref)[:, :2000].max() <= 2.5e-15
-    assert np.array_equal(closed[:, 2000:], ref[:, 2000:])
+    n = len(states)
+    assert np.abs(closed - ref)[:, :n].max() <= 2.5e-15
+    assert np.array_equal(closed[:, n:], ref[:, n:])
     for i in range(0, len(m), 7):
-        assert np.array_equal(np.stack(correlations._local_entropies(m[i : i + 1], (2, 2)))[:, 0], closed[:, i])
+        one = correlations._local_entropies(_measured_parts(m[i : i + 1], (2, 2)))
+        assert np.array_equal(np.stack(one)[:, 0], closed[:, i])
     for name, rho, tag in build_zoo():
         rep = discord(rho)
         # discord reports inside [0, total], so a product's -1e-16 reads 0 on some kernels,
@@ -614,17 +622,15 @@ def test_qudit_scan_work_is_capped(monkeypatch):
             classical_correlation(random_density(rng, 2 * db, (2, db)), grid)
 
 
-def _entropy_b(rho):
-    """S(B) as the entry points take it, from the Bloch vector y for two qubits
-    (``test_marginal_closed_form_matches_eigvalsh`` checks it against eigvalsh)."""
-    return correlations._local_entropies(rho.matrix[None], rho.legs)[1][0]
+def _searched(rho, grid=DEFAULT_GRID, sb=None):
+    """S(B) minus the search's minimum, and its angles: the scan and refinement alone.
 
-
-def _searched(rho, grid=DEFAULT_GRID):
-    """S(B) minus the search's minimum, and its angles: the scan and refinement alone."""
+    S(B) is eigvalsh of the partial trace unless given."""
     objective = _conditional_entropy_objective(_parts(rho))
     val, theta, phi = _minimize_over_directions(objective, *_grid_directions(grid))
-    return _entropy_b(rho) - val, theta, phi
+    if sb is None:
+        sb = entropy(partial_trace(rho, (0,)))
+    return sb - val, theta, phi
 
 
 def test_odd_and_tiny_grids_agree_with_luo_and_default():
@@ -884,7 +890,9 @@ def test_generic_states_reach_the_search():
     assert not axis.any() and not zero.any()
     for i, rho in enumerate(states[:50]):
         classical, m = classical_correlation(rho)
-        assert (classical, m.theta, m.phi) == _searched(rho), i
+        # bit for bit, so with S(B) as the entry points take it, from the Bloch vector y
+        sb = correlations._local_entropies(_parts(rho)[None])[1][0]
+        assert (classical, m.theta, m.phi) == _searched(rho, sb=sb), i
 
 
 def test_zero_discord_rule_decides_classical_quantum_states(monkeypatch):
@@ -909,7 +917,10 @@ def test_zero_discord_rule_decides_classical_quantum_states(monkeypatch):
             assert min(np.abs(n - basis).max(), np.abs(n + basis).max()) <= 1e-12, i
         classical, at = classical_correlation(rho)
         assert at == m, i
-        assert abs(classical - (_entropy_b(rho) - conditional_entropy_after(rho, m))) <= 1e-15, i
+        # S(B) of eigvalsh here, of the Bloch vector y in the entry points: the two differ
+        # by up to the 2.5e-15 of test_marginal_closed_form_matches_eigvalsh
+        sb = entropy(partial_trace(rho, (0,)))
+        assert abs(classical - (sb - conditional_entropy_after(rho, m))) <= 2.5e-15, i
         if i < len(searched):
             assert abs(classical - searched[i]) <= 2e-15, i
     # a pole whose n_z rounds below 1 is still theta = 0 exactly
@@ -1785,7 +1796,8 @@ def test_discord_builds_each_piece_once(monkeypatch):
     two-qubit discord call makes 1 correlation-matrix stack, 0 Pauli-part
     stacks and 1 local-entropy stack, whose S(A) and S(B) come from the Bloch
     data with no marginal matrix (0 ``_marginal_entropies`` stacks); a (2, 3)
-    call makes its Pauli parts once and its two marginals by eigvalsh.
+    call makes its Pauli parts once and its two marginals by eigvalsh, and
+    ``classical_correlation`` only S(B).
     Discord and the witness are two passes over one correlation matrix stack:
     ``certify`` makes one stack, and a 21-row sweep one stack 21 rows deep.  Every module that builds correlation matrices is
     counted.  Each two-qubit B = 2 r[1:]
@@ -1842,7 +1854,9 @@ def test_discord_builds_each_piece_once(monkeypatch):
     assert counts(total_correlation, random_two_qubit(rng)) == ([1], [], [1], [], [])
     assert counts(classical_correlation, werner(0.3)) == ([1], [], [1], [], one)
     assert counts(geometric_discord, random_two_qubit(rng)) == ([1], [], [], [], one)
-    assert counts(discord, random_density(rng, 6, (2, 3)))[1:4] == ([1], [1], [1, 1])
+    assert counts(discord, random_density(rng, 6, (2, 3)))[1:4] == ([1], [], [1, 1])
+    assert counts(classical_correlation, random_density(rng, 6, (2, 3)))[1:4] == ([1], [], [1])
+    assert counts(total_correlation, random_density(rng, 6, (2, 3)))[1:4] == ([], [], [1, 1])
     assert counts(witness_report, werner(0.3)) == ([1], [], [], [], [])
     assert counts(certify, run_kraus_protocol(0.2)) == ([1], [], [1], [], one)
     sweep = counts(lambda *zs: list(sweep_rows(*zs)), 0.0, 1.0, 21)
